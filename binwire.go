@@ -78,9 +78,9 @@ func (e *BinBatchEncoder) Add(rel string, row map[string]string) error {
 
 // Delete appends one delete to the batch. Within one payload all inserts
 // apply before all deletes regardless of call order: Bytes emits the inserts
-// as one atomic batch frame followed by one frame per delete, and the apply
-// paths process frames in order. Deleting an absent tuple is a no-op, never
-// an error, so deletes are safe to retry.
+// as one batch frame followed by one frame per delete, and ApplyBinBatch
+// applies the whole payload as one atomic commit in that order. Deleting an
+// absent tuple is a no-op, never an error, so deletes are safe to retry.
 func (e *BinBatchEncoder) Delete(rel string, row map[string]string) error {
 	i, t, err := rowTuple(e.sch.s, e.intern, rel, row)
 	if err != nil {
@@ -93,8 +93,8 @@ func (e *BinBatchEncoder) Delete(rel string, row map[string]string) error {
 // Len returns the number of operations added since the last Reset.
 func (e *BinBatchEncoder) Len() int { return len(e.ops) + len(e.dels) }
 
-// Bytes renders the batch: the intern frames, one atomic batch frame holding
-// every added row, then one frame per delete. The result is self-contained —
+// Bytes renders the batch: the intern frames, one batch frame holding every
+// added row, then one frame per delete. The result is self-contained —
 // it binds every id it references — and decodes with ApplyBinBatch.
 func (e *BinBatchEncoder) Bytes() []byte {
 	buf := append([]byte(nil), e.frames...)
@@ -177,24 +177,13 @@ func binBatchOps(s *schema.Schema, payload []byte,
 	return nil
 }
 
-// ApplyBinBatch decodes a binary batch (a BinBatchEncoder payload) and
-// applies it: all inserts are admitted atomically — either every row is
-// admitted or the state is unchanged and the first violation is returned —
-// and then any deletes are applied in frame order (a delete never fails; an
-// absent tuple is a no-op). The return value is the number of operations
-// applied. The decode path shares the WAL's frame and record parsers and
-// never touches encoding/json. Client-local value ids are remapped by
-// re-interning their bound names; a tuple referencing an unbound id, an
-// unknown relation, or a wrong arity is malformed (not a rejection), and a
-// malformed payload is detected before anything is applied.
-func (cs *ConcurrentStore) ApplyBinBatch(ctx context.Context, payload []byte) (int, error) {
-	ctx, sp := obs.StartSpan(ctx, "store.batchbin")
-	if sp.Recording() {
-		sp.SetInt("bytes", int64(len(payload)))
-	}
-	defer sp.End()
+// decodeBinBatch validates a binary batch payload and returns its operations
+// in frame order, client-local value ids remapped by re-interning their
+// bound names into the store's dictionary. A malformed payload is reported
+// before the caller has anything to apply.
+func (cs *ConcurrentStore) decodeBinBatch(payload []byte) ([]engine.Op, error) {
 	remap := make(map[relation.Value]relation.Value)
-	var eops, dels []engine.Op
+	var ops []engine.Op
 	err := binBatchOps(cs.schema.s, payload,
 		func(v relation.Value, name string) { remap[v] = cs.eng.Dict().Value(name) },
 		func(kind wal.Kind, rel int, tuple []relation.Value) error {
@@ -202,27 +191,39 @@ func (cs *ConcurrentStore) ApplyBinBatch(ctx context.Context, payload []byte) (i
 			for j, v := range tuple {
 				t[j] = remap[v]
 			}
-			if kind == wal.KindDelete {
-				dels = append(dels, engine.Op{Scheme: rel, Tuple: t})
-			} else {
-				eops = append(eops, engine.Op{Scheme: rel, Tuple: t})
-			}
+			ops = append(ops, engine.Op{Scheme: rel, Tuple: t, Delete: kind == wal.KindDelete})
 			return nil
 		})
+	return ops, err
+}
+
+// ApplyBinBatch decodes a binary batch (a BinBatchEncoder payload) and
+// applies it as one atomic commit: one payload is one lock acquisition, one
+// version bump — a reader sees all of it or none of it — and, on a durable
+// store, one write-ahead-log append under one fsync. All inserts are
+// admitted first, together: either every row is admitted or the state is
+// unchanged, deletes included, and the first violation is returned. Then
+// the deletes are applied (a delete never fails; an absent tuple is a
+// no-op). The return value is the number of operations applied. The decode
+// path shares the WAL's frame and record parsers and never touches
+// encoding/json. Client-local value ids are remapped by re-interning their
+// bound names; a tuple referencing an unbound id, an unknown relation, or a
+// wrong arity is malformed (not a rejection), and a malformed payload is
+// detected before anything is applied.
+func (cs *ConcurrentStore) ApplyBinBatch(ctx context.Context, payload []byte) (int, error) {
+	ctx, sp := obs.StartSpan(ctx, "store.batchbin")
+	if sp.Recording() {
+		sp.SetInt("bytes", int64(len(payload)))
+	}
+	defer sp.End()
+	ops, err := cs.decodeBinBatch(payload)
 	if err != nil {
 		return 0, err
 	}
-	if len(eops) > 0 {
-		if err := cs.eng.InsertBatchCtx(ctx, eops); err != nil {
-			return 0, err
-		}
+	if _, err := cs.eng.Apply(ctx, ops); err != nil {
+		return 0, err
 	}
-	for _, d := range dels {
-		if _, err := cs.eng.DeleteCtx(ctx, d.Scheme, d.Tuple); err != nil {
-			return len(eops), err
-		}
-	}
-	return len(eops) + len(dels), nil
+	return len(ops), nil
 }
 
 // BinOp is one decoded operation of a binary batch payload — the
@@ -296,37 +297,14 @@ func (cs *ConcurrentStore) ApplyBinBatchPartial(ctx context.Context, payload []b
 		sp.SetInt("bytes", int64(len(payload)))
 	}
 	defer sp.End()
-	remap := make(map[relation.Value]relation.Value)
-	type resolved struct {
-		del bool
-		rel int
-		t   relation.Tuple
-	}
-	var ops []resolved
-	err := binBatchOps(cs.schema.s, payload,
-		func(v relation.Value, name string) { remap[v] = cs.eng.Dict().Value(name) },
-		func(kind wal.Kind, rel int, tuple []relation.Value) error {
-			t := make(relation.Tuple, len(tuple))
-			for j, v := range tuple {
-				t[j] = remap[v]
-			}
-			ops = append(ops, resolved{del: kind == wal.KindDelete, rel: rel, t: t})
-			return nil
-		})
+	ops, err := cs.decodeBinBatch(payload)
 	if err != nil {
 		return nil, err
 	}
 	rep := &BatchReport{Ops: len(ops)}
-	for i, o := range ops {
+	for i := range ops {
 		rep.Processed++
-		if o.del {
-			if _, err := cs.eng.DeleteCtx(ctx, o.rel, o.t); err != nil {
-				return rep, err
-			}
-			rep.Applied++
-			continue
-		}
-		switch err := cs.eng.InsertCtx(ctx, o.rel, o.t); {
+		switch _, err := cs.eng.Apply(ctx, ops[i:i+1]); {
 		case err == nil:
 			rep.Applied++
 		case Rejected(err):

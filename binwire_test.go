@@ -257,43 +257,101 @@ func FuzzDecodeWindowBinary(f *testing.F) {
 	})
 }
 
-// TestBinBatchRandomEquivalence drives random mixed batches through both
-// wire paths and requires identical states — the randomized analogue of the
-// 64-op pin.
+// TestBinBatchRandomEquivalence drives random payloads — inserts and
+// deletes over small value domains, so FD violations and deletes of present
+// rows both occur — through ApplyBinBatch on an independent schema and on a
+// chase-path one, and requires the state a second store reaches when fed the
+// same ops one at a time, inserts first, a violation undoing the inserts
+// before it and skipping the deletes: the payload's atomic
+// inserts-then-deletes contract, spelled out in single operations.
 func TestBinBatchRandomEquivalence(t *testing.T) {
-	sch := binTestSchema(t)
-	rng := rand.New(rand.NewSource(9))
-	jsonStore, err := sch.OpenConcurrentStore()
-	if err != nil {
-		t.Fatal(err)
+	schemas := map[string]*Schema{
+		"independent": binTestSchema(t),
+		"chase":       MustParse("CD(C,D); CT(C,T); TD(T,D)", "C -> D; C -> T; T -> D"),
 	}
-	binStore, err := sch.OpenConcurrentStore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := NewBinBatchEncoder(sch)
-	for round := 0; round < 50; round++ {
-		enc.Reset()
-		n := 1 + rng.Intn(20)
-		ops := make([]BatchOp, 0, n)
-		all := binTestOps(200)
-		for i := 0; i < n; i++ {
-			ops = append(ops, all[rng.Intn(len(all))])
-		}
-		for _, op := range ops {
-			if err := enc.Add(op.Rel, op.Row); err != nil {
+	for name, sch := range schemas {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(9))
+			oracle, err := sch.OpenConcurrentStore()
+			if err != nil {
 				t.Fatal(err)
 			}
+			binStore, err := sch.OpenConcurrentStore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if binStore.FastPath() != (name == "independent") {
+				t.Fatalf("FastPath = %v on the %s schema", binStore.FastPath(), name)
+			}
+			rels := sch.Relations()
+			randomOp := func() BatchOp {
+				rel := rels[rng.Intn(len(rels))]
+				attrs, _ := sch.RelationAttrs(rel)
+				row := make(map[string]string, len(attrs))
+				for _, a := range attrs {
+					row[a] = fmt.Sprintf("%s%d", a, rng.Intn(4))
+				}
+				return BatchOp{Rel: rel, Row: row}
+			}
+			enc := NewBinBatchEncoder(sch)
+			rejected := 0
+			for round := 0; round < 200; round++ {
+				enc.Reset()
+				var ins, dels []BatchOp
+				for i, n := 0, 1+rng.Intn(6); i < n; i++ {
+					if op := randomOp(); rng.Intn(3) == 0 {
+						dels = append(dels, op)
+						err = enc.Delete(op.Rel, op.Row)
+					} else {
+						ins = append(ins, op)
+						err = enc.Add(op.Rel, op.Row)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				oerr := applyOneAtATime(oracle, ins, dels)
+				_, berr := binStore.ApplyBinBatch(context.Background(), enc.Bytes())
+				if Rejected(oerr) != Rejected(berr) || (oerr == nil) != (berr == nil) {
+					t.Fatalf("round %d: one at a time err=%v, payload err=%v", round, oerr, berr)
+				}
+				if berr != nil {
+					rejected++
+				}
+				if diffs := DiffDatabasesByName(oracle.Snapshot(), binStore.Snapshot()); diffs != nil {
+					t.Fatalf("round %d diverged: %v", round, diffs)
+				}
+			}
+			if rejected == 0 || rejected == 200 || binStore.Rows() == 0 {
+				t.Fatalf("degenerate run: %d of 200 payloads rejected, %d rows", rejected, binStore.Rows())
+			}
+		})
+	}
+}
+
+// applyOneAtATime is the single-operation oracle for one payload: the
+// inserts in order, undone again if one is rejected, and only then the
+// deletes.
+func applyOneAtATime(cs *ConcurrentStore, ins, dels []BatchOp) error {
+	var added []BatchOp
+	for _, op := range ins {
+		before := cs.Rows()
+		if err := cs.Insert(op.Rel, op.Row); err != nil {
+			for _, a := range added {
+				cs.Delete(a.Rel, a.Row)
+			}
+			return err
 		}
-		jerr := jsonStore.InsertBatch(ops)
-		_, berr := binStore.ApplyBinBatch(context.Background(), enc.Bytes())
-		if (jerr == nil) != (berr == nil) {
-			t.Fatalf("round %d: json err=%v bin err=%v", round, jerr, berr)
+		if cs.Rows() > before {
+			added = append(added, op)
 		}
 	}
-	if diffs := DiffDatabases(jsonStore.Snapshot(), binStore.Snapshot()); diffs != nil {
-		t.Fatalf("random equivalence diverged: %v", diffs)
+	for _, op := range dels {
+		if _, err := cs.Delete(op.Rel, op.Row); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // TestApplyBinBatchPartialReport pins the shard-side partial contract: a

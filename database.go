@@ -55,8 +55,8 @@ func (s *Schema) NewDatabase() *Database {
 
 // Insert adds a row (attribute name → value name) to the named relation
 // without any consistency checking; use Satisfies/SatisfiesLocally to test,
-// or a Store for maintained inserts. All attributes of the relation scheme
-// must be present.
+// or a ConcurrentStore for maintained inserts. All attributes of the
+// relation scheme must be present.
 func (db *Database) Insert(rel string, row map[string]string) error {
 	i, t, err := rowTuple(db.st.Schema, db.st.Dict.Value, rel, row)
 	if err != nil {
@@ -119,42 +119,8 @@ func (db *Database) SatisfiesLocally() (bool, string, error) {
 // by the paper's Lemma 4, embedded FDs make it unnecessary.
 func needsJD(s *Schema) bool { return !infer.AllEmbedded(s.s, s.fds) }
 
-// ErrRejected wraps insert rejections from a Store.
+// ErrRejected wraps insert rejections from a ConcurrentStore.
 var ErrRejected = maintenance.ErrViolation
-
-// Store is a maintained database: every insert is validated so the state
-// always satisfies F ∪ {*D}. For independent schemas validation is a
-// per-relation FD check in O(|F_i|) (the paper's motivating payoff); for
-// other schemas every insert re-runs the chase.
-type Store struct {
-	schema *Schema
-	m      maintenance.Maintainer
-	dict   *relation.Dict
-	fast   bool
-}
-
-// OpenStore analyzes the schema and opens an empty maintained database.
-func (s *Schema) OpenStore() (*Store, error) {
-	m, fast, err := maintenance.ForSchema(s.s, s.fds, chase.DefaultCaps)
-	if err != nil {
-		return nil, err
-	}
-	return &Store{schema: s, m: m, dict: m.State().Dict, fast: fast}, nil
-}
-
-// FastPath reports whether the store uses the independent-schema guard
-// (true) or chase-based maintenance (false).
-func (st *Store) FastPath() bool { return st.fast }
-
-// Insert validates and adds a row. A rejected insert leaves the state
-// unchanged and returns an error wrapping ErrRejected.
-func (st *Store) Insert(rel string, row map[string]string) error {
-	i, t, err := rowTuple(st.m.State().Schema, st.dict.Value, rel, row)
-	if err != nil {
-		return err
-	}
-	return st.m.Insert(i, t)
-}
 
 // Rejected reports whether an Insert error means the row was rejected as
 // inconsistent (as opposed to malformed input).
@@ -164,9 +130,3 @@ func Rejected(err error) bool { return errors.Is(err, maintenance.ErrViolation) 
 // — a server-side resource limit, not a verdict on the row. Possible only
 // on the non-independent maintenance path with non-embedded FDs.
 func Overloaded(err error) bool { return errors.Is(err, chase.ErrBudget) }
-
-// Rows returns the number of tuples across all relations.
-func (st *Store) Rows() int { return st.m.State().TupleCount() }
-
-// String renders the store's state.
-func (st *Store) String() string { return st.m.State().String() }

@@ -1,6 +1,7 @@
 package indep
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -122,7 +123,7 @@ func (s *Schema) OpenDurableStore(dir string, opts DurableOptions) (*DurableStor
 	}
 
 	// Phase 1: checkpoint. Dictionary bindings restore to their exact
-	// values; tuples re-admit through the guards as one atomic batch, so a
+	// values; tuples re-admit through the guards (see readmit), so a
 	// checkpoint that somehow encodes an inconsistent state is rejected
 	// here rather than served.
 	ck, err := wal.LatestCheckpoint(dir)
@@ -149,20 +150,12 @@ func (s *Schema) OpenDurableStore(dir string, opts DurableOptions) (*DurableStor
 				ops = append(ops, engine.Op{Scheme: i, Tuple: ck.AppendRow(make(relation.Tuple, 0, want), i, r)})
 			}
 		}
-		total := len(ops)
-		// Re-admit in MaxBatchOps chunks. Each chunk's trial state is a
-		// subset of the checkpointed (consistent) state, and SAT is closed
-		// under subsets, so chunking cannot turn a good checkpoint away.
-		for len(ops) > 0 {
-			k := min(len(ops), engine.MaxBatchOps)
-			if err := eng.Apply(engine.Commit{Ops: ops[:k]}); err != nil {
-				return nil, fmt.Errorf("indep: checkpoint state fails admission: %w", err)
-			}
-			ops = ops[k:]
+		if err := readmit(eng, ops); err != nil {
+			return nil, fmt.Errorf("indep: checkpoint state fails admission: %w", err)
 		}
 		fromSeq = ck.Seq
 		ds.recovery.CheckpointSeq = ck.Seq
-		ds.recovery.CheckpointTuples = total
+		ds.recovery.CheckpointTuples = len(ops)
 	}
 
 	// Phase 2: log replay. Records re-admit through the guards; a record
@@ -176,14 +169,11 @@ func (s *Schema) OpenDurableStore(dir string, opts DurableOptions) (*DurableStor
 			}
 			return nil
 		default:
-			c := engine.Commit{Ops: make([]engine.Op, len(rec.Ops)), Delete: rec.Kind == wal.KindDelete}
-			for i, op := range rec.Ops {
-				if op.Rel < 0 || op.Rel >= s.s.Size() {
-					return fmt.Errorf("%w: record addresses scheme %d", wal.ErrSkip, op.Rel)
-				}
-				c.Ops[i] = engine.Op{Scheme: op.Rel, Tuple: op.Tuple}
+			ops, err := recordOps(rec, s.s.Size())
+			if err != nil {
+				return fmt.Errorf("%w: %v", wal.ErrSkip, err)
 			}
-			if err := eng.Apply(c); err != nil {
+			if _, err := eng.Apply(context.Background(), ops); err != nil {
 				if Rejected(err) {
 					return fmt.Errorf("%w: %v", wal.ErrSkip, err)
 				}
@@ -218,24 +208,28 @@ func (s *Schema) OpenDurableStore(dir string, opts DurableOptions) (*DurableStor
 		log.Enqueue(wal.Intern(v, name))
 	})
 	eng.SetCommitHook(func(c engine.Commit) func() error {
-		var recs []wal.Record
-		switch {
-		case c.Delete:
-			// Delete records are single-op; a multi-op delete commit (none
-			// exist today, but the Commit type allows it) becomes one
-			// contiguous run of records under a single wait.
-			recs = make([]wal.Record, len(c.Ops))
-			for i, op := range c.Ops {
-				recs[i] = wal.Delete(op.Scheme, op.Tuple)
-			}
-		case len(c.Ops) == 1:
-			recs = []wal.Record{wal.Insert(c.Ops[0].Scheme, c.Ops[0].Tuple)}
+		// One commit is one Append — one contiguous run of frames, one
+		// ticket, one commit group — rendered in the record kinds the log
+		// has always had: the leading inserts as one Insert or Batch record,
+		// then one Delete record per delete.
+		n := 0
+		for n < len(c.Ops) && !c.Ops[n].Delete {
+			n++
+		}
+		recs := make([]wal.Record, 0, 1+len(c.Ops)-n)
+		switch n {
+		case 0:
+		case 1:
+			recs = append(recs, wal.Insert(c.Ops[0].Scheme, c.Ops[0].Tuple))
 		default:
-			ops := make([]wal.TupleOp, len(c.Ops))
-			for i, op := range c.Ops {
+			ops := make([]wal.TupleOp, n)
+			for i, op := range c.Ops[:n] {
 				ops[i] = wal.TupleOp{Rel: op.Scheme, Tuple: op.Tuple}
 			}
-			recs = []wal.Record{wal.Batch(ops)}
+			recs = append(recs, wal.Batch(ops))
+		}
+		for _, op := range c.Ops[n:] {
+			recs = append(recs, wal.Delete(op.Scheme, op.Tuple))
 		}
 		// On a traced request c.Span is the engine-operation span; the WAL
 		// append and the fsync ack become its children, so the trace shows
@@ -283,6 +277,39 @@ func (s *Schema) OpenDurableStore(dir string, opts DurableOptions) (*DurableStor
 	}
 	ok = true
 	return ds, nil
+}
+
+// recordOps converts a tuple-carrying log record into the engine ops that
+// re-apply it. Recovery and the replication follower both replay records
+// through it and Engine.Apply, so a replayed record passes exactly the
+// admission a live write does. A record addressing a scheme the schema does
+// not have is an error.
+func recordOps(rec wal.Record, schemes int) ([]engine.Op, error) {
+	ops := make([]engine.Op, len(rec.Ops))
+	for i, op := range rec.Ops {
+		if op.Rel < 0 || op.Rel >= schemes {
+			return nil, fmt.Errorf("record addresses scheme %d", op.Rel)
+		}
+		ops[i] = engine.Op{Scheme: op.Rel, Tuple: op.Tuple, Delete: rec.Kind == wal.KindDelete}
+	}
+	return ops, nil
+}
+
+// readmit installs a checkpointed state — recovery's whole checkpoint, or a
+// follower re-sync's deletes and then inserts against its live state —
+// through the engine in MaxBatchOps chunks. Each chunk of inserts yields a
+// trial state that is a subset of the checkpointed (consistent) state, and
+// SAT is closed under subsets, so chunking cannot turn a good checkpoint
+// away.
+func readmit(eng *engine.Engine, ops []engine.Op) error {
+	for len(ops) > 0 {
+		k := min(len(ops), engine.MaxBatchOps)
+		if _, err := eng.Apply(context.Background(), ops[:k]); err != nil {
+			return err
+		}
+		ops = ops[k:]
+	}
+	return nil
 }
 
 // noteCommit emits the fsync-ack log line for traced commits (the end of a

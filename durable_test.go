@@ -1,12 +1,16 @@
 package indep
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"indep/internal/wal"
 )
 
 // starSchema builds an independent star schema (one fact, key-guarded
@@ -180,6 +184,130 @@ func TestDurableCheckpointAndTruncation(t *testing.T) {
 	// A second checkpoint over the recovered store keeps working.
 	if err := re.Checkpoint(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDurableMixedBatchOneCommit pins "one payload = one commit = one WAL
+// group": a 16-insert + 16-delete binary batch whose values are already
+// interned costs exactly one commit group and one fsync and survives a
+// reopen, and a payload turned away by one violating insert leaves the
+// state, the version and the log untouched, deletes included.
+func TestDurableMixedBatchOneCommit(t *testing.T) {
+	dir := t.TempDir()
+	sch := MustParse("CT(C,T); CS(C,S)", "C -> T")
+	ds, err := sch.OpenDurableStore(dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := sch.OpenConcurrentStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := func(i, j int) map[string]string {
+		return map[string]string{"C": fmt.Sprintf("c%d", i), "S": fmt.Sprintf("s%d", j)}
+	}
+	ct := func(i, j int) map[string]string {
+		return map[string]string{"C": fmt.Sprintf("c%d", i), "T": fmt.Sprintf("t%d", j)}
+	}
+	// Load CT(c_i,t_i), CS(c_i,s_i) and CS(c_i,s_{i+16}), then delete the
+	// last again: the dictionary keeps its names, so the payloads below
+	// intern nothing and every log record they cause is a tuple record.
+	for _, st := range []*ConcurrentStore{ds.ConcurrentStore, oracle} {
+		for i := 0; i < 16; i++ {
+			for _, op := range []BatchOp{{"CT", ct(i, i)}, {"CS", cs(i, i)}, {"CS", cs(i, i+16)}} {
+				if err := st.Insert(op.Rel, op.Row); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if ok, err := st.Delete("CS", cs(i, i+16)); err != nil || !ok {
+				t.Fatalf("delete: %v %v", ok, err)
+			}
+		}
+	}
+
+	enc := NewBinBatchEncoder(sch)
+	for i := 0; i < 16; i++ {
+		if err := enc.Add("CS", cs(i, i+16)); err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.Delete("CS", cs(i, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The load logged 4 intern and 4 tuple records per i; the payload adds
+	// one Batch record for its inserts plus one Delete record per delete.
+	before, v0 := walAt(t, ds, 16*8), ds.eng.Version()
+	for _, st := range []*ConcurrentStore{ds.ConcurrentStore, oracle} {
+		if n, err := st.ApplyBinBatch(context.Background(), enc.Bytes()); err != nil || n != 32 {
+			t.Fatalf("ApplyBinBatch = %d, %v", n, err)
+		}
+	}
+	after := walAt(t, ds, before.Records+17)
+	if after.CommitGroups != before.CommitGroups+1 || after.Syncs != before.Syncs+1 {
+		t.Fatalf("mixed batch took %d commit groups and %d fsyncs, want 1 and 1",
+			after.CommitGroups-before.CommitGroups, after.Syncs-before.Syncs)
+	}
+	if got := ds.eng.Version(); got != v0+1 {
+		t.Fatalf("mixed batch bumped the version %d times, want once", got-v0)
+	}
+
+	// c0 already has teacher t0, so the insert is a violation; the deletes
+	// in the same payload name rows that are present.
+	enc.Reset()
+	if err := enc.Delete("CS", cs(1, 17)); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Add("CT", ct(0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Delete("CT", ct(2, 2)); err != nil {
+		t.Fatal(err)
+	}
+	rows, v1 := ds.Rows(), ds.eng.Version()
+	if _, err := ds.ApplyBinBatch(context.Background(), enc.Bytes()); !Rejected(err) {
+		t.Fatalf("violating payload: got %v, want a rejection", err)
+	}
+	if ds.Rows() != rows || ds.eng.Version() != v1 || ds.WAL().Records != after.Records {
+		t.Fatalf("rejected payload left a trace: rows %d->%d, version %d->%d, records %d->%d",
+			rows, ds.Rows(), v1, ds.eng.Version(), after.Records, ds.WAL().Records)
+	}
+	if diffs := DiffDatabasesByName(oracle.Snapshot(), ds.Snapshot()); diffs != nil {
+		t.Fatalf("durable store diverged from the in-memory oracle: %v", diffs)
+	}
+
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := sch.OpenDurableStore(dir, DurableOptions{})
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer re.Close()
+	if rec := re.Recovery(); rec.Skipped != 0 {
+		t.Fatalf("recovery skipped %d records", rec.Skipped)
+	}
+	if diffs := DiffDatabasesByName(oracle.Snapshot(), re.Snapshot()); diffs != nil {
+		t.Fatalf("recovered state diverged from the in-memory oracle: %v", diffs)
+	}
+}
+
+// walAt returns the log's counters once they show exactly records records.
+// The log's writer acknowledges a commit before it publishes that group's
+// Records and CommitGroups, so a reader right behind the ack can find them
+// one group short; the counters of a group are published together, so once
+// Records is there the rest is final too.
+func walAt(t *testing.T, ds *DurableStore, records uint64) wal.LogStats {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st := ds.WAL()
+		if st.Records == records {
+			return st
+		}
+		if st.Records > records || time.Now().After(deadline) {
+			t.Fatalf("log shows %d records, want %d", st.Records, records)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

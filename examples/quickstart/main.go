@@ -28,7 +28,7 @@ func main() {
 	}
 	fmt.Print(analysis.Summary())
 
-	store, err := s.OpenStore()
+	store, err := s.OpenConcurrentStore()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func main() {
 
 	fmt.Printf("%10s %18s %18s\n", "inserts", "guard ns/insert", "chase ns/insert")
 	for _, n := range []int{200, 800, 3200} {
-		fast, err := s.OpenStore()
+		fast, err := s.OpenConcurrentStore()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -38,7 +38,7 @@ func main() {
 		// Force the chase path by analyzing a dependent variant with the
 		// same relations: Example 1's triangle.
 		dep := indep.MustParse("CD(C,D); CT(C,T); TD(T,D)", "C -> D; C -> T; T -> D")
-		slow, err := dep.OpenStore()
+		slow, err := dep.OpenConcurrentStore()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func main() {
 	fmt.Println("\nexpected shape: guard flat, chase growing with state size.")
 }
 
-func load(st *indep.Store, n int) int64 {
+func load(st *indep.ConcurrentStore, n int) int64 {
 	start := time.Now()
 	for i := 0; i < n; i++ {
 		c := fmt.Sprintf("C%d", i)
@@ -66,7 +66,7 @@ func load(st *indep.Store, n int) int64 {
 	return time.Since(start).Nanoseconds() / int64(2*n)
 }
 
-func loadTriangle(st *indep.Store, n int) int64 {
+func loadTriangle(st *indep.ConcurrentStore, n int) int64 {
 	start := time.Now()
 	for i := 0; i < n; i++ {
 		c, t, d := fmt.Sprintf("C%d", i), fmt.Sprintf("T%d", i), fmt.Sprintf("D%d", i)

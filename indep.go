@@ -18,9 +18,9 @@
 //   - Schema.Closure / EmbeddedClosure: FD inference under F ∪ {*D}.
 //   - Schema.NewDatabase: states, weak-instance satisfaction checks (the
 //     chase), and local-consistency checks.
-//   - Schema.OpenStore: a maintained database that uses the O(|F_i|)
-//     per-relation guard when the schema is independent and the chase
-//     otherwise.
+//   - Schema.OpenConcurrentStore: a maintained database that uses the
+//     O(|F_i|) per-relation guard when the schema is independent and the
+//     chase otherwise (OpenDurableStore adds a write-ahead log).
 //
 // Everything is implemented from scratch on the Go standard library; the
 // heavy lifting lives in internal/ packages (chase engine, tagged tableaux,

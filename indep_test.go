@@ -139,7 +139,7 @@ func TestDatabaseInsertErrors(t *testing.T) {
 
 func TestStoreFastPathEnforcesFDs(t *testing.T) {
 	s := MustParse("CT(C,T); CS(C,S); CHR(C,H,R)", "C -> T; C H -> R")
-	st, err := s.OpenStore()
+	st, err := s.OpenConcurrentStore()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestStoreFastPathEnforcesFDs(t *testing.T) {
 
 func TestStoreChasePathCatchesCrossRelationAnomaly(t *testing.T) {
 	s := MustParse("CD(C,D); CT(C,T); TD(T,D)", "C -> D; C -> T; T -> D")
-	st, err := s.OpenStore()
+	st, err := s.OpenConcurrentStore()
 	if err != nil {
 		t.Fatal(err)
 	}

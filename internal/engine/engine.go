@@ -17,7 +17,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,16 +34,13 @@ import (
 	"indep/internal/schema"
 )
 
-// Op is a single tuple operation addressed to a scheme, the unit of
-// InsertBatch.
-type Op struct {
-	Scheme int
-	Tuple  relation.Tuple
-}
+// Op is a single tuple operation addressed to a scheme — an insert, or a
+// delete when Delete is set — the unit of Apply.
+type Op = maintenance.Op
 
 // Commit describes one successful state mutation: the ops that actually
-// changed the state (duplicates and no-op deletes are excluded), and
-// whether they were deletions. Trace carries the request trace ID that
+// changed the state (duplicates and no-op deletes are excluded) in applied
+// order, inserts before deletes. Trace carries the request trace ID that
 // caused the mutation ("" when none) so the durability layer can tag its
 // fsync ack with the same ID the HTTP access log printed. Span, when
 // non-nil, is the request's engine-operation span; the durability layer
@@ -50,10 +48,9 @@ type Op struct {
 // shows its full write path (every *obs.Span method is nil-safe, so hooks
 // may use it unconditionally).
 type Commit struct {
-	Ops    []Op
-	Delete bool
-	Trace  string
-	Span   *obs.Span
+	Ops   []Op
+	Trace string
+	Span  *obs.Span
 }
 
 // CommitHook observes every successful mutation. It is invoked while the
@@ -126,26 +123,6 @@ type shard struct {
 	lat     obs.Histogram // end-to-end op latency in nanoseconds
 }
 
-// note records the outcome of one operation; callers hold sh.mu. Chase
-// budget exhaustion is a server-side limit, not a client rejection, and is
-// deliberately not counted in rejects.
-func (sh *shard) note(added, removed bool, err error, d time.Duration) {
-	switch {
-	case errors.Is(err, chase.ErrBudget):
-	case err != nil:
-		sh.rejects++
-	case removed:
-		sh.deletes++
-		sh.tuples--
-	default:
-		sh.inserts++
-		if added {
-			sh.tuples++
-		}
-	}
-	sh.lat.Observe(int64(d))
-}
-
 // New analyzes the schema and opens an empty concurrent engine: lock-striped
 // guards when the independence test accepts, a serialized chase maintainer
 // otherwise.
@@ -191,14 +168,14 @@ func (e *Engine) Schema() *schema.Schema { return e.s }
 func (e *Engine) Dict() *Dict { return e.dict }
 
 // SetCommitHook installs the mutation observer. Install it after recovery
-// (Apply calls fire no hook only because none is set yet) and before the
-// engine is used concurrently.
+// (replayed records fire no hook only because none is set yet) and before
+// the engine is used concurrently.
 func (e *Engine) SetCommitHook(h CommitHook) { e.hook = h }
 
 // commit runs the hook (if any) for a successful mutation and returns the
-// wait function to invoke once locks are released. Callers hold the locks
-// guarding the mutated relations; the version bump under those locks is
-// what keeps QuerySnapshot's cache coherent.
+// wait function to invoke once locks are released. The caller holds the
+// locks guarding the mutated relations; the version bump under those locks
+// is what keeps QuerySnapshot's cache coherent.
 func (e *Engine) commit(c Commit) func() error {
 	e.version.Add(1)
 	if e.hook == nil {
@@ -216,56 +193,49 @@ func (e *Engine) commit(c Commit) func() error {
 // from the WAL byte position instead (see wal.Position).
 func (e *Engine) Version() uint64 { return e.version.Load() }
 
-// Apply replays a recovered Commit through the normal admission path:
-// inserts re-validate through the per-relation guards (or the chase) as an
-// atomic batch, deletes re-apply directly. Replay is idempotent — a
-// duplicate insert or an absent delete is a no-op — so applying a log
-// whose prefix is already reflected in the state converges to the same
-// state.
-//
-// More strongly, re-applying any contiguous suffix of a commit log in
-// order converges: a tuple's final presence is decided by its last mention
-// in the log (insert → present, delete → absent), and a re-applied insert
-// whose tuple was later deleted and superseded re-validates against the
-// *current* guards — it is rejected (the guards hold the superseding
-// tuple), which is exactly the target state. This is the property WAL
-// replication leans on: a follower that lost its exact position may replay
-// from any earlier point in the same log without diverging, provided it
-// replays contiguously and in order from there.
-//
-// During recovery Apply runs before SetCommitHook, so replayed records are
-// not re-logged; a replication follower instead runs Apply *with* its hook
-// set, so every applied record is re-journaled into the follower's own
-// log.
-func (e *Engine) Apply(c Commit) error {
-	if c.Delete {
-		for _, op := range c.Ops {
-			if _, err := e.delete(context.Background(), op.Scheme, op.Tuple, c.Trace); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return e.insertBatch(context.Background(), c.Ops, c.Trace)
-}
+// MaxBatchOps bounds a single Apply. The limit keeps one batch's lock hold
+// time sane and guarantees a durable store can always frame the commit's
+// inserts as one decodable log record (the WAL decoder enforces its own,
+// larger cap — a record we can write must be one we can read back).
+const MaxBatchOps = 1 << 16
 
-// checkOp validates addressing and arity up front so the maintainers can
-// assume well-formed operations.
-func (e *Engine) checkOp(scheme int, t relation.Tuple) error {
-	if scheme < 0 || scheme >= len(e.shards) {
-		return fmt.Errorf("engine: no scheme %d", scheme)
-	}
-	if want := e.s.Attrs(scheme).Len(); len(t) != want {
-		return fmt.Errorf("engine: tuple arity %d does not match %s arity %d",
-			len(t), e.s.Name(scheme), want)
-	}
-	return nil
+// Apply applies a batch of inserts and deletes as one atomic mutation and
+// reports how many ops changed the state. All inserts are admitted first,
+// together — either every tuple is admitted or the state is left unchanged
+// and the first violation is returned — and then the deletes are applied
+// (always admissible: SAT is closed under subsets). The whole batch takes
+// the locks once, bumps Version once and reaches the commit hook as one
+// Commit, so readers and the log see all of it or none of it. On the fast
+// path it holds the stripe of each relation it touches and nothing else;
+// independence guarantees the per-relation checks jointly decide global
+// admissibility. On the chase path one trial chase validates all the
+// inserts. A batch is limited to MaxBatchOps ops.
+//
+// Apply is idempotent — a duplicate insert or an absent delete is a no-op —
+// so applying a log whose prefix is already reflected in the state
+// converges to the same state. More strongly, re-applying any contiguous
+// suffix of a commit log in order converges: a tuple's final presence is
+// decided by its last mention in the log (insert → present, delete →
+// absent), and a re-applied insert whose tuple was later deleted and
+// superseded re-validates against the *current* guards — it is rejected
+// (the guards hold the superseding tuple), which is exactly the target
+// state. This is the property WAL replication leans on: a follower that
+// lost its exact position may replay from any earlier point in the same log
+// without diverging, provided it replays contiguously and in order from
+// there.
+//
+// Recovery calls Apply before SetCommitHook, so replayed records are not
+// re-logged; a replication follower instead calls it *with* its hook set,
+// so every applied record is re-journaled into the follower's own log.
+func (e *Engine) Apply(ctx context.Context, ops []Op) (changed int, err error) {
+	done, err := e.apply(ctx, "engine.batch", ops)
+	return len(done), err
 }
 
 // Insert validates and adds one tuple. A rejected insert leaves the state
 // unchanged and returns an error wrapping maintenance.ErrViolation.
 func (e *Engine) Insert(scheme int, t relation.Tuple) error {
-	return e.insert(context.Background(), scheme, t, "")
+	return e.InsertCtx(context.Background(), scheme, t)
 }
 
 // InsertCtx is Insert with the context's trace ID attached to the commit, so
@@ -274,60 +244,157 @@ func (e *Engine) Insert(scheme int, t relation.Tuple) error {
 // request), the operation records an engine.insert span with lock-wait and
 // validation children.
 func (e *Engine) InsertCtx(ctx context.Context, scheme int, t relation.Tuple) error {
-	return e.insert(ctx, scheme, t, obs.Trace(ctx))
+	_, err := e.apply(ctx, "engine.insert", []Op{{Scheme: scheme, Tuple: t}})
+	return err
 }
 
-func (e *Engine) insert(ctx context.Context, scheme int, t relation.Tuple, trace string) error {
-	if err := e.checkOp(scheme, t); err != nil {
-		return err
+// Delete removes one tuple, reporting whether it was present. Deletions are
+// always admissible, so the only errors are malformed operations.
+func (e *Engine) Delete(scheme int, t relation.Tuple) (bool, error) {
+	return e.DeleteCtx(context.Background(), scheme, t)
+}
+
+// DeleteCtx is Delete with the context's trace ID attached to the commit.
+func (e *Engine) DeleteCtx(ctx context.Context, scheme int, t relation.Tuple) (bool, error) {
+	done, err := e.apply(ctx, "engine.delete", []Op{{Scheme: scheme, Tuple: t, Delete: true}})
+	return len(done) == 1, err
+}
+
+// InsertBatch is Apply for callers that only insert and do not need the
+// changed count.
+func (e *Engine) InsertBatch(ops []Op) error {
+	return e.InsertBatchCtx(context.Background(), ops)
+}
+
+// InsertBatchCtx is InsertBatch with the context's trace ID attached to the
+// commit.
+func (e *Engine) InsertBatchCtx(ctx context.Context, ops []Op) error {
+	_, err := e.Apply(ctx, ops)
+	return err
+}
+
+// apply is the engine's one mutation routine: every write — single insert,
+// single delete, batch, recovery replay, replication — is a call of it, so a
+// feature of the write path (a new lock rule, a new statistic, a new hook
+// argument) is added here and nowhere else. span names the engine-operation
+// span. It returns the ops that changed the state; ops itself is not
+// retained, so a caller's one-element literal stays on its stack.
+func (e *Engine) apply(ctx context.Context, span string, ops []Op) (changed []Op, err error) {
+	if len(ops) > MaxBatchOps {
+		return nil, fmt.Errorf("engine: batch of %d ops exceeds limit %d", len(ops), MaxBatchOps)
 	}
-	sp := obs.SpanFrom(ctx).StartChild("engine.insert")
-	if sp.Recording() {
-		sp.SetAttr("relation", e.s.Name(scheme))
+	// Check addressing and arity up front so the maintainers can assume
+	// well-formed operations.
+	for _, op := range ops {
+		if op.Scheme < 0 || op.Scheme >= len(e.shards) {
+			return nil, fmt.Errorf("engine: no scheme %d", op.Scheme)
+		}
+		if want := e.s.Attrs(op.Scheme).Len(); len(op.Tuple) != want {
+			return nil, fmt.Errorf("engine: tuple arity %d does not match %s arity %d",
+				len(op.Tuple), e.s.Name(op.Scheme), want)
+		}
 	}
-	sh := &e.shards[scheme]
+	if len(ops) == 0 {
+		return nil, nil
+	}
 	start := time.Now()
-	var added bool
-	var err error
-	var wait func() error
+	sp := obs.SpanFrom(ctx).StartChild(span)
+	// The distinct touched schemes in ascending order — the engine's global
+	// lock-acquisition order, shared with SnapshotWith.
+	var buf [8]int
+	stripes := buf[:0]
+	for _, op := range ops {
+		if !slices.Contains(stripes, op.Scheme) {
+			stripes = append(stripes, op.Scheme)
+		}
+	}
+	slices.Sort(stripes)
+	lockStripes := func() {
+		for _, s := range stripes {
+			e.shards[s].mu.Lock()
+		}
+	}
 	if e.fast {
-		sh.mu.Lock()
-		if sp.Recording() {
-			sp.SetInt("lock_wait_ns", time.Since(start).Nanoseconds())
-		}
-		vsp := sp.StartChild("guard.validate")
-		added, err = e.guard.InsertReport(scheme, t)
-		vsp.End()
-		if added && err == nil {
-			wait = e.commit(Commit{Ops: []Op{{Scheme: scheme, Tuple: t}}, Trace: trace, Span: sp})
-		}
+		lockStripes()
 	} else {
 		e.mu.Lock()
-		if sp.Recording() {
-			sp.SetInt("lock_wait_ns", time.Since(start).Nanoseconds())
+	}
+	if sp.Recording() {
+		sp.SetInt("ops", int64(len(ops)))
+		if len(stripes) == 1 {
+			sp.SetAttr("relation", e.s.Name(stripes[0]))
+		} else {
+			sp.SetInt("relations", int64(len(stripes)))
 		}
+		sp.SetInt("lock_wait_ns", time.Since(start).Nanoseconds())
+	}
+	if e.fast {
+		vsp := sp.StartChild("guard.validate")
+		changed, err = e.guard.Apply(ops)
+		vsp.End()
+	} else {
 		vsp := e.startChaseSpan(sp)
-		added, err = e.chase.InsertReport(scheme, t)
+		changed, err = e.chase.Apply(ops)
 		e.endChaseSpan(vsp)
-		if added && err == nil {
-			wait = e.commit(Commit{Ops: []Op{{Scheme: scheme, Tuple: t}}, Trace: trace, Span: sp})
-		}
+	}
+	var wait func() error
+	if len(changed) > 0 {
+		wait = e.commit(Commit{Ops: changed, Trace: obs.Trace(ctx), Span: sp})
+	}
+	if !e.fast {
+		// On the chase path the stripes guard only the statistics.
 		e.mu.Unlock()
-		sh.mu.Lock()
+		lockStripes()
 	}
 	d := time.Since(start)
-	sh.note(added, false, err, d)
-	sh.mu.Unlock()
-	e.endOpSpan(sp, added, err)
+	e.note(ops, changed, err)
+	for _, s := range stripes {
+		e.shards[s].lat.Observe(int64(d))
+		e.shards[s].mu.Unlock()
+	}
+	e.endOpSpan(sp, len(changed) > 0, err)
 	if e.slowHit(d) {
-		e.noteSlow("insert", e.s.Name(scheme), trace, d, err)
+		target := e.s.Name(stripes[0])
+		if len(ops) > 1 {
+			target = fmt.Sprintf("%d ops", len(ops))
+		}
+		e.noteSlow(strings.TrimPrefix(span, "engine."), target, obs.Trace(ctx), d, err)
 	}
 	if wait != nil {
 		if werr := wait(); werr != nil {
-			return werr
+			return changed, werr
 		}
 	}
-	return err
+	return changed, err
+}
+
+// note attributes a batch's outcome to the touched shards, whose stripes
+// the caller holds: per insert op an accept or — when the batch was turned
+// away — a reject, and tuple deltas for the ops that changed the state.
+// Deletes count only when they removed a tuple. Chase budget exhaustion is
+// a server-side limit, not a client rejection, and is deliberately not
+// counted in rejects.
+func (e *Engine) note(ops, changed []Op, err error) {
+	budget := errors.Is(err, chase.ErrBudget)
+	for _, op := range ops {
+		sh := &e.shards[op.Scheme]
+		switch {
+		case op.Delete || budget:
+		case err != nil:
+			sh.rejects++
+		default:
+			sh.inserts++
+		}
+	}
+	for _, op := range changed {
+		sh := &e.shards[op.Scheme]
+		if op.Delete {
+			sh.deletes++
+			sh.tuples--
+		} else {
+			sh.tuples++
+		}
+	}
 }
 
 // endOpSpan stamps a mutation span's outcome and closes it. An accepted
@@ -381,252 +448,6 @@ func (e *Engine) endChaseSpan(c chaseSpan) {
 	c.sp.SetInt("chase_fd_rounds", int64(e.chaseMet.FDRounds.Value()-c.rounds0))
 	c.sp.SetInt("chase_unions", int64(e.chaseMet.Unions.Value()-c.union0))
 	c.sp.End()
-}
-
-// Delete removes one tuple, reporting whether it was present. Deletions are
-// always admissible, so the only errors are malformed operations.
-func (e *Engine) Delete(scheme int, t relation.Tuple) (bool, error) {
-	return e.delete(context.Background(), scheme, t, "")
-}
-
-// DeleteCtx is Delete with the context's trace ID attached to the commit.
-func (e *Engine) DeleteCtx(ctx context.Context, scheme int, t relation.Tuple) (bool, error) {
-	return e.delete(ctx, scheme, t, obs.Trace(ctx))
-}
-
-func (e *Engine) delete(ctx context.Context, scheme int, t relation.Tuple, trace string) (bool, error) {
-	if err := e.checkOp(scheme, t); err != nil {
-		return false, err
-	}
-	sp := obs.SpanFrom(ctx).StartChild("engine.delete")
-	if sp.Recording() {
-		sp.SetAttr("relation", e.s.Name(scheme))
-	}
-	sh := &e.shards[scheme]
-	start := time.Now()
-	var removed bool
-	var err error
-	var wait func() error
-	if e.fast {
-		sh.mu.Lock()
-		if sp.Recording() {
-			sp.SetInt("lock_wait_ns", time.Since(start).Nanoseconds())
-		}
-		removed, err = e.guard.Delete(scheme, t)
-		if removed && err == nil {
-			wait = e.commit(Commit{Ops: []Op{{Scheme: scheme, Tuple: t}}, Delete: true, Trace: trace, Span: sp})
-		}
-	} else {
-		e.mu.Lock()
-		if sp.Recording() {
-			sp.SetInt("lock_wait_ns", time.Since(start).Nanoseconds())
-		}
-		removed, err = e.chase.Delete(scheme, t)
-		if removed && err == nil {
-			wait = e.commit(Commit{Ops: []Op{{Scheme: scheme, Tuple: t}}, Delete: true, Trace: trace, Span: sp})
-		}
-		e.mu.Unlock()
-		sh.mu.Lock()
-	}
-	d := time.Since(start)
-	if removed || err != nil {
-		sh.note(false, removed, err, d)
-	}
-	sh.mu.Unlock()
-	e.endOpSpan(sp, removed, err)
-	if e.slowHit(d) {
-		e.noteSlow("delete", e.s.Name(scheme), trace, d, err)
-	}
-	if wait != nil {
-		if werr := wait(); werr != nil {
-			return removed, werr
-		}
-	}
-	return removed, err
-}
-
-// MaxBatchOps bounds a single InsertBatch. The limit keeps one batch's
-// lock hold time sane and guarantees a durable store can always frame the
-// commit as one decodable log record (the WAL decoder enforces its own,
-// larger cap — a record we can write must be one we can read back).
-const MaxBatchOps = 1 << 16
-
-// InsertBatch validates and adds a batch of tuples atomically: either every
-// tuple is admitted or the state is left unchanged and the first violation
-// is returned. On the fast path the batch takes each involved relation's
-// stripe once, amortizing locking across the batch; independence guarantees
-// the per-relation checks jointly decide global admissibility. On the chase
-// path the whole batch is validated with a single chase instead of one per
-// tuple. Batches are limited to MaxBatchOps tuples.
-func (e *Engine) InsertBatch(ops []Op) error {
-	return e.insertBatch(context.Background(), ops, "")
-}
-
-// InsertBatchCtx is InsertBatch with the context's trace ID attached to the
-// commit.
-func (e *Engine) InsertBatchCtx(ctx context.Context, ops []Op) error {
-	return e.insertBatch(ctx, ops, obs.Trace(ctx))
-}
-
-func (e *Engine) insertBatch(ctx context.Context, ops []Op, trace string) error {
-	if len(ops) > MaxBatchOps {
-		return fmt.Errorf("engine: batch of %d ops exceeds limit %d", len(ops), MaxBatchOps)
-	}
-	for _, op := range ops {
-		if err := e.checkOp(op.Scheme, op.Tuple); err != nil {
-			return err
-		}
-	}
-	if len(ops) == 0 {
-		return nil
-	}
-	sp := obs.SpanFrom(ctx).StartChild("engine.batch")
-	if sp.Recording() {
-		sp.SetInt("ops", int64(len(ops)))
-	}
-	if e.fast {
-		return e.batchFast(ops, trace, sp)
-	}
-	return e.batchChase(ops, trace, sp)
-}
-
-// batchSchemes returns the distinct schemes of the batch in ascending order
-// — the engine's global lock-acquisition order, shared with Snapshot.
-func batchSchemes(ops []Op) []int {
-	seen := make(map[int]bool, len(ops))
-	var out []int
-	for _, op := range ops {
-		if !seen[op.Scheme] {
-			seen[op.Scheme] = true
-			out = append(out, op.Scheme)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-func (e *Engine) batchFast(ops []Op, trace string, sp *obs.Span) error {
-	start := time.Now()
-	schemes := batchSchemes(ops)
-	for _, s := range schemes {
-		e.shards[s].mu.Lock()
-	}
-	if sp.Recording() {
-		sp.SetInt("relations", int64(len(schemes)))
-		sp.SetInt("lock_wait_ns", time.Since(start).Nanoseconds())
-	}
-	vsp := sp.StartChild("guard.validate")
-	added := make([]Op, 0, len(ops))
-	var err error
-	for _, op := range ops {
-		var ok bool
-		ok, err = e.guard.InsertReport(op.Scheme, op.Tuple)
-		if err != nil {
-			break
-		}
-		if ok {
-			added = append(added, op)
-		}
-	}
-	vsp.End()
-	var wait func() error
-	if err != nil {
-		// Roll back in reverse; deletes cannot fail, so the state returns
-		// exactly to where it was while we still hold every stripe.
-		for i := len(added) - 1; i >= 0; i-- {
-			e.guard.Delete(added[i].Scheme, added[i].Tuple)
-		}
-	} else if len(added) > 0 {
-		wait = e.commit(Commit{Ops: added, Trace: trace, Span: sp})
-	}
-	d := time.Since(start)
-	e.noteBatch(ops, added, schemes, err, d)
-	for _, s := range schemes {
-		e.shards[s].mu.Unlock()
-	}
-	e.endOpSpan(sp, len(added) > 0, err)
-	if e.slowHit(d) {
-		e.noteSlow("batch", fmt.Sprintf("%d ops", len(ops)), trace, d, err)
-	}
-	if wait != nil {
-		if werr := wait(); werr != nil {
-			return werr
-		}
-	}
-	return err
-}
-
-func (e *Engine) batchChase(ops []Op, trace string, sp *obs.Span) error {
-	start := time.Now()
-	extras := make([]chase.Extra, len(ops))
-	for i, op := range ops {
-		extras[i] = chase.Extra{Scheme: op.Scheme, Tuple: op.Tuple}
-	}
-	e.mu.Lock()
-	if sp.Recording() {
-		sp.SetInt("lock_wait_ns", time.Since(start).Nanoseconds())
-	}
-	// One trial chase validates the whole batch — no state clone; the
-	// maintainer pads the candidates onto its incremental engine (or, with
-	// a join dependency, onto a fresh padding of the live state).
-	vsp := e.startChaseSpan(sp)
-	freshExtras, err := e.chase.InsertBatchReport(extras)
-	e.endChaseSpan(vsp)
-	var added []Op
-	var wait func() error
-	if err == nil {
-		for _, x := range freshExtras {
-			added = append(added, Op{Scheme: x.Scheme, Tuple: x.Tuple})
-		}
-		if len(added) > 0 {
-			wait = e.commit(Commit{Ops: added, Trace: trace, Span: sp})
-		}
-	}
-	e.mu.Unlock()
-	d := time.Since(start)
-	schemes := batchSchemes(ops)
-	for _, s := range schemes {
-		e.shards[s].mu.Lock()
-	}
-	e.noteBatch(ops, added, schemes, err, d)
-	for _, s := range schemes {
-		e.shards[s].mu.Unlock()
-	}
-	e.endOpSpan(sp, len(added) > 0, err)
-	if e.slowHit(d) {
-		e.noteSlow("batch", fmt.Sprintf("%d ops", len(ops)), trace, d, err)
-	}
-	if wait != nil {
-		if werr := wait(); werr != nil {
-			return werr
-		}
-	}
-	return err
-}
-
-// noteBatch attributes a batch outcome to the involved shards (schemes is
-// the batch's distinct scheme list): per-op accept/reject counters, tuple
-// deltas for the ops actually added, and the batch latency once per shard.
-// Callers hold every involved stripe.
-func (e *Engine) noteBatch(ops, added []Op, schemes []int, err error, d time.Duration) {
-	for _, op := range ops {
-		sh := &e.shards[op.Scheme]
-		switch {
-		case errors.Is(err, chase.ErrBudget): // server-side limit, not a reject
-		case err != nil:
-			sh.rejects++
-		default:
-			sh.inserts++
-		}
-	}
-	for _, op := range added {
-		if err == nil {
-			e.shards[op.Scheme].tuples++
-		}
-	}
-	for _, s := range schemes {
-		e.shards[s].lat.Observe(int64(d))
-	}
 }
 
 // Snapshot returns a deep copy of the current state: a consistent cut that

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -318,6 +319,133 @@ func TestEngineSnapshotImmutable(t *testing.T) {
 	}
 }
 
+// TestApplyMixedBatch pins the one mutation routine's batch contract on
+// both admission paths: inserts are admitted before deletes whatever the op
+// order (so a delete never unshields an insert of its own batch), a
+// violation voids the deletes too, and an accepted batch reaches the hook
+// as one commit holding exactly the ops that changed the state.
+func TestApplyMixedBatch(t *testing.T) {
+	cases := []struct {
+		name      string
+		open      func(testing.TB) *Engine
+		seed      func(e *Engine) []Op
+		bad, good func(e *Engine) []Op
+		want      func(e *Engine) []Op // the good batch's commit
+	}{{
+		name: "fast",
+		open: openUniversity,
+		seed: func(e *Engine) []Op {
+			return []Op{
+				{Scheme: 0, Tuple: tuple(e, "cs101", "jones", "cs")},
+				{Scheme: 3, Tuple: tuple(e, "s1", "amy", "y1")},
+			}
+		},
+		bad: func(e *Engine) []Op {
+			return []Op{
+				{Scheme: 0, Tuple: tuple(e, "cs101", "jones", "cs"), Delete: true},
+				{Scheme: 0, Tuple: tuple(e, "cs101", "smith", "cs")}, // C->T against the row above
+			}
+		},
+		good: func(e *Engine) []Op {
+			return []Op{
+				{Scheme: 3, Tuple: tuple(e, "s1", "amy", "y1"), Delete: true},
+				{Scheme: 0, Tuple: tuple(e, "cs102", "smith", "ee")},
+				{Scheme: 0, Tuple: tuple(e, "cs101", "jones", "cs")},          // duplicate
+				{Scheme: 3, Tuple: tuple(e, "s9", "zed", "y9"), Delete: true}, // absent
+			}
+		},
+		want: func(e *Engine) []Op {
+			return []Op{
+				{Scheme: 0, Tuple: tuple(e, "cs102", "smith", "ee")},
+				{Scheme: 3, Tuple: tuple(e, "s1", "amy", "y1"), Delete: true},
+			}
+		},
+	}, {
+		name: "chase",
+		open: func(tb testing.TB) *Engine { e, _ := openExample1(tb); return e },
+		seed: func(e *Engine) []Op {
+			return []Op{
+				{Scheme: 0, Tuple: tuple(e, "cs402", "cs")},    // CD
+				{Scheme: 1, Tuple: tuple(e, "cs402", "jones")}, // CT
+			}
+		},
+		bad: func(e *Engine) []Op {
+			return []Op{
+				{Scheme: 0, Tuple: tuple(e, "cs402", "cs"), Delete: true},
+				{Scheme: 2, Tuple: tuple(e, "ee", "jones")}, // TD is (D,T): the CS402 anomaly
+			}
+		},
+		good: func(e *Engine) []Op {
+			return []Op{
+				{Scheme: 0, Tuple: tuple(e, "cs402", "cs"), Delete: true},
+				{Scheme: 2, Tuple: tuple(e, "cs", "jones")},
+			}
+		},
+		want: func(e *Engine) []Op {
+			return []Op{
+				{Scheme: 2, Tuple: tuple(e, "cs", "jones")},
+				{Scheme: 0, Tuple: tuple(e, "cs402", "cs"), Delete: true},
+			}
+		},
+	}}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := c.open(t)
+			if err := e.InsertBatch(c.seed(e)); err != nil {
+				t.Fatal(err)
+			}
+			var commits []Commit
+			e.SetCommitHook(func(cm Commit) func() error {
+				commits = append(commits, cm)
+				return nil
+			})
+			before, v0 := e.Snapshot(), e.Version()
+			if _, err := e.Apply(context.Background(), c.bad(e)); !errors.Is(err, maintenance.ErrViolation) {
+				t.Fatalf("bad batch: want violation, got %v", err)
+			}
+			requireStatesEqual(t, "rejected mixed batch", before, e.Snapshot())
+			if len(commits) != 0 || e.Version() != v0 {
+				t.Fatalf("rejected batch committed: %d commits, version %d -> %d", len(commits), v0, e.Version())
+			}
+
+			want := c.want(e)
+			changed, err := e.Apply(context.Background(), c.good(e))
+			if err != nil || changed != len(want) {
+				t.Fatalf("good batch: changed %d err %v, want %d", changed, err, len(want))
+			}
+			if len(commits) != 1 || e.Version() != v0+1 {
+				t.Fatalf("good batch: %d commits, version %d -> %d, want one", len(commits), v0, e.Version())
+			}
+			got := commits[0].Ops
+			if len(got) != len(want) {
+				t.Fatalf("commit ops %+v, want %+v", got, want)
+			}
+			for i := range want {
+				if got[i].Scheme != want[i].Scheme || got[i].Delete != want[i].Delete || !got[i].Tuple.Equal(want[i].Tuple) {
+					t.Fatalf("commit op %d = %+v, want %+v", i, got[i], want[i])
+				}
+			}
+			var inserts, rejects, deletes uint64
+			var tuples int64
+			for _, rs := range e.Stats() {
+				inserts, rejects, deletes, tuples = inserts+rs.Inserts, rejects+rs.Rejects, deletes+rs.Deletes, tuples+rs.Tuples
+			}
+			// Seed: two accepted inserts. Bad batch: one rejected insert, its
+			// delete not counted. Good batch: every insert op accepted
+			// (duplicates included), one delete that removed a tuple.
+			goodInserts := uint64(0)
+			for _, op := range c.good(e) {
+				if !op.Delete {
+					goodInserts++
+				}
+			}
+			if inserts != 2+goodInserts || rejects != 1 || deletes != 1 || tuples != 2 || e.Rows() != 2 {
+				t.Fatalf("stats: inserts %d rejects %d deletes %d tuples %d rows %d", inserts, rejects, deletes, tuples, e.Rows())
+			}
+		})
+	}
+}
+
 func TestEngineMalformedOps(t *testing.T) {
 	e := openUniversity(t)
 	if err := e.Insert(99, tuple(e, "x")); err == nil {
@@ -345,7 +473,7 @@ func TestEngineCommitHook(t *testing.T) {
 	var seen []Commit
 	e.SetCommitHook(func(c Commit) func() error {
 		mu.Lock()
-		cp := Commit{Ops: append([]Op(nil), c.Ops...), Delete: c.Delete}
+		cp := Commit{Ops: append([]Op(nil), c.Ops...)}
 		seen = append(seen, cp)
 		mu.Unlock()
 		return nil
@@ -381,13 +509,13 @@ func TestEngineCommitHook(t *testing.T) {
 	if len(seen) != 3 {
 		t.Fatalf("hook saw %d commits, want 3: %+v", len(seen), seen)
 	}
-	if seen[0].Delete || len(seen[0].Ops) != 1 {
+	if len(seen[0].Ops) != 1 || seen[0].Ops[0].Delete {
 		t.Fatalf("first commit: %+v", seen[0])
 	}
-	if seen[1].Delete || len(seen[1].Ops) != 2 {
+	if len(seen[1].Ops) != 2 || seen[1].Ops[0].Delete || seen[1].Ops[1].Delete {
 		t.Fatalf("batch commit: %+v", seen[1])
 	}
-	if !seen[2].Delete || len(seen[2].Ops) != 1 {
+	if len(seen[2].Ops) != 1 || !seen[2].Ops[0].Delete {
 		t.Fatalf("delete commit: %+v", seen[2])
 	}
 
@@ -398,7 +526,7 @@ func TestEngineCommitHook(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range seen {
-		if err := re.Apply(c); err != nil {
+		if _, err := re.Apply(context.Background(), c.Ops); err != nil {
 			t.Fatalf("apply: %v", err)
 		}
 	}
@@ -407,7 +535,7 @@ func TestEngineCommitHook(t *testing.T) {
 	}
 	// Idempotence: applying everything again converges to the same state.
 	for _, c := range seen {
-		if err := re.Apply(c); err != nil {
+		if _, err := re.Apply(context.Background(), c.Ops); err != nil {
 			t.Fatalf("re-apply: %v", err)
 		}
 	}

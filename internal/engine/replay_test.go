@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -61,9 +62,9 @@ func genLog(t *testing.T, open func(testing.TB) *Engine, rng *rand.Rand, ops int
 	var log []Commit
 	e.SetCommitHook(func(c Commit) func() error {
 		// Deep-copy: the engine may reuse tuple memory after the hook.
-		cc := Commit{Delete: c.Delete, Ops: make([]Op, len(c.Ops))}
+		cc := Commit{Ops: make([]Op, len(c.Ops))}
 		for i, op := range c.Ops {
-			cc.Ops[i] = Op{Scheme: op.Scheme, Tuple: op.Tuple.Clone()}
+			cc.Ops[i] = Op{Scheme: op.Scheme, Tuple: op.Tuple.Clone(), Delete: op.Delete}
 		}
 		log = append(log, cc)
 		return nil
@@ -127,7 +128,7 @@ func genLog(t *testing.T, open func(testing.TB) *Engine, rng *rand.Rand, ops int
 func applyLog(t *testing.T, e *Engine, log []Commit) {
 	t.Helper()
 	for _, c := range log {
-		if err := e.Apply(c); err != nil && !errors.Is(err, maintenance.ErrViolation) {
+		if _, err := e.Apply(context.Background(), c.Ops); err != nil && !errors.Is(err, maintenance.ErrViolation) {
 			t.Fatalf("Apply: %v", err)
 		}
 	}
@@ -209,10 +210,10 @@ func TestApplyBatchRejectLeavesStateUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := e.Snapshot()
-	err := e.Apply(Commit{Ops: []Op{
+	_, err := e.Apply(context.Background(), []Op{
 		{Scheme: 0, Tuple: tuple(e, "cs102", "smith", "cs")}, // would be new
 		{Scheme: 0, Tuple: tuple(e, "cs101", "smith", "cs")}, // violates C->T
-	}})
+	})
 	if !errors.Is(err, maintenance.ErrViolation) {
 		t.Fatalf("want violation, got %v", err)
 	}
@@ -250,5 +251,20 @@ func TestVersionBumpsPerCommit(t *testing.T) {
 	}
 	if got := e.Version(); got != v0+2 {
 		t.Fatalf("after delete: version %d, want %d", got, v0+2)
+	}
+	// A mixed batch — inserts in two relations and a delete — is one commit.
+	if err := e.Insert(3, tuple(e, "s1", "ann", "2")); err != nil {
+		t.Fatal(err)
+	}
+	changed, err := e.Apply(context.Background(), []Op{
+		{Scheme: 3, Tuple: tuple(e, "s1", "ann", "2"), Delete: true},
+		{Scheme: 0, Tuple: tuple(e, "cs102", "smith", "ee")},
+		{Scheme: 3, Tuple: tuple(e, "s2", "bob", "1")},
+	})
+	if err != nil || changed != 3 {
+		t.Fatalf("mixed batch: changed %d err %v", changed, err)
+	}
+	if got := e.Version(); got != v0+4 {
+		t.Fatalf("after mixed batch: version %d, want %d", got, v0+4)
 	}
 }

@@ -41,6 +41,36 @@ type Maintainer interface {
 	State() *relation.State
 }
 
+// Op is one tuple operation addressed to a scheme: an insert, or a delete
+// when Delete is set. It is the unit of both maintainers' Apply.
+type Op struct {
+	Scheme int
+	Tuple  relation.Tuple
+	Delete bool
+}
+
+// appendChanged appends op to an Apply result, sizing the slice for the
+// whole batch on first use so a batch costs one allocation and a batch that
+// changes nothing costs none.
+func appendChanged(changed []Op, op Op, batch int) []Op {
+	if changed == nil {
+		changed = make([]Op, 0, batch)
+	}
+	return append(changed, op)
+}
+
+// checkSchemes rejects ops addressed outside [0, n) before anything is
+// applied, so Apply never has to unwind a half-applied batch over a
+// malformed op.
+func checkSchemes(ops []Op, n int) error {
+	for _, op := range ops {
+		if op.Scheme < 0 || op.Scheme >= n {
+			return fmt.Errorf("maintenance: no scheme %d", op.Scheme)
+		}
+	}
+	return nil
+}
+
 // Guard is the fast maintainer for independent schemas: it enforces, for
 // each relation R_i, the embedded FD cover F_i produced by the independence
 // decision procedure. By Theorem 3's corollary, F_i covers Σ_i when the
@@ -294,6 +324,42 @@ func (g *Guard) Delete(scheme int, t relation.Tuple) (bool, error) {
 	return true, nil
 }
 
+// Apply applies a batch atomically. The inserts go first, validated and
+// added in op order: if one violates, those already added are removed again
+// in reverse (deletes cannot fail, so the state returns exactly to where it
+// was) and the violation is returned. Then the deletes are applied. The
+// result is the ops that changed the state, in applied order; admissible
+// duplicates and deletes of absent tuples are left out.
+func (g *Guard) Apply(ops []Op) (changed []Op, err error) {
+	if err := checkSchemes(ops, len(g.fds)); err != nil {
+		return nil, err
+	}
+	for _, op := range ops {
+		if op.Delete {
+			continue
+		}
+		added, err := g.InsertReport(op.Scheme, op.Tuple)
+		if err != nil {
+			for i := len(changed) - 1; i >= 0; i-- {
+				g.Delete(changed[i].Scheme, changed[i].Tuple)
+			}
+			return nil, err
+		}
+		if added {
+			changed = appendChanged(changed, op, len(ops))
+		}
+	}
+	for _, op := range ops {
+		if !op.Delete {
+			continue
+		}
+		if removed, _ := g.Delete(op.Scheme, op.Tuple); removed {
+			changed = appendChanged(changed, op, len(ops))
+		}
+	}
+	return changed, nil
+}
+
 // State implements Maintainer.
 func (g *Guard) State() *relation.State { return g.st }
 
@@ -362,7 +428,7 @@ func (m *ChaseMaintainer) engine() (*chase.Engine, error) {
 // tryInsert pads the candidate tuples into the incremental engine and
 // chases their consequences. On contradiction the engine is poisoned and a
 // violation returned; the state itself is never touched.
-func (m *ChaseMaintainer) tryInsert(ops []chase.Extra) error {
+func (m *ChaseMaintainer) tryInsert(ops []Op) error {
 	e, err := m.engine()
 	if err != nil {
 		return err
@@ -399,66 +465,65 @@ func (m *ChaseMaintainer) InsertReport(scheme int, t relation.Tuple) (bool, erro
 		if !ok {
 			return false, fmt.Errorf("%w: chase found a contradiction", ErrViolation)
 		}
-	} else if err := m.tryInsert([]chase.Extra{{Scheme: scheme, Tuple: t}}); err != nil {
+	} else if err := m.tryInsert([]Op{{Scheme: scheme, Tuple: t}}); err != nil {
 		return false, err
 	}
 	m.st.Insts[scheme].Add(t)
 	return true, nil
 }
 
-// InsertBatchReport trial-inserts a batch atomically: either every tuple is
-// admissible together and all are added, or the state is left unchanged and
-// the violation (or budget error) is returned. Added reports the ops that
-// actually changed the state, in op order (duplicates are skipped). One
-// chase validates the whole batch.
-func (m *ChaseMaintainer) InsertBatchReport(ops []chase.Extra) (added []chase.Extra, err error) {
-	for _, op := range ops {
-		if op.Scheme < 0 || op.Scheme >= len(m.st.Insts) {
-			return nil, fmt.Errorf("maintenance: no scheme %d", op.Scheme)
-		}
+// Apply applies a batch atomically, with Guard.Apply's contract: either all
+// the inserts are admissible together and are added — one trial chase
+// validates them all — or the state is left unchanged and the violation (or
+// budget error) is returned; then the deletes are applied. The result is
+// the ops that changed the state, in applied order.
+func (m *ChaseMaintainer) Apply(ops []Op) (changed []Op, err error) {
+	if err := checkSchemes(ops, len(m.st.Insts)); err != nil {
+		return nil, err
 	}
-	// Materialize the incremental engine from the pre-batch state before
-	// touching it: a lazy rebuild below would otherwise pad the candidate
-	// tuples as settled fact and misread the batch's own violation as
-	// state corruption.
-	if !m.jd {
-		if _, err := m.engine(); err != nil {
+	for _, op := range ops {
+		if op.Delete || m.st.Insts[op.Scheme].Has(op.Tuple) {
+			continue
+		}
+		// Materialize the incremental engine from the pre-batch state before
+		// touching it: a lazy rebuild below would otherwise pad the candidate
+		// tuples as settled fact and misread the batch's own violation as
+		// state corruption.
+		if changed == nil && !m.jd {
+			if _, err := m.engine(); err != nil {
+				return nil, err
+			}
+		}
+		// Add now so in-batch duplicates collapse; roll back below unless
+		// the whole batch chases clean.
+		m.st.Insts[op.Scheme].Add(op.Tuple)
+		changed = appendChanged(changed, op, len(ops))
+	}
+	if len(changed) > 0 {
+		if m.jd {
+			var ok bool
+			if ok, err = chase.Satisfies(m.st, m.fds, true, m.caps); err == nil && !ok {
+				err = fmt.Errorf("%w: chase found a contradiction", ErrViolation)
+			}
+		} else {
+			err = m.tryInsert(changed)
+		}
+		if err != nil {
+			for i := len(changed) - 1; i >= 0; i-- {
+				m.st.Insts[changed[i].Scheme].Remove(changed[i].Tuple)
+			}
 			return nil, err
 		}
 	}
-	fresh := make([]chase.Extra, 0, len(ops))
 	for _, op := range ops {
-		// Add now so in-batch duplicates collapse; roll back below unless
-		// the whole batch chases clean.
-		if m.st.Insts[op.Scheme].Add(op.Tuple) {
-			fresh = append(fresh, op)
+		if !op.Delete {
+			continue
+		}
+		if removed, _ := m.Delete(op.Scheme, op.Tuple); removed {
+			changed = appendChanged(changed, op, len(ops))
 		}
 	}
-	if len(fresh) == 0 {
-		return nil, nil
-	}
-	rollback := func() {
-		for i := len(fresh) - 1; i >= 0; i-- {
-			m.st.Insts[fresh[i].Scheme].Remove(fresh[i].Tuple)
-		}
-	}
-	if m.jd {
-		ok, serr := chase.Satisfies(m.st, m.fds, true, m.caps)
-		if serr != nil {
-			rollback()
-			return nil, serr
-		}
-		if !ok {
-			rollback()
-			return nil, fmt.Errorf("%w: chase found a contradiction", ErrViolation)
-		}
-		return fresh, nil
-	}
-	if err := m.tryInsert(fresh); err != nil {
-		rollback()
-		return nil, err
-	}
-	return fresh, nil
+	return changed, nil
 }
 
 // Delete implements Maintainer. No chase is needed: SAT is closed under

@@ -87,14 +87,11 @@ func (ck *Checkpoint) TuplesOf(i int) []relation.Tuple {
 // visible checkpoint is complete unless the disk itself corrupted it —
 // which the CRC catches.
 //
-// Version '2' (current) stores each relation column-major: arity, row
+// Version '2', the only one, stores each relation column-major: arity, row
 // count, then one length-prefixed block per column holding the column's
-// varint-encoded values. Version '1' (pre-columnar) stored row-major
-// tuples; it is still decoded for recovery from old data directories and
-// replication snapshots from old primaries.
+// varint-encoded values. Any other version byte is refused.
 const (
 	ckptMagicPrefix = "INDEPCK"
-	ckptV1          = '1'
 	ckptV2          = '2'
 	ckptMagic       = ckptMagicPrefix + string(rune(ckptV2))
 )
@@ -134,8 +131,7 @@ func (ck *Checkpoint) encode() []byte {
 func (ck *Checkpoint) Encode() []byte { return ck.encode() }
 
 // DecodeCheckpointBytes parses an encoded checkpoint (the replication
-// snapshot wire format), verifying the magic and trailing CRC. Both the
-// columnar ('2') and the legacy row-major ('1') versions decode.
+// snapshot wire format), verifying the magic, version and trailing CRC.
 func DecodeCheckpointBytes(data []byte) (*Checkpoint, error) {
 	return decodeCheckpoint(data)
 }
@@ -145,8 +141,7 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if len(data) < magicLen+4 || string(data[:len(ckptMagicPrefix)]) != ckptMagicPrefix {
 		return nil, fmt.Errorf("wal: not a checkpoint file")
 	}
-	version := data[len(ckptMagicPrefix)]
-	if version != ckptV1 && version != ckptV2 {
+	if version := data[len(ckptMagicPrefix)]; version != ckptV2 {
 		return nil, fmt.Errorf("wal: unknown checkpoint version %q", version)
 	}
 	body, tail := data[:len(data)-4], data[len(data)-4:]
@@ -187,20 +182,15 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	}
 	ck.Cols = make([][][]relation.Value, schemes)
 	ck.Counts = make([]int, schemes)
-	if version == ckptV1 {
-		err = decodeSchemesV1(ck, b)
-	} else {
-		err = decodeSchemesV2(ck, b)
-	}
-	if err != nil {
+	if err := decodeSchemes(ck, b); err != nil {
 		return nil, err
 	}
 	return ck, nil
 }
 
-// decodeSchemesV2 parses the columnar relation bodies: per scheme an arity,
+// decodeSchemes parses the columnar relation bodies: per scheme an arity,
 // a row count, and one length-prefixed varint block per column.
-func decodeSchemesV2(ck *Checkpoint, b []byte) error {
+func decodeSchemes(ck *Checkpoint, b []byte) error {
 	var err error
 	for i := range ck.Cols {
 		var arity, rows uint64
@@ -241,52 +231,6 @@ func decodeSchemesV2(ck *Checkpoint, b []byte) error {
 			}
 			ck.Cols[i][c] = col
 		}
-	}
-	if len(b) != 0 {
-		return fmt.Errorf("wal: %d trailing bytes in checkpoint", len(b))
-	}
-	return nil
-}
-
-// decodeSchemesV1 parses the legacy row-major relation bodies (tuple count,
-// then per-tuple arity and values) and transposes them into columns. All
-// tuples of a scheme must agree on arity — they always do in a real file;
-// a disagreement means corruption the CRC missed.
-func decodeSchemesV1(ck *Checkpoint, b []byte) error {
-	var err error
-	for i := range ck.Cols {
-		var cnt uint64
-		if cnt, b, err = readUvarint(b); err != nil {
-			return err
-		}
-		if cnt > uint64(len(b)) {
-			return fmt.Errorf("wal: checkpoint tuple count overruns file")
-		}
-		for j := uint64(0); j < cnt; j++ {
-			var arity uint64
-			if arity, b, err = readUvarint(b); err != nil {
-				return err
-			}
-			if arity > uint64(len(b)) {
-				return fmt.Errorf("wal: checkpoint tuple overruns file")
-			}
-			if j == 0 {
-				ck.Cols[i] = make([][]relation.Value, arity)
-				for c := range ck.Cols[i] {
-					ck.Cols[i][c] = make([]relation.Value, 0, cnt)
-				}
-			} else if arity != uint64(len(ck.Cols[i])) {
-				return fmt.Errorf("wal: checkpoint tuple arity %d differs from scheme arity %d", arity, len(ck.Cols[i]))
-			}
-			for c := uint64(0); c < arity; c++ {
-				var v int64
-				if v, b, err = readVarint(b); err != nil {
-					return err
-				}
-				ck.Cols[i][c] = append(ck.Cols[i][c], relation.Value(v))
-			}
-		}
-		ck.Counts[i] = int(cnt)
 	}
 	if len(b) != 0 {
 		return fmt.Errorf("wal: %d trailing bytes in checkpoint", len(b))

@@ -3,105 +3,24 @@ package wal
 import (
 	"encoding/binary"
 	"hash/crc32"
-	"reflect"
+	"strings"
 	"testing"
-
-	"indep/internal/relation"
 )
 
-// encodeCheckpointV1 reproduces the pre-columnar checkpoint encoder
-// byte-for-byte (magic "INDEPCK1", row-major tuples). It exists only in
-// tests, to pin that current recovery still reads data directories and
-// replication snapshots written before the columnar format.
-func encodeCheckpointV1(seq uint64, dict []DictEntry, tuples [][]relation.Tuple) []byte {
-	buf := []byte(ckptMagicPrefix + string(rune(ckptV1)))
-	buf = binary.AppendUvarint(buf, seq)
-	buf = binary.AppendUvarint(buf, uint64(len(dict)))
-	for _, e := range dict {
-		buf = binary.AppendVarint(buf, int64(e.Value))
-		buf = binary.AppendUvarint(buf, uint64(len(e.Name)))
-		buf = append(buf, e.Name...)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(tuples)))
-	for _, ts := range tuples {
-		buf = binary.AppendUvarint(buf, uint64(len(ts)))
-		for _, t := range ts {
-			buf = binary.AppendUvarint(buf, uint64(len(t)))
-			for _, v := range t {
-				buf = binary.AppendVarint(buf, int64(v))
-			}
-		}
-	}
-	sum := crc32.Checksum(buf, crcTable)
-	return binary.LittleEndian.AppendUint32(buf, sum)
-}
-
-// TestDecodeV1Checkpoint pins backward compatibility: a checkpoint written
-// by the legacy row-major encoder decodes into the same logical content the
-// columnar decoder reports, and re-encoding it (as v2) round-trips.
-func TestDecodeV1Checkpoint(t *testing.T) {
-	dict := []DictEntry{{Value: 0, Name: "a"}, {Value: 3, Name: "b"}}
-	tuples := [][]relation.Tuple{
-		{{1, 2}, {3, 4}, {-5, 6}},
-		{},
-		{{7}},
-	}
-	data := encodeCheckpointV1(42, dict, tuples)
-
-	ck, err := DecodeCheckpointBytes(data)
-	if err != nil {
-		t.Fatalf("v1 checkpoint rejected: %v", err)
-	}
-	if ck.Seq != 42 || !reflect.DeepEqual(ck.Dict, dict) {
-		t.Fatalf("v1 header mismatch: %+v", ck)
-	}
-	if ck.NumSchemes() != 3 {
-		t.Fatalf("schemes %d, want 3", ck.NumSchemes())
-	}
-	for i, want := range tuples {
-		if ck.RowCount(i) != len(want) {
-			t.Fatalf("scheme %d rows %d, want %d", i, ck.RowCount(i), len(want))
-		}
-		if len(want) > 0 && !reflect.DeepEqual(ck.TuplesOf(i), want) {
-			t.Fatalf("scheme %d: %v, want %v", i, ck.TuplesOf(i), want)
-		}
-	}
-
-	// Re-encoding produces the current (v2) format with identical content.
-	again, err := DecodeCheckpointBytes(ck.Encode())
-	if err != nil {
-		t.Fatalf("transposed re-encode rejected: %v", err)
-	}
-	for i, want := range tuples {
-		if again.RowCount(i) != len(want) {
-			t.Fatalf("re-encoded scheme %d rows %d, want %d", i, again.RowCount(i), len(want))
-		}
-		if len(want) > 0 && !reflect.DeepEqual(again.TuplesOf(i), want) {
-			t.Fatalf("re-encoded scheme %d: %v, want %v", i, again.TuplesOf(i), want)
-		}
-	}
-}
-
-// TestDecodeV1RaggedArityRejected pins that a v1 body whose tuples disagree
-// on arity within one scheme is rejected rather than transposed into
-// nonsense columns.
-func TestDecodeV1RaggedArityRejected(t *testing.T) {
-	data := encodeCheckpointV1(1, nil, [][]relation.Tuple{{{1, 2}, {3}}})
-	if _, err := DecodeCheckpointBytes(data); err == nil {
-		t.Fatal("ragged v1 checkpoint accepted")
-	}
-}
-
 // TestDecodeUnknownVersionRejected pins the version gate: a well-formed CRC
-// over an unknown version byte must not decode as either format.
+// over any version byte but the current one — the retired row-major '1'
+// included — must be refused as an unknown version, not decoded.
 func TestDecodeUnknownVersionRejected(t *testing.T) {
-	buf := []byte(ckptMagicPrefix + "3")
-	buf = binary.AppendUvarint(buf, 1)
-	buf = binary.AppendUvarint(buf, 0)
-	buf = binary.AppendUvarint(buf, 0)
-	sum := crc32.Checksum(buf, crcTable)
-	buf = binary.LittleEndian.AppendUint32(buf, sum)
-	if _, err := DecodeCheckpointBytes(buf); err == nil {
-		t.Fatal("unknown checkpoint version accepted")
+	for _, version := range []string{"1", "3"} {
+		buf := []byte(ckptMagicPrefix + version)
+		buf = binary.AppendUvarint(buf, 1)
+		buf = binary.AppendUvarint(buf, 0)
+		buf = binary.AppendUvarint(buf, 0)
+		sum := crc32.Checksum(buf, crcTable)
+		buf = binary.LittleEndian.AppendUint32(buf, sum)
+		_, err := DecodeCheckpointBytes(buf)
+		if err == nil || !strings.Contains(err.Error(), "unknown checkpoint version") {
+			t.Fatalf("version %q: got %v, want an unknown-version error", version, err)
+		}
 	}
 }

@@ -110,7 +110,9 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		Cols: [][][]relation.Value{{{1}, {2}}, {}}, Counts: []int{1, 0}}).encode()
 	f.Add(good)
 	f.Add(good[:len(good)-5])
-	f.Add([]byte("INDEPCK1"))
+	retired := append([]byte(nil), good...) // the version gate: a retired version byte
+	retired[len(ckptMagicPrefix)] = '1'
+	f.Add(retired)
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := decodeCheckpoint(data)
@@ -129,13 +131,13 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 
 // FuzzDecodeColumnCheckpoint targets the columnar ('2') checkpoint body
 // specifically: arbitrary bytes after a valid v2 prefix must decode or
-// error, never panic, and accepted inputs must re-encode stably — including
-// legacy v1 inputs, whose re-encoding is the v2 transposition.
+// error, never panic, and accepted inputs must re-encode stably.
 func FuzzDecodeColumnCheckpoint(f *testing.F) {
 	v2 := (&Checkpoint{Seq: 11,
 		Cols: [][][]relation.Value{{{1, 3}, {2, 4}}, {{-5}}}, Counts: []int{2, 1}}).encode()
 	f.Add(v2)
-	f.Add(encodeCheckpointV1(9, []DictEntry{{Value: 2, Name: "q"}}, [][]relation.Tuple{{{7, 8}}}))
+	f.Add((&Checkpoint{Seq: 9, Dict: []DictEntry{{Value: 2, Name: "q"}},
+		Cols: [][][]relation.Value{{{7}, {8}}}, Counts: []int{1}}).encode())
 	f.Add([]byte("INDEPCK2"))
 	f.Add(v2[:len(v2)-3])
 	f.Fuzz(func(t *testing.T, data []byte) {

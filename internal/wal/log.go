@@ -59,6 +59,7 @@ func ckptName(seq uint64) string { return fmt.Sprintf(ckptPattern, seq) }
 // the control markers (rotate, truncate, sync).
 type queued struct {
 	data []byte
+	recs int        // records framed in data
 	done chan error // nil for fire-and-forget appends
 
 	rotateTo    uint64 // rotate marker when != 0: seal and open segment rotateTo
@@ -304,7 +305,7 @@ func (l *Log) Append(recs ...Record) *Ticket {
 		buf = appendFrame(buf, r)
 	}
 	t := &Ticket{done: make(chan error, 1), bytes: len(buf)}
-	if err := l.enqueue(queued{data: buf, done: t.done}); err != nil {
+	if err := l.enqueue(queued{data: buf, recs: len(recs), done: t.done}); err != nil {
 		t.done <- err
 	}
 	return t
@@ -320,7 +321,7 @@ func (l *Log) Enqueue(recs ...Record) {
 	for _, r := range recs {
 		buf = appendFrame(buf, r)
 	}
-	l.enqueue(queued{data: buf})
+	l.enqueue(queued{data: buf, recs: len(recs)})
 }
 
 // Rotate seals the active segment (flushing and fsyncing everything queued
@@ -438,7 +439,7 @@ func (l *Log) process(batch []queued) {
 
 	var pend []byte          // coalesced frames not yet written
 	var waiters []chan error // commit waiters not yet acknowledged
-	var appends uint64
+	var records uint64
 	var wrote int64
 
 	fail := func(err error) {
@@ -534,7 +535,7 @@ func (l *Log) process(batch []queued) {
 			batch[i].done = nil
 		default:
 			pend = append(pend, q.data...)
-			appends++
+			records += uint64(q.recs)
 			if q.done != nil {
 				waiters = append(waiters, q.done)
 				batch[i].done = nil // owned by waiters from here on
@@ -546,11 +547,11 @@ func (l *Log) process(batch []queued) {
 		return
 	}
 
-	if appends > 0 {
-		l.groupRecs.Observe(int64(appends))
+	if records > 0 {
+		l.groupRecs.Observe(int64(records))
 	}
 	l.mu.Lock()
-	l.stats.Records += appends
+	l.stats.Records += records
 	l.stats.CommitGroups++
 	l.stats.ActiveSeq = l.activeSeq
 	l.stats.ActiveBytes = l.offset

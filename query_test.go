@@ -1,6 +1,7 @@
 package indep
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -145,17 +146,47 @@ func TestDatabaseWindow(t *testing.T) {
 // entity atomically — A(K_i, X_i) and B(K_i, Y_i) in one batch — so in
 // every consistent cut a key is either fully present or fully absent. A
 // torn read would surface as a K that appears in the window [K] but not in
-// the window [K X Y] (its extension would hit a missing half).
+// the window [K X Y] (its extension would hit a missing half). One more
+// writer moves the single row of M — insert the new row and delete the old
+// one in one binary batch payload, which is one commit — so a reader must
+// always see exactly one M row, never both and never neither.
 func TestWindowReadDuringWriteRace(t *testing.T) {
-	cs := mustStore(t, "A(K,X); B(K,Y)", "K -> X; K -> Y")
+	cs := mustStore(t, "A(K,X); B(K,Y); M(P,Q)", "K -> X; K -> Y")
 	if !cs.FastPath() {
 		t.Fatal("test schema should be independent")
 	}
-	const writers, perWriter = 4, 100
+	const writers, perWriter, moves = 4, 100, 400
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 
-	writeErr := make(chan error, writers)
+	mRow := func(i int) map[string]string {
+		return map[string]string{"P": "p", "Q": fmt.Sprintf("q%d", i)}
+	}
+	if err := cs.Insert("M", mRow(0)); err != nil {
+		t.Fatal(err)
+	}
+	writeErr := make(chan error, writers+1)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		enc := NewBinBatchEncoder(cs.schema)
+		for i := 1; i <= moves; i++ {
+			enc.Reset()
+			if err := enc.Delete("M", mRow(i-1)); err != nil {
+				writeErr <- err
+				return
+			}
+			if err := enc.Add("M", mRow(i)); err != nil {
+				writeErr <- err
+				return
+			}
+			if _, err := cs.ApplyBinBatch(context.Background(), enc.Bytes()); err != nil {
+				writeErr <- err
+				return
+			}
+		}
+		writeErr <- nil
+	}()
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -203,11 +234,21 @@ func TestWindowReadDuringWriteRace(t *testing.T) {
 						len(keys.Rows), len(full.Rows))
 					return
 				}
+				moved, err := cs.Window("P", "Q")
+				if err != nil {
+					readErr <- err
+					return
+				}
+				if len(moved.Rows) != 1 {
+					readErr <- fmt.Errorf("torn move: M has %d rows %v, want exactly 1",
+						len(moved.Rows), moved.Rows)
+					return
+				}
 			}
 		}()
 	}
 
-	for w := 0; w < writers; w++ {
+	for w := 0; w < writers+1; w++ {
 		if err := <-writeErr; err != nil {
 			t.Fatal(err)
 		}

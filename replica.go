@@ -1,6 +1,7 @@
 package indep
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -339,9 +340,9 @@ func (f *Follower) persistPos() error {
 
 // applyRecord replays one stream record into the local store. Intern
 // records restore dictionary bindings (journaling fresh ones locally —
-// Restore bypasses the intern hook); everything else goes through
-// engine.Apply with the commit hook live, so accepted records re-journal
-// into the local log. A re-rejected record is the idempotence skip the
+// Restore bypasses the intern hook); everything else goes through recordOps
+// and Engine.Apply with the commit hook live, so accepted records
+// re-journal into the local log. A re-rejected record is the idempotence skip the
 // recovery path also takes. Only infrastructure failures (local
 // durability, malformed addressing) are errors.
 func (f *Follower) applyRecord(rec wal.Record) error {
@@ -359,14 +360,11 @@ func (f *Follower) applyRecord(rec wal.Record) error {
 		f.appliedRecs.Inc()
 		return nil
 	default:
-		c := engine.Commit{Ops: make([]engine.Op, len(rec.Ops)), Delete: rec.Kind == wal.KindDelete}
-		for i, op := range rec.Ops {
-			if op.Rel < 0 || op.Rel >= f.eng.Schema().Size() {
-				return fmt.Errorf("indep: stream record addresses scheme %d", op.Rel)
-			}
-			c.Ops[i] = engine.Op{Scheme: op.Rel, Tuple: op.Tuple}
+		ops, err := recordOps(rec, f.eng.Schema().Size())
+		if err != nil {
+			return fmt.Errorf("indep: stream %v", err)
 		}
-		if err := f.eng.Apply(c); err != nil {
+		if _, err := f.eng.Apply(context.Background(), ops); err != nil {
 			if Rejected(err) {
 				f.skippedRecs.Inc()
 				return nil
@@ -380,12 +378,12 @@ func (f *Follower) applyRecord(rec wal.Record) error {
 
 // resync bootstraps or repairs the follower from a primary snapshot,
 // installing it as a diff against the local state: restore the dictionary,
-// delete local tuples the snapshot lacks, batch-insert snapshot tuples the
-// local state lacks. The local state is never wiped — every step goes
-// through the normal engine paths and re-journals locally — and because
-// the local state after deletions is a subset of the (consistent) snapshot
-// state, the inserts cannot be rejected. Returns the position to tail
-// from.
+// delete every local tuple the snapshot lacks, then insert the snapshot
+// tuples the local state lacks. The local state is never wiped — every step
+// goes through Engine.Apply (see readmit) and re-journals locally — and
+// because the local state after the deletions is a subset of the
+// (consistent) snapshot state, the inserts cannot be rejected. Returns the
+// position to tail from.
 func (f *Follower) resync() (wal.Position, error) {
 	f.resyncs.Inc()
 	data, tail, err := f.src.ReplSnapshot()
@@ -410,31 +408,30 @@ func (f *Follower) resync() (wal.Position, error) {
 		}
 	}
 	st := f.eng.Snapshot()
-	for i := 0; i < ck.NumSchemes(); i++ {
+	var stale []engine.Op                           // local tuples the snapshot lacks
+	missing := make([][]engine.Op, ck.NumSchemes()) // per relation: snapshot tuples the local state lacks
+	for i := range missing {
 		tuples := ck.TuplesOf(i)
 		want := make(map[string]bool, len(tuples))
 		for _, t := range tuples {
 			want[tupleKey(t)] = true
+			if !st.Insts[i].Has(t) {
+				missing[i] = append(missing[i], engine.Op{Scheme: i, Tuple: t})
+			}
 		}
 		for _, t := range st.Insts[i].Rows() {
 			if !want[tupleKey(t)] {
-				if err := f.eng.Apply(engine.Commit{Delete: true, Ops: []engine.Op{{Scheme: i, Tuple: t}}}); err != nil {
-					return wal.Position{}, fmt.Errorf("indep: resync delete: %w", err)
-				}
+				stale = append(stale, engine.Op{Scheme: i, Tuple: t, Delete: true})
 			}
 		}
-		var ops []engine.Op
-		for _, t := range tuples {
-			if !st.Insts[i].Has(t) {
-				ops = append(ops, engine.Op{Scheme: i, Tuple: t})
-			}
-		}
-		for len(ops) > 0 {
-			k := min(len(ops), engine.MaxBatchOps)
-			if err := f.eng.Apply(engine.Commit{Ops: ops[:k]}); err != nil {
-				return wal.Position{}, fmt.Errorf("indep: resync insert: %w", err)
-			}
-			ops = ops[k:]
+	}
+	if err := readmit(f.eng, stale); err != nil {
+		return wal.Position{}, fmt.Errorf("indep: resync delete: %w", err)
+	}
+	// One relation at a time, so each batch holds a single stripe.
+	for _, ops := range missing {
+		if err := readmit(f.eng, ops); err != nil {
+			return wal.Position{}, fmt.Errorf("indep: resync insert: %w", err)
 		}
 	}
 	f.setApplied(tail)
@@ -442,7 +439,11 @@ func (f *Follower) resync() (wal.Position, error) {
 		return wal.Position{}, err
 	}
 	if f.opts.Logger != nil {
-		f.opts.Logger.Info("follower resynced", "tail", tail.String(), "tuples", len(ck.Dict))
+		tuples := 0
+		for i := 0; i < ck.NumSchemes(); i++ {
+			tuples += ck.RowCount(i)
+		}
+		f.opts.Logger.Info("follower resynced", "tail", tail.String(), "tuples", tuples, "dict", len(ck.Dict))
 	}
 	return tail, nil
 }
