@@ -154,6 +154,16 @@ func (s Set) Attrs() []int {
 	return out
 }
 
+// Rank returns the number of attributes of s below a: a's position in s's
+// ascending order, e.g. its column in a tuple over s.
+func (s Set) Rank(a int) int {
+	n := bits.OnesCount64(s[a/64] & (1<<uint(a%64) - 1))
+	for _, w := range s[:a/64] {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
 // First returns the smallest attribute in the set, or -1 if empty.
 func (s Set) First() int {
 	for i, w := range s {

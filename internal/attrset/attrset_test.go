@@ -218,3 +218,18 @@ func TestQuickAttrsRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestQuickRankCountsBelow(t *testing.T) {
+	f := func(s Set, a uint8) bool {
+		n := 0
+		for _, b := range s.Attrs() {
+			if b < int(a) {
+				n++
+			}
+		}
+		return s.Rank(int(a)) == n
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -18,12 +18,12 @@
 //
 // Reads use the same theorem in the other direction. A window plan knows
 // precisely which relations an evaluation consults
-// (Schema.WindowConsults): the contributing relations plus those their
-// extension tableaux take valuations against. The router gathers exactly
-// those relations' fragments from their owners and evaluates the window
-// locally over the assembled state — the result is identical to a single
-// node's because window evaluation is a pure function of those relations'
-// contents.
+// (Schema.WindowConsults): the contributing relations plus those the
+// extension tableaux of the window's attributes take valuations against.
+// The router gathers exactly those relations' fragments from their owners
+// and evaluates the window locally over the assembled state — the result
+// is identical to a single node's because window evaluation is a pure
+// function of those relations' contents.
 //
 // Membership is static: a parsed -shards list placed on a consistent-hash
 // ring with virtual nodes, so adding a shard to the list moves only the

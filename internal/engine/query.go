@@ -77,7 +77,7 @@ func (e *Engine) Window(x attrset.Set) (*query.Result, *relation.State, error) {
 // log record; the query latency lands in the engine's window histogram
 // either way.
 func (e *Engine) WindowCtx(ctx context.Context, x attrset.Set) (*query.Result, *relation.State, error) {
-	res, st, _, err := e.WindowMetaCtx(ctx, x, false)
+	res, st, _, err := e.WindowMetaCtx(ctx, x, nil, false)
 	return res, st, err
 }
 
@@ -90,16 +90,18 @@ type WindowMeta struct {
 	Explain        *query.Explain
 }
 
-// WindowMetaCtx is WindowCtx reporting snapshot reuse and, when explain is
-// set, the executed plan. When the context carries an active span the
-// evaluation records an engine.window span whose attributes are the explain
-// output: mode, plan-cache hit, snapshot reuse, consulted relations with
-// rows scanned, and pruned relations.
-func (e *Engine) WindowMetaCtx(ctx context.Context, x attrset.Set, explain bool) (*query.Result, *relation.State, WindowMeta, error) {
+// WindowMetaCtx is WindowCtx with a selection — attribute → value-name
+// conditions, resolved through the snapshot's dictionary — reporting
+// snapshot reuse and, when explain is set, the executed plan. When the
+// context carries an active span the evaluation records an engine.window
+// span whose attributes are the explain output: mode, plan-cache hit,
+// snapshot reuse, consulted relations with rows scanned, and pruned
+// relations.
+func (e *Engine) WindowMetaCtx(ctx context.Context, x attrset.Set, where map[int]string, explain bool) (*query.Result, *relation.State, WindowMeta, error) {
 	sp := obs.SpanFrom(ctx).StartChild("engine.window")
 	start := time.Now()
 	st, reused, version := e.querySnapshot()
-	res, err := e.evaluator().Window(st, x)
+	res, err := e.evaluator().Query(st, x, query.Resolve(st.Dict, where))
 	d := time.Since(start)
 	e.queryLat.Observe(int64(d))
 	meta := WindowMeta{SnapshotReused: reused, Version: version}

@@ -77,15 +77,54 @@ func (ar *AcceptedRun) ExtendTuple(st *relation.State, t relation.Tuple) (relati
 	return out, determined
 }
 
-// Consulted returns the schemes whose instances ExtendTuple may read: the
-// tags of every row of every available attribute's minimal calculation.
-// Valuations anchor on the inserted tuple itself, so R_l is consulted only
-// if one of its own tableaux references it. The result is sorted and
-// duplicate-free; a scatter-gather evaluator uses it to fetch exactly the
-// relations a remote window evaluation needs.
-func (ar *AcceptedRun) Consulted() []int {
+// Scratch is ExtendFor's reusable working memory; Ext[A] holds the ī[A]
+// it computed, indexed by universe column.
+type Scratch struct {
+	Ext []relation.Value
+	b   tableau.Binding
+}
+
+// ExtendFor is ExtendTuple restricted to want: it computes ī[A] into
+// sc.Ext for R_l and for A in want \ R_l, stopping at the first A no
+// valuation determines, and reports whether all of want is determined.
+// Reusing sc makes it allocation-free.
+func (ar *AcceptedRun) ExtendFor(st *relation.State, t relation.Tuple, want attrset.Set, sc *Scratch) bool {
+	n := ar.s.U.Size()
+	if len(sc.Ext) < n {
+		sc.Ext = make([]relation.Value, n)
+	}
+	sc.b.Reset(n)
+	rl := ar.s.Attrs(ar.l)
+	for a, j := 0, 0; j < len(t); a++ {
+		if rl.Has(a) {
+			sc.Ext[a] = t[j]
+			sc.b.Bind(a, t[j])
+			j++
+		}
+	}
+	for a := 0; a < n; a++ {
+		if !want.Has(a) || rl.Has(a) {
+			continue
+		}
+		if !ar.available.Has(a) || !sc.b.Find(ar.tAttr[a], st) || !sc.b.Bound.Has(a) {
+			return false
+		}
+		sc.Ext[a] = sc.b.Val[a]
+		sc.b.Bound = rl // back to the anchor; its values are untouched
+	}
+	return true
+}
+
+// Consulted returns the schemes ExtendFor(want) may read: the row tags of
+// the minimal calculations of want \ R_l, so R_l itself only if one of
+// those tableaux references it. The result is sorted and duplicate-free; a
+// scatter-gather evaluator fetches exactly these relations.
+func (ar *AcceptedRun) Consulted(want attrset.Set) []int {
 	var seen attrset.Set
-	for _, t := range ar.tAttr {
+	for a, t := range ar.tAttr {
+		if !want.Has(a) || ar.s.Attrs(ar.l).Has(a) {
+			continue
+		}
 		for _, row := range t {
 			seen.Add(row.Tag)
 		}

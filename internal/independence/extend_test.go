@@ -4,11 +4,13 @@ import (
 	"math/rand"
 	"testing"
 
+	"indep/internal/attrset"
 	"indep/internal/chase"
 	"indep/internal/fd"
 	"indep/internal/infer"
 	"indep/internal/relation"
 	"indep/internal/schema"
+	"indep/internal/workload"
 )
 
 func exampleTwo(t *testing.T) (*schema.Schema, fd.List, infer.AssignedList) {
@@ -158,5 +160,76 @@ func TestCompleteYieldsSatisfyingState(t *testing.T) {
 	// The completed CS tuple now has join partners everywhere.
 	if out.Insts[s.IndexOf("CHR")].Len() != 1 {
 		t.Fatalf("CHR must have gained the extension row:\n%s", out)
+	}
+}
+
+// TestExtendForMatchesExtendTuple differentially checks ExtendFor against
+// ExtendTuple over random states of independent schemas and random want
+// sets, reusing one Scratch throughout: ExtendFor succeeds exactly when
+// ExtendTuple determines all of want, with the same values. It also checks
+// Consulted(want): emptying every relation outside it changes nothing.
+func TestExtendForMatchesExtendTuple(t *testing.T) {
+	r := rand.New(rand.NewSource(27))
+	var sc Scratch
+	for _, mk := range []func() (*schema.Schema, fd.List){workload.Example2, workload.University} {
+		s, fds := mk()
+		cover, ok, _ := infer.ExtractCover(s, fds)
+		if !ok {
+			t.Fatalf("%s embeds its cover", s)
+		}
+		for round := 0; round < 6; round++ {
+			st := workload.LocalState(r, s, fds, 5, 3, 200)
+			if st == nil {
+				continue
+			}
+			for l := range s.Rels {
+				ar, rej := PrepareExtension(s, cover, l)
+				if rej != nil {
+					t.Fatal(rej)
+				}
+				for k := 0; k < 4; k++ {
+					var want attrset.Set
+					for a := 0; a < s.U.Size(); a++ {
+						if r.Intn(3) == 0 {
+							want.Add(a)
+						}
+					}
+					narrow := st.Clone()
+					keep := attrset.Of(ar.Consulted(want)...)
+					for i := range s.Rels {
+						if !keep.Has(i) {
+							narrow.Insts[i] = relation.NewInstance(s.Attrs(i))
+						}
+					}
+					for _, tu := range st.Insts[l].Rows() {
+						ext, det := ar.ExtendTuple(st, tu)
+						got := ar.ExtendFor(st, tu, want, &sc)
+						if got != want.SubsetOf(det) {
+							t.Fatalf("%s/%s want %s: ExtendFor %v, ExtendTuple determined %s",
+								s, s.Name(l), s.U.Format(want, " "), got, s.U.Format(det, " "))
+						}
+						if !got {
+							continue
+						}
+						for _, a := range want.Union(s.Attrs(l)).Attrs() {
+							if sc.Ext[a] != ext[a] {
+								t.Fatalf("%s/%s: %s = %d, ExtendTuple %d",
+									s, s.Name(l), s.U.Name(a), sc.Ext[a], ext[a])
+							}
+						}
+						if !ar.ExtendFor(narrow, tu, want, &sc) {
+							t.Fatalf("%s/%s want %s: Consulted %v misses a relation ExtendFor reads",
+								s, s.Name(l), s.U.Format(want, " "), ar.Consulted(want))
+						}
+						for _, a := range want.Attrs() {
+							if sc.Ext[a] != ext[a] {
+								t.Fatalf("%s/%s: %s over the consulted relations = %d, want %d",
+									s, s.Name(l), s.U.Name(a), sc.Ext[a], ext[a])
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -28,6 +28,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -123,20 +124,15 @@ type Plan struct {
 	// consults the whole state.
 	Schemes []int
 
-	// runs[i] is the extension data for Schemes[i]; local[i] reports that
-	// X ⊆ R_l, so the contribution is the plain projection π_X(r_l) and no
-	// valuations are needed.
-	runs  []*independence.AcceptedRun
-	local []bool
+	// runs[i] is the extension data for Schemes[i].
+	runs []*independence.AcceptedRun
 }
 
 // Consults returns every scheme an evaluation of the plan may read: the
-// contributing schemes plus, for each non-local contributor, the schemes its
-// extension tableaux take valuations against (ExtendTuple reads them for all
-// available attributes, not just X). Chase plans return nil — the chase
-// always consults the whole state. The result is sorted and duplicate-free;
-// it is the gather set a cluster router must fetch before evaluating the
-// window away from the data.
+// contributors plus those the tableaux of each X \ R_l take valuations
+// against. Chase plans return nil — the chase always consults the whole
+// state. The result is sorted and duplicate-free; it is the gather set a
+// cluster router must fetch before evaluating the window away from the data.
 func (p *Plan) Consults() []int {
 	if !p.Fast {
 		return nil
@@ -144,10 +140,8 @@ func (p *Plan) Consults() []int {
 	var seen attrset.Set
 	for i, l := range p.Schemes {
 		seen.Add(l)
-		if !p.local[i] {
-			for _, c := range p.runs[i].Consulted() {
-				seen.Add(c)
-			}
+		for _, c := range p.runs[i].Consulted(p.X) {
+			seen.Add(c)
 		}
 	}
 	return seen.Attrs()
@@ -206,7 +200,6 @@ func (ev *Evaluator) Plan(x attrset.Set) (*Plan, bool, error) {
 			}
 			p.Schemes = append(p.Schemes, l)
 			p.runs = append(p.runs, run)
-			p.local = append(p.local, x.SubsetOf(ev.s.Attrs(l)))
 		}
 	}
 	ev.mu.Lock()
@@ -232,31 +225,89 @@ type Result struct {
 	PlanCached bool
 	// Plan is the compiled plan the evaluation executed, for EXPLAIN.
 	Plan *Plan
+	// Scanned[i] counts the rows of Plan.Schemes[i] the fast path visited.
+	Scanned []int
 }
 
-// Window computes the window [x] over the state. The state must be
-// immutable for the duration of the call (engine snapshots are); it is
-// never mutated. For a non-independent schema the fallback chase can
-// exhaust its budget (chase.ErrBudget) or, if the state does not satisfy
-// the dependencies, report the contradiction — maintained states never do.
+// Cond is one equality condition of a window selection: Attr = Val.
+type Cond struct {
+	Attr int
+	Val  relation.Value
+}
+
+// Unseen is what Resolve gives a name the dictionary lacks; no tuple has it.
+const Unseen relation.Value = -1
+
+// Resolve turns attribute → value-name conditions into a selection ordered
+// by attribute, looking the names up without interning them.
+func Resolve(d *relation.Dict, where map[int]string) []Cond {
+	var sel []Cond
+	for a, name := range where {
+		v, ok := d.Lookup(name)
+		if !ok {
+			v = Unseen
+		}
+		sel = append(sel, Cond{Attr: a, Val: v})
+	}
+	slices.SortFunc(sel, func(a, b Cond) int { return a.Attr - b.Attr })
+	return sel
+}
+
+// Window computes the window [x] over the state: Query with no selection.
 func (ev *Evaluator) Window(st *relation.State, x attrset.Set) (*Result, error) {
+	return ev.Query(st, x, nil)
+}
+
+// Query computes the rows of the window [x] satisfying every condition of
+// sel over an immutable state. The fallback chase can exhaust its budget
+// (chase.ErrBudget) or report a state's violation of the dependencies.
+func (ev *Evaluator) Query(st *relation.State, x attrset.Set, sel []Cond) (*Result, error) {
 	ev.queries.Add(1)
 	plan, cached, err := ev.Plan(x)
 	if err != nil {
 		return nil, err
 	}
-	var rows *relation.Instance
-	if plan.Fast {
-		ev.fastEvals.Add(1)
-		rows = evalFast(plan, st)
-	} else {
-		ev.chaseEvals.Add(1)
-		rows, err = ev.evalChase(st, x)
-		if err != nil {
-			return nil, err
+	for _, c := range sel {
+		if !x.Has(c.Attr) {
+			return nil, fmt.Errorf("query: selection attribute %d outside the window", c.Attr)
 		}
 	}
-	return &Result{X: x, Rows: rows, Fast: plan.Fast, PlanCached: cached, Plan: plan}, nil
+	res := &Result{X: x, Fast: plan.Fast, PlanCached: cached, Plan: plan}
+	if plan.Fast {
+		ev.fastEvals.Add(1)
+		res.Rows, res.Scanned = evalFast(plan, st, sel)
+		return res, nil
+	}
+	ev.chaseEvals.Add(1)
+	if res.Rows, err = ev.evalChase(st, x); err != nil {
+		return nil, err
+	}
+	if len(sel) > 0 {
+		slots, _ := probe(res.Rows, sel)
+		kept := relation.NewInstance(x)
+		for _, s := range slots {
+			kept.Add(res.Rows.AppendRow(nil, s))
+		}
+		res.Rows = kept
+	}
+	return res, nil
+}
+
+// probe returns the live slots of inst matching sel on inst's attributes,
+// and sel's attributes outside them.
+func probe(inst *relation.Instance, sel []Cond) ([]int32, attrset.Set) {
+	var colBuf [8]int // probe keys stay on the stack
+	var valBuf [8]relation.Value
+	cols, vals := colBuf[:0], valBuf[:0]
+	var outer attrset.Set
+	for _, c := range sel {
+		if !inst.Attrs.Has(c.Attr) {
+			outer.Add(c.Attr)
+			continue
+		}
+		cols, vals = append(cols, inst.Attrs.Rank(c.Attr)), append(vals, c.Val)
+	}
+	return inst.MatchingRows(cols, vals), outer
 }
 
 // RelScan is one relation an executed plan consulted, with the number of
@@ -286,9 +337,9 @@ func (ev *Evaluator) Explain(res *Result, st *relation.State) *Explain {
 	if res.Fast {
 		ex.Mode = "fast"
 		member := make([]bool, ev.s.Size())
-		for _, l := range res.Plan.Schemes {
+		for i, l := range res.Plan.Schemes {
 			member[l] = true
-			ex.Relations = append(ex.Relations, RelScan{Relation: ev.s.Name(l), Rows: st.Insts[l].Len()})
+			ex.Relations = append(ex.Relations, RelScan{Relation: ev.s.Name(l), Rows: res.Scanned[i]})
 		}
 		for l := 0; l < ev.s.Size(); l++ {
 			if !member[l] {
@@ -304,57 +355,51 @@ func (ev *Evaluator) Explain(res *Result, st *relation.State) *Explain {
 	return ex
 }
 
-// evalFast is the independent-schema window: the union over relevant
-// relations of the X-total extensions of their tuples (Theorem 5). When X
-// is embedded in the scheme the extension's X-projection is the tuple
-// itself, so the contribution collapses to a projection — computed directly
-// into the output, with one reused scratch tuple probing for duplicates
-// before anything is cloned.
-func evalFast(p *Plan, st *relation.State) *relation.Instance {
+// evalFast is the independent-schema window: the union over contributors
+// of the X-total extensions of their probed rows (Theorem 5) satisfying
+// sel. A row extends to sel's attributes outside its scheme first, rejected
+// at the first mismatch, then to the rest of X.
+func evalFast(p *Plan, st *relation.State, sel []Cond) (*relation.Instance, []int) {
 	out := relation.NewInstance(p.X)
+	scanned := make([]int, len(p.Schemes))
 	cols := p.X.Attrs()
 	proj := make(relation.Tuple, len(cols))
-	var src [][]relation.Value
-	var scratch relation.Tuple
+	var row relation.Tuple
+	var sc independence.Scratch
 	for i, l := range p.Schemes {
-		if p.local[i] {
-			// Stream the projected columns contiguously: one arena slice per
-			// output column, walked in slot order with no per-row object.
-			inst := st.Insts[l]
+		inst := st.Insts[l]
+		slots, outer := probe(inst, sel)
+		scanned[i] = len(slots)
+		if p.X.SubsetOf(inst.Attrs) { // the row is its own extension
 			colPos := relation.ProjectionCols(inst.Attrs, p.X)
-			src = src[:0]
-			for _, c := range colPos {
-				src = append(src, inst.Col(c))
-			}
-			for s, alive := range inst.LiveMask() {
-				if !alive {
-					continue
-				}
-				for j := range src {
-					proj[j] = src[j][s]
+			for _, s := range slots {
+				for j, c := range colPos {
+					proj[j] = inst.At(s, c)
 				}
 				out.Add(proj)
 			}
 			continue
 		}
 		run := p.runs[i]
-		inst := st.Insts[l]
-		for s, alive := range inst.LiveMask() {
-			if !alive {
-				continue
+	rows:
+		for _, s := range slots {
+			row = inst.AppendRow(row[:0], s)
+			for _, c := range sel {
+				if outer.Has(c.Attr) &&
+					(!run.ExtendFor(st, row, attrset.Of(c.Attr), &sc) || sc.Ext[c.Attr] != c.Val) {
+					continue rows
+				}
 			}
-			scratch = inst.AppendRow(scratch[:0], int32(s))
-			ext, determined := run.ExtendTuple(st, scratch)
-			if !p.X.SubsetOf(determined) {
+			if !run.ExtendFor(st, row, p.X.Diff(outer), &sc) {
 				continue
 			}
 			for j, a := range cols {
-				proj[j] = ext[a]
+				proj[j] = sc.Ext[a]
 			}
 			out.Add(proj)
 		}
 	}
-	return out
+	return out, scanned
 }
 
 // evalChase is the general window: chase the padded state to the

@@ -107,20 +107,96 @@ func TestWindowIndependentFastPath(t *testing.T) {
 	}
 }
 
-// TestWindowMatchesOracleRandom cross-checks the fast path against the
-// chase oracle over random satisfying states of independent schemas and
-// random window attribute sets.
+// design is a schema with its dependencies.
+type design struct {
+	s   *schema.Schema
+	fds fd.List
+}
+
+// randomIndependent draws random schemas with embedded FDs and keeps the
+// independent ones.
+func randomIndependent(t *testing.T, r *rand.Rand, n int) []design {
+	t.Helper()
+	var out []design
+	for len(out) < n {
+		s, fds := workload.Schema(r, workload.Config{
+			Attrs: 6, Schemes: 3, SchemeMax: 3, FDs: 3, LHSMax: 2, Embedded: true,
+			Shape: workload.Shape(r.Intn(3)),
+		})
+		res, err := independence.Decide(s, fds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Independent {
+			out = append(out, design{s, fds})
+		}
+	}
+	return out
+}
+
+// extendWindow is the window by ExtendTuple: every row of every
+// contributor of the plan extended over all available attributes, kept
+// when X-total — the evaluator before selections entered the plan.
+func extendWindow(p *Plan, st *relation.State) *relation.Instance {
+	out := relation.NewInstance(p.X)
+	for i, l := range p.Schemes {
+		for _, tu := range st.Insts[l].Rows() {
+			ext, det := p.runs[i].ExtendTuple(st, tu)
+			if !p.X.SubsetOf(det) {
+				continue
+			}
+			var proj relation.Tuple
+			for _, a := range p.X.Attrs() {
+				proj = append(proj, ext[a])
+			}
+			out.Add(proj)
+		}
+	}
+	return out
+}
+
+// filterWindow keeps the rows of a window satisfying every condition.
+func filterWindow(in *relation.Instance, sel []Cond) *relation.Instance {
+	out := relation.NewInstance(in.Attrs)
+	cols := in.Attrs.Attrs()
+	for _, tu := range in.Rows() {
+		ok := true
+		for _, c := range sel {
+			for j, a := range cols {
+				if a == c.Attr && tu[j] != c.Val {
+					ok = false
+				}
+			}
+		}
+		if ok {
+			out.Add(tu)
+		}
+	}
+	return out
+}
+
+// TestWindowMatchesOracleRandom cross-checks three evaluations of random
+// selected windows over random satisfying states of independent schemas:
+// Query with the selection pushed into the plan, the full ExtendTuple
+// window filtered afterwards, and the filtered chase oracle. Conditions
+// name seen values, values no tuple carries, and Unseen, on attributes
+// inside and outside each contributor's scheme.
 func TestWindowMatchesOracleRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
-	schemas := []func() (*schema.Schema, fd.List){workload.Example2, workload.University}
-	for _, mk := range schemas {
+	var cases []design
+	for _, mk := range []func() (*schema.Schema, fd.List){workload.Example2, workload.University} {
 		s, fds := mk()
+		cases = append(cases, design{s, fds})
+	}
+	cases = append(cases, randomIndependent(t, r, 8)...)
+	for _, c := range cases {
+		s, fds := c.s, c.fds
 		ev := newEvaluator(t, s, fds)
 		if !ev.Fast() {
 			t.Fatalf("%s: expected independent schema", s)
 		}
 		for round := 0; round < 10; round++ {
-			st := workload.LocalState(r, s, fds, 4, 3, 200)
+			st := workload.LocalState(r, s, fds, 5, 3, 200)
 			if st == nil {
 				continue // no locally satisfying state found this round
 			}
@@ -134,16 +210,70 @@ func TestWindowMatchesOracleRandom(t *testing.T) {
 						}
 					}
 				}
-				res, err := ev.Window(st, x)
+				var sel []Cond
+				for _, a := range x.Attrs() {
+					if r.Intn(3) == 0 {
+						v := relation.Value(r.Intn(4)) // 3 is in no tuple
+						if r.Intn(8) == 0 {
+							v = Unseen
+						}
+						sel = append(sel, Cond{Attr: a, Val: v})
+					}
+				}
+				res, err := ev.Query(st, x, sel)
 				if err != nil {
 					t.Fatalf("window: %v", err)
 				}
-				oracle := oracleWindow(t, s, fds, st, x)
-				if !sameInstance(res.Rows, oracle) {
-					t.Fatalf("%s: window [%s] over\n%s\nfast %v != oracle %v",
-						s, s.U.Format(x, " "), st, res.Rows.Rows(), oracle.Rows())
+				ext := filterWindow(extendWindow(res.Plan, st), sel)
+				oracle := filterWindow(oracleWindow(t, s, fds, st, x), sel)
+				if !sameInstance(res.Rows, ext) || !sameInstance(res.Rows, oracle) {
+					t.Fatalf("%s: window [%s] where %v over\n%s\nquery %v\nextend %v\noracle %v",
+						s, s.U.Format(x, " "), sel, st, res.Rows.Rows(), ext.Rows(), oracle.Rows())
+				}
+				for i, l := range res.Plan.Schemes {
+					if n := st.Insts[l].Len(); res.Scanned[i] > n || sel == nil && res.Scanned[i] != n {
+						t.Fatalf("%s: scanned %d of %d rows of %s", s, res.Scanned[i], n, s.Name(l))
+					}
 				}
 			}
+		}
+	}
+}
+
+// TestQuerySelectionErrors: a condition outside the window is an error.
+func TestQuerySelectionErrors(t *testing.T) {
+	s, fds := workload.Example2()
+	ev := newEvaluator(t, s, fds)
+	st := example2State(s)
+	sel := []Cond{{Attr: s.U.MustIndex("S"), Val: 0}}
+	if _, err := ev.Query(st, s.U.Set("C", "T"), sel); err == nil {
+		t.Fatal("selection outside the window must be rejected")
+	}
+}
+
+// TestPlanConsultsOnlyWindowTableaux: on a star schema a dimension window
+// consults the fact relation and that dimension only — the tableaux of
+// the other dimensions' attributes are never valuated.
+func TestPlanConsultsOnlyWindowTableaux(t *testing.T) {
+	s := schema.MustParse("FACT(A,B,C); DIM1(A,E,F); DIM2(B,G); DIM3(C,H)")
+	fds := fd.MustParse(s.U, "A -> E F; B -> G; C -> H")
+	ev := newEvaluator(t, s, fds)
+	for _, c := range []struct{ attrs, want string }{
+		{"A E F", "FACT DIM1"},
+		{"A B C G", "FACT DIM2"},
+		{"A B C", "FACT"},
+		{"E G", "FACT DIM1 DIM2"},
+	} {
+		p, _, err := ev.Plan(s.U.Set(strings.Fields(c.attrs)...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, l := range p.Consults() {
+			got = append(got, s.Name(l))
+		}
+		if strings.Join(got, " ") != c.want {
+			t.Fatalf("[%s] consults %v, want %s", c.attrs, got, c.want)
 		}
 	}
 }

@@ -129,57 +129,98 @@ type Valuation map[int]relation.Value
 // a choice of values for the dvs, extending anchor, such that every row
 // (i, S) matches some tuple of the state's i-th relation on the columns
 // S ∩ R_i. Nondistinguished variables are unconstrained and need no
-// assignment. The search backtracks over rows (tableaux here are tiny);
-// each row's candidates come from a hash probe on its already-bound dv
-// columns (relation.Instance.MatchingRows), so on an immutable state —
-// e.g. the engine snapshots the window-query evaluator reads — a probe is
-// O(1) instead of a scan of the relation, and candidate rows are read in
-// place from the column arenas without materializing tuples.
+// assignment. It is Binding.Find on a fresh binding; hot paths reuse one
+// Binding instead.
 func FindValuation(t T, st *relation.State, anchor Valuation) (Valuation, bool) {
-	assign := make(Valuation, len(anchor))
-	for k, v := range anchor {
-		assign[k] = v
+	var b Binding
+	b.Reset(st.Schema.U.Size())
+	for a, v := range anchor {
+		b.Bind(a, v)
 	}
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(t) {
+	if !b.Find(t, st) {
+		return nil, false
+	}
+	out := make(Valuation, b.Bound.Len())
+	for _, a := range b.Bound.Attrs() {
+		out[a] = b.Val[a]
+	}
+	return out, true
+}
+
+// Binding is a valuation held densely: Val[a] is column a's value iff
+// Bound.Has(a). A caller that reuses one Binding across searches runs
+// them without allocating.
+type Binding struct {
+	Val   []relation.Value
+	Bound attrset.Set
+
+	// Working memory: the current row's probe key, and the (column
+	// position, attribute) pairs each row of the search binds, stacked.
+	probeCols []int
+	probeVals []relation.Value
+	frees     []int
+}
+
+// Reset clears every binding and sizes Val for a universe of n attributes.
+func (b *Binding) Reset(n int) {
+	if len(b.Val) < n {
+		b.Val = make([]relation.Value, n)
+	}
+	b.Bound = attrset.Set{}
+}
+
+// Bind assigns v to column a.
+func (b *Binding) Bind(a int, v relation.Value) {
+	b.Val[a] = v
+	b.Bound.Add(a)
+}
+
+// Find extends b to a valuation from t to the state. The search
+// backtracks over rows (tableaux here are tiny); each row's candidates
+// come from a hash probe on its already-bound dv columns
+// (relation.Instance.MatchingRows), so on an immutable state — e.g. the
+// engine snapshots the window-query evaluator reads — a probe is O(1)
+// instead of a scan of the relation, and candidate rows are read in place
+// from the column arenas. On success the new bindings stay in b; on
+// failure b is left as it was.
+func (b *Binding) Find(t T, st *relation.State) bool {
+	if len(t) == 0 {
+		return true
+	}
+	row := t[0]
+	inst := st.Insts[row.Tag]
+	rel := st.Schema.Attrs(row.Tag)
+	// Split the row's dv columns into bound ones (they form the probe key)
+	// and free ones (bound by the candidate tuple).
+	b.probeCols, b.probeVals = b.probeCols[:0], b.probeVals[:0]
+	base := len(b.frees)
+	for a, j := 0, 0; j < inst.Width(); a++ {
+		if !rel.Has(a) {
+			continue
+		}
+		if row.DVs.Has(a) {
+			if b.Bound.Has(a) {
+				b.probeCols = append(b.probeCols, j)
+				b.probeVals = append(b.probeVals, b.Val[a])
+			} else {
+				b.frees = append(b.frees, j, a)
+			}
+		}
+		j++
+	}
+	top := len(b.frees)
+	for _, s := range inst.MatchingRows(b.probeCols, b.probeVals) {
+		for k := base; k < top; k += 2 {
+			b.Bind(b.frees[k+1], inst.At(s, b.frees[k]))
+		}
+		if b.Find(t[1:], st) {
+			b.frees = b.frees[:base]
 			return true
 		}
-		row := t[i]
-		inst := st.Insts[row.Tag]
-		cols := st.Schema.Attrs(row.Tag).Attrs()
-		// Split the row's dv columns into bound ones (they form the probe
-		// key) and free ones (bound by the candidate tuple).
-		var probeCols []int
-		var probeVals []relation.Value
-		type free struct{ j, a int }
-		var frees []free
-		for j, a := range cols {
-			if !row.DVs.Has(a) {
-				continue
-			}
-			if v, bound := assign[a]; bound {
-				probeCols = append(probeCols, j)
-				probeVals = append(probeVals, v)
-			} else {
-				frees = append(frees, free{j: j, a: a})
-			}
+		for k := base; k < top; k += 2 {
+			b.Bound.Remove(b.frees[k+1])
 		}
-		for _, s := range inst.MatchingRows(probeCols, probeVals) {
-			for _, f := range frees {
-				assign[f.a] = inst.At(s, f.j)
-			}
-			if rec(i + 1) {
-				return true
-			}
-			for _, f := range frees {
-				delete(assign, f.a)
-			}
-		}
-		return false
 	}
-	if rec(0) {
-		return assign, true
-	}
-	return nil, false
+	b.frees = b.frees[:base]
+	return false
 }

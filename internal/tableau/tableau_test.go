@@ -114,3 +114,37 @@ func TestFindValuationEmptyTableau(t *testing.T) {
 		t.Fatal("empty tableau always has a valuation")
 	}
 }
+
+// TestBindingBacktracksAcrossRows: a dead end two rows deep must unbind
+// what it bound before the search retries an earlier row, and a failed
+// search leaves a reused binding exactly as it found it.
+func TestBindingBacktracksAcrossRows(t *testing.T) {
+	s := schema.MustParse("AB(A,B); BC(B,C); CD(C,D)")
+	st := relation.NewState(s)
+	st.Add("AB", relation.Tuple{1, 10})
+	st.Add("AB", relation.Tuple{1, 11})
+	st.Add("BC", relation.Tuple{10, 100}) // reaches C=100, which has no D=7
+	st.Add("BC", relation.Tuple{11, 101})
+	st.Add("CD", relation.Tuple{101, 7})
+	tb := T{
+		{Tag: 0, DVs: s.U.Set("A", "B")},
+		{Tag: 1, DVs: s.U.Set("B", "C")},
+		{Tag: 2, DVs: s.U.Set("C", "D")},
+	}
+	a, c, d := s.U.MustIndex("A"), s.U.MustIndex("C"), s.U.MustIndex("D")
+	var b Binding
+	b.Reset(s.U.Size())
+	b.Bind(a, 1)
+	b.Bind(d, 8) // no CD row carries D=8
+	before := b.Bound
+	if b.Find(tb, st) {
+		t.Fatal("no valuation reaches D=8")
+	}
+	if b.Bound != before {
+		t.Fatalf("failed search left bindings %s", s.U.Format(b.Bound, " "))
+	}
+	b.Bind(d, 7)
+	if !b.Find(tb, st) || b.Val[c] != 101 {
+		t.Fatalf("backtracking across rows failed: C=%d", b.Val[c])
+	}
+}

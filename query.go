@@ -3,6 +3,7 @@ package indep
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -46,7 +47,7 @@ type WindowQuery struct {
 }
 
 // RelationScan is one relation a window evaluation consulted, with the
-// number of live tuples it scanned.
+// number of its rows visited: the live rows, or those a Where probe kept.
 type RelationScan struct {
 	Relation string `json:"relation"`
 	Rows     int    `json:"rows"`
@@ -131,11 +132,11 @@ func (cs *ConcurrentStore) Query(q WindowQuery) (*WindowResult, error) {
 func (cs *ConcurrentStore) QueryCtx(ctx context.Context, q WindowQuery) (*WindowResult, error) {
 	ctx, sp := obs.StartSpan(ctx, "store.query")
 	defer sp.End()
-	x, err := cs.schema.attrSet(q.Attrs)
+	x, where, err := cs.schema.windowArgs(q)
 	if err != nil {
 		return nil, err
 	}
-	res, st, meta, err := cs.eng.WindowMetaCtx(ctx, x, q.Explain)
+	res, st, meta, err := cs.eng.WindowMetaCtx(ctx, x, where, q.Explain)
 	if err != nil {
 		return nil, err
 	}
@@ -186,7 +187,7 @@ func (db *Database) Window(attrs ...string) (*WindowResult, error) {
 // store's evaluator (shared plan cache, queries counted in the store's
 // QueryStats); other databases share one evaluator per Schema.
 func (db *Database) Query(q WindowQuery) (*WindowResult, error) {
-	x, err := db.schema.attrSet(q.Attrs)
+	x, where, err := db.schema.windowArgs(q)
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +197,7 @@ func (db *Database) Query(q WindowQuery) (*WindowResult, error) {
 			return nil, err
 		}
 	}
-	res, err := ev.Window(db.st, x)
+	res, err := ev.Query(db.st, x, query.Resolve(db.st.Dict, where))
 	if err != nil {
 		return nil, err
 	}
@@ -227,10 +228,11 @@ func (s *Schema) windowEvaluator() (*query.Evaluator, error) {
 
 // WindowConsults reports which relations an evaluation of the window [attrs]
 // may read. On the independent fast path that is the contributing relations
-// plus every relation their extension tableaux take valuations against — the
-// exact set a cluster router must gather from shards before it can evaluate
-// the window away from the data, because Theorem 5's extensions consult
-// those relations and no others. For a non-independent schema it returns
+// plus every relation the extension tableaux of the window's attributes take
+// valuations against — the exact set a cluster router must gather from
+// shards before it can evaluate the window away from the data, because
+// Theorem 5's extensions consult those relations and no others. For a
+// non-independent schema it returns
 // (nil, false, nil): the fallback chase consults the whole state, so a
 // router can only proxy the query to a node holding everything.
 func (s *Schema) WindowConsults(attrs ...string) (rels []string, fast bool, err error) {
@@ -255,66 +257,33 @@ func (s *Schema) WindowConsults(attrs ...string) (rels []string, fast bool, err 
 	return rels, true, nil
 }
 
-// finishWindow applies selection, projection, limit, and name rendering to
-// a raw window instance, using the dictionary of the state the window was
-// evaluated against.
+// windowArgs resolves a query's window attributes and keys its Where by
+// attribute; the values stay names until a state's dictionary resolves them.
+func (s *Schema) windowArgs(q WindowQuery) (attrSetT, map[int]string, error) {
+	x, err := s.attrSet(q.Attrs)
+	if err != nil {
+		return x, nil, err
+	}
+	where := make(map[int]string, len(q.Where))
+	for name, val := range q.Where {
+		i, ok := s.s.U.Index(name)
+		if !ok {
+			return x, nil, fmt.Errorf("indep: unknown attribute %q in Where", name)
+		}
+		if !x.Has(i) {
+			return x, nil, fmt.Errorf("indep: Where attribute %s is not in the window %s",
+				name, strings.Join(s.s.U.Names(x), " "))
+		}
+		where[i] = val
+	}
+	return x, where, nil
+}
+
+// finishWindow applies projection, limit, and name rendering to an
+// evaluated (already selected) window, using the dictionary of the state
+// the window was evaluated against.
 func finishWindow(s *Schema, st *relation.State, res *query.Result, q WindowQuery) (*WindowResult, error) {
 	rows := res.Rows
-
-	// Selection: translate names through the dictionary without interning;
-	// an unseen value cannot appear in any tuple, so it matches nothing.
-	if len(q.Where) > 0 {
-		cols := rows.Attrs.Attrs()
-		colAt := make(map[int]int, len(cols))
-		for i, a := range cols {
-			colAt[a] = i
-		}
-		type cond struct {
-			col int
-			v   relation.Value
-		}
-		conds := make([]cond, 0, len(q.Where))
-		// Validate every condition before acting on any: an unseen value
-		// means an empty result, but must not short-circuit validation of
-		// the remaining conditions (map order would make errors flaky).
-		empty := false
-		for name, val := range q.Where {
-			i, ok := s.s.U.Index(name)
-			if !ok {
-				return nil, fmt.Errorf("indep: unknown attribute %q in Where", name)
-			}
-			if !res.X.Has(i) {
-				return nil, fmt.Errorf("indep: Where attribute %s is not in the window %s",
-					name, strings.Join(s.s.U.Names(res.X), " "))
-			}
-			v, ok := st.Dict.Lookup(val)
-			if !ok {
-				empty = true
-				continue
-			}
-			conds = append(conds, cond{col: colAt[i], v: v})
-		}
-		filtered := relation.NewInstance(rows.Attrs)
-		if !empty {
-			var scratch relation.Tuple
-			for _, slot := range rows.LiveRows() {
-				ok := true
-				for _, c := range conds {
-					if rows.At(slot, c.col) != c.v {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					scratch = rows.AppendRow(scratch[:0], slot)
-					filtered.Add(scratch)
-				}
-			}
-		}
-		rows = filtered
-	}
-
-	// Projection: collapse onto a subset of the window attributes.
 	outAttrs := res.X
 	if len(q.Project) > 0 {
 		y, err := s.attrSet(q.Project)
@@ -329,9 +298,9 @@ func finishWindow(s *Schema, st *relation.State, res *query.Result, q WindowQuer
 		outAttrs = y
 	}
 
-	// Sort by rendered value key for determinism, then render only the
-	// rows the limit keeps — a limit-5 query over a million-row window
-	// should not allocate a million maps.
+	// Order rows by rendered value for determinism and keep the first
+	// Limit with a bounded top-k: a limit-5 query over a million-row window
+	// neither sorts nor renders a million rows.
 	names := s.s.U.Names(outAttrs)
 	out := &WindowResult{
 		Attrs:      names,
@@ -339,32 +308,16 @@ func finishWindow(s *Schema, st *relation.State, res *query.Result, q WindowQuer
 		FastPath:   res.Fast,
 		PlanCached: res.PlanCached,
 	}
-	slots := rows.LiveRows()
-	keys := make([]string, len(slots))
-	order := make([]int, len(slots))
-	for i, slot := range slots {
-		var k strings.Builder
-		for j := range names {
-			k.WriteString(st.Dict.Name(rows.At(slot, j)))
-			k.WriteByte(0)
-		}
-		keys[i] = k.String()
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
+	order := firstRows(rows.LiveRows(), q.Limit, rowLess(st.Dict, rows, len(names)))
 	n := len(order)
-	if q.Limit > 0 && n > q.Limit {
-		n = q.Limit
-	}
 	if q.BinaryResult {
 		out.Bin = encodeWindowBinary(st.Dict, names, n, func(i, j int) relation.Value {
-			return rows.At(slots[order[i]], j)
+			return rows.At(order[i], j)
 		}, out.Total, out.FastPath, out.PlanCached)
 		return out, nil
 	}
 	rendered := make([]map[string]string, n)
-	for i := 0; i < n; i++ {
-		slot := slots[order[i]]
+	for i, slot := range order {
 		row := make(map[string]string, len(names))
 		for j, name := range names {
 			row[name] = st.Dict.Name(rows.At(slot, j))
@@ -373,4 +326,66 @@ func finishWindow(s *Schema, st *relation.State, res *query.Result, q WindowQuer
 	}
 	out.Rows = rendered
 	return out, nil
+}
+
+// rowLess orders rows by their rendered key — each column's name then a NUL
+// byte, compared bytewise — and equal keys by name. It builds keys only
+// when a NUL in a name could shift the columns against each other.
+func rowLess(d *relation.Dict, rows *relation.Instance, width int) func(a, b int32) bool {
+	key := func(s int32) string {
+		var k strings.Builder
+		for j := 0; j < width; j++ {
+			k.WriteString(d.Name(rows.At(s, j)))
+			k.WriteByte(0)
+		}
+		return k.String()
+	}
+	return func(a, b int32) bool {
+		for j := 0; j < width; j++ {
+			x, y := d.Name(rows.At(a, j)), d.Name(rows.At(b, j))
+			if x == y {
+				continue
+			}
+			if strings.HasPrefix(y, x) && y[len(x)] == 0 || strings.HasPrefix(x, y) && x[len(y)] == 0 {
+				if ka, kb := key(a), key(b); ka != kb {
+					return ka < kb
+				}
+			}
+			return x < y
+		}
+		return false
+	}
+}
+
+// firstRows returns the first k slots under less, in order — all of them
+// when k is not positive — keeping at most k candidates in a max-heap.
+func firstRows(slots []int32, k int, less func(a, b int32) bool) []int32 {
+	if k <= 0 || k > len(slots) {
+		k = len(slots)
+	}
+	h := slices.Clone(slots[:k])
+	down := func(i int) { // sift h[i] down; the root is the last row kept
+		for c := 2*i + 1; c < k; i, c = c, 2*c+1 {
+			if c+1 < k && less(h[c], h[c+1]) {
+				c++
+			}
+			if !less(h[i], h[c]) {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
+		}
+	}
+	if k < len(slots) {
+		for i := k/2 - 1; i >= 0; i-- {
+			down(i)
+		}
+		for _, s := range slots[k:] {
+			if less(s, h[0]) {
+				h[0] = s
+				down(0)
+			}
+		}
+	}
+	sort.Slice(h, func(i, j int) bool { return less(h[i], h[j]) })
+	return h
 }

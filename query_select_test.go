@@ -1,0 +1,302 @@
+package indep
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"indep/internal/attrset"
+	"indep/internal/chase"
+	"indep/internal/independence"
+	"indep/internal/query"
+	"indep/internal/relation"
+)
+
+// referenceWindow finishes a full, unselected window the way the store did
+// before selection moved into the evaluator: filter by Where, project,
+// sort every row by its NUL-joined rendered key, then cut at Limit.
+func referenceWindow(s *Schema, st *relation.State, rows *relation.Instance, x attrset.Set, q WindowQuery) ([]map[string]string, int) {
+	cols := x.Attrs()
+	kept := relation.NewInstance(x)
+	for _, tu := range rows.Rows() {
+		ok := true
+		for name, val := range q.Where {
+			a := s.s.U.MustIndex(name)
+			for j, c := range cols {
+				if c == a && st.Dict.Name(tu[j]) != val {
+					ok = false
+				}
+			}
+		}
+		if ok {
+			kept.Add(tu)
+		}
+	}
+	out := kept
+	if len(q.Project) > 0 {
+		out = kept.Project(s.s.U.Set(q.Project...))
+	}
+	names := s.s.U.Names(out.Attrs)
+	type keyed struct {
+		key string
+		row map[string]string
+	}
+	var all []keyed
+	for _, tu := range out.Rows() {
+		var k strings.Builder
+		row := make(map[string]string, len(names))
+		for j, name := range names {
+			k.WriteString(st.Dict.Name(tu[j]))
+			k.WriteByte(0)
+			row[name] = st.Dict.Name(tu[j])
+		}
+		all = append(all, keyed{k.String(), row})
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].key < all[j].key })
+	if q.Limit > 0 && len(all) > q.Limit {
+		all = all[:q.Limit]
+	}
+	rendered := make([]map[string]string, len(all))
+	for i, k := range all {
+		rendered[i] = k.row
+	}
+	return rendered, out.Len()
+}
+
+// rowKeys renders each row's NUL-joined key over the named columns: the
+// order the rows must come in. Rows with equal keys may come in either
+// order in the reference, so tests compare keys, not rows.
+func rowKeys(rows []map[string]string, names []string) []string {
+	out := make([]string, len(rows))
+	for i, row := range rows {
+		for _, n := range names {
+			out[i] += row[n] + "\x00"
+		}
+	}
+	return out
+}
+
+// subset draws a random subset of names, each kept with probability 1/k.
+func subset(r *rand.Rand, names []string, k int) []string {
+	var out []string
+	for _, n := range names {
+		if r.Intn(k) == 0 {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// TestQueryMatchesReferenceRandom checks the public query path — Where
+// evaluated inside the plan, Project, the bounded top-k and rendering —
+// against the reference pipeline over two full windows: the fast
+// evaluator's and the chase's. Value names include NUL bytes and prefixes
+// of one another, so the top-k order is pinned byte for byte.
+func TestQueryMatchesReferenceRandom(t *testing.T) {
+	r := rand.New(rand.NewSource(27))
+	vals := []string{"v", "v\x00", "v\x00w", "v\x01", "vw", "w", "", "\x00"}
+	for _, d := range [][2]string{
+		{"CT(C,T); CS(C,S); CHR(C,H,R)", "C -> T; C H -> R"},
+		{"F(A,B,C); D1(A,E,G); D2(B,H)", "A -> E G; B -> H"},
+	} {
+		sch := MustParse(d[0], d[1])
+		cs, err := sch.OpenConcurrentStore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 120; i++ {
+			rel := sch.Relations()[r.Intn(len(sch.Relations()))]
+			row := map[string]string{}
+			for _, a := range sch.s.U.Names(sch.s.Attrs(sch.s.IndexOf(rel))) {
+				row[a] = vals[r.Intn(len(vals))]
+			}
+			if err := cs.Insert(rel, row); err != nil && !Rejected(err) {
+				t.Fatal(err)
+			}
+		}
+		db := cs.Snapshot()
+		chaseEv := query.NewEvaluator(sch.s, sch.fds, &independence.Result{}, chase.DefaultCaps)
+		all := sch.s.U.Names(sch.s.U.All())
+		for k := 0; k < 300; k++ {
+			q := WindowQuery{Attrs: subset(r, all, 3), Limit: r.Intn(6)}
+			if len(q.Attrs) == 0 {
+				continue
+			}
+			for _, a := range subset(r, q.Attrs, 3) {
+				if q.Where == nil {
+					q.Where = map[string]string{}
+				}
+				q.Where[a] = append(vals, "nope")[r.Intn(len(vals)+1)]
+			}
+			q.Project = subset(r, q.Attrs, 2)
+			x := sch.s.U.Set(q.Attrs...)
+			got, err := db.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q.BinaryResult = true
+			bin, err := db.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec, err := DecodeWindowBinary(bin.Bin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ev := range []*query.Evaluator{db.qev, chaseEv} {
+				full, err := ev.Window(db.st, x)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, total := referenceWindow(sch, db.st, full.Rows, x, q)
+				wantKeys := rowKeys(want, got.Attrs)
+				if got.Total != total || !reflect.DeepEqual(rowKeys(got.Rows, got.Attrs), wantKeys) {
+					t.Fatalf("%s: query %+v\ngot  %q (total %d)\nwant %q (total %d, fast %v)",
+						d[0], q, got.Rows, got.Total, want, total, full.Fast)
+				}
+				if dec.Total != total || !reflect.DeepEqual(dec.Rows, got.Rows) {
+					t.Fatalf("%s: binary query %+v\ngot  %q\nwant %q", d[0], q, dec.Rows, got.Rows)
+				}
+			}
+		}
+	}
+}
+
+// TestWindowOrderNULNames pins the row order against the NUL-joined key
+// order for names that embed NUL bytes, at every limit: the bounded top-k
+// compares name by name, and must fall back to the full keys exactly when
+// an embedded NUL shifts one row's columns against another's.
+func TestWindowOrderNULNames(t *testing.T) {
+	sch := MustParse("R(P,Q)", "")
+	db := sch.NewDatabase()
+	names := []string{"", "a", "a\x00", "a\x00b", "a\x00\x00", "a\x01", "ab", "\x00"}
+	for _, p := range names {
+		for _, q := range names {
+			if err := db.Insert("R", map[string]string{"P": p, "Q": q}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	x := sch.s.U.Set("P", "Q")
+	ev, err := sch.windowEvaluator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := ev.Window(db.st, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for limit := 0; limit <= len(names)*len(names)+1; limit++ {
+		q := WindowQuery{Attrs: []string{"P", "Q"}, Limit: limit}
+		got, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := referenceWindow(sch, db.st, full.Rows, x, q)
+		keys := rowKeys(got.Rows, got.Attrs)
+		if !reflect.DeepEqual(keys, rowKeys(want, got.Attrs)) {
+			t.Fatalf("limit %d:\ngot  %q\nwant %q", limit, got.Rows, want)
+		}
+		// Rows with equal keys still come in one order: by their names.
+		for i := 1; i < len(keys); i++ {
+			a, b := got.Rows[i-1], got.Rows[i]
+			if keys[i-1] == keys[i] && !(a["P"] < b["P"] || a["P"] == b["P"] && a["Q"] < b["Q"]) {
+				t.Fatalf("limit %d: tied rows %q before %q", limit, a, b)
+			}
+		}
+	}
+}
+
+// starDatabase builds F(A,B); D(A,E) with A -> E: n fact rows whose A key
+// a<i/3> repeats three times, and one dimension row per key.
+func starDatabase(t *testing.T, n int) *Database {
+	t.Helper()
+	db := MustParse("F(A,B); D(A,E)", "A -> E").NewDatabase()
+	for i := 0; i < n; i++ {
+		a := fmt.Sprintf("a%d", i/3)
+		if err := db.Insert("F", map[string]string{"A": a, "B": fmt.Sprintf("b%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 0 {
+			if err := db.Insert("D", map[string]string{"A": a, "E": fmt.Sprintf("e%d", i%7)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return db
+}
+
+// scanned sums an explained query's rows scanned, per relation.
+func scanned(t *testing.T, db *Database, q WindowQuery) map[string]int {
+	t.Helper()
+	q.Explain = true
+	res, err := db.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]int{}
+	for _, rs := range res.Explain.Relations {
+		out[rs.Relation] = rs.Rows
+	}
+	return out
+}
+
+// TestSelectedWindowScansIndependentOfSize: a key-selected window visits
+// the rows carrying the key, not the relation, so the count explain
+// reports is the same at 1k and at 10k fact rows.
+func TestSelectedWindowScansIndependentOfSize(t *testing.T) {
+	small, large := starDatabase(t, 1000), starDatabase(t, 10000)
+	for _, c := range []struct {
+		q    WindowQuery
+		want map[string]int
+	}{
+		// Join window: F probed on A, each hit extended to E through D.
+		{WindowQuery{Attrs: []string{"A", "B", "E"}, Where: map[string]string{"A": "a7"}},
+			map[string]int{"F": 3}},
+		// Dimension point window: D probed directly, F probed on A.
+		{WindowQuery{Attrs: []string{"A", "E"}, Where: map[string]string{"A": "a7"}},
+			map[string]int{"F": 3, "D": 1}},
+		// Selected outside F's scheme: F cannot probe, so it scans.
+		{WindowQuery{Attrs: []string{"B", "E"}, Where: map[string]string{"E": "e0"}},
+			nil},
+	} {
+		s, l := scanned(t, small, c.q), scanned(t, large, c.q)
+		if c.want == nil {
+			if l["F"] != 10000 {
+				t.Fatalf("%v: F scanned %d rows at 10k, want a full scan", c.q, l["F"])
+			}
+			continue
+		}
+		if !reflect.DeepEqual(s, c.want) || !reflect.DeepEqual(l, c.want) {
+			t.Fatalf("%v: scanned %v at 1k and %v at 10k, want %v", c.q, s, l, c.want)
+		}
+	}
+}
+
+// TestSelectedQueryAllocBudget pins the untraced selected point window on
+// a cached plan and snapshot, as TestUntracedQueryAllocBudget does for the
+// unselected one; selection costs the resolved conditions and the probe.
+func TestSelectedQueryAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are skewed under -race; CI pins them in a plain pass")
+	}
+	cs := traceTestStore(t)
+	ctx := context.Background()
+	for _, where := range []map[string]string{{"C": "cs101"}, {"T": "jones"}} {
+		q := WindowQuery{Attrs: []string{"C", "T"}, Where: where}
+		if _, err := cs.QueryCtx(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(300, func() {
+			if _, err := cs.QueryCtx(ctx, q); err != nil {
+				t.Fatal(err)
+			}
+		}); n > 28 {
+			t.Fatalf("selected QueryCtx %v allocates %v/op, budget 28", where, n)
+		}
+	}
+}

@@ -244,6 +244,30 @@ func TestWindowReadDuringWriteRace(t *testing.T) {
 						len(moved.Rows), moved.Rows)
 					return
 				}
+				// Selected windows probe the snapshot's indexes while writers
+				// invalidate it: a present key stays fully present, and the
+				// moved row is found by its probe key.
+				if len(full.Rows) > 0 {
+					k := full.Rows[len(full.Rows)/2]["K"]
+					one, err := cs.Query(WindowQuery{Attrs: []string{"K", "X", "Y"}, Where: map[string]string{"K": k}})
+					if err != nil {
+						readErr <- err
+						return
+					}
+					if len(one.Rows) != 1 || one.Rows[0]["Y"] != "y"+k {
+						readErr <- fmt.Errorf("selected key %s: %v", k, one.Rows)
+						return
+					}
+				}
+				probed, err := cs.Query(WindowQuery{Attrs: []string{"P", "Q"}, Where: map[string]string{"P": "p"}})
+				if err != nil {
+					readErr <- err
+					return
+				}
+				if len(probed.Rows) != 1 {
+					readErr <- fmt.Errorf("torn move under a probe: %v", probed.Rows)
+					return
+				}
 			}
 		}()
 	}

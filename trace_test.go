@@ -2,6 +2,8 @@ package indep
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -164,5 +166,42 @@ func TestQueryExplain(t *testing.T) {
 	}
 	if res.Explain != nil {
 		t.Fatal("Explain attached without being requested")
+	}
+
+	// A selection is probed at the source: Rows counts the rows each
+	// contributor visited, not the relation's size.
+	for i := 2; i <= 9; i++ {
+		c := fmt.Sprintf("cs10%d", i)
+		if err := db.Insert("CT", map[string]string{"C": c, "T": "curie"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Insert("CS", map[string]string{"C": c, "S": "ada"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Insert("CS", map[string]string{"C": "cs101", "S": "bob"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		where map[string]string
+		want  string
+	}{
+		{nil, "CT:9 CS:9 CHR:0"},
+		{map[string]string{"C": "cs101"}, "CT:1 CS:1 CHR:0"},
+		{map[string]string{"C": "cs999"}, "CT:0 CS:0 CHR:0"},
+		// T is outside CS and CHR: they visit every row and extend it.
+		{map[string]string{"T": "jones"}, "CT:1 CS:9 CHR:0"},
+	} {
+		res, err := db.Query(WindowQuery{Attrs: []string{"C", "T"}, Where: c.where, Explain: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, rs := range res.Explain.Relations {
+			got = append(got, fmt.Sprintf("%s:%d", rs.Relation, rs.Rows))
+		}
+		if strings.Join(got, " ") != c.want {
+			t.Fatalf("where %v: scanned %v, want %s", c.where, got, c.want)
+		}
 	}
 }
