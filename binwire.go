@@ -319,14 +319,16 @@ func (cs *ConcurrentStore) ApplyBinBatchPartial(ctx context.Context, payload []b
 // RelationBinary renders the named relation's live tuples as a binary
 // window result over the relation's own attributes, unsorted and unlimited —
 // the raw fragment a cluster router gathers from each shard when a window
-// must be evaluated away from the data (GET /v1/cluster/rel). Decode with
-// DecodeWindowBinary; the fragment's Total is its row count.
+// must be evaluated away from the data (GET /v1/cluster/rel). The tuples
+// come from the store's query snapshot: a consistent cut at the current
+// version, cut at most once between writes and shared with window queries.
+// Decode with DecodeWindowBinary; the fragment's Total is its row count.
 func (cs *ConcurrentStore) RelationBinary(rel string) ([]byte, error) {
 	i := cs.schema.s.IndexOf(rel)
 	if i < 0 {
 		return nil, fmt.Errorf("indep: unknown relation %q", rel)
 	}
-	st := cs.eng.Snapshot()
+	st := cs.eng.QuerySnapshot()
 	inst := st.Insts[i]
 	slots := inst.LiveRows()
 	names := cs.schema.s.U.Names(cs.schema.s.Attrs(i))

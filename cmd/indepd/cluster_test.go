@@ -13,6 +13,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -60,10 +62,10 @@ func newClusterTestServer(t *testing.T, n int, deadShards ...string) (*httptest.
 	return ts, rt
 }
 
-// TestClusterEndToEnd drives inserts, a batch, a rejection, and a window
-// through the router's HTTP API against live shard daemons.
+// TestClusterEndToEnd drives inserts, batches, a rejection, and windows on
+// both read paths through the router's HTTP API against live shard daemons.
 func TestClusterEndToEnd(t *testing.T) {
-	ts, _ := newClusterTestServer(t, 3)
+	ts, rt := newClusterTestServer(t, 3)
 
 	resp, _ := do(t, http.MethodPost, ts.URL+"/v1/insert",
 		map[string]any{"relation": "CT", "row": map[string]string{"C": "c1", "T": "t1"}})
@@ -103,6 +105,72 @@ func TestClusterEndToEnd(t *testing.T) {
 		t.Fatalf("window row: %v", row)
 	}
 
+	// Single-relation windows are evaluated on CHR's owning shard daemons
+	// and merged by the router, so the query travels through
+	// HTTPTransport.Window — with explain=1, over its JSON answer. An
+	// in-process store holding the same rows is the oracle.
+	if owners := rt.Placement().Owners("CHR"); len(owners) < 2 {
+		t.Fatalf("CHR lives on %v; the merge needs two owners", owners)
+	}
+	sch, err := indep.Parse(clusterSchema, clusterFDs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := sch.OpenConcurrentStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := oracle.Insert("CT", map[string]string{"C": "c1", "T": "t1"}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 12; i++ {
+		c := fmt.Sprintf("c%d", i)
+		ops = append(ops, map[string]any{"relation": "CHR", "row": map[string]string{"C": c, "H": "h2", "R": "r-" + c}})
+	}
+	resp, body = do(t, http.MethodPost, ts.URL+"/v1/batch", map[string]any{"ops": ops[8:]})
+	if resp.StatusCode != http.StatusOK || body["applied"].(float64) != 12 {
+		t.Fatalf("batch: %d (%v)", resp.StatusCode, body)
+	}
+	for _, op := range ops {
+		if err := oracle.Insert(op["relation"].(string), op["row"].(map[string]string)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, query := range []string{
+		"attrs=C,H,R&where=H=h2&project=C,R&limit=3&explain=1", // owners' answers disjoint
+		"attrs=C,H,R&project=H&limit=1&explain=1",              // they overlap: H=h1/h2 on every owner
+		"attrs=C,H,R&where=C=c3&where=H=h2&explain=1",          // key bound: one owner
+	} {
+		vals, err := url.ParseQuery(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := parseWindowQuery(vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := oracle.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, body = do(t, http.MethodGet, ts.URL+"/v1/window?"+query, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("window %s: %d (%v)", query, resp.StatusCode, body)
+		}
+		ex, _ := body["explain"].(map[string]any)
+		if !reflect.DeepEqual(body["rows"], jsonValue(t, want.Rows)) || body["total"] != float64(want.Total) ||
+			ex == nil || !reflect.DeepEqual(ex["relations"], jsonValue(t, want.Explain.Relations)) {
+			t.Fatalf("window %s:\nrouter %v\noracle rows %v total %d explain %+v",
+				query, body, want.Rows, want.Total, want.Explain)
+		}
+	}
+	// A malformed query is the client's error, not every owner's.
+	for _, query := range []string{"attrs=C,H&where=R=r-c1", "attrs=C,H&project=R"} {
+		if resp, body = do(t, http.MethodGet, ts.URL+"/v1/window?"+query, nil); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("window %s: %d (%v), want 400", query, resp.StatusCode, body)
+		}
+	}
+
 	resp, body = do(t, http.MethodGet, ts.URL+"/v1/cluster/status", nil)
 	if resp.StatusCode != http.StatusOK || body["mode"] != "sharded" {
 		t.Fatalf("status: %d %v", resp.StatusCode, body)
@@ -119,6 +187,20 @@ func TestClusterEndToEnd(t *testing.T) {
 			t.Fatalf("shard reported unhealthy: %v", s)
 		}
 	}
+}
+
+// jsonValue is v as a decoded JSON response holds it.
+func jsonValue(t *testing.T, v any) any {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out any
+	if err := json.Unmarshal(data, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestClusterShardDown503 pins the router's unavailability contract over

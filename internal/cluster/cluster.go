@@ -19,11 +19,21 @@
 // Reads use the same theorem in the other direction. A window plan knows
 // precisely which relations an evaluation consults
 // (Schema.WindowConsults): the contributing relations plus those the
-// extension tableaux of the window's attributes take valuations against.
-// The router gathers exactly those relations' fragments from their owners
-// and evaluates the window locally over the assembled state — the result
-// is identical to a single node's because window evaluation is a pure
-// function of those relations' contents.
+// extension tableaux of the window's attributes take valuations against,
+// and the answer is a pure function of those relations' contents. Two read
+// paths follow:
+//   - A window consulting one relation distributes over that relation's
+//     fragments, so the router sends the query to the owners and merges
+//     their answers by name: sorted by the rendered key and cut to Limit,
+//     with duplicates dropped and counted once when the owners' answers can
+//     overlap (a partition-key attribute neither output nor bound by
+//     Where). A Where binding the whole partition key goes to the one owner
+//     of that hash range.
+//   - A window consulting several relations is evaluated on the router: it
+//     gathers those relations' fragments from their owners and evaluates
+//     over the assembled state.
+//
+// Either way the answer is identical to a single node's.
 //
 // Membership is static: a parsed -shards list placed on a consistent-hash
 // ring with virtual nodes, so adding a shard to the list moves only the

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -43,8 +45,9 @@ type Options struct {
 }
 
 // Router is the cluster routing tier: it owns the placement, splits writes
-// per owning shard, forwards them over the binary batch wire, and
-// scatter-gathers window reads. A Router is safe for concurrent use.
+// per owning shard, forwards them over the binary batch wire, and answers
+// window reads on the owning shards or over gathered fragments. A Router is
+// safe for concurrent use.
 type Router struct {
 	sch      *indep.Schema
 	an       *indep.Analysis
@@ -189,8 +192,8 @@ func (r *Router) RegisterMetrics(reg *obs.Registry) {
 	r.batches = reg.Counter("indep_cluster_batches_total", "Client batches routed.")
 	r.ops = reg.Counter("indep_cluster_ops_total", "Operations forwarded to shards.")
 	r.rejected = reg.Counter("indep_cluster_rejected_ops_total", "Operations shards rejected as constraint violations.")
-	r.gathers = reg.Counter("indep_cluster_window_gathers_total", "Windows answered by scatter-gather evaluation.")
-	r.proxied = reg.Counter("indep_cluster_window_proxied_total", "Windows proxied wholesale to a single shard.")
+	r.gathers = reg.Counter("indep_cluster_window_gathers_total", "Windows evaluated on the router over gathered fragments.")
+	r.proxied = reg.Counter("indep_cluster_window_proxied_total", "Windows evaluated on the owning shards.")
 	r.retries = reg.Counter("indep_cluster_forward_retries_total", "Forward attempts retried after a shard error.")
 	r.fwdErrs = make(map[string]*obs.Counter, len(r.members))
 	r.fwdSeconds = make(map[string]*obs.Histogram, len(r.members))
@@ -198,7 +201,7 @@ func (r *Router) RegisterMetrics(reg *obs.Registry) {
 		r.fwdErrs[m.Name] = reg.Counter("indep_cluster_forward_errors_total",
 			"Forwards that failed after all retries.", obs.L("shard", m.Name))
 		r.fwdSeconds[m.Name] = reg.Histogram("indep_cluster_forward_seconds",
-			"Per-shard forward latency (batch sub-forwards and fragment gathers).", 1e-9, obs.L("shard", m.Name))
+			"Per-shard forward latency (batch sub-forwards, shard windows and fragment gathers).", 1e-9, obs.L("shard", m.Name))
 	}
 }
 
@@ -388,69 +391,259 @@ func (r *Router) one(ctx context.Context, rel string, row map[string]string, del
 	return nil
 }
 
-// Window answers a window query. On the fast path the router asks the plan
-// which relations evaluation consults, gathers exactly those fragments from
-// their owning shards concurrently, assembles them into a scratch state,
-// and evaluates the window locally — byte-identical to a single node
-// holding all the data, because window evaluation is a pure function of the
-// consulted relations' contents. In fallback mode (non-independent schema)
-// the whole query is proxied to the designated shard. Fragments are
-// per-shard-consistent snapshots; the cross-shard assembly is only
-// guaranteed point-in-time consistent when no writes race the query.
+// Window answers a window query byte-identically to a single node holding
+// all the data, over one of two read paths chosen from the plan's consulted
+// relations (Schema.WindowConsults); window evaluation is a pure function
+// of their contents.
+//
+// A window consulting one relation is evaluated on the data: the query
+// goes to that relation's owners and their answers are merged (see
+// mergeAnswers). The placement makes the relation the disjoint union of its
+// fragments, so the window over the union is the union of the owners'
+// windows. A Where binding every partition-key attribute names the one
+// owner holding every matching row, and only it is asked. Fallback mode
+// (non-independent schema) is the same routine with the designated shard
+// as the one owner. A one-owner answer is returned as the owner gave it,
+// Explain included.
+//
+// A window consulting two or more relations is evaluated on the router:
+// it gathers those relations' fragments from their owners concurrently,
+// assembles them into a scratch state and evaluates there.
+//
+// Each owner answers from its own consistent snapshot; an answer spanning
+// shards is only point-in-time consistent when no writes race the query.
+// The router always answers with rendered Rows: BinaryResult is ignored.
 func (r *Router) Window(ctx context.Context, q indep.WindowQuery) (*indep.WindowResult, error) {
+	q.BinaryResult = false
 	rels, fast, err := r.sch.WindowConsults(q.Attrs...)
 	if err != nil {
 		return nil, err
 	}
-	if !fast {
-		inc(r.proxied)
-		var res *indep.WindowResult
-		err := r.withRetry(ctx, r.fallback, func() error {
-			var err error
-			res, err = r.tr[r.fallback].Window(ctx, q)
-			return err
-		})
-		return res, err
+	out, err := windowOutput(q)
+	if err != nil {
+		return nil, err
 	}
-	inc(r.gathers)
-
-	type fetch struct{ rel, shard string }
-	var fetches []fetch
-	for _, rel := range rels {
-		for _, shard := range r.place.Owners(rel) {
-			fetches = append(fetches, fetch{rel: rel, shard: shard})
-		}
-	}
-	frags := make([]*indep.WindowResult, len(fetches))
-	errs := make([]error, len(fetches))
-	var wg sync.WaitGroup
-	for i, f := range fetches {
-		wg.Add(1)
-		go func(i int, f fetch) {
-			defer wg.Done()
-			errs[i] = r.withRetry(ctx, f.shard, func() error {
-				var err error
-				frags[i], err = r.tr[f.shard].Relation(ctx, f.rel)
-				return err
-			})
-		}(i, f)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	switch {
+	case !fast:
+		return r.evalOnOwners(ctx, q, []string{r.fallback}, true)
+	case len(rels) == 1:
+		shards, disjoint, err := r.windowOwners(rels[0], q, out)
 		if err != nil {
 			return nil, err
 		}
+		return r.evalOnOwners(ctx, q, shards, disjoint)
+	}
+	return r.gather(ctx, q, rels)
+}
+
+// windowOutput checks q's Where and Project against its window, so that a
+// malformed query fails on the router as a client error rather than on
+// every owner as a shard error, and returns the output attributes: Project
+// if set, else Attrs.
+func windowOutput(q indep.WindowQuery) (map[string]bool, error) {
+	x := make(map[string]bool, len(q.Attrs))
+	for _, a := range q.Attrs {
+		x[a] = true
+	}
+	for a := range q.Where {
+		if !x[a] {
+			return nil, fmt.Errorf("cluster: Where attribute %q is not in the window", a)
+		}
+	}
+	if len(q.Project) == 0 {
+		return x, nil
+	}
+	out := make(map[string]bool, len(q.Project))
+	for _, a := range q.Project {
+		if !x[a] {
+			return nil, fmt.Errorf("cluster: projection attribute %q is not in the window", a)
+		}
+		out[a] = true
+	}
+	return out, nil
+}
+
+// windowOwners returns the shards that evaluate a window consulting only
+// rel, and whether their answers are disjoint. A Where binding every
+// partition-key attribute selects rows of one hash range, so only its owner
+// is asked. Otherwise every owner is, and the answers are disjoint when
+// every key attribute is an output attribute or bound by Where: two equal
+// output rows then agree on the key, so both come from one shard, whose
+// own answer already holds the row once.
+func (r *Router) windowOwners(rel string, q indep.WindowQuery, out map[string]bool) (shards []string, disjoint bool, err error) {
+	bound, covered := true, true
+	for _, a := range r.place.PartitionKey(rel) {
+		_, w := q.Where[a]
+		bound = bound && w
+		covered = covered && (w || out[a])
+	}
+	if bound {
+		owner, err := r.place.Owner(rel, q.Where)
+		return []string{owner}, true, err
+	}
+	return r.place.Owners(rel), covered, nil
+}
+
+// evalOnOwners sends the window to each shard and merges the answers. With
+// answers that may overlap, the owners are asked for every row (Limit 0),
+// because Total has to count the distinct rows of their union.
+func (r *Router) evalOnOwners(ctx context.Context, q indep.WindowQuery, shards []string, disjoint bool) (*indep.WindowResult, error) {
+	inc(r.proxied)
+	sub := q
+	if len(shards) > 1 && !disjoint {
+		sub.Limit = 0
+	}
+	parts := make([]*indep.WindowResult, len(shards))
+	if err := r.fanOut(ctx, shards, func(i int) (err error) {
+		parts[i], err = r.tr[shards[i]].Window(ctx, sub)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	if len(parts) == 1 {
+		return parts[0], nil
+	}
+	return mergeAnswers(q, parts, disjoint), nil
+}
+
+// mergeAnswers combines the owners' answers to q into the answer of one
+// node holding all their rows:
+//   - Rows are ordered by the NUL-joined rendered key, equal keys by their
+//     columns — a single node's order — and cut to Limit. Disjoint answers
+//     were limited by their owners already: each of the union's first
+//     Limit rows is among the first Limit rows of the answer holding it.
+//   - Total is the sum of the owners' Totals when the answers are disjoint.
+//     Otherwise duplicate rows are dropped and Total is the number of
+//     distinct rows.
+//   - FastPath holds (only an independent schema has several owners), and
+//     PlanCached only if every owner's plan was cached.
+//   - Explain sums each relation's scanned rows across the owners, takes
+//     Mode and Pruned from any owner (the plan depends on the schema only),
+//     reports SnapshotReused only if every owner reused its snapshot, and
+//     StoreVersion 0, since no single version describes the answer.
+func mergeAnswers(q indep.WindowQuery, parts []*indep.WindowResult, disjoint bool) *indep.WindowResult {
+	type keyed struct {
+		key string
+		row map[string]string
+	}
+	attrs := parts[0].Attrs
+	res := &indep.WindowResult{Attrs: attrs, FastPath: true, PlanCached: true}
+	var rows []keyed
+	var k strings.Builder
+	for _, p := range parts {
+		res.Total += p.Total
+		res.PlanCached = res.PlanCached && p.PlanCached
+		for _, row := range p.Rows {
+			k.Reset()
+			for _, a := range attrs {
+				k.WriteString(row[a])
+				k.WriteByte(0)
+			}
+			rows = append(rows, keyed{key: k.String(), row: row})
+		}
+	}
+	cmp := func(a, b keyed) int {
+		if c := strings.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		for _, name := range attrs {
+			if c := strings.Compare(a.row[name], b.row[name]); c != 0 {
+				return c
+			}
+		}
+		return 0
+	}
+	slices.SortFunc(rows, cmp)
+	if !disjoint {
+		rows = slices.CompactFunc(rows, func(a, b keyed) bool { return cmp(a, b) == 0 })
+		res.Total = len(rows)
+	}
+	if q.Limit > 0 && len(rows) > q.Limit {
+		rows = rows[:q.Limit]
+	}
+	res.Rows = make([]map[string]string, len(rows))
+	for i, kr := range rows {
+		res.Rows[i] = kr.row
+	}
+	if q.Explain && parts[0].Explain != nil {
+		res.Explain = mergeExplain(parts)
+	}
+	return res
+}
+
+// mergeExplain is mergeAnswers' Explain rule.
+func mergeExplain(parts []*indep.WindowResult) *indep.WindowExplain {
+	first := parts[0].Explain
+	ex := &indep.WindowExplain{Mode: first.Mode, PlanCached: true, SnapshotReused: true, Pruned: first.Pruned}
+	scanned := make(map[string]int, len(first.Relations))
+	for _, p := range parts {
+		if p.Explain == nil {
+			continue
+		}
+		ex.PlanCached = ex.PlanCached && p.Explain.PlanCached
+		ex.SnapshotReused = ex.SnapshotReused && p.Explain.SnapshotReused
+		for _, rs := range p.Explain.Relations {
+			scanned[rs.Relation] += rs.Rows
+		}
+	}
+	for _, rs := range first.Relations {
+		ex.Relations = append(ex.Relations, indep.RelationScan{Relation: rs.Relation, Rows: scanned[rs.Relation]})
+	}
+	return ex
+}
+
+// gather evaluates the window on the router over the fragments of rels
+// gathered from every owner.
+func (r *Router) gather(ctx context.Context, q indep.WindowQuery, rels []string) (*indep.WindowResult, error) {
+	inc(r.gathers)
+	var fetchRels, shards []string
+	for _, rel := range rels {
+		for _, shard := range r.place.Owners(rel) {
+			fetchRels = append(fetchRels, rel)
+			shards = append(shards, shard)
+		}
+	}
+	frags := make([]*indep.WindowResult, len(shards))
+	if err := r.fanOut(ctx, shards, func(i int) (err error) {
+		frags[i], err = r.tr[shards[i]].Relation(ctx, fetchRels[i])
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	scratch := r.sch.NewDatabase()
 	for i, frag := range frags {
 		for _, row := range frag.Rows {
-			if err := scratch.Insert(fetches[i].rel, row); err != nil {
+			if err := scratch.Insert(fetchRels[i], row); err != nil {
 				return nil, fmt.Errorf("cluster: assembling %s fragment from %s: %w",
-					fetches[i].rel, fetches[i].shard, err)
+					fetchRels[i], shards[i], err)
 			}
 		}
 	}
 	return scratch.Query(q)
+}
+
+// fanOut runs call(i) against shards[i] for every i, concurrently and each
+// under withRetry, and returns the first error in shard order.
+func (r *Router) fanOut(ctx context.Context, shards []string, call func(i int) error) error {
+	if len(shards) == 1 {
+		return r.withRetry(ctx, shards[0], func() error { return call(0) })
+	}
+	errs := make([]error, len(shards))
+	var wg sync.WaitGroup
+	for i, shard := range shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = r.withRetry(ctx, shard, func() error { return call(i) })
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // CheckHealth pings every shard once, concurrently, updating and returning

@@ -167,7 +167,15 @@ func (tc *testCluster) checkOracle(t testing.TB, oracle *indep.ConcurrentStore) 
 		if err != nil {
 			t.Fatalf("oracle window %v: %v", attrs, err)
 		}
-		got, err := tc.rt.Window(context.Background(), indep.WindowQuery{Attrs: attrs})
+		// A window that fails on a shard fault after the router's own retries
+		// is retried, as a client does on the 503 it maps to.
+		var got *indep.WindowResult
+		var se *cluster.ShardError
+		for attempt := 0; attempt < 10; attempt++ {
+			if got, err = tc.rt.Window(context.Background(), indep.WindowQuery{Attrs: attrs}); !errors.As(err, &se) {
+				break
+			}
+		}
 		if err != nil {
 			t.Fatalf("router window %v: %v", attrs, err)
 		}

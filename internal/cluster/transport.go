@@ -27,7 +27,8 @@ type Transport interface {
 	// (GET /v1/cluster/rel) decoded from its binary window encoding.
 	Relation(ctx context.Context, rel string) (*indep.WindowResult, error)
 	// Window evaluates a whole window query on the shard (GET /v1/window) —
-	// the fallback path when the router cannot evaluate locally.
+	// the read path for a window consulting one relation, whose answers the
+	// router merges across owners, and for fallback mode.
 	Window(ctx context.Context, q indep.WindowQuery) (*indep.WindowResult, error)
 	// Ping reports whether the shard is up and ready.
 	Ping(ctx context.Context) error

@@ -334,6 +334,49 @@ func TestWindowSnapshotReuse(t *testing.T) {
 	}
 }
 
+// TestRelationBinaryReadsQuerySnapshot: fragment reads share the cached
+// query snapshot — two reads with no write between cut at most one snapshot
+// and the second reuses it — and a write between reads shows in the next
+// fragment.
+func TestRelationBinaryReadsQuerySnapshot(t *testing.T) {
+	cs := mustStore(t, "CT(C,T); CS(C,S); CHR(C,H,R)", "C -> T; C H -> R")
+	seedUniversity(t, cs)
+	fragment := func() []map[string]string {
+		t.Helper()
+		data, err := cs.RelationBinary("CT")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := DecodeWindowBinary(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rows
+	}
+	before := cs.QueryStats()
+	first := fragment()
+	fragment()
+	after := cs.QueryStats()
+	if after.SnapshotCopies-before.SnapshotCopies > 1 || after.SnapshotReuses == before.SnapshotReuses {
+		t.Fatalf("two fragment reads without a write: copies %d → %d, reuses %d → %d",
+			before.SnapshotCopies, after.SnapshotCopies, before.SnapshotReuses, after.SnapshotReuses)
+	}
+	if err := cs.Insert("CT", map[string]string{"C": "cs103", "T": "noether"}); err != nil {
+		t.Fatal(err)
+	}
+	rows := fragment()
+	if len(rows) != len(first)+1 {
+		t.Fatalf("fragment after write holds %d rows, want %d", len(rows), len(first)+1)
+	}
+	found := false
+	for _, row := range rows {
+		found = found || row["C"] == "cs103" && row["T"] == "noether"
+	}
+	if !found {
+		t.Fatalf("fragment after write misses the new row: %v", rows)
+	}
+}
+
 // TestDurableStoreWindow: DurableStore inherits the query API, and windows
 // survive recovery.
 func TestDurableStoreWindow(t *testing.T) {
