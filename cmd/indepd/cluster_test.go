@@ -136,10 +136,17 @@ func TestClusterEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Join windows with a Where fetch each relation it selects on as a
+	// window through HTTPTransport.Window (repeated where parameters
+	// included), the others whole, and are evaluated on the router.
 	for _, query := range []string{
 		"attrs=C,H,R&where=H=h2&project=C,R&limit=3&explain=1", // owners' answers disjoint
 		"attrs=C,H,R&project=H&limit=1&explain=1",              // they overlap: H=h1/h2 on every owner
 		"attrs=C,H,R&where=C=c3&where=H=h2&explain=1",          // key bound: one owner
+		"attrs=C,T,S&where=C=c1&explain=1",                     // CS and CT both selected; CT on one owner
+		"attrs=C,T,S&where=C=c1&where=S=s-c1",                  // two conditions in CS's fetch
+		"attrs=S,T&where=S=s-c2&explain=1",                     // only CS selected; CT fetched whole
+		"attrs=C,T,S&where=C=nope",                             // an unseen value: no rows anywhere
 	} {
 		vals, err := url.ParseQuery(query)
 		if err != nil {
@@ -159,7 +166,7 @@ func TestClusterEndToEnd(t *testing.T) {
 		}
 		ex, _ := body["explain"].(map[string]any)
 		if !reflect.DeepEqual(body["rows"], jsonValue(t, want.Rows)) || body["total"] != float64(want.Total) ||
-			ex == nil || !reflect.DeepEqual(ex["relations"], jsonValue(t, want.Explain.Relations)) {
+			q.Explain && (ex == nil || !reflect.DeepEqual(ex["relations"], jsonValue(t, want.Explain.Relations))) {
 			t.Fatalf("window %s:\nrouter %v\noracle rows %v total %d explain %+v",
 				query, body, want.Rows, want.Total, want.Explain)
 		}

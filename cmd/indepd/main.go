@@ -506,8 +506,9 @@ func (s *server) handleBatchBin(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleClusterRel serves the shard's raw fragment of one relation as the
-// binary window encoding — what a cluster router gathers before evaluating
-// a scattered window. The fragment is a consistent snapshot of this shard.
+// binary window encoding — what a cluster router gathers of a relation
+// before evaluating a scattered window whose Where does not touch it. The
+// fragment is a consistent snapshot of this shard.
 func (s *server) handleClusterRel(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("name")
 	if name == "" {

@@ -29,9 +29,10 @@
 //     overlap (a partition-key attribute neither output nor bound by
 //     Where). A Where binding the whole partition key goes to the one owner
 //     of that hash range.
-//   - A window consulting several relations is evaluated on the router: it
-//     gathers those relations' fragments from their owners and evaluates
-//     over the assembled state.
+//   - A window consulting several relations is evaluated on the router: of
+//     each relation R it gathers σ_{Where∩R}(R) through the owners' window
+//     endpoint when Where touches R (Schema.WindowFetches), the whole
+//     fragment otherwise, and evaluates over the assembled state.
 //
 // Either way the answer is identical to a single node's.
 //

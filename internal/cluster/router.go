@@ -392,9 +392,9 @@ func (r *Router) one(ctx context.Context, rel string, row map[string]string, del
 }
 
 // Window answers a window query byte-identically to a single node holding
-// all the data, over one of two read paths chosen from the plan's consulted
-// relations (Schema.WindowConsults); window evaluation is a pure function
-// of their contents.
+// all the data, over one of two read paths chosen from the relations the
+// plan consults (Schema.WindowFetches); window evaluation is a pure
+// function of their contents.
 //
 // A window consulting one relation is evaluated on the data: the query
 // goes to that relation's owners and their answers are merged (see
@@ -406,16 +406,17 @@ func (r *Router) one(ctx context.Context, rel string, row map[string]string, del
 // as the one owner. A one-owner answer is returned as the owner gave it,
 // Explain included.
 //
-// A window consulting two or more relations is evaluated on the router:
-// it gathers those relations' fragments from their owners concurrently,
-// assembles them into a scratch state and evaluates there.
+// A window consulting two or more relations is evaluated on the router
+// (see gather): of each relation R it fetches σ_{Where∩R}(R) through the
+// owners' GET /v1/window when Where selects on R, the whole fragment
+// otherwise, assembles a scratch state and evaluates there.
 //
 // Each owner answers from its own consistent snapshot; an answer spanning
 // shards is only point-in-time consistent when no writes race the query.
 // The router always answers with rendered Rows: BinaryResult is ignored.
 func (r *Router) Window(ctx context.Context, q indep.WindowQuery) (*indep.WindowResult, error) {
 	q.BinaryResult = false
-	rels, fast, err := r.sch.WindowConsults(q.Attrs...)
+	fetches, fast, err := r.sch.WindowFetches(q)
 	if err != nil {
 		return nil, err
 	}
@@ -426,29 +427,24 @@ func (r *Router) Window(ctx context.Context, q indep.WindowQuery) (*indep.Window
 	switch {
 	case !fast:
 		return r.evalOnOwners(ctx, q, []string{r.fallback}, true)
-	case len(rels) == 1:
-		shards, disjoint, err := r.windowOwners(rels[0], q, out)
+	case len(fetches) == 1:
+		shards, disjoint, err := r.windowOwners(fetches[0].Relation, q, out)
 		if err != nil {
 			return nil, err
 		}
 		return r.evalOnOwners(ctx, q, shards, disjoint)
 	}
-	return r.gather(ctx, q, rels)
+	return r.gather(ctx, q, fetches)
 }
 
-// windowOutput checks q's Where and Project against its window, so that a
-// malformed query fails on the router as a client error rather than on
-// every owner as a shard error, and returns the output attributes: Project
-// if set, else Attrs.
+// windowOutput checks q's Project against its window, so that a malformed
+// query fails on the router as a client error rather than on every owner
+// as a shard error (Schema.WindowFetches has checked Where), and returns
+// the output attributes: Project if set, else Attrs.
 func windowOutput(q indep.WindowQuery) (map[string]bool, error) {
 	x := make(map[string]bool, len(q.Attrs))
 	for _, a := range q.Attrs {
 		x[a] = true
-	}
-	for a := range q.Where {
-		if !x[a] {
-			return nil, fmt.Errorf("cluster: Where attribute %q is not in the window", a)
-		}
 	}
 	if len(q.Project) == 0 {
 		return x, nil
@@ -592,20 +588,66 @@ func mergeExplain(parts []*indep.WindowResult) *indep.WindowExplain {
 	return ex
 }
 
-// gather evaluates the window on the router over the fragments of rels
-// gathered from every owner.
-func (r *Router) gather(ctx context.Context, q indep.WindowQuery, rels []string) (*indep.WindowResult, error) {
+// gather evaluates the window on the router over a scratch state S'
+// assembled from the consulted relations. A relation R whose fetch carries
+// a selection sel_R (WindowFetch.Where: the share of Where that every tuple
+// of R the evaluation reads satisfies) is fetched as the window
+// σ_{sel_R}[attrs(R)] from the owners windowOwners picks, one when sel_R
+// binds R's partition key; any other R is fetched whole from every owner.
+// All fetches go out in one fanOut.
+//
+// The answer is the one over the state S the shards hold together:
+//   - A shard's window over R's scheme is taken over part of S, so it holds
+//     only tuples of R's total projection [attrs(R)](S), and the owners'
+//     windows together hold σ_{sel_R}(R). So σ_{sel_R}(R) ⊆ S'_R ⊆ R ∪
+//     [attrs(R)](S).
+//   - Adding tuples of a total projection to a state leaves its weak
+//     instances unchanged, so S' is consistent and σ_W[X](S') ⊆ σ_W[X](S).
+//   - Every answer row over S extends (Theorem 5) a contributor's tuple
+//     through tuples the extension tableaux read, and each of those agrees
+//     with the row on its relation's sel_R, so all of them are in S' and
+//     the row is an answer over S' too.
+//
+// Explain counts the scratch state's rows. They are the single node's
+// unless a fetched window held total-projection tuples outside R itself.
+func (r *Router) gather(ctx context.Context, q indep.WindowQuery, fetches []indep.WindowFetch) (*indep.WindowResult, error) {
 	inc(r.gathers)
-	var fetchRels, shards []string
-	for _, rel := range rels {
-		for _, shard := range r.place.Owners(rel) {
-			fetchRels = append(fetchRels, rel)
-			shards = append(shards, shard)
+	type fetch struct {
+		rel, shard string
+		sel        *indep.WindowQuery // nil: the whole fragment
+	}
+	var calls []fetch
+	for _, f := range fetches {
+		if len(f.Where) == 0 {
+			for _, shard := range r.place.Owners(f.Relation) {
+				calls = append(calls, fetch{rel: f.Relation, shard: shard})
+			}
+			continue
+		}
+		attrs, err := r.sch.RelationAttrs(f.Relation)
+		if err != nil {
+			return nil, err
+		}
+		sel := &indep.WindowQuery{Attrs: attrs, Where: f.Where}
+		shards, _, err := r.windowOwners(f.Relation, *sel, nil)
+		if err != nil {
+			return nil, err
+		}
+		for _, shard := range shards {
+			calls = append(calls, fetch{rel: f.Relation, shard: shard, sel: sel})
 		}
 	}
-	frags := make([]*indep.WindowResult, len(shards))
+	shards := make([]string, len(calls))
+	for i, c := range calls {
+		shards[i] = c.shard
+	}
+	frags := make([]*indep.WindowResult, len(calls))
 	if err := r.fanOut(ctx, shards, func(i int) (err error) {
-		frags[i], err = r.tr[shards[i]].Relation(ctx, fetchRels[i])
+		if c := calls[i]; c.sel != nil {
+			frags[i], err = r.tr[c.shard].Window(ctx, *c.sel)
+		} else {
+			frags[i], err = r.tr[c.shard].Relation(ctx, c.rel)
+		}
 		return err
 	}); err != nil {
 		return nil, err
@@ -613,9 +655,9 @@ func (r *Router) gather(ctx context.Context, q indep.WindowQuery, rels []string)
 	scratch := r.sch.NewDatabase()
 	for i, frag := range frags {
 		for _, row := range frag.Rows {
-			if err := scratch.Insert(fetchRels[i], row); err != nil {
+			if err := scratch.Insert(calls[i].rel, row); err != nil {
 				return nil, fmt.Errorf("cluster: assembling %s fragment from %s: %w",
-					fetchRels[i], shards[i], err)
+					calls[i].rel, calls[i].shard, err)
 			}
 		}
 	}

@@ -24,11 +24,14 @@ type Transport interface {
 	// (POST /v1/batchbin?partial=1) and returns the shard's report.
 	ApplyPartial(ctx context.Context, payload []byte) (*indep.BatchReport, error)
 	// Relation fetches the shard's raw fragment of the named relation
-	// (GET /v1/cluster/rel) decoded from its binary window encoding.
+	// (GET /v1/cluster/rel) decoded from its binary window encoding — how a
+	// gather reads a consulted relation that Where does not touch.
 	Relation(ctx context.Context, rel string) (*indep.WindowResult, error)
 	// Window evaluates a whole window query on the shard (GET /v1/window) —
 	// the read path for a window consulting one relation, whose answers the
-	// router merges across owners, and for fallback mode.
+	// router merges across owners, and for fallback mode. A gather also
+	// uses it to fetch σ_{Where∩R}(R) of a consulted relation R that Where
+	// touches, as the window over R's scheme.
 	Window(ctx context.Context, q indep.WindowQuery) (*indep.WindowResult, error)
 	// Ping reports whether the shard is up and ready.
 	Ping(ctx context.Context) error

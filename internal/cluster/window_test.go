@@ -2,8 +2,9 @@ package cluster_test
 
 // The window read paths against the single-node oracle: a window consulting
 // one relation is evaluated on that relation's owners and merged, any other
-// is evaluated on the router over gathered fragments, and both must answer
-// exactly what one node holding all the data answers.
+// is evaluated on the router over what it gathers of the relations it
+// consults, and both must answer exactly what one node holding all the
+// data answers.
 
 import (
 	"context"
@@ -11,27 +12,72 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sync/atomic"
+	"strings"
+	"sync"
 	"testing"
 
 	"indep"
 	"indep/internal/cluster"
 )
 
-// countingTransport counts the shard calls each read path makes.
-type countingTransport struct {
+// readLog records the reads a router makes of its shards.
+type readLog struct {
+	mu    sync.Mutex
+	reads []shardRead
+}
+
+// shardRead is one read of one shard: a whole fragment of rel, or the
+// window q. rows is the number of rows the shard returned.
+type shardRead struct {
+	shard, rel string
+	q          *indep.WindowQuery
+	rows       int
+}
+
+func (l *readLog) add(r shardRead, res *indep.WindowResult) {
+	if res != nil {
+		r.rows = len(res.Rows)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.reads = append(l.reads, r)
+}
+
+// take returns the reads logged so far and clears the log.
+func (l *readLog) take() []shardRead {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := l.reads
+	l.reads = nil
+	return out
+}
+
+// loggingTransport logs a shard's reads.
+type loggingTransport struct {
 	cluster.Transport
-	windows, relations atomic.Int64
+	shard string
+	log   *readLog
 }
 
-func (c *countingTransport) Window(ctx context.Context, q indep.WindowQuery) (*indep.WindowResult, error) {
-	c.windows.Add(1)
-	return c.Transport.Window(ctx, q)
+func (c *loggingTransport) Window(ctx context.Context, q indep.WindowQuery) (*indep.WindowResult, error) {
+	res, err := c.Transport.Window(ctx, q)
+	c.log.add(shardRead{shard: c.shard, q: &q}, res)
+	return res, err
 }
 
-func (c *countingTransport) Relation(ctx context.Context, rel string) (*indep.WindowResult, error) {
-	c.relations.Add(1)
-	return c.Transport.Relation(ctx, rel)
+func (c *loggingTransport) Relation(ctx context.Context, rel string) (*indep.WindowResult, error) {
+	res, err := c.Transport.Relation(ctx, rel)
+	c.log.add(shardRead{shard: c.shard, rel: rel}, res)
+	return res, err
+}
+
+// newLoggingCluster is newTestCluster with every shard's reads logged.
+func newLoggingCluster(t testing.TB, sch *indep.Schema, n int) (*testCluster, *readLog) {
+	log := new(readLog)
+	tc := newTestCluster(t, sch, n, cluster.Options{}, func(shard string, tr cluster.Transport) cluster.Transport {
+		return &loggingTransport{Transport: tr, shard: shard, log: log}
+	})
+	return tc, log
 }
 
 // windowValues is an attribute's value pool: a few plain names plus names
@@ -44,32 +90,43 @@ func windowValues(attr string) []string {
 // TestRouterWindowMatchesOracleRandom draws random windows — attributes,
 // Where over seen and unseen values, Project (often dropping part of a
 // partition key), Limit, Explain — over a 3-shard cluster and a single node
-// holding the same data, and requires identical answers. It also pins which
-// path each window took: a single-relation window makes Window calls and no
-// Relation calls, one whose Where binds the full partition key reaches one
-// shard, and a multi-relation window gathers.
+// holding the same data, and requires identical answers. It also pins how
+// each window read the shards: a single-relation window makes Window calls
+// and no Relation calls, reaching one shard when its Where binds the full
+// partition key; a multi-relation window fetches each consulted relation
+// with a selection (Schema.WindowFetches) by Window calls carrying it, on
+// one shard when it binds the relation's partition key, and every other
+// relation whole by Relation calls on every owner.
+//
+// On U(A,B); V(A,C,B) with A -> C, U's tuples reach C through V's A -> C
+// row, which leaves V's B free: a Where on B selects U's tuples but not
+// V's. A window over V's scheme also holds U's tuples extended through V,
+// so a gathered window's scratch state can hold more V rows than V, and its
+// explain may count more of them than the oracle's.
 func TestRouterWindowMatchesOracleRandom(t *testing.T) {
-	for _, tc := range []struct{ name, schema, fds string }{
-		{"running-example", "CT(C,T); CS(C,S); CHR(C,H,R)", "C -> T; C H -> R"},
-		{"composite-key", "R(A,B,C,D); S(B,E); T(F,G)", "A B -> C D; B -> E"},
+	for _, tc := range []struct {
+		name, schema, fds string
+		// narrower: the draw must reach a relation whose Where share is
+		// narrower than Where ∩ its attributes; extra: a fetched window
+		// can hold tuples outside the relation.
+		narrower, extra bool
+	}{
+		{"running-example", "CT(C,T); CS(C,S); CHR(C,H,R)", "C -> T; C H -> R", false, false},
+		{"composite-key", "R(A,B,C,D); S(B,E); T(F,G)", "A B -> C D; B -> E", false, false},
+		{"free-column", "U(A,B); V(A,C,B); W(D,E)", "A -> C", true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sch, err := indep.Parse(tc.schema, tc.fds)
 			if err != nil {
 				t.Fatal(err)
 			}
-			testWindowsAgainstOracle(t, sch, rand.New(rand.NewSource(5)))
+			testWindowsAgainstOracle(t, sch, rand.New(rand.NewSource(5)), tc.narrower, tc.extra)
 		})
 	}
 }
 
-func testWindowsAgainstOracle(t *testing.T, sch *indep.Schema, rng *rand.Rand) {
-	counters := make(map[string]*countingTransport)
-	tc := newTestCluster(t, sch, 3, cluster.Options{}, func(shard string, tr cluster.Transport) cluster.Transport {
-		ct := &countingTransport{Transport: tr}
-		counters[shard] = ct
-		return ct
-	})
+func testWindowsAgainstOracle(t *testing.T, sch *indep.Schema, rng *rand.Rand, wantNarrower, extra bool) {
+	tc, log := newLoggingCluster(t, sch, 3)
 	oracle, err := sch.OpenConcurrentStore()
 	if err != nil {
 		t.Fatal(err)
@@ -78,11 +135,13 @@ func testWindowsAgainstOracle(t *testing.T, sch *indep.Schema, rng *rand.Rand) {
 
 	var universe []string
 	seen := make(map[string]bool)
+	relOf := make(map[string]string) // a relation's sorted attributes → its name
 	for _, rel := range sch.Relations() {
 		attrs, err := sch.RelationAttrs(rel)
 		if err != nil {
 			t.Fatal(err)
 		}
+		relOf[attrKey(attrs)] = rel
 		for _, a := range attrs {
 			if !seen[a] {
 				seen[a] = true
@@ -121,23 +180,6 @@ func testWindowsAgainstOracle(t *testing.T, sch *indep.Schema, rng *rand.Rand) {
 		}
 	}
 
-	resetCounts := func() {
-		for _, c := range counters {
-			c.windows.Store(0)
-			c.relations.Store(0)
-		}
-	}
-	counts := func() (windows, relations, shardsAsked int64) {
-		for _, c := range counters {
-			w := c.windows.Load()
-			windows += w
-			relations += c.relations.Load()
-			if w > 0 {
-				shardsAsked++
-			}
-		}
-		return
-	}
 	subset := func(from []string) []string {
 		var out []string
 		for _, a := range from {
@@ -151,7 +193,7 @@ func testWindowsAgainstOracle(t *testing.T, sch *indep.Schema, rng *rand.Rand) {
 		return out
 	}
 
-	var single, keyBound, multi, deduped int
+	var single, keyBound, multi, deduped, partial, narrower int
 	for i := 0; i < 400; i++ {
 		// Attributes: mostly within one relation, so most windows consult
 		// one relation; sometimes anywhere in the universe.
@@ -198,7 +240,7 @@ func testWindowsAgainstOracle(t *testing.T, sch *indep.Schema, rng *rand.Rand) {
 		if err != nil {
 			t.Fatalf("oracle %+v: %v", q, err)
 		}
-		resetCounts()
+		log.take()
 		got, err := tc.rt.Window(ctx, q)
 		if err != nil {
 			t.Fatalf("router %+v: %v", q, err)
@@ -208,49 +250,153 @@ func testWindowsAgainstOracle(t *testing.T, sch *indep.Schema, rng *rand.Rand) {
 			t.Fatalf("window %+v:\nrouter attrs %v rows %q total %d fast %v\noracle attrs %v rows %q total %d fast %v",
 				q, got.Attrs, got.Rows, got.Total, got.FastPath, want.Attrs, want.Rows, want.Total, want.FastPath)
 		}
-		if q.Explain {
-			if got.Explain == nil || got.Explain.Mode != want.Explain.Mode ||
-				!reflect.DeepEqual(got.Explain.Relations, want.Explain.Relations) {
-				t.Fatalf("window %+v: explain %+v, oracle %+v", q, got.Explain, want.Explain)
-			}
-		}
+		reads := log.take()
 
+		fetches, _, err := sch.WindowFetches(q)
+		if err != nil {
+			t.Fatal(err)
+		}
 		rels, _, err := sch.WindowConsults(q.Attrs...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		windows, relations, shardsAsked := counts()
+		var fetched []string
+		for _, f := range fetches {
+			fetched = append(fetched, f.Relation)
+		}
+		if !slices.Equal(fetched, rels) {
+			t.Fatalf("window %+v: fetches %v, consults %v", q, fetches, rels)
+		}
+		if q.Explain && !explainMatches(got.Explain, want.Explain, len(fetches) > 1 && extra) {
+			t.Fatalf("window %+v: explain %+v, oracle %+v", q, got.Explain, want.Explain)
+		}
 		switch {
-		case len(rels) == 1:
+		case len(fetches) == 1:
 			single++
-			if windows == 0 || relations != 0 {
-				t.Fatalf("single-relation window %+v (%s): %d Window calls, %d Relation calls",
-					q, rels[0], windows, relations)
+			rel := fetches[0].Relation
+			shards := make(map[string]bool)
+			for _, r := range reads {
+				if r.q == nil {
+					t.Fatalf("single-relation window %+v (%s) read the %s fragment of %s", q, rel, r.rel, r.shard)
+				}
+				shards[r.shard] = true
 			}
-			if bound(tc.rt.Placement().PartitionKey(rels[0]), q.Where) {
+			if len(reads) == 0 {
+				t.Fatalf("single-relation window %+v (%s) made no Window call", q, rel)
+			}
+			if bound(tc.rt.Placement().PartitionKey(rel), q.Where) {
 				keyBound++
-				if windows != 1 || shardsAsked != 1 {
+				if len(reads) != 1 {
 					t.Fatalf("key-bound window %+v reached %d shards with %d calls, want 1",
-						q, shardsAsked, windows)
+						q, len(shards), len(reads))
 				}
 			}
-			if n := ownerTotals(t, tc, rels[0], q); n > want.Total {
+			if n := ownerTotals(t, tc, rel, q); n > want.Total {
 				deduped++ // the owners' answers overlapped; Total had to count distinct rows
 			}
-		case len(rels) > 1:
+		case len(fetches) > 1:
 			multi++
-			if relations == 0 || windows != 0 {
-				t.Fatalf("multi-relation window %+v (%v): %d Window calls, %d Relation calls",
-					q, rels, windows, relations)
+			selected, matched := 0, 0
+			for _, f := range fetches {
+				attrs, _ := sch.RelationAttrs(f.Relation)
+				touched := 0
+				for a, v := range q.Where {
+					if slices.Contains(attrs, a) {
+						touched++
+					}
+					if w, ok := f.Where[a]; ok && (w != v || !slices.Contains(attrs, a)) {
+						t.Fatalf("window %+v: %s fetched with %v, not a share of Where", q, f.Relation, f.Where)
+					}
+				}
+				if len(f.Where) < touched {
+					narrower++
+				}
+				if len(f.Where) > 0 {
+					selected++
+				}
+				matched += checkFetch(t, tc, q, f, reads, relOf)
+			}
+			if matched != len(reads) {
+				t.Fatalf("multi-relation window %+v (%v): %d reads, %d of consulted relations", q, fetches, len(reads), matched)
+			}
+			if selected > 0 && selected < len(fetches) {
+				partial++
 			}
 		}
 	}
-	t.Logf("single-relation %d (key-bound %d, overlapping %d), multi-relation %d",
-		single, keyBound, deduped, multi)
-	if single == 0 || keyBound == 0 || deduped == 0 || multi == 0 {
-		t.Fatalf("draw missed a read path: single %d key-bound %d overlapping %d multi %d",
-			single, keyBound, deduped, multi)
+	t.Logf("single-relation %d (key-bound %d, overlapping %d), multi-relation %d (partly selected %d, share narrower than Where %d)",
+		single, keyBound, deduped, multi, partial, narrower)
+	if single == 0 || keyBound == 0 || deduped == 0 || multi == 0 || partial == 0 || wantNarrower && narrower == 0 {
+		t.Fatalf("draw missed a read path: single %d key-bound %d overlapping %d multi %d partly selected %d narrower %d",
+			single, keyBound, deduped, multi, partial, narrower)
 	}
+}
+
+// checkFetch pins how a gathered window read one consulted relation: with
+// a selection, only Window calls over the relation's scheme carrying it, on
+// the one owner of the hash range when it binds the partition key and on
+// every owner otherwise; without one, a Relation call on every owner. It
+// returns the number of reads of the relation.
+func checkFetch(t *testing.T, tc *testCluster, q indep.WindowQuery, f indep.WindowFetch, reads []shardRead, relOf map[string]string) int {
+	t.Helper()
+	var windows, fragments []string
+	for _, r := range reads {
+		switch {
+		case r.q != nil && relOf[attrKey(r.q.Attrs)] == f.Relation:
+			if !reflect.DeepEqual(r.q.Where, f.Where) || r.q.Project != nil || r.q.Limit != 0 {
+				t.Fatalf("window %+v: %s fetched as %+v, want its selection %v", q, f.Relation, *r.q, f.Where)
+			}
+			windows = append(windows, r.shard)
+		case r.q == nil && r.rel == f.Relation:
+			fragments = append(fragments, r.shard)
+		}
+	}
+	slices.Sort(windows)
+	slices.Sort(fragments)
+	owners := tc.rt.Placement().Owners(f.Relation)
+	switch {
+	case len(f.Where) == 0:
+		if len(windows) != 0 || !slices.Equal(fragments, owners) {
+			t.Fatalf("window %+v: unselected %s read by Window on %v and whole on %v, want whole on %v",
+				q, f.Relation, windows, fragments, owners)
+		}
+	case bound(tc.rt.Placement().PartitionKey(f.Relation), f.Where):
+		owner, err := tc.rt.Placement().Owner(f.Relation, f.Where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fragments) != 0 || !slices.Equal(windows, []string{owner}) {
+			t.Fatalf("window %+v: key-bound %s read by Window on %v and whole on %v, want Window on %s only",
+				q, f.Relation, windows, fragments, owner)
+		}
+	default:
+		if len(fragments) != 0 || !slices.Equal(windows, owners) {
+			t.Fatalf("window %+v: selected %s read by Window on %v and whole on %v, want Window on %v",
+				q, f.Relation, windows, fragments, owners)
+		}
+	}
+	return len(windows) + len(fragments)
+}
+
+// explainMatches compares a router explain with the oracle's. With extra
+// set, a relation may count more rows than the oracle's: a fetched window
+// over its scheme can hold tuples of the total projection outside it.
+func explainMatches(got, want *indep.WindowExplain, extra bool) bool {
+	if got == nil || got.Mode != want.Mode || len(got.Relations) != len(want.Relations) {
+		return false
+	}
+	for i, rs := range got.Relations {
+		w := want.Relations[i]
+		if rs.Relation != w.Relation || rs.Rows < w.Rows || rs.Rows > w.Rows && !extra {
+			return false
+		}
+	}
+	return true
+}
+
+// attrKey names an attribute set independently of its order.
+func attrKey(attrs []string) string {
+	return strings.Join(slices.Sorted(slices.Values(attrs)), ",")
 }
 
 // ownerTotals sums the Totals every shard holding part of rel reports for q
@@ -277,4 +423,69 @@ func bound(key []string, where map[string]string) bool {
 		}
 	}
 	return true
+}
+
+// TestRouterJoinWindowFetchIndependentOfSize: on a star schema a join
+// window whose Where binds the dimension key reads the same shard rows at
+// 1k and at 10k fact rows — the fact rows with that key and the one
+// dimension row — because each consulted relation is fetched as the window
+// its share of Where selects, never whole.
+func TestRouterJoinWindowFetchIndependentOfSize(t *testing.T) {
+	sch, err := indep.Parse("FACT(A,B); DIM(A,E)", "A -> E")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys, hot = 100, 5 // key a0 has hot fact rows at every size
+	q := indep.WindowQuery{Attrs: []string{"A", "B", "E"}, Where: map[string]string{"A": "a0"}}
+	var fetched []int
+	for _, n := range []int{1_000, 10_000} {
+		tc, log := newLoggingCluster(t, sch, 3)
+		oracle, err := sch.OpenConcurrentStore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		var ops []indep.BatchOp
+		for k := 0; k < keys; k++ {
+			ops = append(ops, indep.BatchOp{Rel: "DIM", Row: map[string]string{"A": fmt.Sprint("a", k), "E": fmt.Sprint("e", k)}})
+		}
+		for i := 0; i < n; i++ {
+			a := "a0"
+			if i >= hot {
+				a = fmt.Sprint("a", 1+i%(keys-1))
+			}
+			ops = append(ops, indep.BatchOp{Rel: "FACT", Row: map[string]string{"A": a, "B": fmt.Sprint("b", i)}})
+		}
+		payload := encodePayload(t, sch, ops, nil)
+		if _, err := oracle.ApplyBinBatchPartial(ctx, payload); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tc.rt.Batch(ctx, payload); err != nil {
+			t.Fatal(err)
+		}
+
+		log.take()
+		got, err := tc.rt.Window(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := oracle.QueryCtx(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Rows, want.Rows) || got.Total != hot || want.Total != hot {
+			t.Fatalf("%d fact rows: router %v (total %d), oracle %v (total %d)", n, got.Rows, got.Total, want.Rows, want.Total)
+		}
+		rows := 0
+		for _, r := range log.take() {
+			if r.q == nil {
+				t.Fatalf("%d fact rows: the join window read the whole %s fragment of %s", n, r.rel, r.shard)
+			}
+			rows += r.rows
+		}
+		fetched = append(fetched, rows)
+	}
+	if fetched[0] != fetched[1] || fetched[0] != hot+1 {
+		t.Fatalf("rows fetched at 1k and 10k fact rows: %v, want %d at both", fetched, hot+1)
+	}
 }

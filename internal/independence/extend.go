@@ -115,21 +115,23 @@ func (ar *AcceptedRun) ExtendFor(st *relation.State, t relation.Tuple, want attr
 	return true
 }
 
-// Consulted returns the schemes ExtendFor(want) may read: the row tags of
-// the minimal calculations of want \ R_l, so R_l itself only if one of
-// those tableaux references it. The result is sorted and duplicate-free; a
-// scatter-gather evaluator fetches exactly these relations.
-func (ar *AcceptedRun) Consulted(want attrset.Set) []int {
-	var seen attrset.Set
+// Consulted returns the rows of the minimal calculations of want \ R_l:
+// their tags are the schemes ExtendFor(want) may read, so R_l itself only
+// if one of those tableaux references it. A valuation maps a row's
+// distinguished columns to ī's values there, so a tuple ExtendFor reads
+// through a row agrees with ī on that row's DVs — and, the other columns
+// holding nondistinguished variables, on no more in general. The result is
+// a sorted, duplicate-free tableau; a scatter-gather evaluator fetches
+// exactly the relations it tags.
+func (ar *AcceptedRun) Consulted(want attrset.Set) tableau.T {
+	var rows tableau.T
 	for a, t := range ar.tAttr {
 		if !want.Has(a) || ar.s.Attrs(ar.l).Has(a) {
 			continue
 		}
-		for _, row := range t {
-			seen.Add(row.Tag)
-		}
+		rows = rows.Union(t)
 	}
-	return seen.Attrs()
+	return rows
 }
 
 // Complete adds to every relation of the state the projection of the

@@ -10,6 +10,7 @@ import (
 	"indep/internal/infer"
 	"indep/internal/relation"
 	"indep/internal/schema"
+	"indep/internal/tableau"
 	"indep/internal/workload"
 )
 
@@ -167,11 +168,12 @@ func TestCompleteYieldsSatisfyingState(t *testing.T) {
 // ExtendTuple over random states of independent schemas and random want
 // sets, reusing one Scratch throughout: ExtendFor succeeds exactly when
 // ExtendTuple determines all of want, with the same values. It also checks
-// Consulted(want): emptying every relation outside it changes nothing.
+// Consulted(want): keeping only the tuples of the relations it tags that
+// agree with ī on the DVs of their rows changes nothing.
 func TestExtendForMatchesExtendTuple(t *testing.T) {
 	r := rand.New(rand.NewSource(27))
 	var sc Scratch
-	for _, mk := range []func() (*schema.Schema, fd.List){workload.Example2, workload.University} {
+	for _, mk := range []func() (*schema.Schema, fd.List){workload.Example2, workload.University, freeColumn} {
 		s, fds := mk()
 		cover, ok, _ := infer.ExtractCover(s, fds)
 		if !ok {
@@ -194,13 +196,7 @@ func TestExtendForMatchesExtendTuple(t *testing.T) {
 							want.Add(a)
 						}
 					}
-					narrow := st.Clone()
-					keep := attrset.Of(ar.Consulted(want)...)
-					for i := range s.Rels {
-						if !keep.Has(i) {
-							narrow.Insts[i] = relation.NewInstance(s.Attrs(i))
-						}
-					}
+					consulted := ar.Consulted(want)
 					for _, tu := range st.Insts[l].Rows() {
 						ext, det := ar.ExtendTuple(st, tu)
 						got := ar.ExtendFor(st, tu, want, &sc)
@@ -217,9 +213,10 @@ func TestExtendForMatchesExtendTuple(t *testing.T) {
 									s, s.Name(l), s.U.Name(a), sc.Ext[a], ext[a])
 							}
 						}
+						narrow := agreeing(s, st, consulted, ext)
 						if !ar.ExtendFor(narrow, tu, want, &sc) {
-							t.Fatalf("%s/%s want %s: Consulted %v misses a relation ExtendFor reads",
-								s, s.Name(l), s.U.Format(want, " "), ar.Consulted(want))
+							t.Fatalf("%s/%s want %s: Consulted %s misses a tuple ExtendFor reads",
+								s, s.Name(l), s.U.Format(want, " "), consulted.Format(s))
 						}
 						for _, a := range want.Attrs() {
 							if sc.Ext[a] != ext[a] {
@@ -232,4 +229,31 @@ func TestExtendForMatchesExtendTuple(t *testing.T) {
 			}
 		}
 	}
+}
+
+// freeColumn is a schema whose A -> C tableau row leaves V's B free: U's
+// tuple (a,b) extends to C through a V tuple (a,c,b') with any b'.
+func freeColumn() (*schema.Schema, fd.List) {
+	s := schema.MustParse("U(A,B); V(A,C,B)")
+	return s, fd.MustParse(s.U, "A -> C")
+}
+
+// agreeing is st cut down to the tuples some row of rows can map to in a
+// valuation that agrees with ext: for each row, the tuples of the relation
+// it tags that agree with ext on its DVs.
+func agreeing(s *schema.Schema, st *relation.State, rows tableau.T, ext relation.Tuple) *relation.State {
+	out := relation.NewState(s)
+	for _, row := range rows {
+		cols := s.Attrs(row.Tag).Attrs()
+	tuples:
+		for _, tu := range st.Insts[row.Tag].Rows() {
+			for j, a := range cols {
+				if row.DVs.Has(a) && tu[j] != ext[a] {
+					continue tuples
+				}
+			}
+			out.Insts[row.Tag].Add(tu)
+		}
+	}
+	return out
 }

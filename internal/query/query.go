@@ -126,25 +126,52 @@ type Plan struct {
 
 	// runs[i] is the extension data for Schemes[i].
 	runs []*independence.AcceptedRun
+	// consults is what Consults returns.
+	consults []Consult
+}
+
+// Consult is one scheme a fast-path evaluation may read. Agree holds the
+// attributes on which every tuple of it the evaluation reads equals the
+// universal tuple ī being built (Theorem 5): all of the scheme for a
+// contributor's own tuples, a row's DVs for a tuple a tableau valuation
+// reads (independence.AcceptedRun.Consulted), and their intersection when
+// the scheme plays several parts. A tuple that helps produce an answer row
+// therefore agrees with that row on X ∩ Agree: a selection on those
+// attributes may be applied to the scheme before evaluating without
+// changing the selected window.
+type Consult struct {
+	Scheme int
+	Agree  attrset.Set
 }
 
 // Consults returns every scheme an evaluation of the plan may read: the
 // contributors plus those the tableaux of each X \ R_l take valuations
 // against. Chase plans return nil — the chase always consults the whole
-// state. The result is sorted and duplicate-free; it is the gather set a
-// cluster router must fetch before evaluating the window away from the data.
-func (p *Plan) Consults() []int {
-	if !p.Fast {
-		return nil
+// state. The result is sorted by scheme; it is the gather set a cluster
+// router must fetch before evaluating the window away from the data.
+func (p *Plan) Consults() []Consult { return p.consults }
+
+// planConsults computes a fast plan's Consults.
+func planConsults(s *schema.Schema, p *Plan) []Consult {
+	agree := make(map[int]attrset.Set)
+	meet := func(l int, cols attrset.Set) {
+		if prev, ok := agree[l]; ok {
+			cols = cols.Intersect(prev)
+		}
+		agree[l] = cols
 	}
-	var seen attrset.Set
 	for i, l := range p.Schemes {
-		seen.Add(l)
-		for _, c := range p.runs[i].Consulted(p.X) {
-			seen.Add(c)
+		meet(l, s.Attrs(l))
+		for _, row := range p.runs[i].Consulted(p.X) {
+			meet(row.Tag, row.DVs)
 		}
 	}
-	return seen.Attrs()
+	out := make([]Consult, 0, len(agree))
+	for l, cols := range agree {
+		out = append(out, Consult{Scheme: l, Agree: cols})
+	}
+	slices.SortFunc(out, func(a, b Consult) int { return a.Scheme - b.Scheme })
+	return out
 }
 
 // run returns scheme l's extension data, building it on first use. For an
@@ -201,6 +228,7 @@ func (ev *Evaluator) Plan(x attrset.Set) (*Plan, bool, error) {
 			p.Schemes = append(p.Schemes, l)
 			p.runs = append(p.runs, run)
 		}
+		p.consults = planConsults(ev.s, p)
 	}
 	ev.mu.Lock()
 	if prev, ok := ev.plans[x]; ok { // raced with another planner

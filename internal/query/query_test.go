@@ -175,16 +175,38 @@ func filterWindow(in *relation.Instance, sel []Cond) *relation.Instance {
 	return out
 }
 
+// selectConsulted is the state a scatter-gather evaluator may assemble for
+// the plan: each consulted scheme cut down to its tuples satisfying sel on
+// the scheme's Agree attributes, every other scheme empty.
+func selectConsulted(p *Plan, st *relation.State, sel []Cond) *relation.State {
+	out := relation.NewState(st.Schema)
+	for _, c := range p.Consults() {
+		inst := st.Insts[c.Scheme]
+		var kept []Cond
+		for _, cond := range sel {
+			if c.Agree.Has(cond.Attr) {
+				kept = append(kept, cond)
+			}
+		}
+		slots, _ := probe(inst, kept)
+		for _, s := range slots {
+			out.Insts[c.Scheme].Add(inst.AppendRow(nil, s))
+		}
+	}
+	return out
+}
+
 // TestWindowMatchesOracleRandom cross-checks three evaluations of random
 // selected windows over random satisfying states of independent schemas:
 // Query with the selection pushed into the plan, the full ExtendTuple
 // window filtered afterwards, and the filtered chase oracle. Conditions
 // name seen values, values no tuple carries, and Unseen, on attributes
-// inside and outside each contributor's scheme.
+// inside and outside each contributor's scheme. It also evaluates each
+// window over selectConsulted's state, which must not change it.
 func TestWindowMatchesOracleRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	var cases []design
-	for _, mk := range []func() (*schema.Schema, fd.List){workload.Example2, workload.University} {
+	for _, mk := range []func() (*schema.Schema, fd.List){workload.Example2, workload.University, freeColumn} {
 		s, fds := mk()
 		cases = append(cases, design{s, fds})
 	}
@@ -235,6 +257,14 @@ func TestWindowMatchesOracleRandom(t *testing.T) {
 						t.Fatalf("%s: scanned %d of %d rows of %s", s, res.Scanned[i], n, s.Name(l))
 					}
 				}
+				narrow, err := ev.Query(selectConsulted(res.Plan, st, sel), x, sel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameInstance(res.Rows, narrow.Rows) {
+					t.Fatalf("%s: window [%s] where %v over the consulted relations' agreeing tuples\n%v\nover\n%s\nwant %v",
+						s, s.U.Format(x, " "), sel, narrow.Rows.Rows(), st, res.Rows.Rows())
+				}
 			}
 		}
 	}
@@ -269,12 +299,51 @@ func TestPlanConsultsOnlyWindowTableaux(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got []string
-		for _, l := range p.Consults() {
-			got = append(got, s.Name(l))
+		for _, c := range p.Consults() {
+			got = append(got, s.Name(c.Scheme))
 		}
 		if strings.Join(got, " ") != c.want {
 			t.Fatalf("[%s] consults %v, want %s", c.attrs, got, c.want)
 		}
+	}
+}
+
+// freeColumn is U(A,B); V(A,C,B) with A -> C: the tableau row V's FD
+// contributes leaves V's B free.
+func freeColumn() (*schema.Schema, fd.List) {
+	s := schema.MustParse("U(A,B); V(A,C,B)")
+	return s, fd.MustParse(s.U, "A -> C")
+}
+
+// TestPlanConsultsAgree pins which attributes a consulted scheme's tuples
+// share with the answer rows they help produce. V's A -> C tableau row has
+// its DVs on A and C only: U's tuple (a,b) extends to C through any V tuple
+// with A = a, whatever its B, so a selection on B may narrow U but not V.
+func TestPlanConsultsAgree(t *testing.T) {
+	s, fds := freeColumn()
+	ev := newEvaluator(t, s, fds)
+	p, _, err := ev.Plan(s.U.Set("A", "B", "C"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, c := range p.Consults() {
+		got = append(got, s.Name(c.Scheme)+":"+s.U.Format(c.Agree, ""))
+	}
+	if want := "U:AB V:AC"; strings.Join(got, " ") != want {
+		t.Fatalf("consults %v, want %s", got, want)
+	}
+
+	st := relation.NewState(s)
+	st.AddNamed("U", map[string]string{"A": "a", "B": "b1"})
+	st.AddNamed("V", map[string]string{"A": "a", "C": "c", "B": "b2"})
+	b1 := []Cond{{Attr: s.U.MustIndex("B"), Val: st.Dict.Value("b1")}}
+	res, err := ev.Query(st, p.X, b1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rows.Len() != 1 {
+		t.Fatalf("[A B C] where B=b1: %d rows, want U's tuple extended through V's", res.Rows.Len())
 	}
 }
 

@@ -236,7 +236,34 @@ func (s *Schema) windowEvaluator() (*query.Evaluator, error) {
 // (nil, false, nil): the fallback chase consults the whole state, so a
 // router can only proxy the query to a node holding everything.
 func (s *Schema) WindowConsults(attrs ...string) (rels []string, fast bool, err error) {
-	x, err := s.attrSet(attrs)
+	fetches, fast, err := s.WindowFetches(WindowQuery{Attrs: attrs})
+	for _, f := range fetches {
+		rels = append(rels, f.Relation)
+	}
+	return rels, fast, err
+}
+
+// WindowFetch is one relation a window evaluation consults, with Where: the
+// part of the query's Where that every tuple of the relation the evaluation
+// reads satisfies (nil when no condition qualifies).
+type WindowFetch struct {
+	Relation string
+	Where    map[string]string
+}
+
+// WindowFetches is WindowConsults for a whole query: the relations an
+// evaluation of q may read, in the same order, each with the share of
+// q.Where its tuples must satisfy to take part in an answer row. A tuple
+// helps produce a row only through Theorem 5's extension joins, and agrees
+// with that row on the relation's attributes for a contributor's own tuple,
+// on the distinguished columns of the tableau row that reads it otherwise —
+// not on every attribute the relation shares with the window: an FD's
+// tableau row leaves the relation's other columns free. So q evaluates to
+// the same answer over any state holding, of each fetched relation R, every
+// tuple of R satisfying its Where and otherwise only tuples of R or of R's
+// total projection.
+func (s *Schema) WindowFetches(q WindowQuery) (fetches []WindowFetch, fast bool, err error) {
+	x, where, err := s.windowArgs(q)
 	if err != nil {
 		return nil, false, err
 	}
@@ -251,10 +278,19 @@ func (s *Schema) WindowConsults(attrs ...string) (rels []string, fast bool, err 
 	if !p.Fast {
 		return nil, false, nil
 	}
-	for _, l := range p.Consults() {
-		rels = append(rels, s.s.Name(l))
+	for _, c := range p.Consults() {
+		f := WindowFetch{Relation: s.s.Name(c.Scheme)}
+		for a, v := range where {
+			if c.Agree.Has(a) {
+				if f.Where == nil {
+					f.Where = make(map[string]string)
+				}
+				f.Where[s.s.U.Name(a)] = v
+			}
+		}
+		fetches = append(fetches, f)
 	}
-	return rels, true, nil
+	return fetches, true, nil
 }
 
 // windowArgs resolves a query's window attributes and keys its Where by
