@@ -1,11 +1,11 @@
 package indep
 
-// One benchmark per experiment in DESIGN.md's index. The paper has no
+// One benchmark per experiment of internal/experiments. The paper has no
 // numeric tables (it is a theory paper); these benchmarks regenerate the
 // executable artifacts: the worked examples, the decision procedure's
 // polynomial scaling, the maintenance fast path vs the chase, the
 // Theorem 1 reduction, and the acyclic-schema machinery. The table-form
-// outputs live in cmd/indepbench; EXPERIMENTS.md records both.
+// outputs come from `indep experiments`.
 
 import (
 	"fmt"

@@ -10,6 +10,7 @@
 //	indep query -schema ... -fds ... -rows data.txt -of 'C T' [-where 'C=cs101'] [-limit 10] [-explain]
 //	indep load -schema ... -fds ... -rows data.txt -url http://localhost:8080 [-wire bin|json] [-batch 256]
 //	indep trace -url http://localhost:8080 -recent [-min 5ms] [-route 'POST /v1/tuple'] [-limit 10]
+//	indep experiments [-exp all|E1,T3,...] [-seed 1982] [-scale 0]
 //
 // load uploads a tuple file to a running indepd in atomic batches — over the
 // length-prefixed binary protocol (POST /v1/batchbin, the default) or the
@@ -36,6 +37,11 @@
 // trace talks to a running indepd's flight recorder (/debug/trace): -recent
 // lists retained traces newest first, -id fetches one span tree by its
 // 16-hex trace ID (the X-Indep-Trace response header of the request).
+//
+// experiments regenerates the paper-reproduction tables: the worked
+// examples (E1–E3), the theorem checks against the chase oracle (T1–T3,
+// C1) and the complexity shapes (P1, A1, M1). Timings vary run to run;
+// every other figure is fixed by -seed and -scale.
 package main
 
 import (
@@ -51,6 +57,7 @@ import (
 	"time"
 
 	"indep"
+	"indep/internal/experiments"
 )
 
 func main() {
@@ -58,8 +65,12 @@ func main() {
 		usage()
 	}
 	cmd := os.Args[1]
-	if cmd == "trace" { // needs a daemon URL, not a schema
+	switch cmd {
+	case "trace": // needs a daemon URL, not a schema
 		runTrace(os.Args[2:])
+		return
+	case "experiments": // generates its own schemas
+		runExperiments(os.Args[2:])
 		return
 	}
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
@@ -310,6 +321,23 @@ func runTrace(argv []string) {
 	}
 }
 
+// runExperiments implements the experiments subcommand: print the tables of
+// the experiments -exp names, in the order it names them.
+func runExperiments(argv []string) {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
+	exp := fs.String("exp", "all", "comma-separated experiment ids ("+strings.Join(experiments.Order, ",")+") or 'all'")
+	seed := fs.Int64("seed", 1982, "random seed")
+	scale := fs.Int("scale", 0, "work scale (0 = default)")
+	if err := fs.Parse(argv); err != nil {
+		os.Exit(2)
+	}
+	out, err := experiments.Run(*exp, experiments.Params{Seed: *seed, Scale: *scale})
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Print(out)
+}
+
 // fetchJSON GETs a URL and decodes its JSON body into out. Non-200 responses
 // become errors carrying the server's message.
 func fetchJSON(u string, out any) error {
@@ -451,6 +479,7 @@ func usage() {
   indep query -schema '...' -fds '...' -rows data.txt -of 'A B' [-where 'A=v'] [-limit n] [-explain]
   indep load -schema '...' -fds '...' -rows data.txt -url http://host:8080 [-wire bin|json] [-batch n]
   indep trace -url http://host:8080 -recent [-min 5ms] [-route 'POST /v1/tuple'] [-limit n]
-  indep trace -url http://host:8080 -id <16-hex trace id>`)
+  indep trace -url http://host:8080 -id <16-hex trace id>
+  indep experiments [-exp all|E1,T3,...] [-seed 1982] [-scale 0]`)
 	os.Exit(2)
 }

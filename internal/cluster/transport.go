@@ -205,8 +205,8 @@ func (t *HTTPTransport) Ping(ctx context.Context) error {
 
 // LocalTransport serves a shard from an in-process store, still routing
 // writes through the binary wire decoder so the bytes a router forwards are
-// exercised end to end. Benchmarks (indepbench -shards) and the race-able
-// cluster fault tests use it to run a whole cluster in one process.
+// exercised end to end. The race-able cluster fault tests use it to run a
+// whole cluster in one process.
 type LocalTransport struct {
 	Shard string
 	Store *indep.ConcurrentStore

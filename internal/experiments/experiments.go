@@ -4,7 +4,7 @@
 // replays a worked example, validates a theorem's claim against the chase
 // oracle, or measures the complexity behaviour the theorems assert
 // (polynomial decision procedure, fast maintenance for independent schemas,
-// intractable maintenance in general). EXPERIMENTS.md records the outputs.
+// intractable maintenance in general). `indep experiments` prints them.
 package experiments
 
 import (
@@ -25,8 +25,8 @@ import (
 	"indep/internal/workload"
 )
 
-// Registry maps experiment ids to runners. Params scale the work; the zero
-// value of Params picks the defaults used for EXPERIMENTS.md.
+// Params scale the work; the zero value picks the default scale and seed
+// that `indep experiments` runs with.
 type Params struct {
 	Seed  int64
 	Scale int // 0 = default scale
@@ -50,7 +50,7 @@ func (p Params) rng() *rand.Rand {
 // Runner executes one experiment and returns its report.
 type Runner func(Params) string
 
-// Registry lists all experiments in DESIGN.md order.
+// Registry maps experiment ids to runners.
 var Registry = map[string]Runner{
 	"E1": E1, "E2": E2, "E3": E3,
 	"T1": T1, "T2": T2, "T3": T3,
@@ -466,12 +466,26 @@ func indent(s string) string {
 	return strings.Join(lines, "\n") + "\n"
 }
 
-// RunAll executes every experiment in order and concatenates the reports.
-func RunAll(p Params) string {
+// Run executes the experiments named by ids — a comma-separated list of
+// Order's ids, matched case- and space-insensitively, or "all" for Order
+// itself — and concatenates their reports, each followed by a blank line.
+// An unknown id is an error listing the known ones, and nothing runs.
+func Run(ids string, p Params) (string, error) {
+	list := Order
+	if !strings.EqualFold(strings.TrimSpace(ids), "all") {
+		list = nil
+		for _, id := range strings.Split(ids, ",") {
+			id = strings.ToUpper(strings.TrimSpace(id))
+			if _, ok := Registry[id]; !ok {
+				return "", fmt.Errorf("unknown experiment %q (known: %s)", id, strings.Join(Order, ","))
+			}
+			list = append(list, id)
+		}
+	}
 	var b strings.Builder
-	for _, id := range Order {
+	for _, id := range list {
 		b.WriteString(Registry[id](p))
 		b.WriteString("\n")
 	}
-	return b.String()
+	return b.String(), nil
 }

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"maps"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -67,14 +70,79 @@ func TestC1BoundHolds(t *testing.T) {
 	// checking the package test in infer already enforces the bound.
 }
 
+// TestRunAllSmoke runs every experiment at a scale small enough for T1 (at
+// small()'s 20 it chases a 20-scheme reduction); Run("all") must equal the
+// concatenation of Order's reports.
 func TestRunAllSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full harness is slow")
 	}
-	out := RunAll(Params{Seed: 7, Scale: 4})
+	p := Params{Seed: 7, Scale: 4}
+	out, err := Run("all", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
 	for _, id := range Order {
 		if !strings.Contains(out, "== "+id+":") {
-			t.Errorf("RunAll missing %s", id)
+			t.Errorf("Run(\"all\") missing %s", id)
+		}
+		want.WriteString(Registry[id](p) + "\n")
+	}
+	if g, w := mask(out), mask(want.String()); g != w {
+		t.Errorf("Run(\"all\") differs from the Order concatenation:\n%s\nwant:\n%s", g, w)
+	}
+}
+
+func TestOrderMatchesRegistry(t *testing.T) {
+	ids := slices.Sorted(maps.Keys(Registry))
+	order := slices.Sorted(slices.Values(Order))
+	if !slices.Equal(ids, order) {
+		t.Errorf("Registry ids %v, Order ids %v", ids, order)
+	}
+}
+
+// mask hides the wall-clock figures the tables print (durations, and M1's
+// per-insert ns and ratio columns) and the column padding that follows
+// their width, leaving the deterministic text.
+func mask(s string) string {
+	s = timings.ReplaceAllString(s, "<d>")
+	return spaces.ReplaceAllString(s, " ")
+}
+
+var (
+	timings = regexp.MustCompile(`[0-9]+(\.[0-9]+)?(ns|µs|ms|s)\b|(?m)^ +[0-9]+ +[0-9]+ +[0-9]+ +[0-9]+x$`)
+	spaces  = regexp.MustCompile(` +`)
+)
+
+func TestRun(t *testing.T) {
+	p := small()
+	e1t3 := E1(p) + "\n" + T3(p) + "\n"
+	for _, tc := range []struct {
+		ids, want string
+		errHas    []string
+	}{
+		{ids: "E1,T3", want: e1t3},
+		{ids: "e1, t3", want: e1t3},
+		{ids: " E1 ,T3 ", want: e1t3},
+		{ids: "E1,X9", errHas: []string{`"X9"`, strings.Join(Order, ",")}},
+		{ids: "", errHas: []string{`""`}},
+	} {
+		got, err := Run(tc.ids, p)
+		if tc.errHas != nil {
+			if err == nil {
+				t.Errorf("Run(%q) succeeded, want an error", tc.ids)
+				continue
+			}
+			for _, want := range tc.errHas {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("Run(%q) error %q does not name %s", tc.ids, err, want)
+				}
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("Run(%q) = %q, %v; want %q", tc.ids, got, err, tc.want)
 		}
 	}
 }

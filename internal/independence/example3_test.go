@@ -10,7 +10,7 @@ import (
 	"indep/internal/schema"
 )
 
-// The paper's Example 3, recovered from the garbled scan (see DESIGN.md):
+// The paper's Example 3, recovered from the garbled scan:
 //
 //	D  = {R1(A1,B1), R2(A1,B1,A2,B2,C)}
 //	F2 = {A1→A2, B1→B2, A1B1→C, A2B2→A1B1C}

@@ -144,29 +144,6 @@ func attrName(i int) string {
 	return fmt.Sprintf("A%d", i)
 }
 
-// FunctionalState builds a state of the given size whose relations satisfy
-// every FD by construction: each attribute value is a deterministic
-// function of a per-tuple seed drawn from a domain of the given size, so
-// any two tuples agreeing on any LHS agree everywhere. The resulting state
-// is globally consistent and therefore useful as a large satisfying base
-// for maintenance benchmarks.
-func FunctionalState(r *rand.Rand, s *schema.Schema, tuplesPerRel, domain int) *relation.State {
-	st := relation.NewState(s)
-	for i, rel := range s.Rels {
-		attrs := rel.Attrs.Attrs()
-		for j := 0; j < tuplesPerRel; j++ {
-			seed := int64(r.Intn(domain))
-			t := make(relation.Tuple, len(attrs))
-			for c, a := range attrs {
-				// Value depends only on (attribute, seed).
-				t[c] = relation.Value(seed*1000 + int64(a))
-			}
-			st.Insts[i].Add(t)
-		}
-	}
-	return st
-}
-
 // LocalState draws random states until one is locally satisfying w.r.t.
 // fds ∪ {*D} (chase-checked), or returns nil after tries attempts.
 func LocalState(r *rand.Rand, s *schema.Schema, fds fd.List, tuplesPerRel, domain, tries int) *relation.State {
@@ -223,7 +200,8 @@ func Example2Broken() (*schema.Schema, fd.List) {
 	return s, fd.MustParse(s.U, "C -> T; C H -> R; S H -> R")
 }
 
-// Example3 returns the paper's Example 3 (recovered; see DESIGN.md):
+// Example3 returns the paper's Example 3, recovered from the garbled scan
+// (internal/independence/example3_test.go walks through its rejections):
 // R1(A1,B1), R2(A1,B1,A2,B2,C) with A1→A2, B1→B2, A1B1→C, A2B2→A1B1C.
 func Example3() (*schema.Schema, fd.List) {
 	s := schema.MustParse("R1(A1,B1); R2(A1,B1,A2,B2,C)")

@@ -38,16 +38,6 @@ func TestSchemaNonEmbeddedAllowed(t *testing.T) {
 	_ = fds // non-embedded FDs are fine; nothing to assert beyond validity
 }
 
-func TestFunctionalStateSatisfiesEverything(t *testing.T) {
-	r := rand.New(rand.NewSource(22))
-	s, fds := Example2()
-	st := FunctionalState(r, s, 50, 20)
-	ok, err := chase.Satisfies(st, fds, false, chase.DefaultCaps)
-	if err != nil || !ok {
-		t.Fatalf("functional state must satisfy (ok=%v err=%v)", ok, err)
-	}
-}
-
 func TestLocalStateIsLocallySatisfying(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	s, fds := Example1()
