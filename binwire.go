@@ -275,11 +275,15 @@ type OpOutcome struct {
 // operations attempted; it falls short of Ops only when a non-rejection
 // error (durability, chase budget) aborted the run midway, in which case
 // ApplyBinBatchPartial also returns that error. Rejections never stop the
-// batch: the rejected operation is recorded and the rest proceed.
+// batch: the rejected operation is recorded and the rest proceed. Applied
+// counts the operations not rejected; Changed counts those that changed
+// the state — an insert of a present tuple or a delete of an absent one is
+// applied but changes nothing.
 type BatchReport struct {
 	Ops       int         `json:"ops"`
 	Processed int         `json:"processed"`
 	Applied   int         `json:"applied"`
+	Changed   int         `json:"changed"`
 	Rejected  []OpOutcome `json:"rejected,omitempty"`
 }
 
@@ -304,9 +308,10 @@ func (cs *ConcurrentStore) ApplyBinBatchPartial(ctx context.Context, payload []b
 	rep := &BatchReport{Ops: len(ops)}
 	for i := range ops {
 		rep.Processed++
-		switch _, err := cs.eng.Apply(ctx, ops[i:i+1]); {
+		switch changed, err := cs.eng.Apply(ctx, ops[i:i+1]); {
 		case err == nil:
 			rep.Applied++
+			rep.Changed += changed
 		case Rejected(err):
 			rep.Rejected = append(rep.Rejected, OpOutcome{Index: i, Code: "rejected", Error: err.Error()})
 		default:

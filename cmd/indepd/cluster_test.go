@@ -1,8 +1,8 @@
 package main
 
 // End-to-end drills for the -cluster routing tier: real shard daemons
-// (httptest servers running the single-node handler) fronted by a real
-// routerServer, all over actual HTTP — the only pieces not from production
+// (httptest servers running the single-node handler) fronted by the same
+// server in router mode, all over actual HTTP — the only pieces not from production
 // are the listeners. The 503 drill replaces one shard with a closed port
 // and pins the router's unavailability contract: 503, Retry-After, the
 // shard's name, and a partial report the client can act on.
@@ -15,12 +15,14 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"indep"
 	"indep/internal/cluster"
+	"indep/internal/obs"
 )
 
 const clusterSchema = "CT(C,T); CS(C,S); CHR(C,H,R)"
@@ -57,7 +59,7 @@ func newClusterTestServer(t *testing.T, n int, deadShards ...string) (*httptest.
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newRouterServer(rt, discardLogger()))
+	ts := httptest.NewServer(newClusterServer(rt, discardLogger(), false, obs.RecorderOptions{SampleEvery: 1}))
 	t.Cleanup(ts.Close)
 	return ts, rt
 }
@@ -370,5 +372,130 @@ func TestClusterRelEndpoint(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("cluster/rel?name=%q: %d", bad, resp.StatusCode)
 		}
+	}
+}
+
+// TestClusterRouterDelete checks the router answers a delete like a node:
+// {"deleted":true} when the owning shard held the tuple, false after.
+func TestClusterRouterDelete(t *testing.T) {
+	ts, _ := newClusterTestServer(t, 3)
+	tuple := map[string]any{"relation": "CT", "row": map[string]string{"C": "c1", "T": "t1"}}
+	if resp, body := do(t, http.MethodPost, ts.URL+"/v1/insert", tuple); resp.StatusCode != http.StatusOK {
+		t.Fatalf("insert: %d (%v)", resp.StatusCode, body)
+	}
+	for _, want := range []bool{true, false} {
+		resp, body := do(t, http.MethodDelete, ts.URL+"/v1/tuple", tuple)
+		if resp.StatusCode != http.StatusOK || body["deleted"] != want {
+			t.Fatalf("delete: %d (%v), want deleted=%v", resp.StatusCode, body, want)
+		}
+	}
+}
+
+// TestClusterTraceCrossesHop sends a write through the router under a
+// client trace ID: the router's flight recorder keeps the request, and the
+// owning shard's keeps the forward, both under that ID.
+func TestClusterTraceCrossesHop(t *testing.T) {
+	ts, rt := newClusterTestServer(t, 3)
+	const id = "0123456789abcdef"
+	row := map[string]string{"C": "c1", "T": "t1"}
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/insert",
+		strings.NewReader(`{"relation":"CT","row":{"C":"c1","T":"t1"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(traceHeader, id)
+	if resp, body := doReq(t, req); resp.StatusCode != http.StatusOK {
+		t.Fatalf("insert: %d (%v)", resp.StatusCode, body)
+	}
+
+	owner, err := rt.Placement().Owner("CT", row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardURL := ""
+	for _, h := range rt.Health() {
+		if h.Name == owner {
+			shardURL = h.URL
+		}
+	}
+	for _, hop := range []struct{ base, route string }{
+		{ts.URL, "POST /insert"},
+		{shardURL, "POST /batchbin"},
+	} {
+		resp, tv := do(t, http.MethodGet, hop.base+"/debug/trace/"+id, nil)
+		if resp.StatusCode != http.StatusOK || tv["route"] != hop.route {
+			t.Fatalf("trace on %s: %d %v, want route %q", hop.base, resp.StatusCode, tv, hop.route)
+		}
+	}
+}
+
+// TestClusterRouterServesNodeSurface checks the router serves what a node
+// serves around the API: a lint-clean /metrics with the HTTP, cluster and
+// flight-recorder families, /debug/trace, strict ?partial parsing, binary
+// window requests answered in JSON, and readiness.
+func TestClusterRouterServesNodeSurface(t *testing.T) {
+	ts, _ := newClusterTestServer(t, 2)
+	sch, err := indep.Parse(clusterSchema, clusterFDs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := sch.OpenConcurrentStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		row := map[string]string{"C": fmt.Sprintf("c%d", i), "T": fmt.Sprintf("t%d", i%2)}
+		if resp, body := do(t, http.MethodPost, ts.URL+"/v1/insert", map[string]any{"relation": "CT", "row": row}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("insert: %d (%v)", resp.StatusCode, body)
+		}
+		if err := oracle.Insert("CT", row); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	fams := scrape(t, ts.URL)
+	lat := family(fams, "indep_http_request_duration_seconds")
+	if lat == nil || !slices.ContainsFunc(lat.Samples, func(s obs.Sample) bool { return s.Label("route") == "POST /insert" }) {
+		t.Fatalf("no POST /insert latency series: %+v", lat)
+	}
+	for _, prefix := range []string{"indep_cluster_", "obs_trace_"} {
+		if !slices.ContainsFunc(fams, func(f obs.ParsedFamily) bool { return strings.HasPrefix(f.Name, prefix) }) {
+			t.Errorf("scrape has no %s* family", prefix)
+		}
+	}
+
+	resp, body := do(t, http.MethodGet, ts.URL+"/debug/trace/recent?route="+url.QueryEscape("POST /insert"), nil)
+	if resp.StatusCode != http.StatusOK || body["count"].(float64) != 6 {
+		t.Fatalf("recent router traces: %d %v", resp.StatusCode, body)
+	}
+
+	bresp, err := http.Post(ts.URL+"/v1/batchbin?partial=bogus", indep.BinContentType, strings.NewReader(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bresp.Body.Close()
+	if bresp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bogus partial parameter: %d, want 400", bresp.StatusCode)
+	}
+
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/window?attrs=C,T&where=T=t1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", indep.BinContentType)
+	resp, body = doReq(t, req)
+	if resp.StatusCode != http.StatusOK || !strings.HasPrefix(resp.Header.Get("Content-Type"), "application/json") {
+		t.Fatalf("binary window request: %d %q %v", resp.StatusCode, resp.Header.Get("Content-Type"), body)
+	}
+	want, err := oracle.Query(indep.WindowQuery{Attrs: []string{"C", "T"}, Where: map[string]string{"T": "t1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(body["rows"], jsonValue(t, want.Rows)) || len(want.Rows) != 3 {
+		t.Fatalf("router rows %v, oracle %v", body["rows"], want.Rows)
+	}
+
+	if resp, body := do(t, http.MethodGet, ts.URL+"/readyz", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("readyz: %d %v", resp.StatusCode, body)
 	}
 }

@@ -19,29 +19,49 @@
 // answer 503 with Retry-After when still behind — read-your-writes without
 // blocking the primary.
 //
+// With -cluster the daemon is a stateless routing tier in front of the
+// -shards daemons (see internal/cluster). It is the same server: one route
+// table, one middleware, one listen/shutdown path. The API routes call a
+// cluster.Router instead of a store, so batches split per owning shard and
+// apply per op, and a failing shard answers 503 with Retry-After.
+//
 // Usage:
 //
 //	indepd -schema 'CT(C,T); CS(C,S); CHR(C,H,R)' -fds 'C -> T; C H -> R'
 //	indepd -file design.txt -addr :8080 -data /var/lib/indepd
 //	indepd -file design.txt -addr :8081 -data /var/lib/indepd-replica -follow http://primary:8080
+//	indepd -file design.txt -addr :8090 -cluster -shards 'shard1=http://h1:8080,shard2=http://h2:8080'
 //
-// Endpoints (also mounted under /v1/):
+// API routes (also mounted under /v1/), served by node and router alike:
 //
 //	POST   /insert      {"relation":"CT","row":{"C":"cs101","T":"jones"}}
-//	POST   /batch       {"ops":[{"relation":...,"row":{...}}, ...]}  (atomic)
-//	POST   /batchbin    length-prefixed binary batch (indep.BinBatchEncoder; atomic, JSON-free)
+//	POST   /batch       {"ops":[{"relation":...,"row":{...}}, ...]}  (atomic on a node)
+//	POST   /batchbin    length-prefixed binary batch (indep.BinBatchEncoder; atomic on a node, JSON-free)
 //	DELETE /tuple       {"relation":"CT","row":{...}}
-//	POST   /checkpoint  snapshot state, truncate the log (durable only)
 //	GET    /window      ?attrs=C,T[&where=C=cs101&project=T&limit=10]
-//	                    (Accept: application/x-indep-bin streams the binary result)
+//	                    (Accept: application/x-indep-bin streams the binary result from a node)
+//
+// Node only:
+//
+//	POST   /checkpoint  snapshot state, truncate the log (durable only)
 //	GET    /state       full state as JSON rows
 //	GET    /analysis    independence analysis
 //	GET    /stats       per-relation counters, latency quantiles, WAL depth
-//	GET    /metrics     Prometheus text exposition of every subsystem
-//	GET    /healthz     process liveness (200 as soon as the listener is up)
-//	GET    /readyz      503 until recovery finishes, then 200
+//	GET    /cluster/rel one relation's fragment, for a router's gather
 //	GET    /v1/repl/wal       raw flushed WAL bytes by cursor (?pos=seq/off&max=&wait=1)
 //	GET    /v1/repl/snapshot  encoded state snapshot for follower bootstrap
+//
+// Router only:
+//
+//	GET    /cluster/status  placement and passively observed shard health
+//	GET    /cluster/health  actively probes every shard
+//
+// Both tiers, bare path only:
+//
+//	GET    /metrics     Prometheus text exposition of every subsystem
+//	GET    /healthz     process liveness (200 as soon as the listener is up)
+//	GET    /readyz      503 until recovery finishes, then 200 (a router is ready at once)
+//	GET    /debug/trace/{id}, /debug/trace/recent  the flight recorder
 //
 // /window computes the paper's window function: the X-total projection of
 // the representative instance for the requested attribute set, evaluated
@@ -54,8 +74,9 @@
 // from the X-Indep-Trace request header), echoed in the response header
 // and attached to the access log, slow-operation records, and — on a
 // durable store — the commit's fsync ack, so one grep over the structured
-// log reconstructs a write's full path. -pprof mounts net/http/pprof under
-// /debug/pprof/.
+// log reconstructs a write's full path. A router forwards the ID to the
+// shards, whose flight recorders keep the forwards under it. -pprof mounts
+// net/http/pprof under /debug/pprof/.
 //
 // Rejected writes answer 409 with {"rejected":true}; malformed ones 400.
 // If the write-ahead log cannot persist an admitted write the daemon
@@ -63,8 +84,10 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -126,6 +149,9 @@ func main() {
 	}
 	logger.Info("schema loaded", "schema", sch.String())
 
+	rec := obs.RecorderOptions{Capacity: *traceRing, SampleEvery: *traceSample, Slow: *slow}
+	var s *server
+	var rt *cluster.Router
 	if *clusterOn {
 		if *shards == "" {
 			fatal(fmt.Errorf("-cluster requires -shards (e.g. -shards 'shard1=http://host1:8080,shard2=http://host2:8080')"))
@@ -137,11 +163,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		rt, err := cluster.NewRouter(sch, members, cluster.Options{
-			Parts:  *clusterParts,
-			Logger: logger,
-		})
-		if err != nil {
+		if rt, err = cluster.NewRouter(sch, members, cluster.Options{Parts: *clusterParts, Logger: logger}); err != nil {
 			fatal(err)
 		}
 		if shard, fb := rt.Fallback(); fb {
@@ -149,19 +171,15 @@ func main() {
 		} else {
 			logger.Info("cluster mode", "shards", len(members), "parts", rt.Placement().Parts())
 		}
-		serveCluster(newRouterServer(rt, logger), *addr, *healthEvery, logger)
-		return
+		s = newClusterServer(rt, logger, *pprofOn, rec)
+	} else {
+		s = newServer(sch, logger, *pprofOn, rec)
 	}
 
 	// Listener first, store second: /healthz and /readyz must answer while
 	// a large write-ahead log replays, and an orchestrator must be able to
 	// tell "starting" from "dead". Store-backed routes answer 503 until the
-	// store is installed.
-	s := newServer(sch, logger, *pprofOn, obs.RecorderOptions{
-		Capacity:    *traceRing,
-		SampleEvery: *traceSample,
-		Slow:        *slow,
-	})
+	// store is installed; a router is installed already.
 	srv := &http.Server{
 		Handler:           s,
 		ReadHeaderTimeout: 10 * time.Second,
@@ -180,6 +198,8 @@ func main() {
 	var durable *indep.DurableStore
 	var follower *indep.Follower
 	switch {
+	case rt != nil:
+		// A router has no store: newClusterServer installed the router.
 	case *follow != "":
 		if *data == "" {
 			fatal(fmt.Errorf("-follow requires -data (the replica keeps its own durable copy)"))
@@ -212,12 +232,20 @@ func main() {
 			fatal(err)
 		}
 	}
-	s.install(store, durable, follower, *slow)
-	logger.Info("ready", "fastPath", store.FastPath(), "durable", durable != nil,
-		"replica", follower != nil)
+	if store != nil {
+		s.install(store, durable, follower, *slow)
+		logger.Info("ready", "fastPath", store.FastPath(), "durable", durable != nil,
+			"replica", follower != nil)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	if rt != nil {
+		rt.CheckHealth(ctx) // prime the health table before the first scrape
+		if *healthEvery > 0 {
+			go healthLoop(ctx, rt, *healthEvery, logger)
+		}
+	}
 	select {
 	case err := <-errc:
 		fatal(err)
@@ -256,18 +284,37 @@ func fatal(err error) {
 	os.Exit(2)
 }
 
-// server bundles the schema, store, and telemetry behind the HTTP API.
-// store and durable are nil until install runs (durable stays nil for an
-// in-memory daemon); ready gates every store-backed route, and its Store
-// also publishes the store pointers to handler goroutines.
+// backend is what the API routes call: a *indep.ConcurrentStore on a node,
+// routerBackend over a cluster.Router in -cluster mode.
+type backend interface {
+	InsertCtx(ctx context.Context, rel string, row map[string]string) error
+	DeleteCtx(ctx context.Context, rel string, row map[string]string) (bool, error)
+	ApplyBinBatchPartial(ctx context.Context, payload []byte) (*indep.BatchReport, error)
+	QueryCtx(ctx context.Context, q indep.WindowQuery) (*indep.WindowResult, error)
+}
+
+// atomicApplier is the capability behind an atomic /batchbin: a store
+// commits a payload as one unit. A router's payload spans shards, so it
+// lacks the method and applies every batch per op.
+type atomicApplier interface {
+	ApplyBinBatch(ctx context.Context, payload []byte) (int, error)
+}
+
+// server is the daemon's one HTTP server, for both tiers: the schema, the
+// backend, and telemetry behind the route table. api is nil until install
+// runs on a node (a router's is set at construction); store and durable
+// are the node's store (durable stays nil for an in-memory daemon, both
+// stay nil on a router). ready gates every backend route, and its Store
+// also publishes the pointers to handler goroutines.
 type server struct {
-	sch  *indep.Schema
-	log  *slog.Logger
-	reg  *indep.MetricsRegistry
-	http *httpStats
-	mux  *http.ServeMux
+	*http.ServeMux // the route table
+	sch            *indep.Schema
+	log            *slog.Logger
+	reg            *indep.MetricsRegistry
+	http           *httpStats
 
 	ready    atomic.Bool
+	api      backend
 	store    *indep.ConcurrentStore
 	durable  *indep.DurableStore
 	follower *indep.Follower // non-nil in replica mode: read-only, tails a primary
@@ -277,66 +324,72 @@ type server struct {
 	rec *obs.Recorder
 }
 
-// newServer builds the daemon's handler; split from main so tests can mount
-// it on httptest. Every API route is mounted bare and under /v1/ so clients
-// can pin the versioned path. The handler works before install: probe and
-// metrics routes answer immediately, store routes 503.
+// newServer builds a node's handler; split from main so tests can mount it
+// on httptest. The handler works before install: probe and metrics routes
+// answer immediately, store routes 503.
 func newServer(sch *indep.Schema, logger *slog.Logger, pprofOn bool, rec obs.RecorderOptions) *server {
-	reg := indep.NewMetricsRegistry()
-	s := &server{
-		sch:  sch,
-		log:  logger,
-		reg:  reg,
-		http: newHTTPStats(reg),
-		mux:  http.NewServeMux(),
-		rec:  obs.NewRecorder(rec),
-	}
-	s.rec.Register(reg)
-	handle := func(pattern string, h http.HandlerFunc) {
-		method, path, ok := strings.Cut(pattern, " ")
-		if !ok {
-			panic("indepd: route pattern without method: " + pattern)
-		}
-		wrapped := s.wrap(pattern, s.whenReady(h))
-		s.mux.HandleFunc(pattern, wrapped)
-		s.mux.HandleFunc(method+" /v1"+path, wrapped)
-	}
-	handle("POST /insert", s.handleInsert)
-	handle("POST /batch", s.handleBatch)
-	handle("POST /batchbin", s.handleBatchBin)
-	handle("DELETE /tuple", s.handleDelete)
-	handle("POST /checkpoint", s.handleCheckpoint)
-	handle("GET /window", s.handleWindow)
-	handle("GET /cluster/rel", s.handleClusterRel)
-	handle("GET /state", s.handleState)
-	handle("GET /analysis", s.handleAnalysis)
-	handle("GET /stats", s.handleStats)
+	s := newAPIServer(sch, logger, pprofOn, rec)
+	s.handle("POST /checkpoint", s.handleCheckpoint)
+	s.handle("GET /cluster/rel", s.handleClusterRel)
+	s.handle("GET /state", s.handleState)
+	s.handle("GET /analysis", s.handleAnalysis)
+	s.handle("GET /stats", s.handleStats)
 	// Replication stream: followers poll these at up to per-millisecond
 	// rates, so they log at Debug like the probe routes.
-	s.mux.HandleFunc("GET /v1/repl/wal", s.wrapAt(slog.LevelDebug, "GET /v1/repl/wal", s.whenReady(s.handleReplWal)))
-	s.mux.HandleFunc("GET /v1/repl/snapshot", s.wrapAt(slog.LevelDebug, "GET /v1/repl/snapshot", s.whenReady(s.handleReplSnapshot)))
+	s.HandleFunc("GET /v1/repl/wal", s.wrapAt(slog.LevelDebug, "GET /v1/repl/wal", s.whenReady(s.handleReplWal)))
+	s.HandleFunc("GET /v1/repl/snapshot", s.wrapAt(slog.LevelDebug, "GET /v1/repl/snapshot", s.whenReady(s.handleReplSnapshot)))
+	return s
+}
+
+// newAPIServer builds the routes both tiers serve: the API, probes,
+// metrics, the flight recorder and, with pprofOn, net/http/pprof.
+func newAPIServer(sch *indep.Schema, logger *slog.Logger, pprofOn bool, rec obs.RecorderOptions) *server {
+	reg := indep.NewMetricsRegistry()
+	s := &server{
+		ServeMux: http.NewServeMux(),
+		sch:      sch,
+		log:      logger,
+		reg:      reg,
+		http:     newHTTPStats(reg),
+		rec:      obs.NewRecorder(rec),
+	}
+	s.rec.Register(reg)
+	s.handle("POST /insert", s.handleInsert)
+	s.handle("POST /batch", s.handleBatch)
+	s.handle("POST /batchbin", s.handleBatchBin)
+	s.handle("DELETE /tuple", s.handleDelete)
+	s.handle("GET /window", s.handleWindow)
 	// Probe and scrape routes bypass the readiness gate and log at Debug:
 	// a kubelet hitting /healthz every few seconds must not fill the log.
-	s.mux.HandleFunc("GET /metrics", s.wrapAt(slog.LevelDebug, "GET /metrics", s.handleMetrics))
+	s.HandleFunc("GET /metrics", s.wrapAt(slog.LevelDebug, "GET /metrics", s.handleMetrics))
 	// Flight-recorder reads are Debug-level and untraced: reading traces
 	// must not evict traces. The literal /recent route wins over the {id}
 	// wildcard by ServeMux precedence.
-	s.mux.HandleFunc("GET /debug/trace/recent", s.wrapAt(slog.LevelDebug, "GET /debug/trace/recent", s.handleTraceRecent))
-	s.mux.HandleFunc("GET /debug/trace/{id}", s.wrapAt(slog.LevelDebug, "GET /debug/trace/{id}", s.handleTraceGet))
-	s.mux.HandleFunc("GET /healthz", s.wrapAt(slog.LevelDebug, "GET /healthz", s.handleHealthz))
-	s.mux.HandleFunc("GET /readyz", s.wrapAt(slog.LevelDebug, "GET /readyz", s.handleReadyz))
+	s.HandleFunc("GET /debug/trace/recent", s.wrapAt(slog.LevelDebug, "GET /debug/trace/recent", s.handleTraceRecent))
+	s.HandleFunc("GET /debug/trace/{id}", s.wrapAt(slog.LevelDebug, "GET /debug/trace/{id}", s.handleTraceGet))
+	s.HandleFunc("GET /healthz", s.wrapAt(slog.LevelDebug, "GET /healthz", s.handleHealthz))
+	s.HandleFunc("GET /readyz", s.wrapAt(slog.LevelDebug, "GET /readyz", s.handleReadyz))
 	if pprofOn {
-		s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-		s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-		s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-		s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-		s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+		s.HandleFunc("GET /debug/pprof/", pprof.Index)
+		s.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
+		s.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
+		s.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
+		s.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
 	return s
 }
 
-func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
+// handle mounts an API route bare and under /v1/ (so clients can pin the
+// versioned path), behind the readiness gate, under the Info-level traced
+// middleware.
+func (s *server) handle(pattern string, h http.HandlerFunc) {
+	method, path, ok := strings.Cut(pattern, " ")
+	if !ok {
+		panic("indepd: route pattern without method: " + pattern)
+	}
+	wrapped := s.wrapAt(slog.LevelInfo, pattern, s.whenReady(h))
+	s.HandleFunc(pattern, wrapped)
+	s.HandleFunc(method+" /v1"+path, wrapped)
 }
 
 // install wires the opened store into the server: telemetry (slow-operation
@@ -345,7 +398,7 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // mode follower wraps the same durable store and adds the stream metrics.
 func (s *server) install(store *indep.ConcurrentStore, durable *indep.DurableStore, follower *indep.Follower, slow time.Duration) {
 	store.SetTelemetry(s.log, slow)
-	s.store, s.durable, s.follower = store, durable, follower
+	s.api, s.store, s.durable, s.follower = store, store, durable, follower
 	switch {
 	case follower != nil:
 		follower.RegisterMetrics(s.reg)
@@ -357,17 +410,23 @@ func (s *server) install(store *indep.ConcurrentStore, durable *indep.DurableSto
 	s.ready.Store(true)
 }
 
-// whenReady answers 503 until install has run. The atomic.Bool is also the
-// publication barrier for s.store/s.durable: install writes them before the
-// Store(true), handlers read them only after Load() observes true.
+// whenReady answers 503 until install has run, and 403 on a replica to
+// every write (an API route that is not a GET). The atomic.Bool is also the
+// publication barrier for the backend and store pointers: install writes
+// them before the Store(true), handlers read them only after Load()
+// observes true.
 func (s *server) whenReady(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if !s.ready.Load() {
+		switch {
+		case !s.ready.Load():
 			writeJSON(w, http.StatusServiceUnavailable,
 				map[string]any{"error": "store is recovering; try again shortly"})
-			return
+		case s.follower != nil && r.Method != http.MethodGet:
+			writeJSON(w, http.StatusForbidden, map[string]any{
+				"error": "replica is read-only; send writes to the primary"})
+		default:
+			h(w, r)
 		}
-		h(w, r)
 	}
 }
 
@@ -390,22 +449,31 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 // writeErr maps an error to 409 for constraint rejections, 503 when the
 // write-ahead log could not persist an admitted write (the store needs
-// operator attention), 500 when the chase ran out of budget (a server-side
-// limit, not the client's fault), and 400 for malformed requests.
-func writeErr(w http.ResponseWriter, err error) {
+// operator attention) or a cluster shard failed, 500 when the chase ran out
+// of budget (a server-side limit, not the client's fault), and 400 for
+// malformed requests. A shard failure carries Retry-After — the cluster
+// heals by the shard coming back, not by the client giving up — the
+// shard's name, and rep, the partial report of a batch it cut short.
+func writeErr(w http.ResponseWriter, err error, rep *indep.BatchReport) {
 	code := http.StatusBadRequest
+	body := map[string]any{"error": err.Error(), "rejected": indep.Rejected(err)}
+	var se *cluster.ShardError
 	switch {
 	case indep.Rejected(err):
 		code = http.StatusConflict
+	case errors.As(err, &se):
+		code = http.StatusServiceUnavailable
+		w.Header().Set("Retry-After", "1")
+		body["shard"] = se.Shard
+		if rep != nil {
+			body["report"] = rep
+		}
 	case indep.DurabilityFailed(err):
 		code = http.StatusServiceUnavailable
 	case indep.Overloaded(err):
 		code = http.StatusInternalServerError
 	}
-	writeJSON(w, code, map[string]any{
-		"error":    err.Error(),
-		"rejected": indep.Rejected(err),
-	})
+	writeJSON(w, code, body)
 }
 
 // maxBodyBytes bounds request bodies; a /batch of tens of thousands of rows
@@ -422,61 +490,46 @@ func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	if s.readOnly(w) {
-		return
-	}
 	var req tupleReq
 	if !decode(w, r, &req) {
 		return
 	}
-	if err := s.store.InsertCtx(r.Context(), req.Relation, req.Row); err != nil {
-		writeErr(w, err)
+	if err := s.api.InsertCtx(r.Context(), req.Relation, req.Row); err != nil {
+		writeErr(w, err, nil)
 		return
 	}
 	s.noteVersion(w)
 	writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
 }
 
+// handleBatch is a thin transcoder: the JSON ops become the binary payload
+// /batchbin takes, applied the same way.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if s.readOnly(w) {
-		return
-	}
 	var req batchReq
 	if !decode(w, r, &req) {
 		return
 	}
-	ops := make([]indep.BatchOp, len(req.Ops))
-	for i, op := range req.Ops {
-		ops[i] = indep.BatchOp{Rel: op.Relation, Row: op.Row}
+	enc := indep.NewBinBatchEncoder(s.sch)
+	for _, op := range req.Ops {
+		if err := enc.Add(op.Relation, op.Row); err != nil {
+			writeErr(w, err, nil)
+			return
+		}
 	}
-	if err := s.store.InsertBatchCtx(r.Context(), ops); err != nil {
-		writeErr(w, err)
-		return
-	}
-	s.noteVersion(w)
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "accepted": len(ops)})
+	s.applyBatch(w, r, enc.Bytes(), false)
 }
 
 // handleBatchBin ingests a length-prefixed binary batch (the payload a
 // indep.BinBatchEncoder builds): WAL record frames, decoded and applied
-// atomically without touching encoding/json anywhere on the path — the
-// response is written literally too. With ?partial=1 — the mode a cluster
-// router forwards sub-batches in — operations apply individually in frame
-// order and the response is the per-op indep.BatchReport: rejections ride
-// inside a 200 instead of aborting the batch, because a batch split across
-// shards cannot be atomic anyway.
+// without touching encoding/json anywhere on the path. ?partial=1 — the
+// mode a cluster router forwards sub-batches in — asks for per-op
+// application.
 func (s *server) handleBatchBin(w http.ResponseWriter, r *http.Request) {
-	if s.readOnly(w) {
+	p := r.URL.Query().Get("partial")
+	partial, err := strconv.ParseBool(cmp.Or(p, "false"))
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "bad partial parameter " + strconv.Quote(p)})
 		return
-	}
-	partial := false
-	if p := r.URL.Query().Get("partial"); p != "" {
-		b, err := strconv.ParseBool(p)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]any{"error": "bad partial parameter " + strconv.Quote(p)})
-			return
-		}
-		partial = b
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	payload, err := io.ReadAll(r.Body)
@@ -484,25 +537,38 @@ func (s *server) handleBatchBin(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "bad body: " + err.Error()})
 		return
 	}
-	if partial {
-		rep, err := s.store.ApplyBinBatchPartial(r.Context(), payload)
+	s.applyBatch(w, r, payload, partial)
+}
+
+// applyBatch applies a binary payload. A backend that can commits it
+// atomically unless partial is set, and the response is written literally:
+// {"status":"ok","accepted":n}. Otherwise operations apply individually in
+// frame order and the response is the per-op indep.BatchReport: rejections
+// ride inside a 200 instead of aborting the batch, because a batch split
+// across shards cannot be atomic anyway. A router whose shard failed after
+// others applied their sub-batches answers 503 with the partial report;
+// the client redelivers the payload, and re-applies are no-ops (see
+// cluster.Options.Retries for the one exception), so the retry converges.
+func (s *server) applyBatch(w http.ResponseWriter, r *http.Request, payload []byte, partial bool) {
+	if a, ok := s.api.(atomicApplier); ok && !partial {
+		n, err := a.ApplyBinBatch(r.Context(), payload)
 		if err != nil {
-			writeErr(w, err)
+			writeErr(w, err, nil)
 			return
 		}
 		s.noteVersion(w)
-		writeJSON(w, http.StatusOK, rep)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		fmt.Fprintf(w, `{"status":"ok","accepted":%d}`+"\n", n)
 		return
 	}
-	n, err := s.store.ApplyBinBatch(r.Context(), payload)
+	rep, err := s.api.ApplyBinBatchPartial(r.Context(), payload)
 	if err != nil {
-		writeErr(w, err)
+		writeErr(w, err, rep)
 		return
 	}
 	s.noteVersion(w)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	fmt.Fprintf(w, `{"status":"ok","accepted":%d}`+"\n", n)
+	writeJSON(w, http.StatusOK, rep)
 }
 
 // handleClusterRel serves the shard's raw fragment of one relation as the
@@ -526,16 +592,13 @@ func (s *server) handleClusterRel(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	if s.readOnly(w) {
-		return
-	}
 	var req tupleReq
 	if !decode(w, r, &req) {
 		return
 	}
-	deleted, err := s.store.DeleteCtx(r.Context(), req.Relation, req.Row)
+	deleted, err := s.api.DeleteCtx(r.Context(), req.Relation, req.Row)
 	if err != nil {
-		writeErr(w, err)
+		writeErr(w, err, nil)
 		return
 	}
 	s.noteVersion(w)
@@ -606,12 +669,14 @@ func (s *server) handleWindow(w http.ResponseWriter, r *http.Request) {
 		q.BinaryResult = true
 	}
 	start := time.Now()
-	res, err := s.store.QueryCtx(r.Context(), q)
+	res, err := s.api.QueryCtx(r.Context(), q)
 	if err != nil {
-		writeErr(w, err)
+		writeErr(w, err, nil)
 		return
 	}
-	if q.BinaryResult {
+	// Only a backend that rendered the binary result fills Bin; a router
+	// answers with rows, so its clients get JSON either way.
+	if res.Bin != nil {
 		w.Header().Set("Content-Type", indep.BinContentType)
 		w.WriteHeader(http.StatusOK)
 		w.Write(res.Bin)
@@ -688,9 +753,6 @@ func (s *server) handleTraceRecent(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if s.readOnly(w) {
-		return
-	}
 	if s.durable == nil {
 		writeJSON(w, http.StatusConflict, map[string]any{
 			"error": "store is not durable; start indepd with -data"})

@@ -39,16 +39,6 @@ func (s *server) noteVersion(w http.ResponseWriter) {
 	}
 }
 
-// readOnly answers 403 on write routes when this daemon is a replica.
-func (s *server) readOnly(w http.ResponseWriter) bool {
-	if s.follower == nil {
-		return false
-	}
-	writeJSON(w, http.StatusForbidden, map[string]any{
-		"error": "replica is read-only; send writes to the primary"})
-	return true
-}
-
 // waitMinVersion enforces a read-your-writes token on read routes. On a
 // primary (or for an absent token) it passes immediately — the primary's
 // state always covers every token it issued. On a replica it waits up to

@@ -100,12 +100,12 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 
 // traceHeader is the request/response header carrying the trace ID. A
 // well-formed client-supplied ID (16 hex characters; uppercase accepted and
-// normalized) is honored, so a gateway can stitch its own logs to the
-// daemon's; anything else is replaced by a minted ID — trace IDs label
-// metrics, logs, and the flight recorder, so hostile or sloppy clients must
-// not be able to inject unbounded junk. The response always echoes the ID
-// actually used.
-const traceHeader = "X-Indep-Trace"
+// normalized) is honored, so a gateway — or a cluster router — can stitch
+// its own logs and traces to the daemon's; anything else is replaced by a
+// minted ID — trace IDs label metrics, logs, and the flight recorder, so
+// hostile or sloppy clients must not be able to inject unbounded junk. The
+// response always echoes the ID actually used.
+const traceHeader = obs.TraceHeader
 
 // requestTraceID resolves the trace ID for one request.
 func requestTraceID(r *http.Request) string {
@@ -119,15 +119,12 @@ func requestTraceID(r *http.Request) string {
 	return obs.NewTraceID()
 }
 
-// wrap is the access-log and metrics middleware, applied per route so the
-// log and the metric labels carry the registered pattern rather than the
-// raw URL (which may embed user data).
-func (s *server) wrap(route string, h http.HandlerFunc) http.HandlerFunc {
-	return s.wrapAt(slog.LevelInfo, route, h)
-}
-
-// wrapAt is wrap with an explicit access-log level; probe and scrape
-// routes log at Debug so periodic health checks don't fill the log.
+// wrapAt is the daemon's one middleware — trace header, access log, the
+// indep_http_* metrics — on both tiers, so one dashboard covers node and
+// router. It is applied per route so the log and the metric labels carry
+// the registered pattern rather than the raw URL (which may embed user
+// data). Probe and scrape routes log at Debug so periodic health checks
+// don't fill the log.
 //
 // Info-level (API) routes additionally run under the flight recorder: the
 // middleware opens the request's root span, handlers grow the span tree

@@ -344,6 +344,7 @@ func (r *Router) Batch(ctx context.Context, payload []byte) (*indep.BatchReport,
 		idx := subs[res.shard].index()
 		report.Processed += res.rep.Processed
 		report.Applied += res.rep.Applied
+		report.Changed += res.rep.Changed
 		for _, o := range res.rep.Rejected {
 			report.Rejected = append(report.Rejected,
 				indep.OpOutcome{Index: idx[o.Index], Code: o.Code, Error: o.Error})

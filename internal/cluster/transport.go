@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"indep"
+	"indep/internal/obs"
 )
 
 // Transport is what the router needs from one shard. The two
@@ -62,17 +63,25 @@ type HTTPTransport struct {
 	Client *http.Client
 }
 
+// maxIdlePerShard is how many idle keep-alive connections a transport keeps
+// to its shard: enough for every concurrent forward of a busy router to
+// find a warm connection (http.DefaultTransport keeps 2 per host and redials
+// the rest on every burst).
+const maxIdlePerShard = 64
+
 // NewHTTPTransport builds a transport for the member with a dedicated
-// keep-alive client, so concurrent sub-batches to the same shard pipeline
-// over warm connections.
+// keep-alive client and connection pool, so concurrent sub-batches to the
+// same shard pipeline over warm connections.
 func NewHTTPTransport(m Member, timeout time.Duration) *HTTPTransport {
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
+	pool := http.DefaultTransport.(*http.Transport).Clone()
+	pool.MaxIdleConnsPerHost = maxIdlePerShard
 	return &HTTPTransport{
 		Shard:  m.Name,
 		Base:   strings.TrimRight(m.URL, "/"),
-		Client: &http.Client{Timeout: timeout},
+		Client: &http.Client{Timeout: timeout, Transport: pool},
 	}
 }
 
@@ -95,6 +104,10 @@ func (t *HTTPTransport) do(ctx context.Context, method, path string, body []byte
 	}
 	if accept != "" {
 		req.Header.Set("Accept", accept)
+	}
+	// The shard records the forward under the router request's trace ID.
+	if id := obs.Trace(ctx); id != "" {
+		req.Header.Set(obs.TraceHeader, id)
 	}
 	resp, err := t.Client.Do(req)
 	if err != nil {

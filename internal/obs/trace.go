@@ -12,6 +12,11 @@ import (
 // same ID, so `grep <id>` reconstructs an insert's full path from ingress
 // to durability.
 
+// TraceHeader is the HTTP header that carries a trace ID: into the daemon
+// from a client, back out in every response, and from a cluster router to
+// the shards it forwards to.
+const TraceHeader = "X-Indep-Trace"
+
 type traceKeyType struct{}
 
 var traceKey traceKeyType

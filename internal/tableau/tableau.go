@@ -194,12 +194,15 @@ func (b *Binding) Find(t T, st *relation.State) bool {
 	// and free ones (bound by the candidate tuple).
 	b.probeCols, b.probeVals = b.probeCols[:0], b.probeVals[:0]
 	base := len(b.frees)
-	for a, j := 0, 0; j < inst.Width(); a++ {
+	// Loop invariants in locals: the appends below store through b, so the
+	// compiler would otherwise reload (and recount) them every iteration.
+	width, dvs, bound := inst.Width(), row.DVs, b.Bound
+	for a, j := 0, 0; j < width; a++ {
 		if !rel.Has(a) {
 			continue
 		}
-		if row.DVs.Has(a) {
-			if b.Bound.Has(a) {
+		if dvs.Has(a) {
+			if bound.Has(a) {
 				b.probeCols = append(b.probeCols, j)
 				b.probeVals = append(b.probeVals, b.Val[a])
 			} else {
