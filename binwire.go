@@ -18,12 +18,15 @@ import (
 // binary window-result encoding the daemon serves under
 // Accept: application/x-indep-bin. Both sides avoid encoding/json entirely.
 //
-// A binary batch is a sequence of WAL record frames — the exact CRC32-framed
-// bytes the log itself writes (wal.AppendRecordFrame) — so the wire format
-// inherits the log's encoder, decoder, and corruption detection instead of
-// defining a second serialization. Values travel as client-local integer ids
-// bound by intern records; the server re-interns each name and remaps ids,
-// so a batch is self-contained and ids never leak between requests.
+// A binary batch is WAL record frames — BinBatchEncoder writes one (more
+// only when its bindings outgrow a frame), the CRC32-framed bytes the log
+// itself writes for a commit (wal.AppendRecordFrame) — so the wire format inherits the log's encoder,
+// decoder, and corruption detection instead of defining a second
+// serialization. Values travel as client-local integer ids bound by the
+// record's bindings; the server re-interns each name and remaps ids, so a
+// batch is self-contained and ids never leak between requests. A payload of
+// several frames, including the per-operation record kinds older clients
+// wrote, decodes the same way: frame by frame, bindings before ops.
 
 // BinContentType is the media type of both binary wire encodings: the
 // request body of POST /v1/batchbin and the window response the daemon
@@ -31,19 +34,17 @@ import (
 const BinContentType = "application/x-indep-bin"
 
 // BinBatchEncoder builds the binary request body for POST /v1/batchbin (or
-// ConcurrentStore.ApplyBinBatch directly). Rows accumulate with Add; Bytes
-// renders the frames. The encoder interns value names into a client-local id
-// space and emits one intern frame per distinct name, so a batch that reuses
-// values (the common ingest shape) carries each name once.
+// ConcurrentStore.ApplyBinBatch directly). Rows accumulate with Add and
+// Delete; Bytes renders them as one record. The encoder interns value
+// names into a client-local id space and binds each distinct name once, so
+// a batch that reuses values (the common ingest shape) carries each name
+// once.
 //
 // An encoder is not safe for concurrent use.
 type BinBatchEncoder struct {
-	sch    *Schema
-	vals   map[string]relation.Value // name → client-local id
-	next   relation.Value
-	frames []byte // framed intern records, in first-use order
-	ops    []wal.TupleOp
-	dels   []wal.TupleOp
+	sch  *Schema
+	vals map[string]relation.Value // name → client-local id
+	rec  wal.Record                // bindings in first-use order, ops in call order
 }
 
 // NewBinBatchEncoder creates an empty encoder for the schema. The schema
@@ -53,81 +54,73 @@ func NewBinBatchEncoder(sch *Schema) *BinBatchEncoder {
 	return &BinBatchEncoder{sch: sch, vals: make(map[string]relation.Value)}
 }
 
-// intern returns the client-local id for a value name, emitting its binding
-// frame on first use.
+// intern returns the client-local id for a value name, binding it on first
+// use. Ids count from 1.
 func (e *BinBatchEncoder) intern(name string) relation.Value {
 	if v, ok := e.vals[name]; ok {
 		return v
 	}
-	e.next++
-	e.vals[name] = e.next
-	e.frames = wal.AppendRecordFrame(e.frames, wal.Intern(e.next, name))
-	return e.next
+	v := relation.Value(len(e.rec.Interns) + 1)
+	e.vals[name] = v
+	e.rec.Interns = append(e.rec.Interns, wal.Binding{Value: v, Name: name})
+	return v
 }
 
 // Add appends one row to the batch. All attributes of the relation scheme
 // must be present, exactly as for ConcurrentStore.Insert.
 func (e *BinBatchEncoder) Add(rel string, row map[string]string) error {
-	i, t, err := rowTuple(e.sch.s, e.intern, rel, row)
-	if err != nil {
-		return err
-	}
-	e.ops = append(e.ops, wal.TupleOp{Rel: i, Tuple: t})
-	return nil
+	return e.add(rel, row, false)
 }
 
 // Delete appends one delete to the batch. Within one payload all inserts
-// apply before all deletes regardless of call order: Bytes emits the inserts
-// as one batch frame followed by one frame per delete, and ApplyBinBatch
-// applies the whole payload as one atomic commit in that order. Deleting an
-// absent tuple is a no-op, never an error, so deletes are safe to retry.
+// apply before all deletes regardless of call order: Bytes encodes the
+// record's inserts before its deletes, and ApplyBinBatch applies the whole
+// payload as one atomic commit in that order. Deleting an absent tuple is a
+// no-op, never an error, so deletes are safe to retry.
 func (e *BinBatchEncoder) Delete(rel string, row map[string]string) error {
+	return e.add(rel, row, true)
+}
+
+func (e *BinBatchEncoder) add(rel string, row map[string]string, del bool) error {
 	i, t, err := rowTuple(e.sch.s, e.intern, rel, row)
 	if err != nil {
 		return err
 	}
-	e.dels = append(e.dels, wal.TupleOp{Rel: i, Tuple: t})
+	e.rec.Ops = append(e.rec.Ops, wal.TupleOp{Rel: i, Tuple: t, Delete: del})
 	return nil
 }
 
 // Len returns the number of operations added since the last Reset.
-func (e *BinBatchEncoder) Len() int { return len(e.ops) + len(e.dels) }
+func (e *BinBatchEncoder) Len() int { return len(e.rec.Ops) }
 
-// Bytes renders the batch: the intern frames, one batch frame holding every
-// added row, then one frame per delete. The result is self-contained —
-// it binds every id it references — and decodes with ApplyBinBatch.
+// Bytes renders the batch as one record — the bytes the log writes for a
+// commit: the bindings, every added row, then every delete. It is one frame
+// unless the bindings outgrow it (see wal.AppendRecordFrame). The
+// result is self-contained — it binds every id it references — and decodes
+// with ApplyBinBatch.
 func (e *BinBatchEncoder) Bytes() []byte {
-	buf := append([]byte(nil), e.frames...)
-	if len(e.ops) > 0 {
-		buf = wal.AppendRecordFrame(buf, wal.Batch(e.ops))
-	}
-	for _, d := range e.dels {
-		buf = wal.AppendRecordFrame(buf, wal.Delete(d.Rel, d.Tuple))
-	}
-	return buf
+	return wal.AppendRecordFrame(nil, e.rec)
 }
 
 // Reset empties the encoder for the next batch, including the intern table:
 // each Bytes result must be self-contained, so bindings cannot carry over.
 func (e *BinBatchEncoder) Reset() {
 	clear(e.vals)
-	e.next = 0
-	e.frames = e.frames[:0]
-	e.ops = e.ops[:0]
-	e.dels = e.dels[:0]
+	e.rec.Interns = e.rec.Interns[:0]
+	e.rec.Ops = e.rec.Ops[:0]
 }
 
 // binBatchOps walks the frames of a binary batch payload, validating frame
-// checksums, intern bindings (no conflicting rebinds), relation indices,
-// arities, and value-id boundness, and calls bind once per new binding and
-// op once per tuple operation in frame order (inserts from KindInsert and
-// KindBatch frames, deletes from KindDelete frames). Tuples still hold
-// client-local ids — every one guaranteed bound — and callers resolve them
-// through the bindings they accumulated. Any error is a malformed payload,
-// reported before op has been called for the offending frame.
+// checksums, bindings (no conflicting rebinds), relation indices, arities,
+// and value-id boundness, and calls bind once per binding and op once per
+// tuple operation, frame by frame: each record's bindings, then its ops
+// (inserts, then deletes). Tuples still hold client-local ids — every one
+// guaranteed bound — and callers resolve them through the bindings they
+// accumulated. Any error is a malformed payload, reported before op has
+// been called for the offending operation.
 func binBatchOps(s *schema.Schema, payload []byte,
 	bind func(v relation.Value, name string),
-	op func(kind wal.Kind, rel int, tuple []relation.Value) error) error {
+	op func(rel int, tuple []relation.Value, del bool) error) error {
 	arity := make([]int, s.Size())
 	for i := range arity {
 		arity[i] = s.Attrs(i).Len()
@@ -143,35 +136,31 @@ func binBatchOps(s *schema.Schema, payload []byte,
 			return fmt.Errorf("indep: binary batch: %w", err)
 		}
 		buf = buf[n:]
-		switch rec.Kind {
-		case wal.KindIntern:
-			if prev, dup := names[rec.Value]; dup && prev != rec.Name {
+		for _, b := range rec.Interns {
+			if prev, dup := names[b.Value]; dup && prev != b.Name {
 				return fmt.Errorf("indep: binary batch rebinds id %d (%q, then %q)",
-					int64(rec.Value), prev, rec.Name)
+					int64(b.Value), prev, b.Name)
 			}
-			names[rec.Value] = rec.Name
-			bind(rec.Value, rec.Name)
-		case wal.KindInsert, wal.KindBatch, wal.KindDelete:
-			for _, o := range rec.Ops {
-				if o.Rel < 0 || o.Rel >= len(arity) {
-					return fmt.Errorf("indep: binary batch addresses relation %d (schema has %d)",
-						o.Rel, len(arity))
-				}
-				if len(o.Tuple) != arity[o.Rel] {
-					return fmt.Errorf("indep: binary batch: %s tuple has %d values, want %d",
-						s.Name(o.Rel), len(o.Tuple), arity[o.Rel])
-				}
-				for _, v := range o.Tuple {
-					if _, ok := names[v]; !ok {
-						return fmt.Errorf("indep: binary batch references unbound value id %d", int64(v))
-					}
-				}
-				if err := op(rec.Kind, o.Rel, o.Tuple); err != nil {
-					return err
+			names[b.Value] = b.Name
+			bind(b.Value, b.Name)
+		}
+		for _, o := range rec.Ops {
+			if o.Rel < 0 || o.Rel >= len(arity) {
+				return fmt.Errorf("indep: binary batch addresses relation %d (schema has %d)",
+					o.Rel, len(arity))
+			}
+			if len(o.Tuple) != arity[o.Rel] {
+				return fmt.Errorf("indep: binary batch: %s tuple has %d values, want %d",
+					s.Name(o.Rel), len(o.Tuple), arity[o.Rel])
+			}
+			for _, v := range o.Tuple {
+				if _, ok := names[v]; !ok {
+					return fmt.Errorf("indep: binary batch references unbound value id %d", int64(v))
 				}
 			}
-		default:
-			return fmt.Errorf("indep: binary batch: unsupported record kind %d", rec.Kind)
+			if err := op(o.Rel, o.Tuple, o.Delete); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -186,12 +175,12 @@ func (cs *ConcurrentStore) decodeBinBatch(payload []byte) ([]engine.Op, error) {
 	var ops []engine.Op
 	err := binBatchOps(cs.schema.s, payload,
 		func(v relation.Value, name string) { remap[v] = cs.eng.Dict().Value(name) },
-		func(kind wal.Kind, rel int, tuple []relation.Value) error {
+		func(rel int, tuple []relation.Value, del bool) error {
 			t := make(relation.Tuple, len(tuple))
 			for j, v := range tuple {
 				t[j] = remap[v]
 			}
-			ops = append(ops, engine.Op{Scheme: rel, Tuple: t, Delete: kind == wal.KindDelete})
+			ops = append(ops, engine.Op{Scheme: rel, Tuple: t, Delete: del})
 			return nil
 		})
 	return ops, err
@@ -246,13 +235,13 @@ func (s *Schema) DecodeBinBatch(payload []byte) ([]BinOp, error) {
 	var ops []BinOp
 	err := binBatchOps(s.s, payload,
 		func(v relation.Value, name string) { bound[v] = name },
-		func(kind wal.Kind, rel int, tuple []relation.Value) error {
+		func(rel int, tuple []relation.Value, del bool) error {
 			attrs := s.s.Attrs(rel).Attrs()
 			row := make(map[string]string, len(attrs))
 			for j, a := range attrs {
 				row[s.s.U.Name(a)] = bound[tuple[j]]
 			}
-			ops = append(ops, BinOp{Rel: s.s.Name(rel), Delete: kind == wal.KindDelete, Row: row})
+			ops = append(ops, BinOp{Rel: s.s.Name(rel), Delete: del, Row: row})
 			return nil
 		})
 	if err != nil {

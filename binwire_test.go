@@ -6,6 +6,10 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"indep/internal/engine"
+	"indep/internal/relation"
+	"indep/internal/wal"
 )
 
 // binTestSchema is the paper's running example: independent, three schemes,
@@ -206,6 +210,57 @@ func TestWindowBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// legacyBinBatch is a binary batch for "CT(C,T); CS(C,S); CHR(C,H,R)" in
+// the per-operation frames clients sent before the commit record: one
+// frame per binding, a batch frame of inserts, then one frame per delete.
+func legacyBinBatch() []byte {
+	var buf []byte
+	for i, name := range []string{"c1", "t1", "s1", "c2", "t2"} {
+		buf = legacyFrame(buf, 1, &wal.Binding{Value: relation.Value(i + 1), Name: name})
+	}
+	buf = legacyFrame(buf, 4, nil,
+		engine.Op{Scheme: 0, Tuple: relation.Tuple{1, 2}},
+		engine.Op{Scheme: 1, Tuple: relation.Tuple{1, 3}})
+	buf = legacyFrame(buf, 2, nil, engine.Op{Scheme: 0, Tuple: relation.Tuple{4, 5}})
+	return legacyFrame(buf, 3, nil, engine.Op{Scheme: 1, Tuple: relation.Tuple{4, 3}})
+}
+
+// TestBinBatchLegacyFrames: a payload in the per-operation frames older
+// clients send decodes as the same operations the commit record carries.
+func TestBinBatchLegacyFrames(t *testing.T) {
+	sch, err := Parse("CT(C,T); CS(C,S); CHR(C,H,R)", "C -> T; C H -> R")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sch.DecodeBinBatch(legacyBinBatch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []BinOp{
+		{Rel: "CT", Row: map[string]string{"C": "c1", "T": "t1"}},
+		{Rel: "CS", Row: map[string]string{"C": "c1", "S": "s1"}},
+		{Rel: "CT", Row: map[string]string{"C": "c2", "T": "t2"}},
+		{Rel: "CS", Delete: true, Row: map[string]string{"C": "c2", "S": "s1"}},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("legacy payload decoded as %+v, want %+v", got, want)
+	}
+	enc := NewBinBatchEncoder(sch)
+	for _, op := range want {
+		if op.Delete {
+			err = enc.Delete(op.Rel, op.Row)
+		} else {
+			err = enc.Add(op.Rel, op.Row)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if again, err := sch.DecodeBinBatch(enc.Bytes()); err != nil || !reflect.DeepEqual(again, want) {
+		t.Fatalf("commit-record payload decoded as %+v, %v; want %+v", again, err, want)
+	}
+}
+
 // FuzzDecodeBinaryBatch: arbitrary bytes through the full binary ingest path
 // must error or apply cleanly — never panic, never corrupt the store into a
 // state its own invariants reject.
@@ -220,7 +275,11 @@ func FuzzDecodeBinaryBatch(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
+	if err := enc.Delete("CT", map[string]string{"C": "C0", "T": "T0"}); err != nil {
+		f.Fatal(err)
+	}
 	f.Add(enc.Bytes())
+	f.Add(legacyBinBatch())
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
 	cs, err := sch.OpenConcurrentStore()
@@ -470,6 +529,7 @@ func FuzzDecodeShardBatch(f *testing.F) {
 	valid := enc.Bytes()
 	f.Add(valid)
 	f.Add(valid[:len(valid)-1])
+	f.Add(legacyBinBatch())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		ops, err := sch.DecodeBinBatch(payload)

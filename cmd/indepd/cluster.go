@@ -46,12 +46,7 @@ func (b routerBackend) InsertCtx(ctx context.Context, rel string, row map[string
 
 // DeleteCtx reports whether the owning shard held the tuple.
 func (b routerBackend) DeleteCtx(ctx context.Context, rel string, row map[string]string) (bool, error) {
-	enc := indep.NewBinBatchEncoder(b.Schema())
-	if err := enc.Delete(rel, row); err != nil {
-		return false, err
-	}
-	rep, err := b.Batch(ctx, enc.Bytes())
-	return err == nil && rep.Changed > 0, err
+	return b.Delete(ctx, rel, row)
 }
 
 func (b routerBackend) ApplyBinBatchPartial(ctx context.Context, payload []byte) (*indep.BatchReport, error) {

@@ -37,7 +37,7 @@ func DurabilityFailed(err error) bool { return errors.Is(err, ErrDurability) }
 // cost they pay online.
 //
 // All ConcurrentStore methods are inherited and remain safe for concurrent
-// use; writes return only after their log records are durable (per the
+// use; writes return only after their log record is durable (per the
 // configured sync mode).
 type DurableStore struct {
 	*ConcurrentStore
@@ -56,6 +56,12 @@ type DurableStore struct {
 	mu       sync.Mutex // serializes Checkpoint and Close
 	closed   bool
 	recovery RecoveryStats
+
+	// jmu is a leaf lock serializing appendRecord's bindings: logged
+	// advances and the record carrying the bindings it passes is appended
+	// under one critical section, so log order is watermark order.
+	jmu    sync.Mutex
+	logged engine.Marks // dictionary bindings the log already holds
 }
 
 // DurableOptions tunes OpenDurableStore. The zero value is the safe
@@ -77,14 +83,17 @@ type DurableOptions struct {
 	SlowCommit time.Duration
 }
 
-// RecoveryStats reports what recovery-on-open found.
+// RecoveryStats reports what recovery-on-open found. A skipped record was
+// rejected as a whole, its ops then applied one by one (engine.Engine.Replay),
+// or contradicts the dictionary or schema and applies nothing past that;
+// replay goes on after either.
 type RecoveryStats struct {
 	CheckpointSeq    uint64        // 0 when no checkpoint was loaded
 	CheckpointTuples int           // tuples restored from the checkpoint
 	Segments         int           // log segments scanned
-	Records          int           // committed records replayed
+	Records          int           // records replayed, one per commit
 	TruncatedBytes   int64         // torn-tail bytes removed from the final segment
-	Skipped          int           // records the engine re-rejected (corruption)
+	Skipped          int           // records skipped (see above)
 	Duration         time.Duration // wall time from open to ready
 }
 
@@ -158,29 +167,20 @@ func (s *Schema) OpenDurableStore(dir string, opts DurableOptions) (*DurableStor
 		ds.recovery.CheckpointTuples = len(ops)
 	}
 
-	// Phase 2: log replay. Records re-admit through the guards; a record
-	// the engine rejects is counted and skipped (the log promised it was
-	// admissible once — a reject means the surrounding bytes lied).
+	// Phase 2: log replay. Each record is one commit and replays as one
+	// (engine.Engine.Replay). The checkpoint cut is exact, so recovery
+	// replays no overlap: a record it skips (RecoveryStats) means the
+	// surrounding bytes lied. With no commit hook set yet, every error
+	// Replay returns is about the record, so it too is a skip.
 	rs, err := wal.Replay(dir, fromSeq, func(rec wal.Record) error {
-		switch rec.Kind {
-		case wal.KindIntern:
-			if err := eng.Dict().Restore(rec.Value, rec.Name); err != nil {
-				return fmt.Errorf("%w: %v", wal.ErrSkip, err)
-			}
-			return nil
-		default:
-			ops, err := recordOps(rec, s.s.Size())
-			if err != nil {
-				return fmt.Errorf("%w: %v", wal.ErrSkip, err)
-			}
-			if _, err := eng.Apply(context.Background(), ops); err != nil {
-				if Rejected(err) {
-					return fmt.Errorf("%w: %v", wal.ErrSkip, err)
-				}
-				return err
-			}
-			return nil
+		skipped, err := eng.Replay(context.Background(), rec)
+		if err != nil {
+			return fmt.Errorf("%w: %v", wal.ErrSkip, err)
 		}
+		if skipped {
+			return wal.ErrSkip
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -190,11 +190,10 @@ func (s *Schema) OpenDurableStore(dir string, opts DurableOptions) (*DurableStor
 	ds.recovery.TruncatedBytes = rs.TruncatedBytes
 	ds.recovery.Skipped = rs.Skipped
 
-	// Phase 3: go live. The log opens a fresh segment; the dictionary hook
-	// journals new bindings under the shard lock (so a binding is durable
-	// no later than its first use) and the engine hook journals every
-	// commit under the relation locks (so per-relation log order equals
-	// admission order).
+	// Phase 3: go live. The log opens a fresh segment, every binding
+	// recovery restored is already durable, and the engine hook journals
+	// every commit under the relation locks (so per-relation log order
+	// equals admission order).
 	walOpts := wal.Options{SegmentBytes: opts.SegmentBytes}
 	if opts.NoFsync {
 		walOpts.Sync = wal.SyncNever
@@ -204,41 +203,15 @@ func (s *Schema) OpenDurableStore(dir string, opts DurableOptions) (*DurableStor
 		return nil, err
 	}
 	ds.log = log
-	eng.Dict().SetInternHook(func(v relation.Value, name string) {
-		log.Enqueue(wal.Intern(v, name))
-	})
+	ds.logged = eng.Dict().Marks()
 	eng.SetCommitHook(func(c engine.Commit) func() error {
-		// One commit is one Append — one contiguous run of frames, one
-		// ticket, one commit group — rendered in the record kinds the log
-		// has always had: the leading inserts as one Insert or Batch record,
-		// then one Delete record per delete.
-		n := 0
-		for n < len(c.Ops) && !c.Ops[n].Delete {
-			n++
-		}
-		recs := make([]wal.Record, 0, 1+len(c.Ops)-n)
-		switch n {
-		case 0:
-		case 1:
-			recs = append(recs, wal.Insert(c.Ops[0].Scheme, c.Ops[0].Tuple))
-		default:
-			ops := make([]wal.TupleOp, n)
-			for i, op := range c.Ops[:n] {
-				ops[i] = wal.TupleOp{Rel: op.Scheme, Tuple: op.Tuple}
-			}
-			recs = append(recs, wal.Batch(ops))
-		}
-		for _, op := range c.Ops[n:] {
-			recs = append(recs, wal.Delete(op.Scheme, op.Tuple))
-		}
 		// On a traced request c.Span is the engine-operation span; the WAL
 		// append and the fsync ack become its children, so the trace shows
 		// where a durable write's time went. All span calls are nil-safe,
 		// so untraced commits pay nothing here.
 		asp := c.Span.StartChild("wal.append")
-		t := log.Append(recs...)
+		t := ds.appendRecord(c.Ops)
 		if asp.Recording() {
-			asp.SetInt("records", int64(len(recs)))
 			asp.SetInt("wal_bytes", int64(t.Bytes()))
 		}
 		asp.End()
@@ -279,20 +252,35 @@ func (s *Schema) OpenDurableStore(dir string, opts DurableOptions) (*DurableStor
 	return ds, nil
 }
 
-// recordOps converts a tuple-carrying log record into the engine ops that
-// re-apply it. Recovery and the replication follower both replay records
-// through it and Engine.Apply, so a replayed record passes exactly the
-// admission a live write does. A record addressing a scheme the schema does
-// not have is an error.
-func recordOps(rec wal.Record, schemes int) ([]engine.Op, error) {
-	ops := make([]engine.Op, len(rec.Ops))
-	for i, op := range rec.Ops {
-		if op.Rel < 0 || op.Rel >= schemes {
-			return nil, fmt.Errorf("record addresses scheme %d", op.Rel)
-		}
-		ops[i] = engine.Op{Scheme: op.Rel, Tuple: op.Tuple, Delete: rec.Kind == wal.KindDelete}
+// appendRecord is the one writer into the log: it builds the record of one
+// commit and appends it. The record carries, ahead of ops, every dictionary
+// binding above the logged watermark, and the watermark advances past them
+// under the same lock the append happens in. That keeps the log's invariant:
+// in log order, every value id a record references is bound in that record
+// or an earlier one, and each dictionary shard's bindings appear in
+// ascending order with no gap — Dict.Restore's precondition. (A commit's
+// values were interned before it reached the engine, so they are at or
+// below the watermark by the time its record is built.) With no ops it
+// appends only the pending bindings, and nothing at all when there are none
+// (nil ticket). A record with no binding is encoded and appended after the
+// lock is released, so commits build their frames in parallel: the records
+// binding its ids are already queued.
+func (ds *DurableStore) appendRecord(ops []engine.Op) *wal.Ticket {
+	rec := wal.Record{Ops: make([]wal.TupleOp, len(ops))}
+	for i, op := range ops {
+		rec.Ops[i] = wal.TupleOp{Rel: op.Scheme, Tuple: op.Tuple, Delete: op.Delete}
 	}
-	return ops, nil
+	ds.jmu.Lock()
+	rec.Interns = ds.eng.Dict().AppendNew(&ds.logged, nil)
+	if len(rec.Interns) > 0 {
+		defer ds.jmu.Unlock()
+		return ds.log.Append(rec)
+	}
+	ds.jmu.Unlock()
+	if len(rec.Ops) == 0 {
+		return nil
+	}
+	return ds.log.Append(rec)
 }
 
 // readmit installs a checkpointed state — recovery's whole checkpoint, or a
@@ -357,9 +345,9 @@ func (ds *DurableStore) RegisterMetrics(r *obs.Registry) {
 	r.RegisterHistogram("indep_checkpoint_bytes",
 		"encoded checkpoint size", 1, &ds.ckptBytes)
 	r.GaugeFunc("indep_recovery_replayed_records",
-		"log records replayed by the last recovery", func() float64 { return float64(ds.recovery.Records) })
+		"log records (commits) replayed by the last recovery", func() float64 { return float64(ds.recovery.Records) })
 	r.GaugeFunc("indep_recovery_skipped_records",
-		"records the last recovery re-rejected", func() float64 { return float64(ds.recovery.Skipped) })
+		"records the last recovery skipped: rejected as a whole, or contradicting the dictionary or schema", func() float64 { return float64(ds.recovery.Skipped) })
 	r.GaugeFunc("indep_recovery_duration_seconds",
 		"wall time of the last recovery", ds.recovery.Duration.Seconds)
 }

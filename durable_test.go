@@ -2,14 +2,17 @@ package indep
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
+	"indep/internal/engine"
+	"indep/internal/relation"
 	"indep/internal/wal"
 )
 
@@ -188,10 +191,10 @@ func TestDurableCheckpointAndTruncation(t *testing.T) {
 }
 
 // TestDurableMixedBatchOneCommit pins "one payload = one commit = one WAL
-// group": a 16-insert + 16-delete binary batch whose values are already
-// interned costs exactly one commit group and one fsync and survives a
-// reopen, and a payload turned away by one violating insert leaves the
-// state, the version and the log untouched, deletes included.
+// record": a 16-insert + 16-delete binary batch costs exactly one record,
+// one commit group, one fsync and one version bump and survives a reopen,
+// and a payload turned away by one violating insert leaves the state, the
+// version and the log untouched, deletes included.
 func TestDurableMixedBatchOneCommit(t *testing.T) {
 	dir := t.TempDir()
 	sch := MustParse("CT(C,T); CS(C,S)", "C -> T")
@@ -210,8 +213,7 @@ func TestDurableMixedBatchOneCommit(t *testing.T) {
 		return map[string]string{"C": fmt.Sprintf("c%d", i), "T": fmt.Sprintf("t%d", j)}
 	}
 	// Load CT(c_i,t_i), CS(c_i,s_i) and CS(c_i,s_{i+16}), then delete the
-	// last again: the dictionary keeps its names, so the payloads below
-	// intern nothing and every log record they cause is a tuple record.
+	// last again, so the payload below both inserts and deletes.
 	for _, st := range []*ConcurrentStore{ds.ConcurrentStore, oracle} {
 		for i := 0; i < 16; i++ {
 			for _, op := range []BatchOp{{"CT", ct(i, i)}, {"CS", cs(i, i)}, {"CS", cs(i, i+16)}} {
@@ -234,18 +236,21 @@ func TestDurableMixedBatchOneCommit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The load logged 4 intern and 4 tuple records per i; the payload adds
-	// one Batch record for its inserts plus one Delete record per delete.
-	before, v0 := walAt(t, ds, 16*8), ds.eng.Version()
+	// The load logged one record per write: 4 per i.
+	before, v0 := ds.WAL(), ds.eng.Version()
+	if before.Records != 16*4 {
+		t.Fatalf("load logged %d records, want %d", before.Records, 16*4)
+	}
 	for _, st := range []*ConcurrentStore{ds.ConcurrentStore, oracle} {
 		if n, err := st.ApplyBinBatch(context.Background(), enc.Bytes()); err != nil || n != 32 {
 			t.Fatalf("ApplyBinBatch = %d, %v", n, err)
 		}
 	}
-	after := walAt(t, ds, before.Records+17)
-	if after.CommitGroups != before.CommitGroups+1 || after.Syncs != before.Syncs+1 {
-		t.Fatalf("mixed batch took %d commit groups and %d fsyncs, want 1 and 1",
-			after.CommitGroups-before.CommitGroups, after.Syncs-before.Syncs)
+	after := ds.WAL()
+	if after.Records != before.Records+1 || after.CommitGroups != before.CommitGroups+1 ||
+		after.Syncs != before.Syncs+1 {
+		t.Fatalf("mixed batch took %d records, %d commit groups and %d fsyncs, want 1, 1 and 1",
+			after.Records-before.Records, after.CommitGroups-before.CommitGroups, after.Syncs-before.Syncs)
 	}
 	if got := ds.eng.Version(); got != v0+1 {
 		t.Fatalf("mixed batch bumped the version %d times, want once", got-v0)
@@ -291,23 +296,340 @@ func TestDurableMixedBatchOneCommit(t *testing.T) {
 	}
 }
 
-// walAt returns the log's counters once they show exactly records records.
-// The log's writer acknowledges a commit before it publishes that group's
-// Records and CommitGroups, so a reader right behind the ack can find them
-// one group short; the counters of a group are published together, so once
-// Records is there the rest is final too.
-func walAt(t *testing.T, ds *DurableStore, records uint64) wal.LogStats {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := ds.WAL()
-		if st.Records == records {
-			return st
+// TestDurableTornTailMixedPayload is the torn-tail property at commit
+// granularity: the tail record is one mixed payload — fresh interns,
+// inserts and deletes — and for EVERY byte inside it, truncating the log
+// there or corrupting that byte must recover exactly the pre-commit state,
+// dictionary included. A commit is one record, so recovery can only ever
+// yield a commit prefix of the log, never half a payload.
+func TestDurableTornTailMixedPayload(t *testing.T) {
+	srcDir := t.TempDir()
+	sch := starSchema(t, 2, 2)
+	ds, err := sch.OpenDurableStore(srcDir, DurableOptions{NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := starBatch(sch, 2, 60)
+	if err := ds.InsertBatch(load); err != nil {
+		t.Fatal(err)
+	}
+	pre, preDict, start := ds.Snapshot(), ds.eng.Dict().Len(), ds.ReplPosition()
+
+	enc := NewBinBatchEncoder(sch)
+	for i := 0; i < 3; i++ {
+		k1, k2 := fmt.Sprintf("tail-k1-%d", i), fmt.Sprintf("tail-k2-%d", i)
+		for _, op := range []BatchOp{
+			{"DIM1", map[string]string{"K1": k1, "D1_1": "tail-a", "D1_2": fmt.Sprintf("tail-b%d", i)}},
+			{"FACT", map[string]string{"K1": k1, "K2": k2}},
+		} {
+			if err := enc.Add(op.Rel, op.Row); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if st.Records > records || time.Now().After(deadline) {
-			t.Fatalf("log shows %d records, want %d", st.Records, records)
+	}
+	for _, op := range load[:6] {
+		if err := enc.Delete(op.Rel, op.Row); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
+	}
+	if n, err := ds.ApplyBinBatch(context.Background(), enc.Bytes()); err != nil || n != 12 {
+		t.Fatalf("ApplyBinBatch = %d, %v", n, err)
+	}
+	end := ds.ReplPosition()
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+	full := ds.Snapshot()
+	if ds.eng.Dict().Len() <= preDict {
+		t.Fatal("the tail payload interned no fresh values")
+	}
+
+	seg := wal.SegmentFile(start.Seq)
+	data, err := os.ReadFile(filepath.Join(srcDir, seg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end.Seq != start.Seq || end.Off != int64(len(data)) {
+		t.Fatalf("payload spans %s..%s of a %d-byte segment", start, end, len(data))
+	}
+	if _, n, err := wal.NextStreamFrame(data[start.Off:]); err != nil || int64(n) != end.Off-start.Off {
+		t.Fatalf("the payload is not one record: first frame %d of %d bytes (%v)", n, end.Off-start.Off, err)
+	}
+
+	check := func(t *testing.T, mutate func([]byte) []byte, want *Database, wantDict int) {
+		t.Helper()
+		dir := t.TempDir()
+		ents, err := os.ReadDir(srcDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			b, err := os.ReadFile(filepath.Join(srcDir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.Name() == seg {
+				b = mutate(b)
+			}
+			if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		re, err := sch.OpenDurableStore(dir, DurableOptions{NoFsync: true})
+		if err != nil {
+			t.Fatalf("recovery: %v", err)
+		}
+		defer re.Close()
+		if diffs := DiffDatabases(want, re.Snapshot()); diffs != nil {
+			t.Fatalf("recovered state differs: %v", diffs)
+		}
+		if got := re.eng.Dict().Len(); got != wantDict {
+			t.Fatalf("recovered %d bindings, want %d", got, wantDict)
+		}
+		if rec := re.Recovery(); rec.Skipped != 0 {
+			t.Fatalf("recovery skipped records: %+v", rec)
+		}
+	}
+
+	check(t, func(b []byte) []byte { return b }, full, ds.eng.Dict().Len())
+	for cut := start.Off; cut < end.Off; cut++ {
+		check(t, func(b []byte) []byte { return b[:cut] }, pre, preDict)
+	}
+	for off := start.Off; off < end.Off; off++ {
+		check(t, func(b []byte) []byte { b[off] ^= 0xff; return b }, pre, preDict)
+	}
+}
+
+// TestDurableConcurrentInternsRecover: writers interning fresh names into
+// different relations at once must leave a log whose bindings recover
+// exactly — every value id included, no record skipped — because bindings
+// ride in the records in watermark order.
+func TestDurableConcurrentInternsRecover(t *testing.T) {
+	dir := t.TempDir()
+	sch := starSchema(t, 4, 2)
+	ds, err := sch.OpenDurableStore(dir, DurableOptions{NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, each = 4, 150
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func(d int) {
+			for i := 0; i < each; i++ {
+				row := map[string]string{
+					fmt.Sprintf("K%d", d):   fmt.Sprintf("w%d-k%d", d, i),
+					fmt.Sprintf("D%d_1", d): fmt.Sprintf("w%d-a%d", d, i),
+					fmt.Sprintf("D%d_2", d): fmt.Sprintf("w%d-b%d", d, i%7),
+				}
+				if err := ds.Insert(fmt.Sprintf("DIM%d", d), row); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}(w + 1)
+	}
+	for w := 0; w < workers; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := sch.OpenDurableStore(dir, DurableOptions{NoFsync: true})
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer re.Close()
+	if rec := re.Recovery(); rec.Skipped != 0 || rec.Records != workers*each {
+		t.Fatalf("recovery %+v, want %d records and none skipped", rec, workers*each)
+	}
+	if diffs := DiffDatabases(ds.Snapshot(), re.Snapshot()); diffs != nil {
+		t.Fatalf("recovered state differs: %v", diffs)
+	}
+	if got, want := re.eng.Dict().Len(), ds.eng.Dict().Len(); got != want {
+		t.Fatalf("recovered %d bindings, want %d", got, want)
+	}
+}
+
+// legacyFrame appends a CRC frame around a hand-encoded record payload of
+// the per-operation kinds logs held before the commit record: 1 binds a
+// value, 2 inserts one tuple, 3 deletes one, 4 inserts several.
+func legacyFrame(buf []byte, kind byte, bind *wal.Binding, ops ...engine.Op) []byte {
+	p := []byte{kind}
+	if bind != nil {
+		p = binary.AppendVarint(p, int64(bind.Value))
+		p = binary.AppendUvarint(p, uint64(len(bind.Name)))
+		p = append(p, bind.Name...)
+	}
+	if kind == 4 {
+		p = binary.AppendUvarint(p, uint64(len(ops)))
+	}
+	for _, op := range ops {
+		p = binary.AppendUvarint(p, uint64(op.Scheme))
+		p = binary.AppendUvarint(p, uint64(len(op.Tuple)))
+		for _, v := range op.Tuple {
+			p = binary.AppendVarint(p, int64(v))
+		}
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(p, crc32.MakeTable(crc32.Castagnoli)))
+	return append(buf, p...)
+}
+
+// TestDurableRecoversLegacyLog keeps data directories from before the
+// commit record working: a segment of the per-operation frames that log
+// wrote — bindings ahead of the commit that first uses them, one insert or
+// batch frame per commit's inserts, one frame per delete — recovers the
+// state its writes produced, value ids included, and the store then appends
+// commit records after it.
+func TestDurableRecoversLegacyLog(t *testing.T) {
+	sch := MustParse("CT(C,T); CS(C,S)", "C -> T")
+	src, err := sch.OpenConcurrentStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := append([]byte("INDEPWAL"), 1, 0, 0, 0, 0, 0, 0, 0)
+	frames := 0
+	var marks engine.Marks
+	src.eng.SetCommitHook(func(c engine.Commit) func() error {
+		for _, b := range src.eng.Dict().AppendNew(&marks, nil) {
+			seg = legacyFrame(seg, 1, &b)
+			frames++
+		}
+		n := 0
+		for n < len(c.Ops) && !c.Ops[n].Delete {
+			n++
+		}
+		switch {
+		case n == 1:
+			seg = legacyFrame(seg, 2, nil, c.Ops[0])
+			frames++
+		case n > 1:
+			seg = legacyFrame(seg, 4, nil, c.Ops[:n]...)
+			frames++
+		}
+		for _, op := range c.Ops[n:] {
+			seg = legacyFrame(seg, 3, nil, op)
+			frames++
+		}
+		return nil
+	})
+	ct := func(c, t string) map[string]string { return map[string]string{"C": c, "T": t} }
+	cs := func(c, s string) map[string]string { return map[string]string{"C": c, "S": s} }
+	if err := src.Insert("CT", ct("c1", "t1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.InsertBatch([]BatchOp{{"CT", ct("c2", "t2")}, {"CS", cs("c1", "s1")}, {"CS", cs("c2", "s2")}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Delete("CT", ct("c1", "t1")); err != nil {
+		t.Fatal(err)
+	}
+	enc := NewBinBatchEncoder(sch)
+	for _, err := range []error{
+		enc.Add("CT", ct("c1", "t3")), enc.Add("CS", cs("c3", "s3")),
+		enc.Delete("CS", cs("c1", "s1")), enc.Delete("CT", ct("c2", "t2")),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := src.ApplyBinBatch(context.Background(), enc.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, wal.SegmentFile(1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := sch.OpenDurableStore(dir, DurableOptions{NoFsync: true})
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	if rec := re.Recovery(); rec.Records != frames || rec.Skipped != 0 || rec.TruncatedBytes != 0 {
+		t.Fatalf("recovery %+v, want %d records and nothing skipped or truncated", rec, frames)
+	}
+	if diffs := DiffDatabases(src.Snapshot(), re.Snapshot()); diffs != nil {
+		t.Fatalf("legacy log recovered a different state: %v", diffs)
+	}
+	if got, want := re.eng.Dict().Len(), src.eng.Dict().Len(); got != want {
+		t.Fatalf("recovered %d bindings, want %d", got, want)
+	}
+
+	// New commits land in a segment of commit records after the legacy one.
+	for _, st := range []*ConcurrentStore{src, re.ConcurrentStore} {
+		if err := st.Insert("CT", ct("c4", "t4")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := sch.OpenDurableStore(dir, DurableOptions{NoFsync: true})
+	if err != nil {
+		t.Fatalf("second recovery: %v", err)
+	}
+	defer again.Close()
+	if diffs := DiffDatabases(src.Snapshot(), again.Snapshot()); diffs != nil {
+		t.Fatalf("mixed-format log recovered a different state: %v", diffs)
+	}
+}
+
+// TestDurableRecoverySkipsContradictingRecords pins what recovery does with
+// a record the store cannot take: a binding that renames a bound value, an
+// op on a relation the schema lacks, or a commit the guards reject. Each is
+// counted in Skipped, applies nothing, and replay goes on past it.
+func TestDurableRecoverySkipsContradictingRecords(t *testing.T) {
+	sch := MustParse("CT(C,T); CS(C,S)", "C -> T")
+	src, err := sch.OpenConcurrentStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := append([]byte("INDEPWAL"), 1, 0, 0, 0, 0, 0, 0, 0)
+	var marks engine.Marks
+	src.eng.SetCommitHook(func(c engine.Commit) func() error {
+		rec := wal.Record{Interns: src.eng.Dict().AppendNew(&marks, nil)}
+		for _, op := range c.Ops {
+			rec.Ops = append(rec.Ops, wal.TupleOp{Rel: op.Scheme, Tuple: op.Tuple, Delete: op.Delete})
+		}
+		seg = wal.AppendRecordFrame(seg, rec)
+		return nil
+	})
+	if err := src.Insert("CT", map[string]string{"C": "c1", "T": "t1"}); err != nil {
+		t.Fatal(err)
+	}
+	c1, _ := src.eng.Dict().Lookup("c1")
+	t1, _ := src.eng.Dict().Lookup("t1")
+	for _, rec := range []wal.Record{
+		{Interns: []wal.Binding{{Value: c1, Name: "renamed"}}},
+		{Ops: []wal.TupleOp{{Rel: 7, Tuple: relation.Tuple{c1, t1}}}},
+		{Ops: []wal.TupleOp{{Rel: 0, Tuple: relation.Tuple{c1, c1}}}}, // C -> T rejects it
+	} {
+		seg = wal.AppendRecordFrame(seg, rec)
+	}
+	if err := src.Insert("CS", map[string]string{"C": "c1", "S": "s1"}); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, wal.SegmentFile(1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := sch.OpenDurableStore(dir, DurableOptions{NoFsync: true})
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer re.Close()
+	if rec := re.Recovery(); rec.Records != 5 || rec.Skipped != 3 {
+		t.Fatalf("recovery %+v, want 5 records and 3 skipped", rec)
+	}
+	if diffs := DiffDatabases(src.Snapshot(), re.Snapshot()); diffs != nil {
+		t.Fatalf("recovered a different state: %v", diffs)
+	}
+	if got := re.eng.Dict().Name(c1); got != "c1" {
+		t.Fatalf("value %d recovered as %q, want c1", c1, got)
 	}
 }
 

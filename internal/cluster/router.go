@@ -363,15 +363,18 @@ func (r *Router) Batch(ctx context.Context, payload []byte) (*indep.BatchReport,
 // Insert routes one insert. A rejection surfaces as the shard's error,
 // matching ConcurrentStore.Insert (test with indep.Rejected).
 func (r *Router) Insert(ctx context.Context, rel string, row map[string]string) error {
-	return r.one(ctx, rel, row, false)
+	_, err := r.one(ctx, rel, row, false)
+	return err
 }
 
-// Delete routes one delete; deleting an absent tuple is a no-op.
-func (r *Router) Delete(ctx context.Context, rel string, row map[string]string) error {
+// Delete routes one delete and reports whether the owning shard held the
+// tuple; deleting an absent tuple is a no-op.
+func (r *Router) Delete(ctx context.Context, rel string, row map[string]string) (bool, error) {
 	return r.one(ctx, rel, row, true)
 }
 
-func (r *Router) one(ctx context.Context, rel string, row map[string]string, del bool) error {
+// one routes a single operation and reports whether it changed the state.
+func (r *Router) one(ctx context.Context, rel string, row map[string]string, del bool) (bool, error) {
 	enc := indep.NewBinBatchEncoder(r.sch)
 	var err error
 	if del {
@@ -380,16 +383,16 @@ func (r *Router) one(ctx context.Context, rel string, row map[string]string, del
 		err = enc.Add(rel, row)
 	}
 	if err != nil {
-		return err
+		return false, err
 	}
 	rep, err := r.Batch(ctx, enc.Bytes())
 	if err != nil {
-		return err
+		return false, err
 	}
 	if len(rep.Rejected) > 0 {
-		return fmt.Errorf("%s: %w", rep.Rejected[0].Error, indep.ErrRejected)
+		return false, fmt.Errorf("%s: %w", rep.Rejected[0].Error, indep.ErrRejected)
 	}
-	return nil
+	return rep.Changed > 0, nil
 }
 
 // Window answers a window query byte-identically to a single node holding

@@ -239,15 +239,16 @@ func TestRouterSingleOps(t *testing.T) {
 	if !indep.Rejected(err) {
 		t.Fatalf("conflicting insert: got %v, want a rejection", err)
 	}
-	// Idempotent re-insert, then delete, then re-delete (a no-op).
+	// Idempotent re-insert, then delete, then re-delete (a no-op): Delete
+	// reports whether the owning shard held the tuple.
 	if err := tc.rt.Insert(ctx, "CT", map[string]string{"C": "c1", "T": "t1"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tc.rt.Delete(ctx, "CT", map[string]string{"C": "c1", "T": "t1"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tc.rt.Delete(ctx, "CT", map[string]string{"C": "c1", "T": "t1"}); err != nil {
-		t.Fatal(err)
+	for _, want := range []bool{true, false} {
+		ok, err := tc.rt.Delete(ctx, "CT", map[string]string{"C": "c1", "T": "t1"})
+		if err != nil || ok != want {
+			t.Fatalf("Delete = %v, %v; want %v", ok, err, want)
+		}
 	}
 	res, err := tc.rt.Window(ctx, indep.WindowQuery{Attrs: []string{"C", "T"}})
 	if err != nil {

@@ -3,8 +3,10 @@ package engine
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"indep/internal/relation"
+	"indep/internal/wal"
 )
 
 // dictShards is the number of lock stripes in a Dict. Power of two so the
@@ -18,12 +20,7 @@ const dictShards = 64
 // reverse lookup touch exactly one stripe and never a global lock.
 type Dict struct {
 	shards [dictShards]dictShard
-	// internHook, when set, observes every fresh allocation while the
-	// shard lock is still held. Durable stores use it to log (value, name)
-	// bindings: because the hook runs under the lock, its log entries are
-	// enqueued before any operation that read the value can log itself, so
-	// a binding is always durable no later than its first use.
-	internHook func(v relation.Value, name string)
+	size   atomic.Int64 // bindings across all shards; bumped under the shard lock
 }
 
 type dictShard struct {
@@ -66,24 +63,15 @@ func (d *Dict) Value(name string) relation.Value {
 	v = relation.Value(len(sh.names)*dictShards + si)
 	sh.names = append(sh.names, name)
 	sh.index[name] = v
-	if d.internHook != nil {
-		d.internHook(v, name)
-	}
+	d.size.Add(1)
 	return v
 }
 
-// SetInternHook installs the allocation observer. Set it before the Dict
-// is used concurrently (or while no interning can race); the hook itself
-// is called with the owning shard's lock held and must not re-enter the
-// Dict.
-func (d *Dict) SetInternHook(h func(v relation.Value, name string)) { d.internHook = h }
-
-// Restore re-binds a (value, name) pair recovered from a checkpoint or
-// intern log record, without firing the intern hook. Pairs must arrive in
-// ascending value order per shard — the order Dict allocates and the
-// recovery sources preserve — so allocation resumes seamlessly after the
-// restored prefix. Restoring an already-present pair is a no-op; a
-// mismatch reports corruption.
+// Restore re-binds a (value, name) pair recovered from a checkpoint or a
+// log record's bindings. Pairs must arrive in ascending value order per
+// shard — the order Dict allocates and the recovery sources preserve — so
+// allocation resumes seamlessly after the restored prefix. Restoring an
+// already-present pair is a no-op; a mismatch reports corruption.
 func (d *Dict) Restore(v relation.Value, name string) error {
 	if v < 0 {
 		return fmt.Errorf("engine: restore of negative value %d", int64(v))
@@ -113,6 +101,7 @@ func (d *Dict) Restore(v relation.Value, name string) error {
 	}
 	sh.names = append(sh.names, name)
 	sh.index[name] = v
+	d.size.Add(1)
 	return nil
 }
 
@@ -142,15 +131,47 @@ func (d *Dict) Name(v relation.Value) string {
 }
 
 // Len returns the number of interned names.
-func (d *Dict) Len() int {
-	n := 0
+func (d *Dict) Len() int { return int(d.size.Load()) }
+
+// Marks is a watermark over a Dict: per shard, how many of its bindings a
+// consumer has already taken. The zero value is the empty dictionary.
+type Marks struct {
+	total int
+	shard [dictShards]int
+}
+
+// Marks returns a watermark at the dictionary's current size.
+func (d *Dict) Marks() Marks {
+	var m Marks
 	for i := range d.shards {
 		sh := &d.shards[i]
 		sh.mu.RLock()
-		n += len(sh.names)
+		m.shard[i] = len(sh.names)
+		sh.mu.RUnlock()
+		m.total += m.shard[i]
+	}
+	return m
+}
+
+// AppendNew appends to out every binding above the watermark m, each
+// shard's gap-free and ascending (the order Restore requires), and advances
+// m past them. A value Value returned before the call is included, or was by
+// an earlier call. Calls advancing the same Marks must be serialized.
+func (d *Dict) AppendNew(m *Marks, out []wal.Binding) []wal.Binding {
+	if int(d.size.Load()) == m.total {
+		return out
+	}
+	for i := range d.shards {
+		sh := &d.shards[i]
+		sh.mu.RLock()
+		for idx := m.shard[i]; idx < len(sh.names); idx++ {
+			out = append(out, wal.Binding{Value: relation.Value(idx*dictShards + i), Name: sh.names[idx]})
+		}
+		m.total += len(sh.names) - m.shard[i]
+		m.shard[i] = len(sh.names)
 		sh.mu.RUnlock()
 	}
-	return n
+	return out
 }
 
 // Materialize copies the dictionary into a plain relation.Dict (value

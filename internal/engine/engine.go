@@ -32,6 +32,7 @@ import (
 	"indep/internal/query"
 	"indep/internal/relation"
 	"indep/internal/schema"
+	"indep/internal/wal"
 )
 
 // Op is a single tuple operation addressed to a scheme — an insert, or a
@@ -194,9 +195,9 @@ func (e *Engine) commit(c Commit) func() error {
 func (e *Engine) Version() uint64 { return e.version.Load() }
 
 // MaxBatchOps bounds a single Apply. The limit keeps one batch's lock hold
-// time sane and guarantees a durable store can always frame the commit's
-// inserts as one decodable log record (the WAL decoder enforces its own,
-// larger cap — a record we can write must be one we can read back).
+// time sane and guarantees a durable store can always frame the commit as
+// one decodable log record (the WAL decoder enforces its own, larger cap — a
+// record we can write must be one we can read back).
 const MaxBatchOps = 1 << 16
 
 // Apply applies a batch of inserts and deletes as one atomic mutation and
@@ -211,25 +212,52 @@ const MaxBatchOps = 1 << 16
 // admissibility. On the chase path one trial chase validates all the
 // inserts. A batch is limited to MaxBatchOps ops.
 //
-// Apply is idempotent — a duplicate insert or an absent delete is a no-op —
-// so applying a log whose prefix is already reflected in the state
-// converges to the same state. More strongly, re-applying any contiguous
-// suffix of a commit log in order converges: a tuple's final presence is
-// decided by its last mention in the log (insert → present, delete →
-// absent), and a re-applied insert whose tuple was later deleted and
-// superseded re-validates against the *current* guards — it is rejected
-// (the guards hold the superseding tuple), which is exactly the target
-// state. This is the property WAL replication leans on: a follower that
-// lost its exact position may replay from any earlier point in the same log
-// without diverging, provided it replays contiguously and in order from
-// there.
-//
-// Recovery calls Apply before SetCommitHook, so replayed records are not
-// re-logged; a replication follower instead calls it *with* its hook set,
-// so every applied record is re-journaled into the follower's own log.
+// Apply is idempotent — a duplicate insert or an absent delete is a no-op.
+// Replaying a commit log goes through Replay.
 func (e *Engine) Apply(ctx context.Context, ops []Op) (changed int, err error) {
 	done, err := e.apply(ctx, "engine.batch", ops)
 	return len(done), err
+}
+
+// Replay re-applies one logged commit; recovery and the replication
+// follower both install records through it. It restores the record's
+// bindings, then applies its ops as one commit; if the guards reject that
+// commit as a whole, which happens only when replaying a record the state
+// already reflects, it applies each op alone, ignores rejections and reports
+// the record skipped. Other errors (a contradicting binding, a malformed op,
+// a durability failure) are returned. Recovery replays before SetCommitHook,
+// so nothing is re-logged; a follower re-journals each record into its log.
+//
+// On the fast path, replaying any contiguous suffix of a log in order, over
+// the state the whole log produced, converges, so a follower that lost its
+// exact position may replay from any earlier point. A tuple's final presence
+// is its last mention; a replayed insert of a tuple later superseded is
+// rejected by the current guards; a last-mention insert never is, since a
+// guard violation is a conflict between two tuples of one relation and
+// every tuple then present that the final state lacks was present when the
+// insert was first admitted; and the per-op fallback keeps the other
+// members of a rejected commit. On the chase path a violation can take
+// three tuples (CT(c,t), CD(c,d1), TD(t,d2) under C→T, C→D, T→D), so only a
+// whole log replayed from empty is guaranteed to reproduce its state.
+func (e *Engine) Replay(ctx context.Context, rec wal.Record) (skipped bool, err error) {
+	for _, b := range rec.Interns {
+		if err := e.dict.Restore(b.Value, b.Name); err != nil {
+			return false, err
+		}
+	}
+	ops := make([]Op, len(rec.Ops))
+	for i, op := range rec.Ops {
+		ops[i] = Op{Scheme: op.Rel, Tuple: op.Tuple, Delete: op.Delete}
+	}
+	if _, err := e.Apply(ctx, ops); !errors.Is(err, maintenance.ErrViolation) {
+		return false, err
+	}
+	for i := range ops {
+		if _, err := e.Apply(ctx, ops[i:i+1]); err != nil && !errors.Is(err, maintenance.ErrViolation) {
+			return true, err
+		}
+	}
+	return true, nil
 }
 
 // Insert validates and adds one tuple. A rejected insert leaves the state

@@ -311,12 +311,16 @@ func frameBoundaries(t *testing.T, seg string) []int64 {
 
 // TestFollowerCrashAtEveryRecordBoundary is the crash-replay property test:
 // a caught-up follower's directory is cloned, its final segment truncated
-// at every record boundary (and at torn mid-frame offsets just past each),
-// and a follower reopened from each crash image. Every image must recover,
-// resume or re-sync, and converge — in particular, records straddling the
-// persisted-position window must not double-apply (the oracle's tuple and
-// window comparison would see any duplicate admission that slipped past the
-// guards).
+// at every byte offset — each record boundary and every torn offset inside
+// each record; with -short, each boundary and one torn offset past it, on
+// every fourth boundary — and a follower reopened from each crash image.
+// Every image must recover, resume or re-sync, and converge — in
+// particular, a record cut anywhere must lose its whole commit, and records
+// straddling the persisted-position window must not double-apply (the
+// oracle's tuple and window comparison would see any duplicate admission
+// that slipped past the guards). The follower bootstraps from a snapshot
+// and then streams a second workload phase live, so its log holds the
+// bootstrap's records and one record per streamed primary commit.
 func TestFollowerCrashAtEveryRecordBoundary(t *testing.T) {
 	sch := testSchema(t)
 	primary, err := sch.OpenDurableStore(t.TempDir(), indep.DurableOptions{NoFsync: true})
@@ -338,6 +342,12 @@ func TestFollowerCrashAtEveryRecordBoundary(t *testing.T) {
 	if !f.WaitFor(primary.ReplPosition(), 10*time.Second) {
 		t.Fatalf("follower never caught up: %+v", f.ReplStats())
 	}
+	for i := 0; i < 40; i++ {
+		w.step(t, primary)
+	}
+	if !f.WaitFor(primary.ReplPosition(), 10*time.Second) {
+		t.Fatalf("follower never caught up with the streamed phase: %+v", f.ReplStats())
+	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -356,35 +366,37 @@ func TestFollowerCrashAtEveryRecordBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stride := 1
+	var cuts []int64
 	if testing.Short() {
-		stride = 4
-	}
-	for i := 0; i < len(bounds); i += stride {
-		cut := bounds[i]
-		for _, torn := range []int64{0, 3} { // exact boundary, then mid-frame
-			cut := cut + torn
-			t.Run(fmt.Sprintf("cut%d", cut), func(t *testing.T) {
-				dir := copyDir(t, fdir)
-				seg := lastSegment(t, dir)
-				fi, err := os.Stat(seg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if cut > fi.Size() {
-					t.Skip("past end")
-				}
-				if err := os.Truncate(seg, cut); err != nil {
-					t.Fatal(err)
-				}
-				f, err := sch.OpenFollower(dir, primary, indep.FollowerOptions{NoFsync: true, PollInterval: time.Millisecond})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer f.Close()
-				requireConverged(t, primary, f)
-			})
+		for i := 0; i < len(bounds); i += 4 {
+			cuts = append(cuts, bounds[i], bounds[i]+3) // exact boundary, then mid-frame
 		}
+	} else {
+		for cut := bounds[0]; cut <= bounds[len(bounds)-1]; cut++ {
+			cuts = append(cuts, cut)
+		}
+	}
+	for _, cut := range cuts {
+		t.Run(fmt.Sprintf("cut%d", cut), func(t *testing.T) {
+			dir := copyDir(t, fdir)
+			seg := lastSegment(t, dir)
+			fi, err := os.Stat(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cut > fi.Size() {
+				t.Skip("past end")
+			}
+			if err := os.Truncate(seg, cut); err != nil {
+				t.Fatal(err)
+			}
+			f, err := sch.OpenFollower(dir, primary, indep.FollowerOptions{NoFsync: true, PollInterval: time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			requireConverged(t, primary, f)
+		})
 	}
 }
 

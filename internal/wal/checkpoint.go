@@ -10,12 +10,6 @@ import (
 	"indep/internal/relation"
 )
 
-// DictEntry is one durable dictionary binding.
-type DictEntry struct {
-	Value relation.Value
-	Name  string
-}
-
 // Checkpoint is a serialized snapshot of the engine state: the dictionary
 // and every relation's rows in column-major form, plus the sequence number
 // of the first WAL segment NOT covered by the snapshot (recovery loads the
@@ -28,7 +22,7 @@ type DictEntry struct {
 // walking per-row objects.
 type Checkpoint struct {
 	Seq    uint64
-	Dict   []DictEntry
+	Dict   []Binding
 	Cols   [][][]relation.Value // per scheme, per column, in schema order
 	Counts []int                // per scheme: row count
 }
@@ -43,7 +37,7 @@ func NewCheckpoint(seq uint64, st *relation.State) *Checkpoint {
 	}
 	if st.Dict != nil {
 		st.Dict.Each(func(v relation.Value, name string) {
-			ck.Dict = append(ck.Dict, DictEntry{Value: v, Name: name})
+			ck.Dict = append(ck.Dict, Binding{Value: v, Name: name})
 		})
 	}
 	for i, in := range st.Insts {
@@ -170,7 +164,7 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 		if ln > uint64(len(b)) {
 			return nil, fmt.Errorf("wal: checkpoint dict name overruns file")
 		}
-		ck.Dict = append(ck.Dict, DictEntry{Value: relation.Value(v), Name: string(b[:ln])})
+		ck.Dict = append(ck.Dict, Binding{Value: relation.Value(v), Name: string(b[:ln])})
 		b = b[ln:]
 	}
 	var schemes uint64
@@ -271,7 +265,7 @@ func WriteCheckpoint(dir string, ck *Checkpoint) (int64, error) {
 // LatestCheckpoint loads the newest readable checkpoint in dir, or nil if
 // none exists. A corrupt newer checkpoint falls back to an older one.
 func LatestCheckpoint(dir string) (*Checkpoint, error) {
-	cks, err := listCheckpoints(dir)
+	cks, err := listSeqs(dir, ckptPattern)
 	if err != nil {
 		return nil, err
 	}

@@ -12,12 +12,21 @@ import (
 // is stable: re-encoding an accepted record and decoding again yields the
 // same record.
 func FuzzDecodeRecord(f *testing.F) {
-	f.Add(Intern(5, "CS402").appendPayload(nil))
-	f.Add(Insert(1, relation.Tuple{1, 2, 3}).appendPayload(nil))
-	f.Add(Delete(0, relation.Tuple{-7}).appendPayload(nil))
-	f.Add(Batch([]TupleOp{{Rel: 2, Tuple: relation.Tuple{9}}}).appendPayload(nil))
+	f.Add(Record{
+		Interns: []Binding{{5, "CS402"}, {69, "jones"}},
+		Ops: []TupleOp{
+			{Rel: 1, Tuple: relation.Tuple{5, 69, 3}},
+			{Rel: 0, Tuple: relation.Tuple{-7}, Delete: true},
+		},
+	}.appendPayload(nil))
+	f.Add(Record{}.appendPayload(nil))
+	f.Add(legacyIntern(5, "CS402"))
+	f.Add(legacyOp(kindInsert, TupleOp{Rel: 1, Tuple: relation.Tuple{1, 2, 3}}))
+	f.Add(legacyOp(kindDelete, TupleOp{Rel: 0, Tuple: relation.Tuple{-7}}))
+	f.Add(legacyBatch(TupleOp{Rel: 2, Tuple: relation.Tuple{9}}))
 	f.Add([]byte{})
-	f.Add([]byte{4, 255, 255, 255, 255, 255, 255, 255, 255, 255, 1}) // absurd batch count
+	f.Add([]byte{4, 255, 255, 255, 255, 255, 255, 255, 255, 255, 1})    // absurd batch count
+	f.Add([]byte{5, 0, 255, 255, 255, 255, 255, 255, 255, 255, 255, 1}) // absurd insert count
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		rec, err := DecodeRecord(payload)
 		if err != nil {
@@ -41,11 +50,19 @@ func FuzzDecodeRecord(f *testing.F) {
 // bytes split at any boundary the transport or a fault injector picks.
 func FuzzReplRecordStream(f *testing.F) {
 	var good []byte
-	good = appendFrame(good, Intern(1, "s"))
-	good = appendFrame(good, Insert(0, relation.Tuple{1, 2}))
-	good = appendFrame(good, Delete(0, relation.Tuple{1, 2}))
+	good = AppendRecordFrame(good, Record{
+		Interns: []Binding{{1, "s"}},
+		Ops:     []TupleOp{{Rel: 0, Tuple: relation.Tuple{1, 2}}, {Rel: 1, Tuple: relation.Tuple{1}, Delete: true}},
+	})
+	good = AppendRecordFrame(good, Record{Ops: []TupleOp{{Rel: 0, Tuple: relation.Tuple{1, 2}, Delete: true}}})
+	var legacy []byte
+	legacy = rawFrame(legacy, legacyIntern(1, "s"))
+	legacy = rawFrame(legacy, legacyOp(kindInsert, TupleOp{Rel: 0, Tuple: relation.Tuple{1, 2}}))
+	legacy = rawFrame(legacy, legacyOp(kindDelete, TupleOp{Rel: 0, Tuple: relation.Tuple{1, 2}}))
+	legacy = rawFrame(legacy, legacyBatch(TupleOp{Rel: 0, Tuple: relation.Tuple{3, 4}}))
 	f.Add(good, uint8(3))
 	f.Add(good[:len(good)-3], uint8(1))
+	f.Add(legacy, uint8(7))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}, uint8(5))
 	f.Add([]byte{}, uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
@@ -106,7 +123,7 @@ func FuzzReplRecordStream(f *testing.F) {
 // FuzzDecodeCheckpoint asserts the checkpoint decoder is total over
 // arbitrary bytes.
 func FuzzDecodeCheckpoint(f *testing.F) {
-	good := (&Checkpoint{Seq: 3, Dict: []DictEntry{{Value: 1, Name: "v"}},
+	good := (&Checkpoint{Seq: 3, Dict: []Binding{{Value: 1, Name: "v"}},
 		Cols: [][][]relation.Value{{{1}, {2}}, {}}, Counts: []int{1, 0}}).encode()
 	f.Add(good)
 	f.Add(good[:len(good)-5])
@@ -136,7 +153,7 @@ func FuzzDecodeColumnCheckpoint(f *testing.F) {
 	v2 := (&Checkpoint{Seq: 11,
 		Cols: [][][]relation.Value{{{1, 3}, {2, 4}}, {{-5}}}, Counts: []int{2, 1}}).encode()
 	f.Add(v2)
-	f.Add((&Checkpoint{Seq: 9, Dict: []DictEntry{{Value: 2, Name: "q"}},
+	f.Add((&Checkpoint{Seq: 9, Dict: []Binding{{Value: 2, Name: "q"}},
 		Cols: [][][]relation.Value{{{7}, {8}}}, Counts: []int{1}}).encode())
 	f.Add([]byte("INDEPCK2"))
 	f.Add(v2[:len(v2)-3])

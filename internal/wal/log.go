@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -55,12 +55,11 @@ const (
 func segName(seq uint64) string  { return fmt.Sprintf(segPattern, seq) }
 func ckptName(seq uint64) string { return fmt.Sprintf(ckptPattern, seq) }
 
-// queued is one unit of writer work: an encoded frame to append, or one of
-// the control markers (rotate, truncate, sync).
+// queued is one unit of writer work: an encoded record frame to append, or
+// one of the control markers (rotate, truncate, sync).
 type queued struct {
 	data []byte
-	recs int        // records framed in data
-	done chan error // nil for fire-and-forget appends
+	done chan error
 
 	rotateTo    uint64 // rotate marker when != 0: seal and open segment rotateTo
 	truncBefore uint64 // truncate marker when != 0: delete segments < truncBefore
@@ -77,7 +76,7 @@ type Ticket struct {
 // Wait blocks for the append's outcome.
 func (t *Ticket) Wait() error { return <-t.done }
 
-// Bytes returns the encoded size of the append's frames — what the commit
+// Bytes returns the encoded size of the append's frame — what the commit
 // actually cost the log, surfaced as a span attribute on traced writes.
 func (t *Ticket) Bytes() int { return t.bytes }
 
@@ -88,9 +87,9 @@ type LogStats struct {
 	Segments     int    // segments on disk (including active)
 	ActiveBytes  int64  // bytes in the active segment
 	TotalBytes   int64  // bytes across all live segments: the replay debt
-	Records      uint64 // records appended to the log
+	Records      uint64 // records (commits) appended to the log; a split record counts once
 	Syncs        uint64 // fsync calls issued
-	CommitGroups uint64 // write groups (Records/CommitGroups = batching win)
+	CommitGroups uint64 // write groups (Records/CommitGroups = commits per fsync)
 }
 
 // Log is an append-only write-ahead log with group commit. Any number of
@@ -123,7 +122,7 @@ type Log struct {
 	// observes, scrapers snapshot concurrently.
 	writeLat  obs.Histogram // write(2) duration per flushed group, ns
 	fsyncLat  obs.Histogram // fsync duration, ns
-	groupRecs obs.Histogram // records coalesced per commit group
+	groupRecs obs.Histogram // records (commits) coalesced per commit group
 }
 
 // LatencyStats returns snapshots of the log's write-latency, fsync-latency,
@@ -140,9 +139,9 @@ func (l *Log) RegisterMetrics(r *obs.Registry) {
 	r.RegisterHistogram("indep_wal_fsync_duration_seconds",
 		"fsync latency per commit group", 1e-9, &l.fsyncLat)
 	r.RegisterHistogram("indep_wal_commit_group_records",
-		"records coalesced into one commit group", 1, &l.groupRecs)
+		"records, one per commit, coalesced into one commit group", 1, &l.groupRecs)
 	r.CounterFunc("indep_wal_records_total",
-		"records appended to the log", func() uint64 { return l.Stats().Records })
+		"records appended to the log, one per commit", func() uint64 { return l.Stats().Records })
 	r.CounterFunc("indep_wal_syncs_total",
 		"fsync calls issued", func() uint64 { return l.Stats().Syncs })
 	r.CounterFunc("indep_wal_commit_groups_total",
@@ -161,7 +160,7 @@ func OpenLog(dir string, opts Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	segs, err := listSegments(dir)
+	segs, err := listSeqs(dir, segPattern)
 	if err != nil {
 		return nil, err
 	}
@@ -196,42 +195,23 @@ func OpenLog(dir string, opts Options) (*Log, error) {
 	return l, nil
 }
 
-// listSegments returns the sequence numbers of the segment files in dir,
-// ascending.
-func listSegments(dir string) ([]uint64, error) {
+// listSeqs returns the sequence numbers of dir's files named by pattern
+// (segPattern or ckptPattern), ascending; none when dir does not exist.
+func listSeqs(dir, pattern string) ([]uint64, error) {
 	ents, err := os.ReadDir(dir)
-	if err != nil {
+	if os.IsNotExist(err) {
+		return nil, nil
+	} else if err != nil {
 		return nil, err
 	}
 	var out []uint64
 	for _, e := range ents {
 		var seq uint64
-		if _, err := fmt.Sscanf(e.Name(), segPattern, &seq); err == nil && e.Name() == segName(seq) {
+		if _, err := fmt.Sscanf(e.Name(), pattern, &seq); err == nil && e.Name() == fmt.Sprintf(pattern, seq) {
 			out = append(out, seq)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
-}
-
-// listCheckpoints returns the sequence numbers of checkpoint files in dir,
-// ascending.
-func listCheckpoints(dir string) ([]uint64, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	var out []uint64
-	for _, e := range ents {
-		var seq uint64
-		if _, err := fmt.Sscanf(e.Name(), ckptPattern, &seq); err == nil && e.Name() == ckptName(seq) {
-			out = append(out, seq)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, nil
 }
 
@@ -296,32 +276,16 @@ func (l *Log) enqueue(q queued) error {
 	return nil
 }
 
-// Append queues records as one contiguous run of frames and returns a
-// Ticket whose Wait reports when they are durable (per the sync mode). The
-// records of one Append land in the log in order, with no interleaving.
-func (l *Log) Append(recs ...Record) *Ticket {
-	var buf []byte
-	for _, r := range recs {
-		buf = appendFrame(buf, r)
-	}
+// Append queues one record and returns a Ticket whose Wait reports when it
+// is durable (per the sync mode). It is the log's only way in for data:
+// records land in the log in the order Append is called.
+func (l *Log) Append(rec Record) *Ticket {
+	buf := AppendRecordFrame(nil, rec)
 	t := &Ticket{done: make(chan error, 1), bytes: len(buf)}
-	if err := l.enqueue(queued{data: buf, recs: len(recs), done: t.done}); err != nil {
+	if err := l.enqueue(queued{data: buf, done: t.done}); err != nil {
 		t.done <- err
 	}
 	return t
-}
-
-// Enqueue appends records without waiting for durability. Queue order is
-// still FIFO, so an Enqueue followed (happens-after) by an Append is
-// written — and made durable — no later than that Append. Used for
-// dictionary intern records, which must precede the commits that use them
-// but need no acknowledgement of their own.
-func (l *Log) Enqueue(recs ...Record) {
-	var buf []byte
-	for _, r := range recs {
-		buf = appendFrame(buf, r)
-	}
-	l.enqueue(queued{data: buf, recs: len(recs)})
 }
 
 // Rotate seals the active segment (flushing and fsyncing everything queued
@@ -439,8 +403,10 @@ func (l *Log) process(batch []queued) {
 
 	var pend []byte          // coalesced frames not yet written
 	var waiters []chan error // commit waiters not yet acknowledged
-	var records uint64
-	var wrote int64
+	var records uint64       // records in the group, for the histogram
+	var unpublished uint64   // records written but not yet in stats
+	var wrote int64          // bytes written but not yet in stats
+	counted := false         // the group is in stats.CommitGroups
 
 	fail := func(err error) {
 		l.mu.Lock()
@@ -459,7 +425,8 @@ func (l *Log) process(batch []queued) {
 	}
 
 	// flush writes the coalesced frames; commit additionally fsyncs (per
-	// the sync mode) and acknowledges the waiters gathered so far.
+	// the sync mode), publishes the counters and acknowledges the waiters
+	// gathered so far.
 	flush := func() error {
 		if len(pend) == 0 {
 			return nil
@@ -486,17 +453,21 @@ func (l *Log) process(batch []queued) {
 			l.stats.Syncs++
 			l.mu.Unlock()
 		}
-		// The flushed position must cover the group's bytes before any of
-		// its waiters is acknowledged: Flushed() is the read-your-writes
-		// token, so a caller whose Wait returned must find its record at or
-		// below it. Updating only at the end of the batch would leave a
-		// window — wide when a rotation's file work follows — where an acked
-		// commit sits above the reported flushed end and a replica
-		// synchronizing against it stops one record short.
+		// Publish the flushed position and the counters before acking any
+		// waiter: a caller whose Wait returned must find its record at or
+		// below Flushed() (the read-your-writes token a replica syncs
+		// against) and counted by Stats().
 		l.mu.Lock()
 		l.stats.ActiveSeq = l.activeSeq
 		l.stats.ActiveBytes = l.offset
+		l.stats.TotalBytes += wrote
+		l.stats.Records += unpublished
+		if !counted {
+			l.stats.CommitGroups++
+			counted = true
+		}
 		l.mu.Unlock()
+		wrote, unpublished = 0, 0
 		for _, w := range waiters {
 			w <- nil
 		}
@@ -535,11 +506,10 @@ func (l *Log) process(batch []queued) {
 			batch[i].done = nil
 		default:
 			pend = append(pend, q.data...)
-			records += uint64(q.recs)
-			if q.done != nil {
-				waiters = append(waiters, q.done)
-				batch[i].done = nil // owned by waiters from here on
-			}
+			records++
+			unpublished++
+			waiters = append(waiters, q.done)
+			batch[i].done = nil // owned by waiters from here on
 		}
 	}
 	if err := commit(false); err != nil {
@@ -550,13 +520,6 @@ func (l *Log) process(batch []queued) {
 	if records > 0 {
 		l.groupRecs.Observe(int64(records))
 	}
-	l.mu.Lock()
-	l.stats.Records += records
-	l.stats.CommitGroups++
-	l.stats.ActiveSeq = l.activeSeq
-	l.stats.ActiveBytes = l.offset
-	l.stats.TotalBytes += wrote
-	l.mu.Unlock()
 
 	// Size-based rotation goes through the queue like Rotate() does —
 	// every rotation allocates its sequence number at enqueue time under
@@ -598,7 +561,7 @@ func (l *Log) rotateTo(seq uint64) error {
 
 // removeBefore deletes sealed segments below seq. Writer goroutine only.
 func (l *Log) removeBefore(seq uint64) error {
-	segs, err := listSegments(l.dir)
+	segs, err := listSeqs(l.dir, segPattern)
 	if err != nil {
 		return err
 	}
@@ -641,7 +604,7 @@ func (l *Log) removeBefore(seq uint64) error {
 
 // removeCheckpointsExcept deletes checkpoint files other than keep.
 func removeCheckpointsExcept(dir string, keep uint64) {
-	cks, err := listCheckpoints(dir)
+	cks, err := listSeqs(dir, ckptPattern)
 	if err != nil {
 		return
 	}

@@ -1,23 +1,26 @@
 // Package wal is the durable storage layer under the concurrent engine: a
-// write-ahead log of admitted operations plus snapshot checkpoints.
+// write-ahead log of admitted commits plus snapshot checkpoints.
 //
 // Independence is what makes this log cheap. For an independent schema the
 // engine admits each insert after an O(|F_i|) check local to one relation,
 // so the admission decision itself — relation index plus interned values —
-// is a complete redo record: replaying the per-relation record stream
-// through the same guards reconstructs the state without ever re-running a
-// global chase. The log therefore stores exactly that: CRC32-framed
-// intern/insert/delete/batch records, appended by a single group-commit
-// writer that coalesces concurrent commits into one fsync, rotated across
-// numbered segments, and truncated by checkpoints that serialize a full
-// snapshot of the state and dictionary.
+// is a complete redo record: replaying the record stream through the same
+// guards reconstructs the state without ever re-running a global chase. The
+// log therefore stores exactly that: one CRC32-framed record per engine
+// commit, holding the dictionary bindings the commit is the first to log,
+// its inserts and its deletes. A single group-commit writer coalesces
+// concurrent commits into one fsync; the log rotates across numbered
+// segments and is truncated by checkpoints that serialize a full snapshot of
+// the state and dictionary.
 //
 // Durability contract: a record whose commit wait returned nil survives any
 // crash (under SyncAlways). A torn tail — a partially written final frame —
 // is detected by length/CRC checks and truncated on recovery; every frame
-// before it is replayed. Replay is idempotent, so recovering twice, or
-// recovering a state that already contains a checkpointed prefix, converges
-// to the same state.
+// before it is replayed. A commit's ops share one frame (only bindings too
+// many for it go ahead in frames of their own), so recovery yields a commit
+// prefix of the log, never part of one payload. Replay converges (see
+// engine.Engine.Replay), so recovering twice, or recovering a state that
+// already contains a checkpointed prefix, reaches the same state.
 package wal
 
 import (
@@ -28,73 +31,65 @@ import (
 	"indep/internal/relation"
 )
 
-// Kind discriminates the record types of the log.
-type Kind byte
-
+// Record kinds: the first byte of a record payload. The log writes only
+// kindCommit. Kinds 1–4 are the per-operation records logs and clients wrote
+// before it; DecodeRecord still reads them, mapped into the same Record
+// shape, so older data directories and binary batches keep working. They
+// retire in a later release.
 const (
-	// KindIntern binds a dictionary value to its display name. Intern
-	// records are enqueued under the dictionary shard lock at allocation
-	// time, so within a shard they appear in the log in allocation order
-	// and always precede any committed operation that uses the value.
-	KindIntern Kind = 1
-	// KindInsert is one admitted tuple insert.
-	KindInsert Kind = 2
-	// KindDelete is one applied tuple delete.
-	KindDelete Kind = 3
-	// KindBatch is an atomically admitted multi-tuple insert.
-	KindBatch Kind = 4
+	kindIntern byte = 1 // one binding
+	kindInsert byte = 2 // one insert
+	kindDelete byte = 3 // one delete
+	kindBatch  byte = 4 // counted inserts
+	kindCommit byte = 5 // counted bindings, then counted inserts and deletes
 )
 
-// TupleOp addresses one tuple of a record to its relation scheme.
+// Binding is one durable dictionary binding: a value and its display name.
+type Binding struct {
+	Value relation.Value
+	Name  string
+}
+
+// TupleOp addresses one tuple of a record to its relation scheme: an
+// insert, or a delete when Delete is set.
 type TupleOp struct {
-	Rel   int
-	Tuple relation.Tuple
+	Rel    int
+	Tuple  relation.Tuple
+	Delete bool
 }
 
-// Record is one logical log entry. Exactly one of the payload shapes is
-// meaningful, selected by Kind: (Value, Name) for interns, Ops for the rest
-// (length 1 for insert/delete).
+// Record is one log entry: one engine commit. Interns are the dictionary
+// bindings the record is the first to carry; Ops are the commit's tuple
+// operations. The encoding writes the inserts before the deletes, which is
+// the order the engine applies a commit in, so a decoded record lists its
+// inserts first.
 type Record struct {
-	Kind  Kind
-	Value relation.Value // KindIntern
-	Name  string         // KindIntern
-	Ops   []TupleOp      // KindInsert, KindDelete, KindBatch
-}
-
-// Intern builds a dictionary-binding record.
-func Intern(v relation.Value, name string) Record {
-	return Record{Kind: KindIntern, Value: v, Name: name}
-}
-
-// Insert builds a single-insert record.
-func Insert(rel int, t relation.Tuple) Record {
-	return Record{Kind: KindInsert, Ops: []TupleOp{{Rel: rel, Tuple: t}}}
-}
-
-// Delete builds a single-delete record.
-func Delete(rel int, t relation.Tuple) Record {
-	return Record{Kind: KindDelete, Ops: []TupleOp{{Rel: rel, Tuple: t}}}
-}
-
-// Batch builds an atomic multi-insert record.
-func Batch(ops []TupleOp) Record {
-	return Record{Kind: KindBatch, Ops: ops}
+	Interns []Binding
+	Ops     []TupleOp
 }
 
 // appendPayload encodes the record body (everything inside a frame).
 func (r Record) appendPayload(buf []byte) []byte {
-	buf = append(buf, byte(r.Kind))
-	switch r.Kind {
-	case KindIntern:
-		buf = binary.AppendVarint(buf, int64(r.Value))
-		buf = binary.AppendUvarint(buf, uint64(len(r.Name)))
-		buf = append(buf, r.Name...)
-	case KindInsert, KindDelete:
-		buf = appendTupleOp(buf, r.Ops[0])
-	case KindBatch:
-		buf = binary.AppendUvarint(buf, uint64(len(r.Ops)))
+	buf = append(buf, kindCommit)
+	buf = binary.AppendUvarint(buf, uint64(len(r.Interns)))
+	for _, b := range r.Interns {
+		buf = binary.AppendVarint(buf, int64(b.Value))
+		buf = binary.AppendUvarint(buf, uint64(len(b.Name)))
+		buf = append(buf, b.Name...)
+	}
+	dels := 0
+	for _, op := range r.Ops {
+		if op.Delete {
+			dels++
+		}
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(r.Ops)-dels))
+	buf = binary.AppendUvarint(buf, uint64(dels))
+	for _, del := range [2]bool{false, true} {
 		for _, op := range r.Ops {
-			buf = appendTupleOp(buf, op)
+			if op.Delete == del {
+				buf = appendTupleOp(buf, op)
+			}
 		}
 	}
 	return buf
@@ -109,68 +104,78 @@ func appendTupleOp(buf []byte, op TupleOp) []byte {
 	return buf
 }
 
-// maxPayload bounds a frame payload; anything larger is treated as
-// corruption rather than an allocation request.
-const maxPayload = 1 << 28
+// The decoder's limits, which AppendRecordFrame keeps to; variables only so
+// tests can shrink them. A corrupt length prefix beyond them is corruption,
+// not an allocation request.
+var (
+	maxPayload  = 1 << 28 // bytes in a frame payload
+	maxBatchOps = 1 << 22 // each declared count: bindings, inserts plus deletes
+)
 
-// maxBatchOps bounds the declared op count of a batch record so a corrupt
-// length prefix cannot drive a huge allocation.
-const maxBatchOps = 1 << 22
-
-// DecodeRecord parses one record payload. Trailing bytes are an error: a
-// frame holds exactly one record.
+// DecodeRecord parses one record payload, of the current kind or a legacy
+// one. Trailing bytes are an error: a frame holds exactly one record.
+// Empty Interns and Ops decode as nil.
 func DecodeRecord(payload []byte) (Record, error) {
 	if len(payload) == 0 {
 		return Record{}, fmt.Errorf("wal: empty record payload")
 	}
-	r := Record{Kind: Kind(payload[0])}
+	var r Record
 	b := payload[1:]
 	var err error
-	switch r.Kind {
-	case KindIntern:
-		var v int64
-		v, b, err = readVarint(b)
-		if err != nil {
+	switch payload[0] {
+	case kindCommit:
+		var n, ins, dels uint64
+		if n, b, err = readCount(b, "bindings"); err != nil {
 			return Record{}, err
 		}
-		var n uint64
-		n, b, err = readUvarint(b)
-		if err != nil {
-			return Record{}, err
+		if n > 0 {
+			r.Interns = make([]Binding, 0, n)
 		}
-		if n > uint64(len(b)) {
-			return Record{}, fmt.Errorf("wal: intern name length %d exceeds payload", n)
-		}
-		r.Value = relation.Value(v)
-		r.Name = string(b[:n])
-		b = b[n:]
-	case KindInsert, KindDelete:
-		var op TupleOp
-		op, b, err = readTupleOp(b)
-		if err != nil {
-			return Record{}, err
-		}
-		r.Ops = []TupleOp{op}
-	case KindBatch:
-		var n uint64
-		n, b, err = readUvarint(b)
-		if err != nil {
-			return Record{}, err
-		}
-		// Each op takes at least 2 payload bytes (rel + arity), so a count
-		// beyond len(b)/2 is corruption — checked BEFORE allocating, so a
-		// tiny corrupt frame cannot demand a huge slice.
-		if n > maxBatchOps || n > uint64(len(b))/2 {
-			return Record{}, fmt.Errorf("wal: batch of %d ops exceeds payload", n)
-		}
-		r.Ops = make([]TupleOp, 0, n)
 		for i := uint64(0); i < n; i++ {
-			var op TupleOp
-			op, b, err = readTupleOp(b)
-			if err != nil {
+			var bd Binding
+			if bd, b, err = readBinding(b); err != nil {
 				return Record{}, err
 			}
-			r.Ops = append(r.Ops, op)
+			r.Interns = append(r.Interns, bd)
+		}
+		if ins, b, err = readCount(b, "inserts"); err != nil {
+			return Record{}, err
+		}
+		if dels, b, err = readCount(b, "deletes"); err != nil {
+			return Record{}, err
+		}
+		if ins+dels > uint64(maxBatchOps) || ins+dels > uint64(len(b))/2 {
+			return Record{}, fmt.Errorf("wal: record of %d ops exceeds payload", ins+dels)
+		}
+		if ins+dels > 0 {
+			r.Ops = make([]TupleOp, 0, ins+dels)
+		}
+		if r.Ops, b, err = readTupleOps(b, ins, false, r.Ops); err != nil {
+			return Record{}, err
+		}
+		if r.Ops, b, err = readTupleOps(b, dels, true, r.Ops); err != nil {
+			return Record{}, err
+		}
+	case kindIntern:
+		var bd Binding
+		if bd, b, err = readBinding(b); err != nil {
+			return Record{}, err
+		}
+		r.Interns = []Binding{bd}
+	case kindInsert, kindDelete:
+		if r.Ops, b, err = readTupleOps(b, 1, payload[0] == kindDelete, nil); err != nil {
+			return Record{}, err
+		}
+	case kindBatch:
+		var n uint64
+		if n, b, err = readCount(b, "ops"); err != nil {
+			return Record{}, err
+		}
+		if n > 0 {
+			r.Ops = make([]TupleOp, 0, n)
+		}
+		if r.Ops, b, err = readTupleOps(b, n, false, r.Ops); err != nil {
+			return Record{}, err
 		}
 	default:
 		return Record{}, fmt.Errorf("wal: unknown record kind %d", payload[0])
@@ -179,6 +184,50 @@ func DecodeRecord(payload []byte) (Record, error) {
 		return Record{}, fmt.Errorf("wal: %d trailing bytes after record", len(b))
 	}
 	return r, nil
+}
+
+// readCount reads an item count. Every counted item (a binding or a tuple
+// op) takes at least 2 payload bytes, so a count beyond len(b)/2 is
+// corruption — checked BEFORE allocating, so a tiny corrupt frame cannot
+// demand a huge slice.
+func readCount(b []byte, what string) (uint64, []byte, error) {
+	n, b, err := readUvarint(b)
+	if err != nil {
+		return 0, nil, err
+	}
+	if n > uint64(maxBatchOps) || n > uint64(len(b))/2 {
+		return 0, nil, fmt.Errorf("wal: %d %s exceed payload", n, what)
+	}
+	return n, b, nil
+}
+
+func readBinding(b []byte) (Binding, []byte, error) {
+	v, b, err := readVarint(b)
+	if err != nil {
+		return Binding{}, nil, err
+	}
+	n, b, err := readUvarint(b)
+	if err != nil {
+		return Binding{}, nil, err
+	}
+	if n > uint64(len(b)) {
+		return Binding{}, nil, fmt.Errorf("wal: intern name length %d exceeds payload", n)
+	}
+	return Binding{Value: relation.Value(v), Name: string(b[:n])}, b[n:], nil
+}
+
+// readTupleOps appends n tuple ops, each marked del, to ops.
+func readTupleOps(b []byte, n uint64, del bool, ops []TupleOp) ([]TupleOp, []byte, error) {
+	for i := uint64(0); i < n; i++ {
+		op, rest, err := readTupleOp(b)
+		if err != nil {
+			return nil, nil, err
+		}
+		op.Delete = del
+		ops = append(ops, op)
+		b = rest
+	}
+	return ops, b, nil
 }
 
 func readTupleOp(b []byte) (TupleOp, []byte, error) {
@@ -228,14 +277,28 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // AppendRecordFrame encodes rec as a CRC-framed payload appended to buf —
 // the exact bytes the log writes for the record. The binary batch wire
-// protocol reuses it so a client-encoded batch and a journaled batch share
+// protocol reuses it so a client-encoded batch and a journaled commit share
 // one encoder, one decoder, and one corruption check (NextStreamFrame +
 // DecodeRecord parse both).
+//
+// A record is one frame unless its bindings outgrow what the decoder takes
+// in one: more than maxBatchOps of them, or more than half of maxPayload in
+// bytes (the other half is left to the ops). Then the leading bindings go
+// first, in frames of bindings alone, and the last frame carries the rest
+// with the ops. Every frame decodes, and every binding still precedes the
+// ops that may reference it.
 func AppendRecordFrame(buf []byte, rec Record) []byte {
+	for n, size := 0, 0; n < len(rec.Interns); n++ {
+		size += len(rec.Interns[n].Name) + 2*binary.MaxVarintLen64
+		if n == maxBatchOps || n > 0 && size > maxPayload/2 {
+			buf = appendFrame(buf, Record{Interns: rec.Interns[:n]})
+			rec.Interns, n, size = rec.Interns[n:], -1, 0
+		}
+	}
 	return appendFrame(buf, rec)
 }
 
-// appendFrame encodes rec as a CRC-framed payload appended to buf.
+// appendFrame encodes rec as exactly one frame.
 func appendFrame(buf []byte, rec Record) []byte {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
@@ -244,28 +307,4 @@ func appendFrame(buf []byte, rec Record) []byte {
 	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, crcTable))
 	return buf
-}
-
-// nextFrame reads the frame at the start of b, returning the payload and
-// the remaining bytes. ok is false when b does not start with a complete,
-// checksum-valid frame — the torn-tail condition recovery truncates at. An
-// absurd length prefix is treated the same way: it is indistinguishable
-// from a partially written header.
-func nextFrame(b []byte) (payload, rest []byte, ok bool) {
-	if len(b) < frameHeader {
-		return nil, nil, false
-	}
-	n := binary.LittleEndian.Uint32(b)
-	if n > maxPayload {
-		return nil, nil, false
-	}
-	sum := binary.LittleEndian.Uint32(b[4:])
-	if uint64(frameHeader)+uint64(n) > uint64(len(b)) {
-		return nil, nil, false
-	}
-	payload = b[frameHeader : frameHeader+n]
-	if crc32.Checksum(payload, crcTable) != sum {
-		return nil, nil, false
-	}
-	return payload, b[frameHeader+n:], true
 }

@@ -8,16 +8,17 @@ import (
 	"path/filepath"
 )
 
-// ReplayStats summarizes a recovery pass.
+// ReplayStats summarizes a recovery pass. A record is one commit (in a log
+// written before the commit record: one binding or one operation).
 type ReplayStats struct {
 	Segments       int   // segments scanned
-	Records        int   // committed records handed to the callback
+	Records        int   // records handed to the callback
 	TruncatedBytes int64 // torn-tail bytes removed from the final segment
-	Skipped        int   // records the callback rejected (see Replay)
+	Skipped        int   // records the callback reported skipped (see Replay)
 }
 
 // Replay scans the segments of dir with sequence number >= fromSeq in
-// order and invokes fn for every committed record. A torn tail — an
+// order and invokes fn for every record, one commit at a time. A torn tail — an
 // incomplete or checksum-failing frame at the end of the FINAL segment —
 // is truncated from the file and replay ends cleanly at the last good
 // record; the same condition in an earlier segment is corruption (sealed
@@ -27,11 +28,8 @@ type ReplayStats struct {
 // any other fn error aborts the replay.
 func Replay(dir string, fromSeq uint64, fn func(Record) error) (ReplayStats, error) {
 	var stats ReplayStats
-	segs, err := listSegments(dir)
+	segs, err := listSeqs(dir, segPattern)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return stats, nil
-		}
 		return stats, err
 	}
 	// A gap below fromSeq is fine (checkpoint truncation); a gap at or
@@ -88,8 +86,8 @@ func replaySegment(dir string, seq uint64, last bool, fn func(Record) error, sta
 	b := data[segHeader:]
 	good := int64(segHeader)
 	for len(b) > 0 {
-		payload, rest, ok := nextFrame(b)
-		if !ok {
+		payload, n, err := NextStreamFrame(b)
+		if err != nil { // short or corrupt: the torn-tail condition
 			if !last {
 				return records, 0, fmt.Errorf("wal: %s: corrupt frame at offset %d in sealed segment",
 					segName(seq), good)
@@ -112,8 +110,8 @@ func replaySegment(dir string, seq uint64, last bool, fn func(Record) error, sta
 			}
 		}
 		records++
-		good += frameHeader + int64(len(payload))
-		b = rest
+		good += int64(n)
+		b = b[n:]
 	}
 	return records, 0, nil
 }

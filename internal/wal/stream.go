@@ -112,7 +112,7 @@ func NextStreamFrame(b []byte) (payload []byte, size int, err error) {
 		return nil, 0, ErrShortFrame
 	}
 	n := binary.LittleEndian.Uint32(b)
-	if n > maxPayload {
+	if uint64(n) > uint64(maxPayload) {
 		return nil, 0, fmt.Errorf("wal: frame length %d exceeds limit", n)
 	}
 	if uint64(frameHeader)+uint64(n) > uint64(len(b)) {

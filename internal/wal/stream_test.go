@@ -98,12 +98,15 @@ func TestReadAtStreamsWholeLog(t *testing.T) {
 	defer l.Close()
 
 	want := []Record{
-		Intern(0, "alpha"),
-		Insert(0, relation.Tuple{0, 1}),
-		Batch([]TupleOp{{Rel: 1, Tuple: relation.Tuple{2, 3}}, {Rel: 0, Tuple: relation.Tuple{4}}}),
-		Delete(1, relation.Tuple{2, 3}),
+		{Interns: []Binding{{0, "alpha"}}},
+		insertRec(0, relation.Tuple{0, 1}),
+		{Ops: []TupleOp{{Rel: 1, Tuple: relation.Tuple{2, 3}}, {Rel: 0, Tuple: relation.Tuple{4}}}},
+		{Ops: []TupleOp{{Rel: 1, Tuple: relation.Tuple{2, 3}, Delete: true}}},
 	}
-	if err := l.Append(want...).Wait(); err != nil {
+	for _, r := range want {
+		l.Append(r)
+	}
+	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -126,7 +129,7 @@ func TestReadAtCrossesSegments(t *testing.T) {
 
 	var want []Record
 	for i := 0; i < 40; i++ {
-		r := Insert(0, relation.Tuple{relation.Value(i), relation.Value(i * i)})
+		r := insertRec(0, relation.Tuple{relation.Value(i), relation.Value(i * i)})
 		want = append(want, r)
 		if err := l.Append(r).Wait(); err != nil {
 			t.Fatal(err)
@@ -156,11 +159,11 @@ func TestReadAtSegmentGone(t *testing.T) {
 	}
 	defer l.Close()
 
-	if err := l.Append(Insert(0, relation.Tuple{1})).Wait(); err != nil {
+	if err := l.Append(insertRec(0, relation.Tuple{1})).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	cut := l.Rotate()
-	if err := l.Append(Insert(0, relation.Tuple{2})).Wait(); err != nil {
+	if err := l.Append(insertRec(0, relation.Tuple{2})).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.RemoveBefore(cut); err != nil {
@@ -184,7 +187,7 @@ func TestReadAtEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := l.Append(Insert(0, relation.Tuple{7})).Wait(); err != nil {
+	if err := l.Append(insertRec(0, relation.Tuple{7})).Wait(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -221,7 +224,7 @@ func TestCheckSegmentHeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(Intern(0, "x")).Wait(); err != nil {
+	if err := l.Append(Record{Interns: []Binding{{0, "x"}}}).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	data, _, err := l.ReadAt(Position{Seq: 1}, 1<<20)
@@ -245,7 +248,7 @@ func TestCheckSegmentHeader(t *testing.T) {
 }
 
 func TestNextStreamFrameErrors(t *testing.T) {
-	frame := appendFrame(nil, Insert(0, relation.Tuple{1, 2, 3}))
+	frame := AppendRecordFrame(nil, insertRec(0, relation.Tuple{1, 2, 3}))
 
 	// Every proper prefix is short, never corrupt.
 	for i := 0; i < len(frame); i++ {
@@ -275,7 +278,7 @@ func TestNextStreamFrameErrors(t *testing.T) {
 }
 
 func TestCheckpointEncodeExports(t *testing.T) {
-	ck := &Checkpoint{Seq: 9, Dict: []DictEntry{{Value: 3, Name: "bob"}},
+	ck := &Checkpoint{Seq: 9, Dict: []Binding{{Value: 3, Name: "bob"}},
 		Cols: [][][]relation.Value{{{3}, {3}}, {}}, Counts: []int{1, 0}}
 	got, err := DecodeCheckpointBytes(ck.Encode())
 	if err != nil {

@@ -2,51 +2,121 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"indep/internal/relation"
 )
 
+// insertRec is a one-insert record, the shape most log tests append.
+func insertRec(rel int, t relation.Tuple) Record {
+	return Record{Ops: []TupleOp{{Rel: rel, Tuple: t}}}
+}
+
+// Hand encoders for the per-operation record kinds 1–4 the log wrote before
+// the commit kind; DecodeRecord still reads them.
+func legacyIntern(v relation.Value, name string) []byte {
+	buf := binary.AppendVarint([]byte{kindIntern}, int64(v))
+	buf = binary.AppendUvarint(buf, uint64(len(name)))
+	return append(buf, name...)
+}
+
+func legacyOp(kind byte, op TupleOp) []byte { return appendTupleOp([]byte{kind}, op) }
+
+func legacyBatch(ops ...TupleOp) []byte {
+	buf := binary.AppendUvarint([]byte{kindBatch}, uint64(len(ops)))
+	for _, op := range ops {
+		buf = appendTupleOp(buf, op)
+	}
+	return buf
+}
+
+// rawFrame frames an already-encoded payload the way AppendRecordFrame does.
+func rawFrame(buf, payload []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
+	return append(buf, payload...)
+}
+
 func TestRecordRoundTrip(t *testing.T) {
 	recs := []Record{
-		Intern(0, ""),
-		Intern(12345, "CS402"),
-		Intern(63, "name with spaces\x00and bytes\xff"),
-		Insert(0, relation.Tuple{}),
-		Insert(3, relation.Tuple{1, -2, 3000000000}),
-		Delete(7, relation.Tuple{0}),
-		Batch(nil),
-		Batch([]TupleOp{{Rel: 1, Tuple: relation.Tuple{5, 6}}, {Rel: 2, Tuple: relation.Tuple{7}}}),
+		{},
+		{Interns: []Binding{{0, ""}, {12345, "CS402"}, {63, "name with spaces\x00and bytes\xff"}}},
+		insertRec(0, relation.Tuple{}),
+		insertRec(3, relation.Tuple{1, -2, 3000000000}),
+		{Ops: []TupleOp{{Rel: 7, Tuple: relation.Tuple{0}, Delete: true}}},
+		{Ops: []TupleOp{{Rel: 1, Tuple: relation.Tuple{5, 6}}, {Rel: 2, Tuple: relation.Tuple{7}}}},
+		{
+			Interns: []Binding{{1, "a"}, {65, "b"}},
+			Ops: []TupleOp{
+				{Rel: 0, Tuple: relation.Tuple{1, 65}},
+				{Rel: 1, Tuple: relation.Tuple{65}},
+				{Rel: 0, Tuple: relation.Tuple{2, 3}, Delete: true},
+			},
+		},
 	}
 	for i, r := range recs {
-		payload := r.appendPayload(nil)
-		got, err := DecodeRecord(payload)
+		got, err := DecodeRecord(r.appendPayload(nil))
 		if err != nil {
 			t.Fatalf("record %d: decode: %v", i, err)
 		}
-		// Normalize nil-vs-empty for comparison.
-		if len(got.Ops) == 0 {
-			got.Ops = nil
+		if !reflect.DeepEqual(got, r) {
+			t.Fatalf("record %d: roundtrip mismatch:\n got %+v\nwant %+v", i, got, r)
 		}
-		want := r
-		if len(want.Ops) == 0 {
-			want.Ops = nil
+	}
+
+	// The encoding writes inserts before deletes whatever the op order.
+	mixed := Record{Ops: []TupleOp{
+		{Rel: 0, Tuple: relation.Tuple{1}, Delete: true},
+		{Rel: 1, Tuple: relation.Tuple{2}},
+		{Rel: 0, Tuple: relation.Tuple{3}, Delete: true},
+		{Rel: 1, Tuple: relation.Tuple{4}},
+	}}
+	got, err := DecodeRecord(mixed.appendPayload(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []TupleOp{mixed.Ops[1], mixed.Ops[3], mixed.Ops[0], mixed.Ops[2]}
+	if !reflect.DeepEqual(got.Ops, want) {
+		t.Fatalf("mixed record decoded as %+v, want inserts first %+v", got.Ops, want)
+	}
+}
+
+// TestDecodeLegacyKinds pins the one-round compatibility of the
+// per-operation kinds: each decodes into the commit record shape.
+func TestDecodeLegacyKinds(t *testing.T) {
+	op := TupleOp{Rel: 2, Tuple: relation.Tuple{4, -5}}
+	del := op
+	del.Delete = true
+	cases := []struct {
+		payload []byte
+		want    Record
+	}{
+		{legacyIntern(12345, "CS402"), Record{Interns: []Binding{{12345, "CS402"}}}},
+		{legacyOp(kindInsert, op), Record{Ops: []TupleOp{op}}},
+		{legacyOp(kindDelete, op), Record{Ops: []TupleOp{del}}},
+		{legacyBatch(), Record{}},
+		{legacyBatch(op, TupleOp{Rel: 0, Tuple: relation.Tuple{9}}), Record{Ops: []TupleOp{op, {Rel: 0, Tuple: relation.Tuple{9}}}}},
+	}
+	for i, c := range cases {
+		got, err := DecodeRecord(c.payload)
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
 		}
-		if want.Kind == KindBatch && want.Ops == nil && got.Kind == KindBatch {
-			got.Ops = nil
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("record %d: roundtrip mismatch:\n got %+v\nwant %+v", i, got, want)
+		if !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("case %d: got %+v, want %+v", i, got, c.want)
 		}
 	}
 }
 
 func TestDecodeRecordRejectsTrailing(t *testing.T) {
-	payload := Insert(1, relation.Tuple{9}).appendPayload(nil)
+	payload := insertRec(1, relation.Tuple{9}).appendPayload(nil)
 	if _, err := DecodeRecord(append(payload, 0)); err == nil {
 		t.Fatal("trailing byte not rejected")
 	}
@@ -56,31 +126,52 @@ func TestDecodeRecordRejectsTrailing(t *testing.T) {
 	if _, err := DecodeRecord([]byte{99}); err == nil {
 		t.Fatal("unknown kind not rejected")
 	}
+	// Counts beyond the payload are refused before anything is allocated.
+	for _, p := range [][]byte{
+		{kindCommit, 0xff, 0xff, 0xff, 0x7f},
+		{kindCommit, 0, 0xff, 0xff, 0xff, 0x7f, 0},
+		{kindCommit, 0, 1, 1, 0, 0},
+		{kindBatch, 0xff, 0xff, 0xff, 0x7f, 1},
+	} {
+		if _, err := DecodeRecord(p); err == nil {
+			t.Fatalf("absurd count in %x not rejected", p)
+		}
+	}
 }
 
 func TestFrameTornTail(t *testing.T) {
 	var buf []byte
-	buf = appendFrame(buf, Insert(1, relation.Tuple{1, 2}))
+	buf = AppendRecordFrame(buf, insertRec(1, relation.Tuple{1, 2}))
 	whole := len(buf)
-	buf = appendFrame(buf, Insert(2, relation.Tuple{3}))
+	buf = AppendRecordFrame(buf, insertRec(2, relation.Tuple{3}))
+
+	// frame parses the frame at the start of b, as recovery does: any
+	// error is the torn-tail condition.
+	frame := func(b []byte) (rest []byte, ok bool) {
+		_, n, err := NextStreamFrame(b)
+		if err != nil {
+			return nil, false
+		}
+		return b[n:], true
+	}
 
 	// Complete buffer: two frames.
-	p1, rest, ok := nextFrame(buf)
-	if !ok || len(p1) == 0 {
+	rest, ok := frame(buf)
+	if !ok || len(rest) == 0 {
 		t.Fatal("first frame should parse")
 	}
-	if _, rest2, ok := nextFrame(rest); !ok || len(rest2) != 0 {
+	if rest2, ok := frame(rest); !ok || len(rest2) != 0 {
 		t.Fatal("second frame should parse to empty rest")
 	}
 
 	// Every proper prefix that cuts into the second frame: first frame
 	// parses, second is torn.
 	for cut := whole; cut < len(buf); cut++ {
-		_, rest, ok := nextFrame(buf[:cut])
+		rest, ok := frame(buf[:cut])
 		if !ok {
 			t.Fatalf("cut %d: first frame should still parse", cut)
 		}
-		if _, _, ok := nextFrame(rest); ok {
+		if _, ok := frame(rest); ok {
 			t.Fatalf("cut %d: torn second frame parsed", cut)
 		}
 	}
@@ -89,11 +180,11 @@ func TestFrameTornTail(t *testing.T) {
 	for off := whole; off < len(buf); off++ {
 		mut := append([]byte(nil), buf...)
 		mut[off] ^= 0xff
-		_, rest, ok := nextFrame(mut)
+		rest, ok := frame(mut)
 		if !ok {
 			t.Fatalf("offset %d: first frame affected", off)
 		}
-		if _, _, ok := nextFrame(rest); ok {
+		if _, ok := frame(rest); ok {
 			t.Fatalf("offset %d: corrupt second frame parsed", off)
 		}
 	}
@@ -120,13 +211,19 @@ func TestLogAppendReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []Record{
-		Intern(1, "a"),
-		Insert(0, relation.Tuple{1, 2}),
-		Delete(0, relation.Tuple{1, 2}),
-		Batch([]TupleOp{{Rel: 1, Tuple: relation.Tuple{3}}, {Rel: 0, Tuple: relation.Tuple{4, 5}}}),
+		{Interns: []Binding{{1, "a"}}},
+		insertRec(0, relation.Tuple{1, 2}),
+		{Ops: []TupleOp{{Rel: 0, Tuple: relation.Tuple{1, 2}, Delete: true}}},
+		{
+			Interns: []Binding{{2, "b"}},
+			Ops: []TupleOp{
+				{Rel: 1, Tuple: relation.Tuple{3}},
+				{Rel: 0, Tuple: relation.Tuple{4, 5}},
+				{Rel: 1, Tuple: relation.Tuple{2}, Delete: true},
+			},
+		},
 	}
-	l.Enqueue(want[0])
-	for _, r := range want[1:] {
+	for _, r := range want {
 		if err := l.Append(r).Wait(); err != nil {
 			t.Fatal(err)
 		}
@@ -148,6 +245,88 @@ func TestLogAppendReplay(t *testing.T) {
 	}
 }
 
+// TestLogAppendsOversizeBindings: a record whose bindings outgrow what the
+// decoder takes in one frame — more bindings than its count limit, or more
+// bytes than half its payload limit — is appended as several frames that all
+// decode, bindings alone first and the rest with the ops. Replay returns
+// every binding in order and the ops last. The limits are shrunk so the
+// test stays small; at their real size the overflow takes a dictionary of
+// millions of values, as a follower restores from a large snapshot.
+func TestLogAppendsOversizeBindings(t *testing.T) {
+	defer func(p, n int) { maxPayload, maxBatchOps = p, n }(maxPayload, maxBatchOps)
+	maxPayload, maxBatchOps = 1<<12, 64
+	for _, nameLen := range []int{1, 200} { // count-bound, then byte-bound
+		want := Record{Ops: []TupleOp{
+			{Rel: 0, Tuple: relation.Tuple{1, 2}},
+			{Rel: 1, Tuple: relation.Tuple{3}, Delete: true},
+		}}
+		for i := 0; i < 500; i++ {
+			name := string(bytes.Repeat([]byte{'a' + byte(i%26)}, nameLen))
+			want.Interns = append(want.Interns, Binding{relation.Value(i), name})
+		}
+		dir := t.TempDir()
+		l, err := OpenLog(dir, Options{Sync: SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Append(want).Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, stats := replayAll(t, dir, 0)
+		if stats.TruncatedBytes != 0 || stats.Skipped != 0 || len(got) < 2 {
+			t.Fatalf("names of %d bytes: %d frames, stats %+v; want several frames, none cut", nameLen, len(got), stats)
+		}
+		var binds []Binding
+		for i, r := range got {
+			if len(r.Interns) > maxBatchOps || (i < len(got)-1) != (r.Ops == nil) {
+				t.Fatalf("names of %d bytes: frame %d holds %d bindings and %d ops", nameLen, i, len(r.Interns), len(r.Ops))
+			}
+			binds = append(binds, r.Interns...)
+		}
+		if !reflect.DeepEqual(binds, want.Interns) || !reflect.DeepEqual(got[len(got)-1].Ops, want.Ops) {
+			t.Fatalf("names of %d bytes: the frames do not add up to the record", nameLen)
+		}
+	}
+}
+
+// TestReplayLegacySegment replays a segment of hand-encoded kind 1–4
+// frames, as logs written before the commit kind hold them.
+func TestReplayLegacySegment(t *testing.T) {
+	dir := t.TempDir()
+	seg := make([]byte, segHeader)
+	copy(seg, segMagic)
+	binary.LittleEndian.PutUint64(seg[8:], 1)
+	op := TupleOp{Rel: 0, Tuple: relation.Tuple{1, 65}}
+	for _, p := range [][]byte{
+		legacyIntern(1, "a"),
+		legacyIntern(65, "b"),
+		legacyBatch(op, TupleOp{Rel: 1, Tuple: relation.Tuple{65}}),
+		legacyOp(kindDelete, op),
+		legacyOp(kindInsert, op),
+	} {
+		seg = rawFrame(seg, p)
+	}
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	del := op
+	del.Delete = true
+	want := []Record{
+		{Interns: []Binding{{1, "a"}}},
+		{Interns: []Binding{{65, "b"}}},
+		{Ops: []TupleOp{op, {Rel: 1, Tuple: relation.Tuple{65}}}},
+		{Ops: []TupleOp{del}},
+		{Ops: []TupleOp{op}},
+	}
+	got, stats := replayAll(t, dir, 0)
+	if !reflect.DeepEqual(got, want) || stats.TruncatedBytes != 0 {
+		t.Fatalf("legacy replay: got %+v (stats %+v), want %+v", got, stats, want)
+	}
+}
+
 func TestLogGroupCommitConcurrent(t *testing.T) {
 	dir := t.TempDir()
 	l, err := OpenLog(dir, Options{})
@@ -156,13 +335,22 @@ func TestLogGroupCommitConcurrent(t *testing.T) {
 	}
 	const workers, each = 8, 50
 	var wg sync.WaitGroup
+	var acked atomic.Uint64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				if err := l.Append(Insert(w, relation.Tuple{relation.Value(i)})).Wait(); err != nil {
+				if err := l.Append(insertRec(w, relation.Tuple{relation.Value(i)})).Wait(); err != nil {
 					t.Errorf("append: %v", err)
+					return
+				}
+				// The writer publishes a group's counters before it
+				// acknowledges any of its waiters, so every acknowledged
+				// append is already counted.
+				done := acked.Add(1)
+				if got := l.Stats().Records; got < done {
+					t.Errorf("Stats().Records = %d after %d acknowledged appends", got, done)
 					return
 				}
 			}
@@ -201,7 +389,7 @@ func TestLogRotationAndRemoveBefore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if err := l.Append(Insert(0, relation.Tuple{relation.Value(i), relation.Value(i)})).Wait(); err != nil {
+		if err := l.Append(insertRec(0, relation.Tuple{relation.Value(i), relation.Value(i)})).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -236,9 +424,9 @@ func TestRotateCutSeparatesRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := Insert(0, relation.Tuple{1})
-	after := Insert(0, relation.Tuple{2})
-	l.Enqueue(before)
+	before := insertRec(0, relation.Tuple{1})
+	after := insertRec(0, relation.Tuple{2})
+	l.Append(before)
 	cut := l.Rotate()
 	if err := l.Append(after).Wait(); err != nil {
 		t.Fatal(err)
@@ -262,13 +450,14 @@ func TestReplayTruncatesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(Insert(0, relation.Tuple{1}), Insert(0, relation.Tuple{2})).Wait(); err != nil {
+	l.Append(insertRec(0, relation.Tuple{1}))
+	if err := l.Append(insertRec(0, relation.Tuple{2})).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := listSegments(dir)
+	segs, err := listSeqs(dir, segPattern)
 	if err != nil || len(segs) != 1 {
 		t.Fatalf("segments: %v %v", segs, err)
 	}
@@ -305,7 +494,7 @@ func TestReplayTornHeaderSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(Insert(0, relation.Tuple{1})).Wait(); err != nil {
+	if err := l.Append(insertRec(0, relation.Tuple{1})).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	seq := l.Stats().ActiveSeq
@@ -333,7 +522,7 @@ func TestReplayTornHeaderSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l2.Append(Insert(0, relation.Tuple{2})).Wait(); err != nil {
+	if err := l2.Append(insertRec(0, relation.Tuple{2})).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if err := l2.Close(); err != nil {
@@ -350,11 +539,11 @@ func TestReplayRejectsSegmentGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Append(Insert(0, relation.Tuple{1})).Wait()
+	l.Append(insertRec(0, relation.Tuple{1})).Wait()
 	seq := l.Rotate()
-	l.Append(Insert(0, relation.Tuple{2})).Wait()
+	l.Append(insertRec(0, relation.Tuple{2})).Wait()
 	l.Rotate()
-	l.Append(Insert(0, relation.Tuple{3})).Wait()
+	l.Append(insertRec(0, relation.Tuple{3})).Wait()
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +559,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	ck := &Checkpoint{
 		Seq: 7,
-		Dict: []DictEntry{
+		Dict: []Binding{
 			{Value: 0, Name: "x"},
 			{Value: 64, Name: "y"},
 		},
@@ -425,7 +614,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestCheckpointCorruptionDetected(t *testing.T) {
-	ck := &Checkpoint{Seq: 3, Dict: []DictEntry{{Value: 1, Name: "v"}},
+	ck := &Checkpoint{Seq: 3, Dict: []Binding{{Value: 1, Name: "v"}},
 		Cols: [][][]relation.Value{{{1}, {2}, {3}}}, Counts: []int{1}}
 	data := ck.encode()
 	for off := 0; off < len(data); off++ {
@@ -452,7 +641,7 @@ func TestOpenLogStartsFreshSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := l.Stats().ActiveSeq
-	l.Append(Insert(0, relation.Tuple{1})).Wait()
+	l.Append(insertRec(0, relation.Tuple{1})).Wait()
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +667,7 @@ func TestLogStatsDepth(t *testing.T) {
 	}
 	defer l.Close()
 	for i := 0; i < 10; i++ {
-		l.Append(Insert(0, relation.Tuple{relation.Value(i)})).Wait()
+		l.Append(insertRec(0, relation.Tuple{relation.Value(i)})).Wait()
 	}
 	l.Sync()
 	st := l.Stats()

@@ -13,8 +13,8 @@ import (
 // This file is the primary side of WAL-streaming replication. The paper's
 // independence theorem is what makes replication almost free: admission is
 // a purely local decision, so a replica replaying the primary's redo log
-// through the same guards — idempotently, with re-rejected records skipped
-// — converges to the primary's representative instance. The primary
+// through the same guards, one commit at a time (engine.Engine.Replay),
+// converges to the primary's representative instance. The primary
 // therefore needs no replication-specific bookkeeping at all: it serves
 // (1) raw flushed WAL bytes by Position and (2) an encoded checkpoint of
 // its current state for catch-up, both derived from machinery that already
@@ -82,42 +82,11 @@ func (ds *DurableStore) ReplPosition() wal.Position { return ds.log.Flushed() }
 // than interned ids: it returns a description of every tuple present in
 // one and not the other (nil means the visible states agree). Replication
 // uses the stricter DiffDatabases — a follower replays the primary's exact
-// intern stream, so even the ids must match — but a cluster's gathered
-// state interns values in whatever order fragments arrive, and only the
-// named contents are contractually equal to a single node's.
+// bindings, so even the ids must match — but a cluster's gathered state
+// interns values in whatever order fragments arrive, and only the named
+// contents are contractually equal to a single node's.
 func DiffDatabasesByName(a, b *Database) []string {
-	var diffs []string
-	if len(a.st.Insts) != len(b.st.Insts) {
-		return []string{fmt.Sprintf("relation counts differ: %d vs %d", len(a.st.Insts), len(b.st.Insts))}
-	}
-	render := func(db *Database, t relation.Tuple) string {
-		parts := make([]string, len(t))
-		for i, v := range t {
-			parts[i] = db.st.Dict.Name(v)
-		}
-		return "(" + strings.Join(parts, ",") + ")"
-	}
-	for i := range a.st.Insts {
-		name := a.schema.s.Name(i)
-		am := make(map[string]bool, a.st.Insts[i].Len())
-		for _, t := range a.st.Insts[i].Rows() {
-			am[render(a, t)] = true
-		}
-		bm := make(map[string]bool, b.st.Insts[i].Len())
-		for _, t := range b.st.Insts[i].Rows() {
-			bm[render(b, t)] = true
-		}
-		for k := range am {
-			if !bm[k] {
-				diffs = append(diffs, fmt.Sprintf("%s: %s only in first", name, k))
-			}
-		}
-		for k := range bm {
-			if !am[k] {
-				diffs = append(diffs, fmt.Sprintf("%s: %s only in second", name, k))
-			}
-		}
-	}
+	diffs := diffTuples(a, b, renderTuple)
 	sort.Strings(diffs)
 	return diffs
 }
@@ -132,46 +101,24 @@ func tupleKey(t relation.Tuple) string {
 	return string(b)
 }
 
+// renderTuple renders a tuple with its value names, "(n1,n2,...)".
+func renderTuple(db *Database, t relation.Tuple) string {
+	parts := make([]string, len(t))
+	for i, v := range t {
+		parts[i] = db.st.Dict.Name(v) // nil-safe: falls back to numerals
+	}
+	return "(" + strings.Join(parts, ",") + ")"
+}
+
 // DiffDatabases is the divergence oracle: it compares two database states
 // tuple-for-tuple and binding-for-binding and returns a human-readable
 // description of every difference (nil means the states are identical).
 // Replication's correctness claim is exactly "this returns nil between
 // primary and any caught-up follower, after any fault schedule".
 func DiffDatabases(a, b *Database) []string {
-	var diffs []string
-	if len(a.st.Insts) != len(b.st.Insts) {
-		return []string{fmt.Sprintf("relation counts differ: %d vs %d", len(a.st.Insts), len(b.st.Insts))}
-	}
-	render := func(db *Database, t relation.Tuple) string {
-		parts := make([]string, len(t))
-		for i, v := range t {
-			parts[i] = db.st.Dict.Name(v) // nil-safe: falls back to numerals
-		}
-		return "(" + strings.Join(parts, ",") + ")"
-	}
-	for i := range a.st.Insts {
-		name := a.schema.s.Name(i)
-		am := make(map[string]relation.Tuple, a.st.Insts[i].Len())
-		for _, t := range a.st.Insts[i].Rows() {
-			am[tupleKey(t)] = t
-		}
-		bm := make(map[string]relation.Tuple, b.st.Insts[i].Len())
-		for _, t := range b.st.Insts[i].Rows() {
-			bm[tupleKey(t)] = t
-		}
-		for k, t := range am {
-			if _, ok := bm[k]; !ok {
-				diffs = append(diffs, fmt.Sprintf("%s: %s only in first", name, render(a, t)))
-			}
-		}
-		for k, t := range bm {
-			if _, ok := am[k]; !ok {
-				diffs = append(diffs, fmt.Sprintf("%s: %s only in second", name, render(b, t)))
-			}
-		}
-	}
+	diffs := diffTuples(a, b, func(_ *Database, t relation.Tuple) string { return tupleKey(t) })
 	// Bindings must agree wherever both sides define a value; a value bound
-	// on one side only is fine (interns race ahead of the tuples that use
+	// on one side only is fine (bindings run ahead of the tuples that use
 	// them) — tuple equality above already proves no *used* value differs.
 	if a.st.Dict != nil && b.st.Dict != nil {
 		an := make(map[relation.Value]string)
@@ -183,5 +130,37 @@ func DiffDatabases(a, b *Database) []string {
 		})
 	}
 	sort.Strings(diffs)
+	return diffs
+}
+
+// diffTuples lists, relation by relation, every tuple of one state whose
+// key is missing from the other, rendered with its names. The key decides
+// what counts as the same tuple: raw value ids, or rendered names.
+func diffTuples(a, b *Database, key func(*Database, relation.Tuple) string) []string {
+	if len(a.st.Insts) != len(b.st.Insts) {
+		return []string{fmt.Sprintf("relation counts differ: %d vs %d", len(a.st.Insts), len(b.st.Insts))}
+	}
+	keyed := func(db *Database, i int) map[string]relation.Tuple {
+		m := make(map[string]relation.Tuple, db.st.Insts[i].Len())
+		for _, t := range db.st.Insts[i].Rows() {
+			m[key(db, t)] = t
+		}
+		return m
+	}
+	var diffs []string
+	for i := range a.st.Insts {
+		name := a.schema.s.Name(i)
+		am, bm := keyed(a, i), keyed(b, i)
+		for k, t := range am {
+			if _, ok := bm[k]; !ok {
+				diffs = append(diffs, fmt.Sprintf("%s: %s only in first", name, renderTuple(a, t)))
+			}
+		}
+		for k, t := range bm {
+			if _, ok := am[k]; !ok {
+				diffs = append(diffs, fmt.Sprintf("%s: %s only in second", name, renderTuple(b, t)))
+			}
+		}
+	}
 	return diffs
 }

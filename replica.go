@@ -21,16 +21,17 @@ import (
 
 // A Follower is a replica: a full DurableStore of its own that, instead of
 // accepting writes, tails a primary's WAL through a ReplSource and replays
-// every record through the engine's Apply path. Reads (snapshots, window
-// queries) work exactly as on a primary — lock-free from the replica's own
-// snapshots — and the independence theorem guarantees the replayed state
-// converges to the primary's representative instance.
+// every record through engine.Engine.Replay, the routine recovery uses. A
+// record is one primary commit and replays as one local commit, so readers
+// (snapshots, window queries) see whole payloads, exactly as on a primary,
+// and the independence theorem guarantees the replayed state converges to
+// the primary's representative instance.
 //
 // Every applied record re-journals into the follower's own log (the
-// engine's commit hook is live during Apply), so a follower restart
+// engine's commit hook is live during Replay), so a follower restart
 // recovers locally and resumes the stream from its persisted position. The
 // position is persisted lazily — safe because re-applying any contiguous
-// suffix of the log converges (see engine.Apply).
+// suffix of the log converges (see engine.Engine.Replay).
 type Follower struct {
 	*DurableStore
 	src  ReplSource
@@ -51,7 +52,7 @@ type Follower struct {
 	corruptChunks obs.Counter
 	droppedChunks obs.Counter
 	reconnects    obs.Counter
-	applyDur      obs.Histogram // per-record apply latency, ns
+	applyDur      obs.Histogram // per-record (per primary commit) apply latency, ns
 
 	stop     chan struct{}
 	done     chan struct{}
@@ -186,7 +187,11 @@ func (f *Follower) WaitFor(pos wal.Position, timeout time.Duration) bool {
 	return true
 }
 
-// FollowerStats is a point-in-time view of the replication stream.
+// FollowerStats is a point-in-time view of the replication stream. Records
+// are the primary's log records, one per primary commit: AppliedRecords
+// counts those replayed as one local commit, SkippedRecords those the
+// engine rejected as a whole and replayed op by op (the overlap case of
+// engine.Engine.Replay).
 type FollowerStats struct {
 	Applied        wal.Position `json:"applied"`
 	PrimaryFlushed wal.Position `json:"primary_flushed"`
@@ -195,7 +200,7 @@ type FollowerStats struct {
 	Healthy        bool         `json:"healthy"`      // last source read succeeded
 	LastError      string       `json:"last_error,omitempty"`
 	AppliedRecords uint64       `json:"applied_records"`
-	SkippedRecords uint64       `json:"skipped_records"` // re-rejected on replay (idempotence skips)
+	SkippedRecords uint64       `json:"skipped_records"` // rejected as a whole on replay (overlap skips)
 	Resyncs        uint64       `json:"resyncs"`
 	CorruptChunks  uint64       `json:"corrupt_chunks"`
 	DroppedChunks  uint64       `json:"dropped_chunks"` // duplicates and out-of-order deliveries
@@ -235,9 +240,9 @@ func (f *Follower) ReplStats() FollowerStats {
 func (f *Follower) RegisterMetrics(r *obs.Registry) {
 	f.DurableStore.RegisterMetrics(r)
 	r.CounterFunc("indep_repl_applied_records_total",
-		"stream records applied to the local state", f.appliedRecs.Value)
+		"stream records, one per primary commit, applied to the local state as one commit", f.appliedRecs.Value)
 	r.CounterFunc("indep_repl_skipped_records_total",
-		"stream records re-rejected on replay (idempotent skips)", f.skippedRecs.Value)
+		"stream records rejected as a whole on replay and applied op by op (overlap skips)", f.skippedRecs.Value)
 	r.CounterFunc("indep_repl_resyncs_total",
 		"snapshot re-syncs (bootstrap, truncated stream, persistent corruption)", f.resyncs.Value)
 	r.CounterFunc("indep_repl_corrupt_chunks_total",
@@ -259,7 +264,7 @@ func (f *Follower) RegisterMetrics(r *obs.Registry) {
 			return 0
 		})
 	r.RegisterHistogram("indep_repl_apply_duration_seconds",
-		"per-record apply latency on the follower", 1e-9, &f.applyDur)
+		"apply latency per stream record (one primary commit) on the follower", 1e-9, &f.applyDur)
 }
 
 // Close stops the tail loop, persists the stream position, and closes the
@@ -311,7 +316,10 @@ func (f *Follower) noteRead(flushed wal.Position, err error) {
 
 // persistPos durably records the applied position: local log first (the
 // records proving the position must hit the file before the position
-// claims them), then REPLPOS via write-and-rename.
+// claims them), then REPLPOS via write-and-rename. A record that changed
+// nothing locally leaves its restored bindings unjournaled, so any pending
+// bindings are logged first: REPLPOS never passes a binding the local log
+// lacks, or a restart would resume the stream above a dictionary gap.
 func (f *Follower) persistPos() error {
 	pos := f.Applied()
 	f.fmu.Lock()
@@ -320,6 +328,7 @@ func (f *Follower) persistPos() error {
 	if done {
 		return nil
 	}
+	f.appendRecord(nil)
 	if err := f.log.Sync(); err != nil {
 		return err
 	}
@@ -338,50 +347,33 @@ func (f *Follower) persistPos() error {
 	return nil
 }
 
-// applyRecord replays one stream record into the local store. Intern
-// records restore dictionary bindings (journaling fresh ones locally —
-// Restore bypasses the intern hook); everything else goes through recordOps
-// and Engine.Apply with the commit hook live, so accepted records
-// re-journal into the local log. A re-rejected record is the idempotence skip the
-// recovery path also takes. Only infrastructure failures (local
-// durability, malformed addressing) are errors.
+// applyRecord replays one stream record into the local store through
+// engine.Engine.Replay with the commit hook live, so the record re-journals
+// into the local log as one commit, its bindings included. A record
+// rejected as a whole is the overlap skip recovery also takes. Only
+// infrastructure failures (local durability, malformed records) are errors.
 func (f *Follower) applyRecord(rec wal.Record) error {
 	start := time.Now()
 	defer func() { f.applyDur.Observe(int64(time.Since(start))) }()
-	switch rec.Kind {
-	case wal.KindIntern:
-		_, known := f.eng.Dict().Lookup(rec.Name)
-		if err := f.eng.Dict().Restore(rec.Value, rec.Name); err != nil {
-			return fmt.Errorf("indep: stream intern: %w", err)
-		}
-		if !known {
-			f.log.Enqueue(wal.Intern(rec.Value, rec.Name))
-		}
-		f.appliedRecs.Inc()
-		return nil
-	default:
-		ops, err := recordOps(rec, f.eng.Schema().Size())
-		if err != nil {
-			return fmt.Errorf("indep: stream %v", err)
-		}
-		if _, err := f.eng.Apply(context.Background(), ops); err != nil {
-			if Rejected(err) {
-				f.skippedRecs.Inc()
-				return nil
-			}
-			return err
-		}
-		f.appliedRecs.Inc()
-		return nil
+	skipped, err := f.eng.Replay(context.Background(), rec)
+	if err != nil {
+		return fmt.Errorf("indep: stream record: %w", err)
 	}
+	if skipped {
+		f.skippedRecs.Inc()
+	} else {
+		f.appliedRecs.Inc()
+	}
+	return nil
 }
 
 // resync bootstraps or repairs the follower from a primary snapshot,
 // installing it as a diff against the local state: restore the dictionary,
 // delete every local tuple the snapshot lacks, then insert the snapshot
 // tuples the local state lacks. The local state is never wiped — every step
-// goes through Engine.Apply (see readmit) and re-journals locally — and
-// because the local state after the deletions is a subset of the
+// goes through Engine.Apply (see readmit) and re-journals locally, the
+// restored bindings riding in the first local record (or in persistPos's)
+// — and because the local state after the deletions is a subset of the
 // (consistent) snapshot state, the inserts cannot be rejected. Returns the
 // position to tail from.
 func (f *Follower) resync() (wal.Position, error) {
@@ -399,12 +391,8 @@ func (f *Follower) resync() (wal.Position, error) {
 			ck.NumSchemes(), f.eng.Schema().Size())
 	}
 	for _, e := range ck.Dict {
-		_, known := f.eng.Dict().Lookup(e.Name)
 		if err := f.eng.Dict().Restore(e.Value, e.Name); err != nil {
 			return wal.Position{}, fmt.Errorf("indep: snapshot dictionary: %w", err)
-		}
-		if !known {
-			f.log.Enqueue(wal.Intern(e.Value, e.Name))
 		}
 	}
 	st := f.eng.Snapshot()

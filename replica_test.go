@@ -1,8 +1,10 @@
 package indep
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -310,5 +312,155 @@ func TestFollowerWaitForTimesOut(t *testing.T) {
 	future := wal.Position{Seq: 1 << 40}
 	if f.WaitFor(future, 50*time.Millisecond) {
 		t.Fatal("WaitFor reached an unreachable position")
+	}
+}
+
+// TestFollowerSeesWholePayloads: a primary commit is one log record, and a
+// follower replays a record as one local commit. A reader polling the
+// follower while mixed payloads stream in — each inserts a DIM1, DIM2 and
+// FACT row for key i and deletes those for key i-1 — must never see one
+// relation moved on without the others, and the follower's own log must
+// gain exactly one record per primary commit.
+func TestFollowerSeesWholePayloads(t *testing.T) {
+	sch, ds, _ := openPrimary(t, 2)
+	defer ds.Close()
+	f, err := sch.OpenFollower(t.TempDir(), ds, FollowerOptions{NoFsync: true, PollInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	waitCaughtUp(t, f, ds)
+	pBase, fBase := ds.WAL().Records, f.WAL().Records
+
+	stop := make(chan struct{})
+	torn := make(chan string, 1)
+	go func() {
+		defer close(torn)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			snap := f.Snapshot()
+			var keys [3][]string
+			for r, rel := range []string{"DIM1", "DIM2", "FACT"} {
+				rows, err := snap.Tuples(rel)
+				if err != nil {
+					torn <- err.Error()
+					return
+				}
+				for _, row := range rows {
+					key := strings.TrimPrefix(row["K1"], "k1-")
+					if rel == "DIM2" {
+						key = strings.TrimPrefix(row["K2"], "k2-")
+					}
+					keys[r] = append(keys[r], key)
+				}
+			}
+			if len(keys[0]) > 1 || fmt.Sprint(keys[0]) != fmt.Sprint(keys[1]) || fmt.Sprint(keys[0]) != fmt.Sprint(keys[2]) {
+				torn <- fmt.Sprintf("DIM1 %v, DIM2 %v, FACT %v", keys[0], keys[1], keys[2])
+				return
+			}
+		}
+	}()
+
+	rows := func(i int) []BatchOp {
+		k1, k2 := fmt.Sprintf("k1-%d", i), fmt.Sprintf("k2-%d", i)
+		return []BatchOp{
+			{"DIM1", map[string]string{"K1": k1, "D1_1": "a" + k1, "D1_2": "b" + k1}},
+			{"DIM2", map[string]string{"K2": k2, "D2_1": "a" + k2, "D2_2": "b" + k2}},
+			{"FACT", map[string]string{"K1": k1, "K2": k2}},
+		}
+	}
+	const payloads = 60
+	enc := NewBinBatchEncoder(sch)
+	for i := 0; i < payloads; i++ {
+		enc.Reset()
+		for _, op := range rows(i) {
+			if err := enc.Add(op.Rel, op.Row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i > 0 {
+			for _, op := range rows(i - 1) {
+				if err := enc.Delete(op.Rel, op.Row); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if _, err := ds.ApplyBinBatch(context.Background(), enc.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		if i%8 == 0 {
+			waitCaughtUp(t, f, ds)
+		}
+	}
+	waitCaughtUp(t, f, ds)
+	close(stop)
+	if msg, ok := <-torn; ok {
+		t.Fatalf("a follower reader saw half a payload: %s", msg)
+	}
+	requireConverged(t, ds, f)
+	if got := ds.WAL().Records - pBase; got != payloads {
+		t.Fatalf("primary logged %d records for %d payloads", got, payloads)
+	}
+	if got := f.WAL().Records - fBase; got != payloads {
+		t.Fatalf("follower logged %d records for %d primary commits, want one each", got, payloads)
+	}
+}
+
+// TestFollowerRestartAfterUnloggedBindings: a bootstrap whose snapshot
+// changes nothing locally commits nothing, so the bindings it restored ride
+// in no record of the follower's log — until persistPos logs them ahead of
+// REPLPOS. Without that, a restart would resume the stream above a
+// dictionary gap: the stream's later records bind values after bindings
+// that sit before the snapshot's cut.
+func TestFollowerRestartAfterUnloggedBindings(t *testing.T) {
+	sch, ds, _ := openPrimary(t, 2)
+	defer ds.Close()
+	first := map[string]string{"K1": "first", "D1_1": "fa", "D1_2": "fb"}
+	if err := ds.Insert("DIM1", first); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ds.Delete("DIM1", first); err != nil {
+		t.Fatal(err)
+	}
+
+	fdir := t.TempDir()
+	f, err := sch.OpenFollower(fdir, ds, FollowerOptions{NoFsync: true, PollInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCaughtUp(t, f, ds)
+	if f.Rows() != 0 || f.eng.Dict().Len() == 0 {
+		t.Fatalf("bootstrap: %d rows, %d bindings; want an empty state with bindings", f.Rows(), f.eng.Dict().Len())
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Fresh names in every dictionary shard, then a row over the bindings
+	// the primary logged before the follower's snapshot.
+	for i := 0; i < 200; i++ {
+		if err := ds.Insert("DIM2", map[string]string{
+			"K2": fmt.Sprintf("later-%d", i), "D2_1": "x", "D2_2": "y",
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ds.Insert("DIM1", first); err != nil {
+		t.Fatal(err)
+	}
+
+	f, err = sch.OpenFollower(fdir, ds, FollowerOptions{NoFsync: true, PollInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	waitCaughtUp(t, f, ds)
+	requireConverged(t, ds, f)
+	if st := f.ReplStats(); st.Resyncs != 0 || !st.Healthy {
+		t.Fatalf("restart: %+v, want a healthy resume with no resync", st)
 	}
 }
