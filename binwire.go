@@ -470,7 +470,10 @@ func DecodeWindowBinary(data []byte) (*WindowResult, error) {
 		return nil, err
 	}
 	b = b2
-	if nattrs > 0 && nrows > uint64(len(b))/nattrs {
+	// Each row takes a byte per attribute, which bounds nrows by the
+	// payload; a window always has attributes, so rows without any are
+	// malformed rather than free.
+	if nrows > 0 && (nattrs == 0 || nrows > uint64(len(b))/nattrs) {
 		return nil, fmt.Errorf("indep: binary window result: %d rows exceed payload", nrows)
 	}
 	out.Rows = make([]map[string]string, nrows)

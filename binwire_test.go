@@ -2,7 +2,9 @@ package indep
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -291,6 +293,24 @@ func FuzzDecodeBinaryBatch(f *testing.F) {
 	})
 }
 
+// rowsWithoutAttrs is a well-checksummed window result declaring no
+// attributes, no bindings and 2^40 rows: nothing in the payload bounds the
+// row count, so a decoder that trusts it allocates until the process dies.
+func rowsWithoutAttrs() []byte {
+	b := append([]byte("IWIN1"), 0, 0, 0, 0) // flags, total, nattrs, nbind
+	b = binary.AppendUvarint(b, 1<<40)
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// TestDecodeWindowBinaryRejectsRowsWithoutAttrs pins the row bound for the
+// attribute-less case: a router decodes shard replies with this function,
+// so one such reply must be an error, not an out-of-memory crash.
+func TestDecodeWindowBinaryRejectsRowsWithoutAttrs(t *testing.T) {
+	if _, err := DecodeWindowBinary(rowsWithoutAttrs()); err == nil {
+		t.Fatal("2^40 rows of no attributes decoded without error")
+	}
+}
+
 // FuzzDecodeWindowBinary: the result decoder must reject arbitrary bytes
 // without panicking, and round-trip every valid encoding.
 func FuzzDecodeWindowBinary(f *testing.F) {
@@ -311,6 +331,7 @@ func FuzzDecodeWindowBinary(f *testing.F) {
 	}
 	f.Add(res.Bin)
 	f.Add([]byte("IWIN1"))
+	f.Add(rowsWithoutAttrs())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		DecodeWindowBinary(data)
 	})

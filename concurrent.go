@@ -139,9 +139,11 @@ func (cs *ConcurrentStore) InsertBatchCtx(ctx context.Context, ops []BatchOp) er
 }
 
 // Snapshot returns an immutable consistent view of the store as a Database:
-// a deep copy that no later operation mutates, suitable for Satisfies,
-// Tuples, rendering, or window queries (the snapshot shares the store's
-// query evaluator, so its plans and counters are the store's).
+// a copy of the tuples that no later operation mutates, suitable for
+// Satisfies, Tuples, rendering, or window queries (the snapshot shares the
+// store's query evaluator, so its plans and counters are the store's). It
+// also shares the store's append-only dictionary, so Database.Insert on a
+// snapshot interns new names into the store's dictionary.
 func (cs *ConcurrentStore) Snapshot() *Database {
 	return &Database{schema: cs.schema, st: cs.eng.Snapshot(), qev: cs.eng.Evaluator()}
 }

@@ -2,6 +2,7 @@ package indep
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -237,5 +238,101 @@ func TestConcurrentStoreDeleteDoesNotIntern(t *testing.T) {
 	// And a delete addressing interned values still works.
 	if ok, err := cs.Delete("CT", map[string]string{"C": "cs101", "T": "jones"}); err != nil || !ok {
 		t.Fatalf("Delete(real) = %v, %v", ok, err)
+	}
+}
+
+// TestSnapshotIsolatedWhileWritersIntern holds snapshots — the query path's
+// cached cut and a public Snapshot — while writers intern fresh names and
+// commit. Snapshots share the store's append-only dictionary instead of
+// copying it, and this is what makes that sound: a snapshot's windows,
+// tuples, rendering and binary encoding never change, and a Where on a name
+// bound after the cut matches nothing. Run it under -race.
+func TestSnapshotIsolatedWhileWritersIntern(t *testing.T) {
+	for _, tc := range []struct{ schema, fds string }{
+		{"CT(C,T); CS(C,S); CHR(C,H,R)", "C -> T; C H -> R"},    // fast path
+		{"CD(C,D); CT(C,T); TD(T,D)", "C -> D; C -> T; T -> D"}, // chase path
+	} {
+		cs, err := MustParse(tc.schema, tc.fds).OpenConcurrentStore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 40; i++ {
+			if err := cs.Insert("CT", map[string]string{"C": fmt.Sprintf("c%d", i), "T": fmt.Sprintf("t%d", i%5)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snaps := []*Database{
+			{schema: cs.schema, st: cs.eng.QuerySnapshot(), qev: cs.eng.Evaluator()},
+			cs.Snapshot(),
+		}
+		queries := []WindowQuery{
+			{Attrs: []string{"C", "T"}},
+			{Attrs: []string{"C", "T"}, Where: map[string]string{"T": "t1"}},
+			{Attrs: []string{"C", "T"}, Limit: 7, BinaryResult: true},
+		}
+		observe := func(db *Database) string {
+			var b strings.Builder
+			b.WriteString(db.String())
+			tuples, err := db.Tuples("CT")
+			fmt.Fprintln(&b, tuples, err)
+			for _, q := range queries {
+				res, err := db.Query(q)
+				if err != nil {
+					return err.Error()
+				}
+				fmt.Fprintln(&b, res.Rows, res.Total, res.Bin)
+			}
+			return b.String()
+		}
+		want := make([]string, len(snaps))
+		for i, db := range snaps {
+			observe(db) // compile and cache the plans, which the binary flags report
+			want[i] = observe(db)
+		}
+
+		const writers, each = 4, 150
+		var wg sync.WaitGroup
+		errs := make(chan error, writers)
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < each; i++ {
+					row := map[string]string{"C": fmt.Sprintf("late-c%d-%d", w, i), "T": fmt.Sprintf("late-t%d-%d", w, i)}
+					if err := cs.Insert("CT", row); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}(w)
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		for running := true; running; {
+			select {
+			case <-done:
+				running = false
+			default:
+			}
+			for i, db := range snaps {
+				if got := observe(db); got != want[i] {
+					t.Fatalf("%s: snapshot %d changed while writers interned:\n--- at cut ---\n%s--- now ---\n%s", tc.schema, i, want[i], got)
+				}
+			}
+		}
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+
+		late := WindowQuery{Attrs: []string{"C", "T"}, Where: map[string]string{"C": "late-c0-0"}}
+		if res, err := cs.Query(late); err != nil || len(res.Rows) != 1 {
+			t.Fatalf("%s: the store's own window on a late name: %v, %v", tc.schema, res, err)
+		}
+		for i, db := range snaps {
+			if res, err := db.Query(late); err != nil || len(res.Rows) != 0 || res.Total != 0 {
+				t.Fatalf("%s: snapshot %d answers a name bound after its cut: %+v, %v", tc.schema, i, res, err)
+			}
+		}
 	}
 }

@@ -61,7 +61,7 @@ type DurableStore struct {
 	// advances and the record carrying the bindings it passes is appended
 	// under one critical section, so log order is watermark order.
 	jmu    sync.Mutex
-	logged engine.Marks // dictionary bindings the log already holds
+	logged relation.Marks // dictionary bindings the log already holds
 }
 
 // DurableOptions tunes OpenDurableStore. The zero value is the safe
@@ -141,22 +141,13 @@ func (s *Schema) OpenDurableStore(dir string, opts DurableOptions) (*DurableStor
 	}
 	fromSeq := uint64(0)
 	if ck != nil {
-		if ck.NumSchemes() != s.s.Size() {
-			return nil, fmt.Errorf("indep: checkpoint has %d relations, schema has %d", ck.NumSchemes(), s.s.Size())
-		}
-		for _, e := range ck.Dict {
-			if err := eng.Dict().Restore(e.Value, e.Name); err != nil {
-				return nil, fmt.Errorf("indep: corrupt checkpoint dictionary: %w", err)
-			}
+		if err := restoreCheckpointDict(eng, ck); err != nil {
+			return nil, err
 		}
 		var ops []engine.Op
 		for i := 0; i < ck.NumSchemes(); i++ {
-			want := s.s.Attrs(i).Len()
-			if ck.RowCount(i) > 0 && ck.Arity(i) != want {
-				return nil, fmt.Errorf("indep: checkpoint tuple arity %d in %s (want %d)", ck.Arity(i), s.s.Name(i), want)
-			}
 			for r := 0; r < ck.RowCount(i); r++ {
-				ops = append(ops, engine.Op{Scheme: i, Tuple: ck.AppendRow(make(relation.Tuple, 0, want), i, r)})
+				ops = append(ops, engine.Op{Scheme: i, Tuple: ck.AppendRow(make(relation.Tuple, 0, ck.Arity(i)), i, r)})
 			}
 		}
 		if err := readmit(eng, ops); err != nil {
@@ -281,6 +272,28 @@ func (ds *DurableStore) appendRecord(ops []engine.Op) *wal.Ticket {
 		return nil
 	}
 	return ds.log.Append(rec)
+}
+
+// restoreCheckpointDict checks a checkpoint — recovery's, or a follower's
+// re-sync snapshot — against the engine's schema, its relation count and
+// the arity of every relation holding rows, so the caller may read the rows
+// as tuples, and then restores the checkpoint's dictionary bindings.
+func restoreCheckpointDict(eng *engine.Engine, ck *wal.Checkpoint) error {
+	s := eng.Schema()
+	if ck.NumSchemes() != s.Size() {
+		return fmt.Errorf("indep: checkpoint has %d relations, schema has %d", ck.NumSchemes(), s.Size())
+	}
+	for i := 0; i < ck.NumSchemes(); i++ {
+		if want := s.Attrs(i).Len(); ck.RowCount(i) > 0 && ck.Arity(i) != want {
+			return fmt.Errorf("indep: checkpoint tuple arity %d in %s (want %d)", ck.Arity(i), s.Name(i), want)
+		}
+	}
+	for _, b := range ck.Dict {
+		if err := eng.Dict().Restore(b.Value, b.Name); err != nil {
+			return fmt.Errorf("indep: corrupt checkpoint dictionary: %w", err)
+		}
+	}
+	return nil
 }
 
 // readmit installs a checkpointed state — recovery's whole checkpoint, or a

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -400,20 +401,12 @@ func TestDurableTornTailMixedPayload(t *testing.T) {
 	}
 }
 
-// TestDurableConcurrentInternsRecover: writers interning fresh names into
-// different relations at once must leave a log whose bindings recover
-// exactly — every value id included, no record skipped — because bindings
-// ride in the records in watermark order.
-func TestDurableConcurrentInternsRecover(t *testing.T) {
-	dir := t.TempDir()
-	sch := starSchema(t, 4, 2)
-	ds, err := sch.OpenDurableStore(dir, DurableOptions{NoFsync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers, each = 4, 150
+// internWriters starts one writer per dimension of a star store, each
+// inserting each rows of fresh names into its own DIM relation, and returns
+// a wait that reports the first error once all have finished.
+func internWriters(ds *DurableStore, workers, each int) (wait func() error) {
 	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
+	for w := 1; w <= workers; w++ {
 		go func(d int) {
 			for i := 0; i < each; i++ {
 				row := map[string]string{
@@ -427,12 +420,33 @@ func TestDurableConcurrentInternsRecover(t *testing.T) {
 				}
 			}
 			errs <- nil
-		}(w + 1)
+		}(w)
 	}
-	for w := 0; w < workers; w++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
+	return func() error {
+		var first error
+		for w := 0; w < workers; w++ {
+			if err := <-errs; err != nil && first == nil {
+				first = err
+			}
 		}
+		return first
+	}
+}
+
+// TestDurableConcurrentInternsRecover: writers interning fresh names into
+// different relations at once must leave a log whose bindings recover
+// exactly — every value id included, no record skipped — because bindings
+// ride in the records in watermark order.
+func TestDurableConcurrentInternsRecover(t *testing.T) {
+	dir := t.TempDir()
+	sch := starSchema(t, 4, 2)
+	ds, err := sch.OpenDurableStore(dir, DurableOptions{NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, each = 4, 150
+	if err := internWriters(ds, workers, each)(); err != nil {
+		t.Fatal(err)
 	}
 	if err := ds.Close(); err != nil {
 		t.Fatal(err)
@@ -445,12 +459,77 @@ func TestDurableConcurrentInternsRecover(t *testing.T) {
 	if rec := re.Recovery(); rec.Skipped != 0 || rec.Records != workers*each {
 		t.Fatalf("recovery %+v, want %d records and none skipped", rec, workers*each)
 	}
-	if diffs := DiffDatabases(ds.Snapshot(), re.Snapshot()); diffs != nil {
+	requireSameStore(t, ds, re)
+}
+
+// requireSameStore fails unless two stores hold the same tuples under the
+// same value ids and the same number of bindings.
+func requireSameStore(t *testing.T, want, got *DurableStore) {
+	t.Helper()
+	if diffs := DiffDatabases(want.Snapshot(), got.Snapshot()); diffs != nil {
 		t.Fatalf("recovered state differs: %v", diffs)
 	}
-	if got, want := re.eng.Dict().Len(), ds.eng.Dict().Len(); got != want {
-		t.Fatalf("recovered %d bindings, want %d", got, want)
+	if g, w := got.eng.Dict().Len(), want.eng.Dict().Len(); g != w {
+		t.Fatalf("recovered %d bindings, want %d", g, w)
 	}
+}
+
+// TestDurableCheckpointUnderInternsRecovers takes checkpoints while writers
+// intern fresh names, then kills the store and recovers. A checkpoint reads
+// the live dictionary after its cut, so it may carry bindings that records
+// after the cut bind again; recovery restores those as no-ops and must
+// reproduce the store exactly, value ids included. A checkpoint listing its
+// bindings in global value order, as older releases wrote them, recovers
+// to the same store.
+func TestDurableCheckpointUnderInternsRecovers(t *testing.T) {
+	dir := t.TempDir()
+	sch := starSchema(t, 4, 2)
+	ds, err := sch.OpenDurableStore(dir, DurableOptions{NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait := internWriters(ds, 4, 150)
+	done := make(chan error, 1)
+	go func() { done <- wait() }()
+	for writing := true; writing; {
+		if err := ds.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			writing = false
+		default:
+		}
+	}
+	if err := ds.Insert("DIM1", map[string]string{"K1": "after", "D1_1": "the", "D1_2": "cut"}); err != nil {
+		t.Fatal(err)
+	}
+	ds.unlock() // kill: no Close; NoFsync writes already reached the OS
+	re, err := sch.OpenDurableStore(dir, DurableOptions{NoFsync: true})
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer re.Close()
+	if rec := re.Recovery(); rec.Skipped != 0 || rec.CheckpointSeq == 0 || rec.Records == 0 {
+		t.Fatalf("recovery %+v, want a checkpoint, a log tail and no skipped record", rec)
+	}
+	requireSameStore(t, ds, re)
+
+	ordered := t.TempDir()
+	ck := wal.NewCheckpoint(1, ds.eng.Snapshot())
+	sort.Slice(ck.Dict, func(i, j int) bool { return ck.Dict[i].Value < ck.Dict[j].Value })
+	if _, err := wal.WriteCheckpoint(ordered, ck); err != nil {
+		t.Fatal(err)
+	}
+	re2, err := sch.OpenDurableStore(ordered, DurableOptions{NoFsync: true})
+	if err != nil {
+		t.Fatalf("recovery from a value-ordered checkpoint: %v", err)
+	}
+	defer re2.Close()
+	requireSameStore(t, ds, re2)
 }
 
 // legacyFrame appends a CRC frame around a hand-encoded record payload of
@@ -492,7 +571,7 @@ func TestDurableRecoversLegacyLog(t *testing.T) {
 	}
 	seg := append([]byte("INDEPWAL"), 1, 0, 0, 0, 0, 0, 0, 0)
 	frames := 0
-	var marks engine.Marks
+	var marks relation.Marks
 	src.eng.SetCommitHook(func(c engine.Commit) func() error {
 		for _, b := range src.eng.Dict().AppendNew(&marks, nil) {
 			seg = legacyFrame(seg, 1, &b)
@@ -588,7 +667,7 @@ func TestDurableRecoverySkipsContradictingRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	seg := append([]byte("INDEPWAL"), 1, 0, 0, 0, 0, 0, 0, 0)
-	var marks engine.Marks
+	var marks relation.Marks
 	src.eng.SetCommitHook(func(c engine.Commit) func() error {
 		rec := wal.Record{Interns: src.eng.Dict().AppendNew(&marks, nil)}
 		for _, op := range c.Ops {

@@ -9,8 +9,8 @@
 //
 // On top of the maintainers the engine adds atomic batch inserts, deletes
 // (always admissible: SAT is closed under subsets), consistent snapshot
-// reads, a sharded concurrent value dictionary, and per-relation statistics
-// with validate-latency percentiles.
+// reads over the maintainer's sharded, append-only value dictionary, and
+// per-relation statistics with validate-latency percentiles.
 package engine
 
 import (
@@ -72,7 +72,7 @@ type Engine struct {
 	fds  fd.List
 	caps chase.Caps
 	res  *independence.Result
-	dict *Dict
+	dict *relation.Dict // the maintainer state's; every snapshot shares it
 
 	// Fast path (independent schemas): shards[i].mu guards both the guard's
 	// per-scheme data (FD indexes and instance i) and shards[i]'s stats.
@@ -137,7 +137,6 @@ func New(s *schema.Schema, fds fd.List, caps chase.Caps) (*Engine, error) {
 		fds:      fds,
 		caps:     caps,
 		res:      res,
-		dict:     NewDict(),
 		chaseMet: &chase.Metrics{},
 		shards:   make([]shard, len(s.Rels)),
 	}
@@ -147,9 +146,11 @@ func New(s *schema.Schema, fds fd.List, caps chase.Caps) (*Engine, error) {
 	if res.Independent {
 		e.fast = true
 		e.guard = maintenance.NewGuard(s, res.Cover)
+		e.dict = e.guard.State().Dict
 	} else {
 		e.jd = !infer.AllEmbedded(s, fds)
 		e.chase = maintenance.NewChaseMaintainer(s, fds, e.jd, e.caps)
+		e.dict = e.chase.State().Dict
 	}
 	return e, nil
 }
@@ -164,9 +165,9 @@ func (e *Engine) Result() *independence.Result { return e.res }
 // Schema returns the engine's schema.
 func (e *Engine) Schema() *schema.Schema { return e.s }
 
-// Dict returns the engine's concurrent value dictionary; use it to intern
-// row values before building tuples.
-func (e *Engine) Dict() *Dict { return e.dict }
+// Dict returns the engine's value dictionary, the one its state and every
+// snapshot share; use it to intern row values before building tuples.
+func (e *Engine) Dict() *relation.Dict { return e.dict }
 
 // SetCommitHook installs the mutation observer. Install it after recovery
 // (replayed records fire no hook only because none is set yet) and before
@@ -478,9 +479,11 @@ func (e *Engine) endChaseSpan(c chaseSpan) {
 	c.sp.End()
 }
 
-// Snapshot returns a deep copy of the current state: a consistent cut that
-// no later operation mutates. The attached dictionary is a point-in-time
-// copy of the engine's, so the snapshot renders with names.
+// Snapshot returns a copy of the current state's tuples: a consistent cut
+// that no later operation mutates. Its Dict is the engine's own, shared and
+// not copied: the dictionary only appends, so the cut's tuples render and
+// resolve names exactly as they did at the cut, and a name bound later
+// resolves to a value none of them holds.
 func (e *Engine) Snapshot() *relation.State { return e.SnapshotWith(nil) }
 
 // SnapshotWith is Snapshot with a cut callback: fn (when non-nil) runs
@@ -509,7 +512,6 @@ func (e *Engine) SnapshotWith(fn func()) *relation.State {
 		st = e.chase.State().Clone()
 		e.mu.Unlock()
 	}
-	st.Dict = e.dict.Materialize()
 	return st
 }
 

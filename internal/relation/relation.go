@@ -2,7 +2,7 @@
 // constant values: tuples, projection, natural join, and construction of
 // states as projections of universal instances.
 //
-// Values are integers; the optional Dict maps them to display names so the
+// Values are integers; the state's Dict maps them to display names so the
 // paper's examples (CS402, Smith, …) read naturally.
 //
 // Storage is column-major: an instance keeps one contiguous []Value arena
@@ -27,82 +27,6 @@ import (
 
 // Value is a constant domain element.
 type Value int64
-
-// Dict maps values to human-readable names. The zero value is usable.
-type Dict struct {
-	names []string
-	bound []bool // whether names[v] is a real binding (Define leaves gaps)
-	index map[string]Value
-}
-
-// Value interns name and returns its value.
-func (d *Dict) Value(name string) Value {
-	if d.index == nil {
-		d.index = make(map[string]Value)
-	}
-	if v, ok := d.index[name]; ok {
-		return v
-	}
-	v := Value(len(d.names))
-	d.names = append(d.names, name)
-	d.bound = append(d.bound, true)
-	d.index[name] = v
-	return v
-}
-
-// Lookup returns the value of an already-interned name without interning
-// it. Query selection uses it: a name the dictionary has never seen cannot
-// appear in any tuple, so the dictionary does not grow on misses.
-func (d *Dict) Lookup(name string) (Value, bool) {
-	if d == nil || d.index == nil {
-		return 0, false
-	}
-	v, ok := d.index[name]
-	return v, ok
-}
-
-// Name returns the display name of v, or its numeral if unnamed.
-func (d *Dict) Name(v Value) string {
-	if d != nil && v >= 0 && int(v) < len(d.names) && d.bound[v] {
-		return d.names[v]
-	}
-	return fmt.Sprintf("%d", int64(v))
-}
-
-// Define binds v to name directly, growing the name table as needed. It lets
-// callers that allocate values themselves (e.g. a sharded concurrent dict)
-// materialize a plain Dict for display; values in the gaps render as
-// numerals.
-func (d *Dict) Define(v Value, name string) {
-	if v < 0 {
-		panic("relation: Define with negative value")
-	}
-	if d.index == nil {
-		d.index = make(map[string]Value)
-	}
-	for int(v) >= len(d.names) {
-		d.names = append(d.names, "")
-		d.bound = append(d.bound, false)
-	}
-	d.names[v] = name
-	d.bound[v] = true
-	d.index[name] = v
-}
-
-// Each calls f for every bound (value, name) pair in ascending value
-// order. Checkpoint serialization relies on the ordering: restoring the
-// pairs in Each order reproduces the allocation order of the concurrent
-// dictionary's shards.
-func (d *Dict) Each(f func(v Value, name string)) {
-	if d == nil {
-		return
-	}
-	for i, name := range d.names {
-		if d.bound[i] {
-			f(Value(i), name)
-		}
-	}
-}
 
 // Tuple is a row of an instance. Its values are ordered by ascending
 // attribute index of the owning instance's scheme.
@@ -724,7 +648,7 @@ func Semijoin(a, b *Instance) *Instance {
 type State struct {
 	Schema *schema.Schema
 	Insts  []*Instance
-	Dict   *Dict // optional display dictionary
+	Dict   *Dict // display dictionary, shared by every clone
 }
 
 // NewState creates a state with empty instances for every scheme.

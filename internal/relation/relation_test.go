@@ -234,17 +234,3 @@ func TestInstanceRemove(t *testing.T) {
 		t.Fatal("re-add after remove broken")
 	}
 }
-
-func TestDictDefine(t *testing.T) {
-	var d Dict
-	d.Define(Value(10), "ten")
-	if d.Name(Value(10)) != "ten" {
-		t.Fatal("Define did not bind the name")
-	}
-	if d.Name(Value(3)) != "3" {
-		t.Fatal("values in the gap must render as numerals")
-	}
-	if d.Value("ten") != Value(10) {
-		t.Fatal("Define did not register the reverse mapping")
-	}
-}

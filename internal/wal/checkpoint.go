@@ -27,8 +27,11 @@ type Checkpoint struct {
 	Counts []int                // per scheme: row count
 }
 
-// NewCheckpoint builds a Checkpoint from a consistent snapshot state whose
-// Dict has been materialized, cutting at seq.
+// NewCheckpoint builds a Checkpoint from a consistent snapshot state,
+// cutting at seq. The state's Dict is the live, append-only dictionary, so
+// the checkpoint carries every binding made when it is read, including some
+// made after the cut; recovery restores them, and a log record that binds
+// one again restores it as a no-op.
 func NewCheckpoint(seq uint64, st *relation.State) *Checkpoint {
 	ck := &Checkpoint{
 		Seq:    seq,
@@ -36,9 +39,7 @@ func NewCheckpoint(seq uint64, st *relation.State) *Checkpoint {
 		Counts: make([]int, len(st.Insts)),
 	}
 	if st.Dict != nil {
-		st.Dict.Each(func(v relation.Value, name string) {
-			ck.Dict = append(ck.Dict, Binding{Value: v, Name: name})
-		})
+		ck.Dict = st.Dict.AppendNew(&relation.Marks{}, nil)
 	}
 	for i, in := range st.Insts {
 		ck.Cols[i], ck.Counts[i] = in.SnapshotCols()
@@ -196,6 +197,11 @@ func decodeSchemes(ck *Checkpoint, b []byte) error {
 		}
 		if rows, b, err = readUvarint(b); err != nil {
 			return err
+		}
+		// Each row takes a byte in every column block, which bounds rows
+		// by the file size — unless there are no columns.
+		if arity == 0 && rows != 0 {
+			return fmt.Errorf("wal: checkpoint relation %d has %d rows and no columns", i, rows)
 		}
 		ck.Counts[i] = int(rows)
 		ck.Cols[i] = make([][]relation.Value, arity)

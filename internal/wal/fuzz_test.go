@@ -13,7 +13,7 @@ import (
 // same record.
 func FuzzDecodeRecord(f *testing.F) {
 	f.Add(Record{
-		Interns: []Binding{{5, "CS402"}, {69, "jones"}},
+		Interns: []Binding{{Value: 5, Name: "CS402"}, {Value: 69, Name: "jones"}},
 		Ops: []TupleOp{
 			{Rel: 1, Tuple: relation.Tuple{5, 69, 3}},
 			{Rel: 0, Tuple: relation.Tuple{-7}, Delete: true},
@@ -51,7 +51,7 @@ func FuzzDecodeRecord(f *testing.F) {
 func FuzzReplRecordStream(f *testing.F) {
 	var good []byte
 	good = AppendRecordFrame(good, Record{
-		Interns: []Binding{{1, "s"}},
+		Interns: []Binding{{Value: 1, Name: "s"}},
 		Ops:     []TupleOp{{Rel: 0, Tuple: relation.Tuple{1, 2}}, {Rel: 1, Tuple: relation.Tuple{1}, Delete: true}},
 	})
 	good = AppendRecordFrame(good, Record{Ops: []TupleOp{{Rel: 0, Tuple: relation.Tuple{1, 2}, Delete: true}}})
@@ -146,6 +146,26 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	})
 }
 
+// rowsWithoutColumns encodes a well-checksummed checkpoint whose one
+// relation has no columns and 2^40 rows: 22 bytes that nothing but the
+// decoder's own check keeps from becoming a 2^40-tuple allocation.
+func rowsWithoutColumns() []byte {
+	return (&Checkpoint{Cols: [][][]relation.Value{{}}, Counts: []int{1 << 40}}).Encode()
+}
+
+// TestDecodeCheckpointRejectsRowsWithoutColumns: rows need columns, since a
+// column block is what bounds the row count by the file size. An empty
+// relation without columns still decodes.
+func TestDecodeCheckpointRejectsRowsWithoutColumns(t *testing.T) {
+	if _, err := DecodeCheckpointBytes(rowsWithoutColumns()); err == nil {
+		t.Fatal("a relation of 2^40 rows and no columns decoded without error")
+	}
+	empty := (&Checkpoint{Cols: [][][]relation.Value{{}}, Counts: []int{0}}).Encode()
+	if ck, err := DecodeCheckpointBytes(empty); err != nil || ck.RowCount(0) != 0 {
+		t.Fatalf("empty relation without columns: %v", err)
+	}
+}
+
 // FuzzDecodeColumnCheckpoint targets the columnar ('2') checkpoint body
 // specifically: arbitrary bytes after a valid v2 prefix must decode or
 // error, never panic, and accepted inputs must re-encode stably.
@@ -157,6 +177,7 @@ func FuzzDecodeColumnCheckpoint(f *testing.F) {
 		Cols: [][][]relation.Value{{{7}, {8}}}, Counts: []int{1}}).encode())
 	f.Add([]byte("INDEPCK2"))
 	f.Add(v2[:len(v2)-3])
+	f.Add(rowsWithoutColumns())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := decodeCheckpoint(data)
 		if err != nil {

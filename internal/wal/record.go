@@ -45,10 +45,7 @@ const (
 )
 
 // Binding is one durable dictionary binding: a value and its display name.
-type Binding struct {
-	Value relation.Value
-	Name  string
-}
+type Binding = relation.Binding
 
 // TupleOp addresses one tuple of a record to its relation scheme: an
 // insert, or a delete when Delete is set.

@@ -98,7 +98,7 @@ func TestReadAtStreamsWholeLog(t *testing.T) {
 	defer l.Close()
 
 	want := []Record{
-		{Interns: []Binding{{0, "alpha"}}},
+		{Interns: []Binding{{Value: 0, Name: "alpha"}}},
 		insertRec(0, relation.Tuple{0, 1}),
 		{Ops: []TupleOp{{Rel: 1, Tuple: relation.Tuple{2, 3}}, {Rel: 0, Tuple: relation.Tuple{4}}}},
 		{Ops: []TupleOp{{Rel: 1, Tuple: relation.Tuple{2, 3}, Delete: true}}},
@@ -224,7 +224,7 @@ func TestCheckSegmentHeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(Record{Interns: []Binding{{0, "x"}}}).Wait(); err != nil {
+	if err := l.Append(Record{Interns: []Binding{{Value: 0, Name: "x"}}}).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	data, _, err := l.ReadAt(Position{Seq: 1}, 1<<20)

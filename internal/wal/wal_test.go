@@ -47,13 +47,13 @@ func rawFrame(buf, payload []byte) []byte {
 func TestRecordRoundTrip(t *testing.T) {
 	recs := []Record{
 		{},
-		{Interns: []Binding{{0, ""}, {12345, "CS402"}, {63, "name with spaces\x00and bytes\xff"}}},
+		{Interns: []Binding{{Value: 0, Name: ""}, {Value: 12345, Name: "CS402"}, {Value: 63, Name: "name with spaces\x00and bytes\xff"}}},
 		insertRec(0, relation.Tuple{}),
 		insertRec(3, relation.Tuple{1, -2, 3000000000}),
 		{Ops: []TupleOp{{Rel: 7, Tuple: relation.Tuple{0}, Delete: true}}},
 		{Ops: []TupleOp{{Rel: 1, Tuple: relation.Tuple{5, 6}}, {Rel: 2, Tuple: relation.Tuple{7}}}},
 		{
-			Interns: []Binding{{1, "a"}, {65, "b"}},
+			Interns: []Binding{{Value: 1, Name: "a"}, {Value: 65, Name: "b"}},
 			Ops: []TupleOp{
 				{Rel: 0, Tuple: relation.Tuple{1, 65}},
 				{Rel: 1, Tuple: relation.Tuple{65}},
@@ -98,7 +98,7 @@ func TestDecodeLegacyKinds(t *testing.T) {
 		payload []byte
 		want    Record
 	}{
-		{legacyIntern(12345, "CS402"), Record{Interns: []Binding{{12345, "CS402"}}}},
+		{legacyIntern(12345, "CS402"), Record{Interns: []Binding{{Value: 12345, Name: "CS402"}}}},
 		{legacyOp(kindInsert, op), Record{Ops: []TupleOp{op}}},
 		{legacyOp(kindDelete, op), Record{Ops: []TupleOp{del}}},
 		{legacyBatch(), Record{}},
@@ -211,11 +211,11 @@ func TestLogAppendReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []Record{
-		{Interns: []Binding{{1, "a"}}},
+		{Interns: []Binding{{Value: 1, Name: "a"}}},
 		insertRec(0, relation.Tuple{1, 2}),
 		{Ops: []TupleOp{{Rel: 0, Tuple: relation.Tuple{1, 2}, Delete: true}}},
 		{
-			Interns: []Binding{{2, "b"}},
+			Interns: []Binding{{Value: 2, Name: "b"}},
 			Ops: []TupleOp{
 				{Rel: 1, Tuple: relation.Tuple{3}},
 				{Rel: 0, Tuple: relation.Tuple{4, 5}},
@@ -262,7 +262,7 @@ func TestLogAppendsOversizeBindings(t *testing.T) {
 		}}
 		for i := 0; i < 500; i++ {
 			name := string(bytes.Repeat([]byte{'a' + byte(i%26)}, nameLen))
-			want.Interns = append(want.Interns, Binding{relation.Value(i), name})
+			want.Interns = append(want.Interns, Binding{Value: relation.Value(i), Name: name})
 		}
 		dir := t.TempDir()
 		l, err := OpenLog(dir, Options{Sync: SyncNever})
@@ -315,8 +315,8 @@ func TestReplayLegacySegment(t *testing.T) {
 	del := op
 	del.Delete = true
 	want := []Record{
-		{Interns: []Binding{{1, "a"}}},
-		{Interns: []Binding{{65, "b"}}},
+		{Interns: []Binding{{Value: 1, Name: "a"}}},
+		{Interns: []Binding{{Value: 65, Name: "b"}}},
 		{Ops: []TupleOp{op, {Rel: 1, Tuple: relation.Tuple{65}}}},
 		{Ops: []TupleOp{del}},
 		{Ops: []TupleOp{op}},

@@ -120,15 +120,13 @@ func DiffDatabases(a, b *Database) []string {
 	// Bindings must agree wherever both sides define a value; a value bound
 	// on one side only is fine (bindings run ahead of the tuples that use
 	// them) — tuple equality above already proves no *used* value differs.
-	if a.st.Dict != nil && b.st.Dict != nil {
-		an := make(map[relation.Value]string)
-		a.st.Dict.Each(func(v relation.Value, name string) { an[v] = name })
-		b.st.Dict.Each(func(v relation.Value, name string) {
-			if prev, ok := an[v]; ok && prev != name {
-				diffs = append(diffs, fmt.Sprintf("value %d named %q vs %q", int64(v), prev, name))
-			}
-		})
-	}
+	an := make(map[relation.Value]string)
+	a.st.Dict.Each(func(v relation.Value, name string) { an[v] = name })
+	b.st.Dict.Each(func(v relation.Value, name string) {
+		if prev, ok := an[v]; ok && prev != name {
+			diffs = append(diffs, fmt.Sprintf("value %d named %q vs %q", int64(v), prev, name))
+		}
+	})
 	sort.Strings(diffs)
 	return diffs
 }

@@ -386,14 +386,8 @@ func (f *Follower) resync() (wal.Position, error) {
 	if err != nil {
 		return wal.Position{}, err
 	}
-	if ck.NumSchemes() != f.eng.Schema().Size() {
-		return wal.Position{}, fmt.Errorf("indep: snapshot has %d relations, schema has %d",
-			ck.NumSchemes(), f.eng.Schema().Size())
-	}
-	for _, e := range ck.Dict {
-		if err := f.eng.Dict().Restore(e.Value, e.Name); err != nil {
-			return wal.Position{}, fmt.Errorf("indep: snapshot dictionary: %w", err)
-		}
+	if err := restoreCheckpointDict(f.eng, ck); err != nil {
+		return wal.Position{}, err
 	}
 	st := f.eng.Snapshot()
 	var stale []engine.Op                           // local tuples the snapshot lacks

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"indep/internal/relation"
 	"indep/internal/wal"
 )
 
@@ -462,5 +463,44 @@ func TestFollowerRestartAfterUnloggedBindings(t *testing.T) {
 	requireConverged(t, ds, f)
 	if st := f.ReplStats(); st.Resyncs != 0 || !st.Healthy {
 		t.Fatalf("restart: %+v, want a healthy resume with no resync", st)
+	}
+}
+
+// hostileSnapshot is a ReplSource whose snapshot is fixed bytes and whose
+// log holds nothing, so a follower keeps re-syncing from it.
+type hostileSnapshot []byte
+
+func (h hostileSnapshot) ReplSnapshot() ([]byte, wal.Position, error) {
+	return h, wal.Position{Seq: 1}, nil
+}
+
+func (h hostileSnapshot) ReplRead(pos wal.Position, max int) (ReplChunk, error) {
+	return ReplChunk{}, wal.ErrSegmentGone
+}
+
+// TestFollowerSurvivesRowsWithoutColumns feeds a follower a 22-byte
+// snapshot whose last relation claims 2^40 rows and no columns. Trusting
+// the count would allocate until the process dies; the follower must stay
+// up, install nothing and report the error.
+func TestFollowerSurvivesRowsWithoutColumns(t *testing.T) {
+	sch := MustParse("CT(C,T)", "C -> T")
+	data := (&wal.Checkpoint{Cols: [][][]relation.Value{{}}, Counts: []int{1 << 40}}).Encode()
+	if len(data) != 22 {
+		t.Fatalf("hostile snapshot is %d bytes, want 22", len(data))
+	}
+	f, err := sch.OpenFollower(t.TempDir(), hostileSnapshot(data), FollowerOptions{NoFsync: true, PollInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for f.ReplStats().LastError == "" {
+		if time.Now().After(deadline) {
+			t.Fatalf("no error reported: %+v", f.ReplStats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := f.ReplStats(); st.Healthy || f.Rows() != 0 {
+		t.Fatalf("after the hostile snapshot: %+v, %d rows", st, f.Rows())
 	}
 }
