@@ -5,6 +5,22 @@ import (
 	"testing"
 )
 
+// TestDictInternSteadyStateAllocs pins the engine's dictionary, the one
+// every insert interns through: re-interning or looking up a known name
+// must not allocate once the engine has adopted it.
+func TestDictInternSteadyStateAllocs(t *testing.T) {
+	d := openUniversity(t).Dict()
+	for i := 0; i < 256; i++ {
+		d.Value(fmt.Sprintf("name-%d", i))
+	}
+	if n := testing.AllocsPerRun(200, func() { d.Value("name-73") }); n != 0 {
+		t.Errorf("re-interning a known name allocates %v per run", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { d.Lookup("name-73") }); n != 0 {
+		t.Errorf("Lookup allocates %v per run", n)
+	}
+}
+
 // TestSnapshotAllocsFlatInDictSize pins a snapshot cut's cost to the state,
 // not the dictionary: snapshots share the engine's append-only dictionary
 // instead of copying it, so a cut allocates the same with about 1k interned
