@@ -1,10 +1,15 @@
 package indep
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
+	"math/rand/v2"
+	"slices"
+	"strings"
 
 	"indep/internal/engine"
 	"indep/internal/obs"
@@ -354,21 +359,7 @@ var binCRC = crc32.MakeTable(crc32.Castagnoli)
 // at addresses the i-th emitted row's j-th column value.
 func encodeWindowBinary(dict *relation.Dict, names []string, nrows int,
 	at func(row, col int) relation.Value, total int, fast, cached bool) []byte {
-	buf := append([]byte(nil), winMagic...)
-	var flags byte
-	if fast {
-		flags |= 1
-	}
-	if cached {
-		flags |= 2
-	}
-	buf = append(buf, flags)
-	buf = binary.AppendUvarint(buf, uint64(total))
-	buf = binary.AppendUvarint(buf, uint64(len(names)))
-	for _, nm := range names {
-		buf = binary.AppendUvarint(buf, uint64(len(nm)))
-		buf = append(buf, nm...)
-	}
+	buf := appendWindowHeader(nil, names, total, fast, cached)
 	seen := make(map[relation.Value]bool)
 	vals := make([]relation.Value, 0, nrows)
 	for i := 0; i < nrows; i++ {
@@ -395,10 +386,159 @@ func encodeWindowBinary(dict *relation.Dict, names []string, nrows int,
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, binCRC))
 }
 
+// appendWindowHeader appends a binary window result's magic, flags, total
+// and attribute names to buf.
+func appendWindowHeader(buf []byte, names []string, total int, fast, cached bool) []byte {
+	buf = append(buf, winMagic...)
+	var flags byte
+	if fast {
+		flags |= 1
+	}
+	if cached {
+		flags |= 2
+	}
+	buf = append(buf, flags)
+	buf = binary.AppendUvarint(buf, uint64(total))
+	buf = binary.AppendUvarint(buf, uint64(len(names)))
+	for _, nm := range names {
+		buf = binary.AppendUvarint(buf, uint64(len(nm)))
+		buf = append(buf, nm...)
+	}
+	return buf
+}
+
 // DecodeWindowBinary parses a binary window result (WindowResult.Bin, or the
 // body of a /window response served as application/x-indep-bin) back into
 // the JSON-equivalent shape: rendered rows, total, and the plan flags.
 func DecodeWindowBinary(data []byte) (*WindowResult, error) {
+	a, err := parseWindow(data)
+	if err != nil {
+		return nil, err
+	}
+	out := a.Result()
+	out.Bin = nil
+	out.Rows = make([]map[string]string, a.nrows)
+	for i := range out.Rows {
+		row := make(map[string]string, len(a.attrs))
+		for j, v := range a.row(i) {
+			row[a.attrs[j]] = a.names[v]
+		}
+		out.Rows[i] = row
+	}
+	return out, nil
+}
+
+// A WindowAnswer is a binary window result parsed positionally, the shape a
+// router merges owners' answers in: the header, the bindings' names, and
+// each row as indexes into them. Every name is a substring of one copy of
+// the payload, so parsing allocates the same handful of times at any size
+// and no row is a map.
+type WindowAnswer struct {
+	bin    []byte
+	attrs  []string
+	total  int
+	fast   bool
+	cached bool
+	names  []string // bound names, in payload order
+	nrows  int
+	cells  []int32 // nrows × len(attrs) indexes into names, row-major
+}
+
+// ParseWindowAnswer checks that data is a well-formed binary window answer —
+// checksum, structure, every referenced value bound, no value bound twice,
+// and rows strictly ascending in the order a node sorts them (see
+// compareRows) — and returns it parsed. A router parses each owner's answer
+// before forwarding or merging it, so a corrupt reply never reaches a
+// client. Raw fragments (RelationBinary) are unsorted; decode those with
+// DecodeWindowBinary.
+func ParseWindowAnswer(data []byte) (*WindowAnswer, error) {
+	a, err := parseWindow(data)
+	if err != nil {
+		return nil, err
+	}
+	for i := 1; i < a.nrows; i++ {
+		if compareRows(a.names, a.row(i-1), a.names, a.row(i)) >= 0 {
+			return nil, fmt.Errorf("indep: binary window answer: row %d is not after row %d", i, i-1)
+		}
+	}
+	return a, nil
+}
+
+// Result returns the answer as a WindowResult: the header fields and Bin,
+// the bytes it was parsed from; Rows is nil.
+func (a *WindowAnswer) Result() *WindowResult {
+	return &WindowResult{Attrs: a.attrs, Total: a.total, FastPath: a.fast, PlanCached: a.cached, Bin: a.bin}
+}
+
+// row returns row i's cells: indexes into a.names.
+func (a *WindowAnswer) row(i int) []int32 {
+	w := len(a.attrs)
+	return a.cells[i*w : (i+1)*w]
+}
+
+// winReader walks the body of a binary window result: b is the body, s the
+// same bytes as one string that names are sliced from, and err the first
+// failure, after which every read returns zero.
+type winReader struct {
+	b   []byte
+	s   string
+	off int
+	err error
+}
+
+func (r *winReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("indep: binary window result: "+format, args...)
+	}
+}
+
+func (r *winReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b[r.off:])
+	if n <= 0 {
+		r.fail("truncated uvarint")
+		return 0
+	}
+	r.off += n
+	return v
+}
+
+// varint reads a zigzag-encoded varint, binary.Varint's encoding.
+func (r *winReader) varint() int64 {
+	u := r.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+func (r *winReader) str() string {
+	n := r.uvarint()
+	if r.err != nil {
+		return ""
+	}
+	if n > uint64(len(r.b)-r.off) {
+		r.fail("string length %d exceeds payload", n)
+		return ""
+	}
+	s := r.s[r.off : r.off+int(n)]
+	r.off += int(n)
+	return s
+}
+
+// count reads a count of items that each take at least per bytes, bounding
+// it by what is left of the payload.
+func (r *winReader) count(what string, per uint64) int {
+	n := r.uvarint()
+	if r.err == nil && n > uint64(len(r.b)-r.off)/per {
+		r.fail("%d %s exceed payload", n, what)
+		return 0
+	}
+	return int(n)
+}
+
+// parseWindow checks a binary window result's checksum and structure and
+// resolves every row value to its binding.
+func parseWindow(data []byte) (*WindowAnswer, error) {
 	if len(data) < len(winMagic)+1+4 || string(data[:len(winMagic)]) != string(winMagic) {
 		return nil, fmt.Errorf("indep: not a binary window result")
 	}
@@ -406,111 +546,299 @@ func DecodeWindowBinary(data []byte) (*WindowResult, error) {
 	if crc32.Checksum(body, binCRC) != sum {
 		return nil, fmt.Errorf("indep: binary window result fails checksum")
 	}
-	b := body[len(winMagic):]
-	flags := b[0]
-	b = b[1:]
-	readStr := func() (string, error) {
-		n, rest, err := readWireUvarint(b)
-		if err != nil {
-			return "", err
+	body = body[len(winMagic):]
+	r := &winReader{b: body, s: string(body), off: 1}
+	a := &WindowAnswer{bin: data, fast: body[0]&1 != 0, cached: body[0]&2 != 0}
+	a.total = int(r.uvarint())
+	a.attrs = make([]string, r.count("attributes", 1))
+	for i := range a.attrs {
+		a.attrs[i] = r.str()
+	}
+	nbind := r.count("bindings", 2)
+	ids := make([]int64, nbind)
+	a.names = make([]string, nbind)
+	for i := range ids {
+		ids[i] = r.varint()
+		a.names[i] = r.str()
+	}
+	// bound is an open-addressing hash of value id → 1 + binding index, 0
+	// for an empty slot, at most half full. The hash is seeded per process,
+	// so a payload cannot pick ids that all collide.
+	width := bits.Len(uint(2*nbind) | 1)
+	bound := make([]int32, 1<<width)
+	slotOf := func(v int64) int {
+		i := int(mixID(v) >> (64 - width))
+		for bound[i] != 0 && ids[bound[i]-1] != v {
+			i = (i + 1) & (len(bound) - 1)
 		}
-		if n > uint64(len(rest)) {
-			return "", fmt.Errorf("indep: binary window result: string length %d exceeds payload", n)
+		return i
+	}
+	for k, v := range ids {
+		i := slotOf(v)
+		if bound[i] != 0 {
+			r.fail("value %d bound twice", v)
+			break
 		}
-		b = rest[n:]
-		return string(rest[:n]), nil
+		bound[i] = int32(k + 1)
 	}
-	total, b2, err := readWireUvarint(b)
-	if err != nil {
-		return nil, err
-	}
-	b = b2
-	nattrs, b2, err := readWireUvarint(b)
-	if err != nil {
-		return nil, err
-	}
-	b = b2
-	if nattrs > uint64(len(b)) {
-		return nil, fmt.Errorf("indep: binary window result: %d attributes exceed payload", nattrs)
-	}
-	out := &WindowResult{
-		Attrs:      make([]string, nattrs),
-		Total:      int(total),
-		FastPath:   flags&1 != 0,
-		PlanCached: flags&2 != 0,
-	}
-	for i := range out.Attrs {
-		if out.Attrs[i], err = readStr(); err != nil {
-			return nil, err
-		}
-	}
-	nbind, b2, err := readWireUvarint(b)
-	if err != nil {
-		return nil, err
-	}
-	b = b2
-	if nbind > uint64(len(b)) {
-		return nil, fmt.Errorf("indep: binary window result: %d bindings exceed payload", nbind)
-	}
-	bind := make(map[relation.Value]string, nbind)
-	for i := uint64(0); i < nbind; i++ {
-		v, rest, err := readWireVarint(b)
-		if err != nil {
-			return nil, err
-		}
-		b = rest
-		nm, err2 := readStr()
-		if err2 != nil {
-			return nil, err2
-		}
-		bind[relation.Value(v)] = nm
-	}
-	nrows, b2, err := readWireUvarint(b)
-	if err != nil {
-		return nil, err
-	}
-	b = b2
-	// Each row takes a byte per attribute, which bounds nrows by the
-	// payload; a window always has attributes, so rows without any are
+	// Each row takes a byte per attribute, which bounds the row count by
+	// the payload; a window always has attributes, so rows without any are
 	// malformed rather than free.
-	if nrows > 0 && (nattrs == 0 || nrows > uint64(len(b))/nattrs) {
-		return nil, fmt.Errorf("indep: binary window result: %d rows exceed payload", nrows)
+	per := uint64(max(len(a.attrs), 1))
+	if a.nrows = r.count("rows", per); a.nrows > 0 && len(a.attrs) == 0 {
+		r.fail("%d rows without attributes", a.nrows)
 	}
-	out.Rows = make([]map[string]string, nrows)
-	for i := range out.Rows {
-		row := make(map[string]string, nattrs)
-		for _, a := range out.Attrs {
-			v, rest, err := readWireVarint(b)
-			if err != nil {
-				return nil, err
-			}
-			b = rest
-			nm, ok := bind[relation.Value(v)]
-			if !ok {
-				return nil, fmt.Errorf("indep: binary window result references unbound value %d", v)
-			}
-			row[a] = nm
+	a.cells = make([]int32, a.nrows*len(a.attrs))
+	for k := range a.cells {
+		v := r.varint()
+		if r.err != nil {
+			break
 		}
-		out.Rows[i] = row
+		b := bound[slotOf(v)]
+		if b == 0 {
+			r.fail("unbound value %d", v)
+			break
+		}
+		a.cells[k] = b - 1
 	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("indep: binary window result: %d trailing bytes", len(b))
+	if r.err == nil && r.off != len(body) {
+		r.fail("%d trailing bytes", len(body)-r.off)
 	}
-	return out, nil
+	if r.err != nil {
+		return nil, r.err
+	}
+	return a, nil
 }
 
-func readWireUvarint(b []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("indep: binary window result: truncated uvarint")
-	}
-	return v, b[n:], nil
+// idSeed seeds mixID.
+var idSeed = rand.Uint64()
+
+// mixID hashes a value id: the seeded id through the splitmix64 finalizer.
+func mixID(v int64) uint64 {
+	z := uint64(v) ^ idSeed
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
-func readWireVarint(b []byte) (int64, []byte, error) {
-	v, n := binary.Varint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("indep: binary window result: truncated varint")
+// compareRows orders two rows, given as indexes into their answers' names,
+// the way a node orders a window (rowLess): by the rendered key — each
+// column's name then a NUL, compared bytewise — and equal keys by their
+// columns. Keys are compared only when a NUL in a name could shift the
+// columns against each other.
+func compareRows(na []string, a []int32, nb []string, b []int32) int {
+	for j := range a {
+		x, y := na[a[j]], nb[b[j]]
+		if x == y {
+			continue
+		}
+		if strings.HasPrefix(y, x) && y[len(x)] == 0 || strings.HasPrefix(x, y) && x[len(y)] == 0 {
+			if c := compareKeys(na, a[j:], nb, b[j:]); c != 0 {
+				return c
+			}
+		}
+		return strings.Compare(x, y)
 	}
-	return v, b[n:], nil
+	return 0
+}
+
+// compareKeys compares two rows' rendered keys without building them.
+func compareKeys(na []string, a []int32, nb []string, b []int32) int {
+	var ca, oa, cb, ob int // cell and offset in it of each key's next byte
+	for {
+		x, okx := keyByte(na, a, &ca, &oa)
+		y, oky := keyByte(nb, b, &cb, &ob)
+		switch {
+		case !okx && !oky:
+			return 0
+		case !okx:
+			return -1
+		case !oky:
+			return 1
+		case x != y:
+			return cmp.Compare(x, y)
+		}
+	}
+}
+
+// keyByte returns the byte of a rendered key at cell *c, offset *o — the
+// cell's name, then a NUL — and advances past it; false past the key's end.
+func keyByte(names []string, cells []int32, c, o *int) (byte, bool) {
+	if *c == len(cells) {
+		return 0, false
+	}
+	if nm := names[cells[*c]]; *o < len(nm) {
+		*o++
+		return nm[*o-1], true
+	}
+	*c, *o = *c+1, 0
+	return 0, true
+}
+
+// MergeWindowAnswers combines owners' answers to one window query into the
+// answer of one node holding all their rows, encoded as a binary window
+// result (Bin, with the header fields set; Rows is nil). Each answer is
+// already in the node order, so the merge is a k-way merge of positional
+// rows:
+//   - Rows come out in the node order and are cut to limit (when positive).
+//     Disjoint answers were limited by their owners already: each of the
+//     union's first limit rows is among the first limit rows of the answer
+//     holding it.
+//   - Total is the sum of the answers' Totals when they are disjoint.
+//     Otherwise equal rows, adjacent after the merge, are kept once and
+//     Total counts the distinct rows, so such answers must be unlimited.
+//   - FastPath and PlanCached hold only if they hold for every answer.
+//
+// Value ids are renumbered in first-appearance order and a name bound by
+// several answers is bound once. Answers over different attributes do not
+// merge.
+func MergeWindowAnswers(parts []*WindowAnswer, limit int, disjoint bool) (*WindowResult, error) {
+	if len(parts) == 0 {
+		return nil, fmt.Errorf("indep: no window answers to merge")
+	}
+	attrs := parts[0].attrs
+	res := &WindowResult{Attrs: attrs, FastPath: true, PlanCached: true}
+	rows := 0
+	for i, p := range parts {
+		if !slices.Equal(p.attrs, attrs) {
+			return nil, fmt.Errorf("indep: window answer %d is over %v, answer 0 over %v", i, p.attrs, attrs)
+		}
+		res.Total += p.total
+		res.FastPath = res.FastPath && p.fast
+		res.PlanCached = res.PlanCached && p.cached
+		rows += p.nrows
+	}
+	if limit > 0 {
+		rows = min(rows, limit)
+	}
+
+	// The k-way merge: heads[i] is parts[i]'s next row.
+	order := make([]answerRow, 0, rows)
+	heads := make([]int, len(parts))
+	var last answerRow
+	distinct := 0
+	for {
+		best := -1
+		for i, p := range parts {
+			if heads[i] < p.nrows && (best < 0 ||
+				compareRows(p.names, p.row(heads[i]), parts[best].names, parts[best].row(heads[best])) < 0) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		cur := answerRow{int32(best), int32(heads[best])}
+		heads[best]++
+		if !disjoint && distinct > 0 {
+			lp := parts[last.part]
+			if compareRows(lp.names, lp.row(int(last.row)), parts[best].names, parts[best].row(int(cur.row))) == 0 {
+				continue
+			}
+		}
+		last = cur
+		distinct++
+		if len(order) < rows {
+			order = append(order, cur)
+		} else if disjoint {
+			break
+		}
+	}
+	if !disjoint {
+		res.Total = distinct
+	}
+	res.Bin = encodeMerged(parts, order, res)
+	return res, nil
+}
+
+// answerRow addresses row row of parts[part].
+type answerRow struct{ part, row int32 }
+
+// encodeMerged writes the rows order picks from parts as a binary window
+// result with res's header, binding each distinct name once, under ids 1,
+// 2, … in first-appearance order.
+func encodeMerged(parts []*WindowAnswer, order []answerRow, res *WindowResult) []byte {
+	w := len(res.Attrs)
+	// slot[base[p]+v] is 1 + the index in used of parts[p]'s binding v, 0
+	// until a row uses it.
+	base := make([]int32, len(parts)+1)
+	for i, p := range parts {
+		base[i+1] = base[i] + int32(len(p.names))
+	}
+	slot := make([]int32, base[len(parts)])
+	used := make([]string, 0, min(len(slot), len(order)*w))
+	for _, o := range order {
+		p := parts[o.part]
+		for _, v := range p.row(int(o.row)) {
+			if g := base[o.part] + v; slot[g] == 0 {
+				used = append(used, p.names[v])
+				slot[g] = int32(len(used))
+			}
+		}
+	}
+	// A name bound by several answers is used under several slots. Sorting
+	// the used names finds them: id[i] is first the index of name i's first
+	// use, then its id.
+	byName := make([]int32, len(used))
+	for i := range byName {
+		byName[i] = int32(i)
+	}
+	slices.SortFunc(byName, func(x, y int32) int {
+		if c := strings.Compare(used[x], used[y]); c != 0 {
+			return c
+		}
+		return cmp.Compare(x, y)
+	})
+	id := make([]int32, len(used))
+	nbind := 0
+	size := len(winMagic) + 1 + 4 + uvarintLen(uint64(res.Total)) + uvarintLen(uint64(w))
+	for k, i := range byName {
+		if k > 0 && used[byName[k-1]] == used[i] {
+			id[i] = id[byName[k-1]]
+			continue
+		}
+		id[i] = i
+		nbind++
+		size += 2*binary.MaxVarintLen32 + len(used[i])
+	}
+	for _, a := range res.Attrs {
+		size += binary.MaxVarintLen32 + len(a)
+	}
+	idLen := uvarintLen(uint64(nbind) << 1) // the widest id, zigzag-encoded
+	size += 2*binary.MaxVarintLen64 + len(order)*w*idLen
+
+	buf := appendWindowHeader(make([]byte, 0, size), res.Attrs, res.Total, res.FastPath, res.PlanCached)
+	buf = binary.AppendUvarint(buf, uint64(nbind))
+	next := int32(0)
+	for i, nm := range used {
+		if id[i] != int32(i) { // a later use of a name: its first use has its id
+			id[i] = id[id[i]]
+			continue
+		}
+		next++
+		id[i] = next
+		buf = binary.AppendVarint(buf, int64(next))
+		buf = binary.AppendUvarint(buf, uint64(len(nm)))
+		buf = append(buf, nm...)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(order)))
+	for _, o := range order {
+		for _, v := range parts[o.part].row(int(o.row)) {
+			buf = binary.AppendVarint(buf, int64(id[slot[base[o.part]+v]-1]))
+		}
+	}
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, binCRC))
+}
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// EncodeWindowBinary renders a result's Rows, in their order, as the binary
+// window encoding with its Attrs, Total and plan flags: the inverse of
+// DecodeWindowBinary, for a result that arrived rendered.
+func EncodeWindowBinary(res *WindowResult) []byte {
+	var d relation.Dict
+	return encodeWindowBinary(&d, res.Attrs, len(res.Rows), func(i, j int) relation.Value {
+		return d.Value(res.Rows[i][res.Attrs[j]])
+	}, res.Total, res.FastPath, res.PlanCached)
 }

@@ -7,6 +7,8 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"indep/internal/engine"
@@ -579,4 +581,189 @@ func FuzzDecodeShardBatch(f *testing.F) {
 			t.Fatalf("round trip changed ops:\n got %+v\nwant %+v", again, stablePartition(ops))
 		}
 	})
+}
+
+// naiveMerge is MergeWindowAnswers spelled out over rendered rows: every
+// row of both answers, sorted by the NUL-joined key and then by columns,
+// duplicates dropped unless the answers are disjoint, cut to limit.
+func naiveMerge(a, b *WindowResult, limit int, disjoint bool) *WindowResult {
+	key := func(row map[string]string) string {
+		var k strings.Builder
+		for _, attr := range a.Attrs {
+			k.WriteString(row[attr])
+			k.WriteByte(0)
+		}
+		return k.String()
+	}
+	cmpRows := func(x, y map[string]string) int {
+		if c := strings.Compare(key(x), key(y)); c != 0 {
+			return c
+		}
+		for _, attr := range a.Attrs {
+			if c := strings.Compare(x[attr], y[attr]); c != 0 {
+				return c
+			}
+		}
+		return 0
+	}
+	res := &WindowResult{Attrs: a.Attrs, Total: a.Total + b.Total,
+		FastPath: a.FastPath && b.FastPath, PlanCached: a.PlanCached && b.PlanCached}
+	rows := append(slices.Clone(a.Rows), b.Rows...)
+	slices.SortStableFunc(rows, cmpRows)
+	if !disjoint {
+		rows = slices.CompactFunc(rows, func(x, y map[string]string) bool { return cmpRows(x, y) == 0 })
+		res.Total = len(rows)
+	}
+	if limit > 0 && len(rows) > limit {
+		rows = rows[:limit]
+	}
+	res.Rows = rows
+	return res
+}
+
+// mergeTestAnswers returns two stores' binary answers to windows over
+// values with NUL-suffixed names: [C,T] and [T], so the [T] answers overlap.
+func mergeTestAnswers(t testing.TB, n int) (ct, tt [2][]byte) {
+	sch, err := Parse("CT(C,T)", "C -> T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tnames := []string{"t", "t\x00", "t\x001", "t1", "u"}
+	for s := range 2 {
+		cs, err := sch.OpenConcurrentStore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ops []BatchOp
+		for i := 0; i < n; i++ {
+			c := fmt.Sprintf("c%d", 2*i+s)
+			if i%5 == 0 {
+				c = fmt.Sprintf("c%d\x00%d", i, s)
+			}
+			ops = append(ops, BatchOp{Rel: "CT", Row: map[string]string{"C": c, "T": tnames[(i+s)%len(tnames)]}})
+		}
+		if err := cs.InsertBatch(ops); err != nil {
+			t.Fatal(err)
+		}
+		for i, attrs := range [][]string{{"C", "T"}, {"T"}} {
+			res, err := cs.Query(WindowQuery{Attrs: attrs, BinaryResult: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			[]*[2][]byte{&ct, &tt}[i][s] = res.Bin
+		}
+	}
+	return ct, tt
+}
+
+// FuzzMergeWindowAnswers: merging two arbitrary payloads either fails or
+// yields bytes DecodeWindowBinary accepts, equal to a naive merge of the
+// decoded rows.
+func FuzzMergeWindowAnswers(f *testing.F) {
+	ct, tt := mergeTestAnswers(f, 12)
+	f.Add(ct[0], ct[1], uint8(0), true)
+	f.Add(ct[0], ct[1], uint8(5), true)
+	f.Add(tt[0], tt[1], uint8(0), false)
+	f.Add(tt[0], tt[1], uint8(2), false)
+	f.Add(ct[0], tt[1], uint8(0), false)
+	f.Fuzz(func(t *testing.T, a, b []byte, limit uint8, disjoint bool) {
+		pa, err := ParseWindowAnswer(a)
+		if err != nil {
+			return
+		}
+		pb, err := ParseWindowAnswer(b)
+		if err != nil {
+			return
+		}
+		res, err := MergeWindowAnswers([]*WindowAnswer{pa, pb}, int(limit), disjoint)
+		if err != nil {
+			return
+		}
+		got, err := DecodeWindowBinary(res.Bin)
+		if err != nil {
+			t.Fatalf("merged answer does not decode: %v", err)
+		}
+		da, _ := DecodeWindowBinary(a)
+		db, _ := DecodeWindowBinary(b)
+		want := naiveMerge(da, db, int(limit), disjoint)
+		if !reflect.DeepEqual(got.Attrs, want.Attrs) || !reflect.DeepEqual(got.Rows, want.Rows) ||
+			got.Total != want.Total || got.FastPath != want.FastPath || got.PlanCached != want.PlanCached {
+			t.Fatalf("merge (limit %d, disjoint %v):\n got %v %q total %d flags %v %v\nwant %v %q total %d flags %v %v",
+				limit, disjoint, got.Attrs, got.Rows, got.Total, got.FastPath, got.PlanCached,
+				want.Attrs, want.Rows, want.Total, want.FastPath, want.PlanCached)
+		}
+		if res.Total != got.Total || !slices.Equal(res.Attrs, got.Attrs) {
+			t.Fatalf("merge result header %v total %d, its bytes %v total %d", res.Attrs, res.Total, got.Attrs, got.Total)
+		}
+	})
+}
+
+// TestMergeWindowAnswersNamesBoundOnce: a name both answers bind is bound
+// once in the merged answer, and only names its rows use are bound.
+func TestMergeWindowAnswersNamesBoundOnce(t *testing.T) {
+	ct, tt := mergeTestAnswers(t, 12)
+	for _, tc := range []struct {
+		parts    [2][]byte
+		disjoint bool
+		limit    int
+	}{{ct, true, 0}, {ct, true, 7}, {tt, false, 0}, {tt, false, 2}} {
+		var parts []*WindowAnswer
+		for _, b := range tc.parts {
+			p, err := ParseWindowAnswer(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts = append(parts, p)
+		}
+		res, err := MergeWindowAnswers(parts, tc.limit, tc.disjoint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged, err := ParseWindowAnswer(res.Bin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		used := make(map[string]bool)
+		for _, v := range merged.cells {
+			used[merged.names[v]] = true
+		}
+		if len(merged.names) != len(used) {
+			t.Fatalf("%v (limit %d): rows use %d names, bindings hold %q", res.Attrs, tc.limit, len(used), merged.names)
+		}
+	}
+}
+
+// TestMergeWindowAnswersAllocsFlat pins the merge's allocation count:
+// parsing two owners' answers and merging them allocates as often at 500
+// rows per owner as at 50 — no map or string per row or per name.
+func TestMergeWindowAnswersAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are skewed under -race")
+	}
+	var counts []float64
+	for _, n := range []int{50, 500} {
+		ct, tt := mergeTestAnswers(t, n)
+		for _, tc := range []struct {
+			parts    [2][]byte
+			disjoint bool
+		}{{ct, true}, {tt, false}} {
+			counts = append(counts, testing.AllocsPerRun(20, func() {
+				pa, err := ParseWindowAnswer(tc.parts[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				pb, err := ParseWindowAnswer(tc.parts[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := MergeWindowAnswers([]*WindowAnswer{pa, pb}, 0, tc.disjoint); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+	}
+	if counts[0] != counts[2] || counts[1] != counts[3] {
+		t.Fatalf("allocs per merge at 50 rows %v, at 500 rows %v (disjoint, overlapping)", counts[:2], counts[2:])
+	}
+	t.Logf("allocs per merge (disjoint, overlapping): %v", counts[:2])
 }

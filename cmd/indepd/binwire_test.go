@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 
 	"indep"
@@ -102,4 +104,55 @@ func TestBatchBinEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed batchbin: %s, want 400", resp.Status)
 	}
+}
+
+// getWindow GETs a window URL with the given Accept header and returns the
+// status, the Content-Type and the raw body.
+func getWindow(t *testing.T, url, accept string) (int, string, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", accept)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, resp.Header.Get("Content-Type"), data
+}
+
+// checkExplainAnswersJSON asks for an explain=1 window accepting the binary
+// encoding, requires a JSON answer carrying the plan and some rows, and
+// returns the rows.
+func checkExplainAnswersJSON(t *testing.T, url string) []map[string]string {
+	t.Helper()
+	status, ctype, data := getWindow(t, url, indep.BinContentType)
+	var body struct {
+		Rows    []map[string]string  `json:"rows"`
+		Explain *indep.WindowExplain `json:"explain"`
+	}
+	if status != http.StatusOK || !strings.HasPrefix(ctype, "application/json") || json.Unmarshal(data, &body) != nil {
+		t.Fatalf("%s: %d %q %q, want JSON", url, status, ctype, data)
+	}
+	if body.Explain == nil || body.Explain.Mode == "" || len(body.Rows) == 0 {
+		t.Fatalf("%s: explain %+v rows %v", url, body.Explain, body.Rows)
+	}
+	return body.Rows
+}
+
+// TestServerWindowExplainAnswersJSON: a node asked for the plan answers
+// JSON with the explain block even when the client accepts the binary
+// encoding, whose layout has no room for it.
+func TestServerWindowExplainAnswersJSON(t *testing.T) {
+	ts, store := newTestServer(t, "CT(C,T); CS(C,S)", "C -> T")
+	if err := store.Insert("CT", map[string]string{"C": "c1", "T": "t1"}); err != nil {
+		t.Fatal(err)
+	}
+	checkExplainAnswersJSON(t, ts.URL+"/v1/window?attrs=C,T&explain=1")
 }

@@ -8,8 +8,10 @@ package main
 // shard's name, and a partial report the client can act on.
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -431,8 +433,8 @@ func TestClusterTraceCrossesHop(t *testing.T) {
 
 // TestClusterRouterServesNodeSurface checks the router serves what a node
 // serves around the API: a lint-clean /metrics with the HTTP, cluster and
-// flight-recorder families, /debug/trace, strict ?partial parsing, binary
-// window requests answered in JSON, and readiness.
+// flight-recorder families, /debug/trace, strict ?partial parsing, window
+// answers in IWIN1 when asked and in JSON otherwise, and readiness.
 func TestClusterRouterServesNodeSurface(t *testing.T) {
 	ts, _ := newClusterTestServer(t, 2)
 	sch, err := indep.Parse(clusterSchema, clusterFDs)
@@ -478,24 +480,171 @@ func TestClusterRouterServesNodeSurface(t *testing.T) {
 		t.Fatalf("bogus partial parameter: %d, want 400", bresp.StatusCode)
 	}
 
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/window?attrs=C,T&where=T=t1", nil)
+	// Asked for the binary encoding, the router answers IWIN1; asked for
+	// nothing, JSON. Both carry the oracle's rows.
+	q := indep.WindowQuery{Attrs: []string{"C", "T"}, Where: map[string]string{"T": "t1"}}
+	want, err := oracle.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Accept", indep.BinContentType)
-	resp, body = doReq(t, req)
+	status, ctype, data := getWindow(t, ts.URL+"/v1/window?attrs=C,T&where=T=t1", indep.BinContentType)
+	if status != http.StatusOK || ctype != indep.BinContentType {
+		t.Fatalf("binary window request answered %q: %q", ctype, data)
+	}
+	got, err := indep.DecodeWindowBinary(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Attrs, want.Attrs) || !reflect.DeepEqual(got.Rows, want.Rows) ||
+		got.Total != want.Total || len(want.Rows) != 3 {
+		t.Fatalf("router binary answer %v %v (total %d), oracle %v %v (total %d)",
+			got.Attrs, got.Rows, got.Total, want.Attrs, want.Rows, want.Total)
+	}
+	resp, body = do(t, http.MethodGet, ts.URL+"/v1/window?attrs=C,T&where=T=t1", nil)
 	if resp.StatusCode != http.StatusOK || !strings.HasPrefix(resp.Header.Get("Content-Type"), "application/json") {
-		t.Fatalf("binary window request: %d %q %v", resp.StatusCode, resp.Header.Get("Content-Type"), body)
+		t.Fatalf("JSON window request: %d %q %v", resp.StatusCode, resp.Header.Get("Content-Type"), body)
 	}
-	want, err := oracle.Query(indep.WindowQuery{Attrs: []string{"C", "T"}, Where: map[string]string{"T": "t1"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(body["rows"], jsonValue(t, want.Rows)) || len(want.Rows) != 3 {
+	if !reflect.DeepEqual(body["rows"], jsonValue(t, want.Rows)) {
 		t.Fatalf("router rows %v, oracle %v", body["rows"], want.Rows)
 	}
 
 	if resp, body := do(t, http.MethodGet, ts.URL+"/readyz", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("readyz: %d %v", resp.StatusCode, body)
 	}
+}
+
+// TestClusterWindowEncodings holds the router's window answers against a
+// single-node oracle in each encoding, on windows its owners answer (one
+// owner, forwarded; several, merged) and on one it evaluates over gathered
+// fragments: IWIN1 when the client accepts it, JSON when it does not, and
+// JSON with the explain block when it asks for the plan, whose room the
+// IWIN1 layout lacks.
+func TestClusterWindowEncodings(t *testing.T) {
+	ts, _ := newClusterTestServer(t, 2)
+	sch, err := indep.Parse(clusterSchema, clusterFDs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := sch.OpenConcurrentStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		for rel, row := range map[string]map[string]string{
+			"CT": {"C": fmt.Sprint("c", i), "T": fmt.Sprint("t", i%2)},
+			"CS": {"C": fmt.Sprint("c", i%4), "S": fmt.Sprint("s", i)},
+		} {
+			if resp, body := do(t, http.MethodPost, ts.URL+"/v1/insert", map[string]any{"relation": rel, "row": row}); resp.StatusCode != http.StatusOK {
+				t.Fatalf("insert: %d (%v)", resp.StatusCode, body)
+			}
+			if err := oracle.Insert(rel, row); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		query string
+		q     indep.WindowQuery
+	}{
+		{"attrs=C,S&where=C=c1", indep.WindowQuery{Attrs: []string{"C", "S"}, Where: map[string]string{"C": "c1"}}},
+		{"attrs=C,S&limit=5", indep.WindowQuery{Attrs: []string{"C", "S"}, Limit: 5}},
+		{"attrs=C,S&project=S", indep.WindowQuery{Attrs: []string{"C", "S"}, Project: []string{"S"}}},
+		{"attrs=S,T", indep.WindowQuery{Attrs: []string{"S", "T"}}},
+	} {
+		want, err := oracle.Query(tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		url := ts.URL + "/v1/window?" + tc.query
+		status, ctype, data := getWindow(t, url, indep.BinContentType)
+		if status != http.StatusOK || ctype != indep.BinContentType {
+			t.Fatalf("%s: %d %q %q, want IWIN1", tc.query, status, ctype, data)
+		}
+		got, err := indep.DecodeWindowBinary(data)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.query, err)
+		}
+		if !reflect.DeepEqual(got.Attrs, want.Attrs) || !reflect.DeepEqual(got.Rows, want.Rows) || got.Total != want.Total {
+			t.Fatalf("%s: router %v %v (total %d), oracle %v %v (total %d)",
+				tc.query, got.Attrs, got.Rows, got.Total, want.Attrs, want.Rows, want.Total)
+		}
+		resp, body := do(t, http.MethodGet, url, nil)
+		if resp.StatusCode != http.StatusOK || !reflect.DeepEqual(body["rows"], jsonValue(t, want.Rows)) {
+			t.Fatalf("%s in JSON: %d rows %v, oracle %v", tc.query, resp.StatusCode, body["rows"], want.Rows)
+		}
+		if rows := checkExplainAnswersJSON(t, url+"&explain=1"); !reflect.DeepEqual(rows, want.Rows) {
+			t.Fatalf("%s with explain: rows %v, oracle %v", tc.query, rows, want.Rows)
+		}
+	}
+}
+
+// TestClusterCorruptShardAnswer503: a shard whose window answer fails the
+// router's check — bad checksum, trailing bytes, an unbound value — makes
+// the router answer 503 naming the shard, whether it would have forwarded
+// the answer (one owner) or merged it (two); the bytes never reach the
+// client.
+func TestClusterCorruptShardAnswer503(t *testing.T) {
+	good := windowBinary([]string{"C", "T"}, []string{"c1", "t1"})
+	sch, err := indep.Parse("CT(C,T)", "C -> T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, reply := range map[string][]byte{
+		"bad checksum":   append(slices.Clone(good[:len(good)-1]), good[len(good)-1]^1),
+		"trailing bytes": reCRC(append(slices.Clone(good[:len(good)-4]), 0)),
+		"unbound value":  reCRC(append(slices.Clone(good[:len(good)-5]), 0x7e)),
+	} {
+		t.Run(name, func(t *testing.T) {
+			shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", indep.BinContentType)
+				w.Write(reply)
+			}))
+			t.Cleanup(shard.Close)
+			rt, err := cluster.NewRouter(sch, []cluster.Member{{Name: "shard1", URL: shard.URL}, {Name: "shard2", URL: shard.URL}},
+				cluster.Options{Retries: 1, Backoff: time.Millisecond, Logger: discardLogger()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(newClusterServer(rt, discardLogger(), false, obs.RecorderOptions{}))
+			t.Cleanup(ts.Close)
+			for _, query := range []string{"attrs=C,T&where=C=c1", "attrs=C,T"} {
+				status, ctype, data := getWindow(t, ts.URL+"/v1/window?"+query, indep.BinContentType)
+				var body map[string]any
+				if status != http.StatusServiceUnavailable || json.Unmarshal(data, &body) != nil {
+					t.Fatalf("%s: corrupt shard answer: %d %q %q, want a 503 in JSON", query, status, ctype, data)
+				}
+				if !strings.HasPrefix(fmt.Sprint(body["shard"]), "shard") || !strings.Contains(fmt.Sprint(body["error"]), "bad window answer") {
+					t.Fatalf("%s: corrupt shard answer: %v", query, body)
+				}
+			}
+		})
+	}
+}
+
+// windowBinary is a one-row binary window answer over attrs, built by
+// hand: the first bytes a corrupt variant starts from.
+func windowBinary(attrs, row []string) []byte {
+	buf := append([]byte("IWIN1"), 1) // fastPath
+	buf = binary.AppendUvarint(buf, 1)
+	buf = binary.AppendUvarint(buf, uint64(len(attrs)))
+	for _, a := range attrs {
+		buf = binary.AppendUvarint(buf, uint64(len(a)))
+		buf = append(buf, a...)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(row)))
+	for i, v := range row {
+		buf = binary.AppendVarint(buf, int64(i+1))
+		buf = binary.AppendUvarint(buf, uint64(len(v)))
+		buf = append(buf, v...)
+	}
+	buf = binary.AppendUvarint(buf, 1)
+	for i := range row {
+		buf = binary.AppendVarint(buf, int64(i+1))
+	}
+	return reCRC(buf)
+}
+
+// reCRC appends the checksum the binary window encoding ends with.
+func reCRC(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
 }

@@ -663,9 +663,11 @@ func (s *server) handleWindow(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
 		return
 	}
-	// A client accepting the binary media type gets the streamed binary
-	// result: no rendered row maps, no JSON encode, counts carried in-band.
-	if strings.Contains(r.Header.Get("Accept"), indep.BinContentType) {
+	// A client accepting the binary media type gets the binary result — no
+	// rendered row maps, no JSON encode, counts carried in-band — from a
+	// store and a router alike, unless it asked for the plan, which only
+	// JSON carries.
+	if !q.Explain && strings.Contains(r.Header.Get("Accept"), indep.BinContentType) {
 		q.BinaryResult = true
 	}
 	start := time.Now()
@@ -674,8 +676,6 @@ func (s *server) handleWindow(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err, nil)
 		return
 	}
-	// Only a backend that rendered the binary result fills Bin; a router
-	// answers with rows, so its clients get JSON either way.
 	if res.Bin != nil {
 		w.Header().Set("Content-Type", indep.BinContentType)
 		w.WriteHeader(http.StatusOK)

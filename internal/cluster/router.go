@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"slices"
+	"net/http"
 	"sort"
 	"strings"
 	"sync"
@@ -401,14 +401,13 @@ func (r *Router) one(ctx context.Context, rel string, row map[string]string, del
 // function of their contents.
 //
 // A window consulting one relation is evaluated on the data: the query
-// goes to that relation's owners and their answers are merged (see
-// mergeAnswers). The placement makes the relation the disjoint union of its
-// fragments, so the window over the union is the union of the owners'
-// windows. A Where binding every partition-key attribute names the one
-// owner holding every matching row, and only it is asked. Fallback mode
-// (non-independent schema) is the same routine with the designated shard
-// as the one owner. A one-owner answer is returned as the owner gave it,
-// Explain included.
+// goes to that relation's owners, which answer in the binary window
+// encoding, and their answers are merged (see evalOnOwners). The placement
+// makes the relation the disjoint union of its fragments, so the window
+// over the union is the union of the owners' windows. A Where binding every
+// partition-key attribute names the one owner holding every matching row,
+// and only it is asked. Fallback mode (non-independent schema) is the same
+// routine with the designated shard as the one owner.
 //
 // A window consulting two or more relations is evaluated on the router
 // (see gather): of each relation R it fetches σ_{Where∩R}(R) through the
@@ -417,9 +416,10 @@ func (r *Router) one(ctx context.Context, rel string, row map[string]string, del
 //
 // Each owner answers from its own consistent snapshot; an answer spanning
 // shards is only point-in-time consistent when no writes race the query.
-// The router always answers with rendered Rows: BinaryResult is ignored.
+// Like a store, the router answers with Bin (Rows nil) when q sets
+// BinaryResult and with rendered Rows otherwise, Explain attached either
+// way when asked.
 func (r *Router) Window(ctx context.Context, q indep.WindowQuery) (*indep.WindowResult, error) {
-	q.BinaryResult = false
 	fetches, fast, err := r.sch.WindowFetches(q)
 	if err != nil {
 		return nil, err
@@ -484,94 +484,64 @@ func (r *Router) windowOwners(rel string, q indep.WindowQuery, out map[string]bo
 	return r.place.Owners(rel), covered, nil
 }
 
-// evalOnOwners sends the window to each shard and merges the answers. With
-// answers that may overlap, the owners are asked for every row (Limit 0),
-// because Total has to count the distinct rows of their union.
+// evalOnOwners sends the window to each shard, asking for the binary
+// encoding, and parses every answer (indep.ParseWindowAnswer), so a corrupt
+// reply is the shard's error and never reaches the client. One owner's
+// answer is the answer, forwarded as it came. Several owners' answers are
+// merged by indep.MergeWindowAnswers; with answers that may overlap, the
+// owners are asked for every row (Limit 0), because Total has to count the
+// distinct rows of their union. A client that did not ask for the binary
+// encoding gets the same answer rendered as rows.
+//
+// A merged Explain sums each relation's scanned rows across the owners,
+// takes Mode and Pruned from any owner (the plan depends on the schema
+// only), reports SnapshotReused only if every owner reused its snapshot,
+// and StoreVersion 0, since no single version describes the answer.
 func (r *Router) evalOnOwners(ctx context.Context, q indep.WindowQuery, shards []string, disjoint bool) (*indep.WindowResult, error) {
 	inc(r.proxied)
 	sub := q
+	sub.BinaryResult = true
 	if len(shards) > 1 && !disjoint {
 		sub.Limit = 0
 	}
 	parts := make([]*indep.WindowResult, len(shards))
+	answers := make([]*indep.WindowAnswer, len(shards))
 	if err := r.fanOut(ctx, shards, func(i int) (err error) {
-		parts[i], err = r.tr[shards[i]].Window(ctx, sub)
-		return err
+		if parts[i], err = r.tr[shards[i]].Window(ctx, sub); err != nil {
+			return err
+		}
+		if answers[i], err = indep.ParseWindowAnswer(parts[i].Bin); err != nil {
+			return &ShardError{Shard: shards[i], Status: http.StatusOK, Err: fmt.Errorf("bad window answer: %w", err)}
+		}
+		return nil
 	}); err != nil {
 		return nil, err
 	}
-	if len(parts) == 1 {
-		return parts[0], nil
+	var res *indep.WindowResult
+	if len(answers) == 1 {
+		res = answers[0].Result()
+		res.Explain = parts[0].Explain
+	} else {
+		var err error
+		if res, err = indep.MergeWindowAnswers(answers, q.Limit, disjoint); err != nil {
+			return nil, &ShardError{Shard: strings.Join(shards, ","), Status: http.StatusOK, Err: fmt.Errorf("bad window answer: %w", err)}
+		}
+		if q.Explain {
+			res.Explain = mergeExplain(parts)
+		}
 	}
-	return mergeAnswers(q, parts, disjoint), nil
+	if q.BinaryResult {
+		return res, nil
+	}
+	rows, err := indep.DecodeWindowBinary(res.Bin)
+	if err != nil {
+		return nil, err
+	}
+	rows.Explain = res.Explain
+	return rows, nil
 }
 
-// mergeAnswers combines the owners' answers to q into the answer of one
-// node holding all their rows:
-//   - Rows are ordered by the NUL-joined rendered key, equal keys by their
-//     columns — a single node's order — and cut to Limit. Disjoint answers
-//     were limited by their owners already: each of the union's first
-//     Limit rows is among the first Limit rows of the answer holding it.
-//   - Total is the sum of the owners' Totals when the answers are disjoint.
-//     Otherwise duplicate rows are dropped and Total is the number of
-//     distinct rows.
-//   - FastPath holds (only an independent schema has several owners), and
-//     PlanCached only if every owner's plan was cached.
-//   - Explain sums each relation's scanned rows across the owners, takes
-//     Mode and Pruned from any owner (the plan depends on the schema only),
-//     reports SnapshotReused only if every owner reused its snapshot, and
-//     StoreVersion 0, since no single version describes the answer.
-func mergeAnswers(q indep.WindowQuery, parts []*indep.WindowResult, disjoint bool) *indep.WindowResult {
-	type keyed struct {
-		key string
-		row map[string]string
-	}
-	attrs := parts[0].Attrs
-	res := &indep.WindowResult{Attrs: attrs, FastPath: true, PlanCached: true}
-	var rows []keyed
-	var k strings.Builder
-	for _, p := range parts {
-		res.Total += p.Total
-		res.PlanCached = res.PlanCached && p.PlanCached
-		for _, row := range p.Rows {
-			k.Reset()
-			for _, a := range attrs {
-				k.WriteString(row[a])
-				k.WriteByte(0)
-			}
-			rows = append(rows, keyed{key: k.String(), row: row})
-		}
-	}
-	cmp := func(a, b keyed) int {
-		if c := strings.Compare(a.key, b.key); c != 0 {
-			return c
-		}
-		for _, name := range attrs {
-			if c := strings.Compare(a.row[name], b.row[name]); c != 0 {
-				return c
-			}
-		}
-		return 0
-	}
-	slices.SortFunc(rows, cmp)
-	if !disjoint {
-		rows = slices.CompactFunc(rows, func(a, b keyed) bool { return cmp(a, b) == 0 })
-		res.Total = len(rows)
-	}
-	if q.Limit > 0 && len(rows) > q.Limit {
-		rows = rows[:q.Limit]
-	}
-	res.Rows = make([]map[string]string, len(rows))
-	for i, kr := range rows {
-		res.Rows[i] = kr.row
-	}
-	if q.Explain && parts[0].Explain != nil {
-		res.Explain = mergeExplain(parts)
-	}
-	return res
-}
-
-// mergeExplain is mergeAnswers' Explain rule.
+// mergeExplain is evalOnOwners' Explain rule.
 func mergeExplain(parts []*indep.WindowResult) *indep.WindowExplain {
 	first := parts[0].Explain
 	ex := &indep.WindowExplain{Mode: first.Mode, PlanCached: true, SnapshotReused: true, Pruned: first.Pruned}

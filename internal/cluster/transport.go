@@ -32,7 +32,9 @@ type Transport interface {
 	// the read path for a window consulting one relation, whose answers the
 	// router merges across owners, and for fallback mode. A gather also
 	// uses it to fetch σ_{Where∩R}(R) of a consulted relation R that Where
-	// touches, as the window over R's scheme.
+	// touches, as the window over R's scheme. As a store does, it answers
+	// with Bin (Rows nil) when q sets BinaryResult and with rendered Rows
+	// otherwise; a Bin answer is the shard's bytes, unchecked.
 	Window(ctx context.Context, q indep.WindowQuery) (*indep.WindowResult, error)
 	// Ping reports whether the shard is up and ready.
 	Ping(ctx context.Context) error
@@ -154,8 +156,8 @@ func (t *HTTPTransport) Relation(ctx context.Context, rel string) (*indep.Window
 }
 
 // Window implements Transport over GET /v1/window. The binary result
-// carries everything but the explain plan, so an Explain query falls back
-// to the JSON encoding.
+// carries everything but the explain plan, so an Explain query is answered
+// in JSON, and its rows are re-encoded when q asks for Bin.
 func (t *HTTPTransport) Window(ctx context.Context, q indep.WindowQuery) (*indep.WindowResult, error) {
 	vals := url.Values{}
 	vals.Set("attrs", strings.Join(q.Attrs, ","))
@@ -180,7 +182,10 @@ func (t *HTTPTransport) Window(ctx context.Context, q indep.WindowQuery) (*indep
 	if status != http.StatusOK {
 		return nil, &ShardError{Shard: t.Shard, Status: status, Err: fmt.Errorf("%s", strings.TrimSpace(string(data)))}
 	}
-	if !q.Explain {
+	switch {
+	case !q.Explain && q.BinaryResult:
+		return &indep.WindowResult{Bin: data}, nil
+	case !q.Explain:
 		res, err := indep.DecodeWindowBinary(data)
 		if err != nil {
 			return nil, &ShardError{Shard: t.Shard, Status: status, Err: err}
@@ -198,10 +203,14 @@ func (t *HTTPTransport) Window(ctx context.Context, q indep.WindowQuery) (*indep
 	if err := json.Unmarshal(data, &body); err != nil {
 		return nil, &ShardError{Shard: t.Shard, Status: status, Err: fmt.Errorf("bad window response: %w", err)}
 	}
-	return &indep.WindowResult{
+	res := &indep.WindowResult{
 		Attrs: body.Attrs, Rows: body.Rows, Total: body.Total,
 		FastPath: body.FastPath, PlanCached: body.PlanCached, Explain: body.Explain,
-	}, nil
+	}
+	if q.BinaryResult {
+		res.Bin, res.Rows = indep.EncodeWindowBinary(res), nil
+	}
+	return res, nil
 }
 
 // Ping implements Transport over GET /readyz.

@@ -8,13 +8,17 @@ package cluster_test
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"indep"
 	"indep/internal/cluster"
@@ -27,16 +31,21 @@ type readLog struct {
 }
 
 // shardRead is one read of one shard: a whole fragment of rel, or the
-// window q. rows is the number of rows the shard returned.
+// window q. rows is the number of rows the shard returned, rendered or
+// binary, and cached its PlanCached flag.
 type shardRead struct {
 	shard, rel string
 	q          *indep.WindowQuery
 	rows       int
+	cached     bool
 }
 
 func (l *readLog) add(r shardRead, res *indep.WindowResult) {
+	if res != nil && res.Bin != nil {
+		res, _ = indep.DecodeWindowBinary(res.Bin)
+	}
 	if res != nil {
-		r.rows = len(res.Rows)
+		r.rows, r.cached = len(res.Rows), res.PlanCached
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -90,7 +99,9 @@ func windowValues(attr string) []string {
 // TestRouterWindowMatchesOracleRandom draws random windows — attributes,
 // Where over seen and unseen values, Project (often dropping part of a
 // partition key), Limit, Explain — over a 3-shard cluster and a single node
-// holding the same data, and requires identical answers. It also pins how
+// holding the same data, and requires identical answers, rendered and
+// binary alike; a window merged from its owners has its plan cached only
+// if every owner's was. It also pins how
 // each window read the shards: a single-relation window makes Window calls
 // and no Relation calls, reaching one shard when its Where binds the full
 // partition key; a multi-relation window fetches each consulted relation
@@ -240,17 +251,35 @@ func testWindowsAgainstOracle(t *testing.T, sch *indep.Schema, rng *rand.Rand, w
 		if err != nil {
 			t.Fatalf("oracle %+v: %v", q, err)
 		}
+		// Every window is asked for twice: rendered, then binary, whose
+		// bytes must decode to the same answer.
 		log.take()
 		got, err := tc.rt.Window(ctx, q)
 		if err != nil {
 			t.Fatalf("router %+v: %v", q, err)
 		}
-		if !reflect.DeepEqual(got.Attrs, want.Attrs) || !reflect.DeepEqual(got.Rows, want.Rows) ||
-			got.Total != want.Total || got.FastPath != want.FastPath {
-			t.Fatalf("window %+v:\nrouter attrs %v rows %q total %d fast %v\noracle attrs %v rows %q total %d fast %v",
-				q, got.Attrs, got.Rows, got.Total, got.FastPath, want.Attrs, want.Rows, want.Total, want.FastPath)
-		}
 		reads := log.take()
+		bq := q
+		bq.BinaryResult = true
+		bin, err := tc.rt.Window(ctx, bq)
+		if err != nil {
+			t.Fatalf("router %+v: %v", bq, err)
+		}
+		binReads := log.take()
+		if bin.Rows != nil || len(bin.Bin) == 0 {
+			t.Fatalf("binary window %+v: Rows %v, %d bytes", q, bin.Rows, len(bin.Bin))
+		}
+		decoded, err := indep.DecodeWindowBinary(bin.Bin)
+		if err != nil {
+			t.Fatalf("binary window %+v: %v", q, err)
+		}
+		for _, g := range []*indep.WindowResult{got, decoded} {
+			if !reflect.DeepEqual(g.Attrs, want.Attrs) || !reflect.DeepEqual(g.Rows, want.Rows) ||
+				g.Total != want.Total || g.FastPath != want.FastPath {
+				t.Fatalf("window %+v (binary %v):\nrouter attrs %v rows %q total %d fast %v\noracle attrs %v rows %q total %d fast %v",
+					q, g == decoded, g.Attrs, g.Rows, g.Total, g.FastPath, want.Attrs, want.Rows, want.Total, want.FastPath)
+			}
+		}
 
 		fetches, _, err := sch.WindowFetches(q)
 		if err != nil {
@@ -267,12 +296,27 @@ func testWindowsAgainstOracle(t *testing.T, sch *indep.Schema, rng *rand.Rand, w
 		if !slices.Equal(fetched, rels) {
 			t.Fatalf("window %+v: fetches %v, consults %v", q, fetches, rels)
 		}
-		if q.Explain && !explainMatches(got.Explain, want.Explain, len(fetches) > 1 && extra) {
-			t.Fatalf("window %+v: explain %+v, oracle %+v", q, got.Explain, want.Explain)
+		for _, ex := range []*indep.WindowExplain{got.Explain, bin.Explain} {
+			if q.Explain && !explainMatches(ex, want.Explain, len(fetches) > 1 && extra) {
+				t.Fatalf("window %+v: explain %+v, oracle %+v", q, ex, want.Explain)
+			}
 		}
 		switch {
 		case len(fetches) == 1:
 			single++
+			// The merge rule: the plan was cached only if every owner's was.
+			for _, run := range []struct {
+				res   *indep.WindowResult
+				reads []shardRead
+			}{{got, reads}, {decoded, binReads}} {
+				cached := true
+				for _, r := range run.reads {
+					cached = cached && r.cached
+				}
+				if run.res.PlanCached != cached {
+					t.Fatalf("window %+v: planCached %v, owners' together %v", q, run.res.PlanCached, cached)
+				}
+			}
 			rel := fetches[0].Relation
 			shards := make(map[string]bool)
 			for _, r := range reads {
@@ -487,5 +531,103 @@ func TestRouterJoinWindowFetchIndependentOfSize(t *testing.T) {
 	}
 	if fetched[0] != fetched[1] || fetched[0] != hot+1 {
 		t.Fatalf("rows fetched at 1k and 10k fact rows: %v, want %d at both", fetched, hot+1)
+	}
+}
+
+// corruptTransport replaces a shard's binary window answers with corrupt(the
+// shard's bytes).
+type corruptTransport struct {
+	cluster.Transport
+	corrupt func([]byte) []byte
+}
+
+func (c *corruptTransport) Window(ctx context.Context, q indep.WindowQuery) (*indep.WindowResult, error) {
+	res, err := c.Transport.Window(ctx, q)
+	if err == nil && res.Bin != nil {
+		res.Bin = c.corrupt(res.Bin)
+	}
+	return res, err
+}
+
+// answerBytes hand-builds a binary window answer binding names[i] to id
+// i+1, its rows given as ids.
+func answerBytes(attrs, names []string, rows [][]int64) []byte {
+	buf := append([]byte("IWIN1"), 1)
+	buf = binary.AppendUvarint(buf, uint64(len(rows)))
+	buf = binary.AppendUvarint(buf, uint64(len(attrs)))
+	for _, a := range attrs {
+		buf = binary.AppendUvarint(buf, uint64(len(a)))
+		buf = append(buf, a...)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(names)))
+	for i, nm := range names {
+		buf = binary.AppendVarint(buf, int64(i+1))
+		buf = binary.AppendUvarint(buf, uint64(len(nm)))
+		buf = append(buf, nm...)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(rows)))
+	for _, row := range rows {
+		for _, v := range row {
+			buf = binary.AppendVarint(buf, v)
+		}
+	}
+	return withCRC(buf)
+}
+
+func withCRC(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// TestRouterRejectsCorruptShardAnswer: a window answer that fails the
+// router's check — bad checksum, trailing bytes, an unbound value, rows out
+// of order — is a ShardError, on a window the router would forward from one
+// owner and on one it would merge from several, rendered or binary; no
+// answer reaches the caller.
+func TestRouterRejectsCorruptShardAnswer(t *testing.T) {
+	sch, err := indep.Parse("CT(C,T)", "C -> T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, corrupt := range map[string]func([]byte) []byte{
+		"bad checksum": func(b []byte) []byte {
+			b = slices.Clone(b)
+			b[len(b)/2] ^= 0x40
+			return b
+		},
+		"trailing bytes": func(b []byte) []byte { return withCRC(append(slices.Clone(b[:len(b)-4]), 0)) },
+		"unbound value": func([]byte) []byte {
+			return answerBytes([]string{"C", "T"}, []string{"c1"}, [][]int64{{1, 2}})
+		},
+		"rows out of order": func([]byte) []byte {
+			return answerBytes([]string{"C", "T"}, []string{"c2", "c1", "t"}, [][]int64{{1, 3}, {2, 3}})
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			tc := newTestCluster(t, sch, 3, cluster.Options{Retries: 1, Backoff: time.Millisecond},
+				func(shard string, tr cluster.Transport) cluster.Transport {
+					return &corruptTransport{Transport: tr, corrupt: corrupt}
+				})
+			var ops []indep.BatchOp
+			for i := 0; i < 20; i++ {
+				ops = append(ops, indep.BatchOp{Rel: "CT", Row: map[string]string{"C": fmt.Sprint("c", i), "T": fmt.Sprint("t", i%3)}})
+			}
+			if _, err := tc.rt.Batch(context.Background(), encodePayload(t, sch, ops, nil)); err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range []indep.WindowQuery{
+				{Attrs: []string{"C", "T"}, Where: map[string]string{"C": "c1"}}, // one owner
+				{Attrs: []string{"C", "T"}, Limit: 5},                            // disjoint owners
+				{Attrs: []string{"C", "T"}, Project: []string{"T"}},              // overlapping owners
+			} {
+				for _, bin := range []bool{false, true} {
+					q.BinaryResult = bin
+					res, err := tc.rt.Window(context.Background(), q)
+					var se *cluster.ShardError
+					if !errors.As(err, &se) || res != nil {
+						t.Fatalf("window %+v over corrupt answers: %v, %v; want a ShardError", q, res, err)
+					}
+				}
+			}
+		})
 	}
 }
