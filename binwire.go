@@ -356,34 +356,64 @@ var winMagic = []byte("IWIN1")
 var binCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // encodeWindowBinary renders a sorted, limited window as the binary result.
-// at addresses the i-th emitted row's j-th column value.
+// at addresses the i-th emitted row's j-th column value. The buffer is sized
+// exactly up front, so encoding allocates as often at any answer size.
 func encodeWindowBinary(dict *relation.Dict, names []string, nrows int,
 	at func(row, col int) relation.Value, total int, fast, cached bool) []byte {
-	buf := appendWindowHeader(nil, names, total, fast, cached)
-	seen := make(map[relation.Value]bool)
-	vals := make([]relation.Value, 0, nrows)
+	cells := make([]relation.Value, 0, nrows*len(names))
 	for i := 0; i < nrows; i++ {
 		for j := range names {
-			if v := at(i, j); !seen[v] {
-				seen[v] = true
-				vals = append(vals, v)
-			}
+			cells = append(cells, at(i, j))
 		}
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(vals)))
-	for _, v := range vals {
+	bound := distinctValues(cells)
+	size := len(winMagic) + 1 + uvarintLen(uint64(total)) + uvarintLen(uint64(len(names))) +
+		uvarintLen(uint64(len(bound))) + uvarintLen(uint64(nrows)) + 4
+	for _, nm := range names {
+		size += uvarintLen(uint64(len(nm))) + len(nm)
+	}
+	for _, v := range bound {
+		n := len(dict.Name(v))
+		size += varintLen(int64(v)) + uvarintLen(uint64(n)) + n
+	}
+	for _, v := range cells {
+		size += varintLen(int64(v))
+	}
+	buf := appendWindowHeader(make([]byte, 0, size), names, total, fast, cached)
+	buf = binary.AppendUvarint(buf, uint64(len(bound)))
+	for _, v := range bound {
 		nm := dict.Name(v)
 		buf = binary.AppendVarint(buf, int64(v))
 		buf = binary.AppendUvarint(buf, uint64(len(nm)))
 		buf = append(buf, nm...)
 	}
 	buf = binary.AppendUvarint(buf, uint64(nrows))
-	for i := 0; i < nrows; i++ {
-		for j := range names {
-			buf = binary.AppendVarint(buf, int64(at(i, j)))
-		}
+	for _, v := range cells {
+		buf = binary.AppendVarint(buf, int64(v))
 	}
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, binCRC))
+}
+
+// distinctValues returns the distinct values of vals in first-appearance
+// order. It dedups through an open-addressed table of first positions, at
+// least twice the size of vals, so it allocates twice at any length.
+func distinctValues(vals []relation.Value) []relation.Value {
+	mask := uint64(1)<<bits.Len(uint(2*len(vals))) - 1
+	first := make([]int32, mask+1) // 1 + the position of a value's first cell; 0 is empty
+	out := make([]relation.Value, 0, len(vals))
+	for p, v := range vals {
+		for i := mixID(int64(v)) & mask; ; i = (i + 1) & mask {
+			if first[i] == 0 {
+				first[i] = int32(p) + 1
+				out = append(out, v)
+				break
+			}
+			if vals[first[i]-1] == v {
+				break
+			}
+		}
+	}
+	return out
 }
 
 // appendWindowHeader appends a binary window result's magic, flags, total
@@ -622,7 +652,7 @@ func mixID(v int64) uint64 {
 }
 
 // compareRows orders two rows, given as indexes into their answers' names,
-// the way a node orders a window (rowLess): by the rendered key — each
+// the way a node orders a window (orderRows): by the rendered key — each
 // column's name then a NUL, compared bytewise — and equal keys by their
 // columns. Keys are compared only when a NUL in a name could shift the
 // columns against each other.
@@ -832,6 +862,9 @@ func encodeMerged(parts []*WindowAnswer, order []answerRow, res *WindowResult) [
 
 // uvarintLen is the length of x's uvarint encoding.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// varintLen is the length of x's varint encoding.
+func varintLen(x int64) int { return uvarintLen(uint64(x)<<1 ^ uint64(x>>63)) }
 
 // EncodeWindowBinary renders a result's Rows, in their order, as the binary
 // window encoding with its Attrs, Total and plan flags: the inverse of

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -42,7 +43,8 @@ func TestRequestTraceID(t *testing.T) {
 // TestInsertSpanTree is the end-to-end tracing test: one POST /v1/tuple-style
 // insert against a durable store must yield a retrievable span tree under the
 // request's X-Indep-Trace ID, covering middleware (root), store, engine
-// commit, and the WAL append + fsync ack.
+// commit, and the WAL append + fsync ack. A traced window then yields the
+// read side's tree: store.query over engine.window and store.render.
 func TestInsertSpanTree(t *testing.T) {
 	ts, _ := newDurableTestServer(t, t.TempDir(), "CT(C,T); CS(C,S); CHR(C,H,R)", "C -> T; C H -> R")
 
@@ -116,6 +118,66 @@ func TestInsertSpanTree(t *testing.T) {
 			t.Fatalf("%s hangs off span %d, want engine.insert (%d)",
 				walSpan, parent(walSpan), idx["engine.insert"])
 		}
+	}
+
+	// A traced window: store.query evaluates under engine.window, then
+	// orders and encodes the answer under store.render.
+	const wid = "00c0ffee00c0ffef"
+	req, err = http.NewRequest("GET", ts.URL+"/v1/window?attrs=C,T", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(traceHeader, wid)
+	req.Header.Set("Accept", indep.BinContentType)
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("window: %d %v", resp.StatusCode, err)
+	}
+	_, tv = do(t, "GET", ts.URL+"/debug/trace/"+wid, nil)
+	wspans := map[string]map[string]any{}
+	wnames := []string{}
+	for _, raw := range tv["spans"].([]any) {
+		sp := raw.(map[string]any)
+		wnames = append(wnames, sp["name"].(string))
+		wspans[sp["name"].(string)] = sp
+	}
+	for _, want := range []string{"GET /window", "store.query", "engine.window", "store.render"} {
+		if _, ok := wspans[want]; !ok {
+			t.Fatalf("span %q missing from window tree %v", want, wnames)
+		}
+	}
+	at := func(name string) int { return int(wspans[name]["parent"].(float64)) }
+	if wnames[at("engine.window")] != "store.query" || wnames[at("store.render")] != "store.query" {
+		t.Fatalf("engine.window hangs off %q, store.render off %q; want store.query",
+			wnames[at("engine.window")], wnames[at("store.render")])
+	}
+	attrs := map[string]float64{}
+	for _, raw := range wspans["store.render"]["attrs"].([]any) {
+		a := raw.(map[string]any)
+		attrs[a["key"].(string)], _ = a["value"].(float64)
+	}
+	if attrs["rows"] != 1 || attrs["kept"] != 1 || attrs["bytes"] != float64(len(body)) {
+		t.Fatalf("store.render attrs %v, want rows 1, kept 1, bytes %d", attrs, len(body))
+	}
+	// The window histogram times the whole answer: evaluation and render.
+	var count, sum float64
+	for _, s := range family(scrape(t, ts.URL), "indep_query_window_duration_seconds").Samples {
+		switch s.Name {
+		case "indep_query_window_duration_seconds_count":
+			count = s.Value
+		case "indep_query_window_duration_seconds_sum":
+			sum = s.Value
+		}
+	}
+	spanNs := wspans["engine.window"]["durationNs"].(float64) + wspans["store.render"]["durationNs"].(float64)
+	if count != 1 || sum*1e9 < spanNs {
+		t.Fatalf("window histogram count %v sum %vs, want 1 window of at least engine.window + store.render = %vns",
+			count, sum, spanNs)
 	}
 }
 

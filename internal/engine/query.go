@@ -77,8 +77,21 @@ func (e *Engine) Window(x attrset.Set) (*query.Result, *relation.State, error) {
 // log record; the query latency lands in the engine's window histogram
 // either way.
 func (e *Engine) WindowCtx(ctx context.Context, x attrset.Set) (*query.Result, *relation.State, error) {
+	start := time.Now()
 	res, st, _, err := e.WindowMetaCtx(ctx, x, nil, false)
+	e.ObserveWindow(ctx, x, time.Since(start), err)
 	return res, st, err
+}
+
+// ObserveWindow records one window answer that took d: its latency in the
+// window histogram and, past the slow threshold, a slow-query log record.
+// A caller of WindowMetaCtx reports the whole answer through it, ordering
+// and encoding included.
+func (e *Engine) ObserveWindow(ctx context.Context, x attrset.Set, d time.Duration, err error) {
+	e.queryLat.Observe(int64(d))
+	if e.slowHit(d) {
+		e.noteSlow("window", e.s.U.Format(x, ""), obs.Trace(ctx), d, err)
+	}
 }
 
 // WindowMeta reports how one window evaluation was served. Explain is
@@ -96,14 +109,12 @@ type WindowMeta struct {
 // context carries an active span the evaluation records an engine.window
 // span whose attributes are the explain output: mode, plan-cache hit,
 // snapshot reuse, consulted relations with rows scanned, and pruned
-// relations.
+// relations. It records no latency: the caller times the answer it builds
+// from the result and reports it through ObserveWindow.
 func (e *Engine) WindowMetaCtx(ctx context.Context, x attrset.Set, where map[int]string, explain bool) (*query.Result, *relation.State, WindowMeta, error) {
 	sp := obs.SpanFrom(ctx).StartChild("engine.window")
-	start := time.Now()
 	st, reused, version := e.querySnapshot()
 	res, err := e.evaluator().Query(st, x, query.Resolve(st.Dict, where))
-	d := time.Since(start)
-	e.queryLat.Observe(int64(d))
 	meta := WindowMeta{SnapshotReused: reused, Version: version}
 	if err == nil && (explain || sp.Recording()) {
 		meta.Explain = e.evaluator().Explain(res, st)
@@ -133,9 +144,6 @@ func (e *Engine) WindowMetaCtx(ctx context.Context, x attrset.Set, where map[int
 		}
 	}
 	sp.End()
-	if e.slowHit(d) {
-		e.noteSlow("window", e.s.U.Format(x, ""), obs.Trace(ctx), d, err)
-	}
 	if err != nil {
 		return nil, nil, WindowMeta{}, err
 	}

@@ -92,7 +92,7 @@ func (e *Engine) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("indep_query_chase_evals_total",
 		"windows evaluated by the fallback chase", func() uint64 { return ev.Stats().ChaseEvals })
 	r.RegisterHistogram("indep_query_window_duration_seconds",
-		"window-query latency over a consistent snapshot", 1e-9, &e.queryLat)
+		"window-query latency: evaluation over a consistent snapshot, then ordering, limiting and rendering or encoding the answer", 1e-9, &e.queryLat)
 
 	e.chaseMet.Register(r)
 }

@@ -383,21 +383,44 @@ func (ev *Evaluator) Explain(res *Result, st *relation.State) *Explain {
 	return ex
 }
 
+// probeHits is one contributor's probe: its matching slots and the
+// selected attributes outside its scheme.
+type probeHits struct {
+	slots []int32
+	outer attrset.Set
+}
+
 // evalFast is the independent-schema window: the union over contributors
 // of the X-total extensions of their probed rows (Theorem 5) satisfying
 // sel. A row extends to sel's attributes outside its scheme first, rejected
 // at the first mismatch, then to the rest of X.
 func evalFast(p *Plan, st *relation.State, sel []Cond) (*relation.Instance, []int) {
-	out := relation.NewInstance(p.X)
+	// Probe every contributor first, and size the result from the ones whose
+	// rows are their own extensions: each such row is at most one answer row.
+	// An extending contributor can probe many rows for few answers (a point
+	// window over a dimension probes every fact row carrying the key), so
+	// its rows add no room.
+	var probeBuf [8]probeHits // a plan's contributors stay on the stack
+	probed := probeBuf[:0]
 	scanned := make([]int, len(p.Schemes))
+	size := 0
+	for i, l := range p.Schemes {
+		inst := st.Insts[l]
+		slots, outer := probe(inst, sel)
+		probed = append(probed, probeHits{slots, outer})
+		scanned[i] = len(slots)
+		if p.X.SubsetOf(inst.Attrs) {
+			size += len(slots)
+		}
+	}
+	out := relation.NewInstanceSize(p.X, size)
 	cols := p.X.Attrs()
 	proj := make(relation.Tuple, len(cols))
 	var row relation.Tuple
 	var sc independence.Scratch
 	for i, l := range p.Schemes {
 		inst := st.Insts[l]
-		slots, outer := probe(inst, sel)
-		scanned[i] = len(slots)
+		slots, outer := probed[i].slots, probed[i].outer
 		if p.X.SubsetOf(inst.Attrs) { // the row is its own extension
 			colPos := relation.ProjectionCols(inst.Attrs, p.X)
 			for _, s := range slots {

@@ -112,12 +112,24 @@ type Instance struct {
 }
 
 // NewInstance creates an empty instance over the given scheme.
-func NewInstance(attrs attrset.Set) *Instance {
-	return &Instance{
+func NewInstance(attrs attrset.Set) *Instance { return NewInstanceSize(attrs, 0) }
+
+// NewInstanceSize creates an empty instance over the given scheme with room
+// for n rows: its first n Adds neither grow an arena nor rehash the index.
+func NewInstanceSize(attrs attrset.Set, n int) *Instance {
+	in := &Instance{
 		Attrs: attrs,
 		cols:  make([][]Value, attrs.Len()),
-		pos:   make(map[uint64]int32),
+		pos:   make(map[uint64]int32, n),
 	}
+	if n > 0 {
+		arena := make([]Value, n*len(in.cols)) // one allocation for every column
+		for c := range in.cols {
+			in.cols[c] = arena[c*n : c*n : (c+1)*n]
+		}
+		in.live = make([]bool, 0, n)
+	}
+	return in
 }
 
 // Len returns the number of (live) tuples.

@@ -1,11 +1,12 @@
 package indep
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
+	"time"
 
 	"indep/internal/chase"
 	"indep/internal/engine"
@@ -136,11 +137,15 @@ func (cs *ConcurrentStore) QueryCtx(ctx context.Context, q WindowQuery) (*Window
 	if err != nil {
 		return nil, err
 	}
+	start := time.Now()
 	res, st, meta, err := cs.eng.WindowMetaCtx(ctx, x, where, q.Explain)
-	if err != nil {
-		return nil, err
+	var out *WindowResult
+	if err == nil {
+		rsp := sp.StartChild("store.render")
+		out, err = finishWindow(cs.schema, st, res, q, rsp)
+		rsp.End()
 	}
-	out, err := finishWindow(cs.schema, st, res, q)
+	cs.eng.ObserveWindow(ctx, x, time.Since(start), err)
 	if err != nil {
 		return nil, err
 	}
@@ -201,7 +206,7 @@ func (db *Database) Query(q WindowQuery) (*WindowResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := finishWindow(db.schema, db.st, res, q)
+	out, err := finishWindow(db.schema, db.st, res, q, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -317,8 +322,10 @@ func (s *Schema) windowArgs(q WindowQuery) (attrSetT, map[int]string, error) {
 
 // finishWindow applies projection, limit, and name rendering to an
 // evaluated (already selected) window, using the dictionary of the state
-// the window was evaluated against.
-func finishWindow(s *Schema, st *relation.State, res *query.Result, q WindowQuery) (*WindowResult, error) {
+// the window was evaluated against. A recording span gets the answer's rows
+// before Limit, the rows kept, and the bytes rendered: the binary answer's
+// length, or the kept names' total length.
+func finishWindow(s *Schema, st *relation.State, res *query.Result, q WindowQuery, sp *obs.Span) (*WindowResult, error) {
 	rows := res.Rows
 	outAttrs := res.X
 	if len(q.Project) > 0 {
@@ -334,9 +341,6 @@ func finishWindow(s *Schema, st *relation.State, res *query.Result, q WindowQuer
 		outAttrs = y
 	}
 
-	// Order rows by rendered value for determinism and keep the first
-	// Limit with a bounded top-k: a limit-5 query over a million-row window
-	// neither sorts nor renders a million rows.
 	names := s.s.U.Names(outAttrs)
 	out := &WindowResult{
 		Attrs:      names,
@@ -344,84 +348,164 @@ func finishWindow(s *Schema, st *relation.State, res *query.Result, q WindowQuer
 		FastPath:   res.Fast,
 		PlanCached: res.PlanCached,
 	}
-	order := firstRows(rows.LiveRows(), q.Limit, rowLess(st.Dict, rows, len(names)))
-	n := len(order)
+	kept := orderRows(st.Dict, rows, q.Limit)
+	n := len(kept.order)
+	sp.SetInt("rows", int64(out.Total))
+	sp.SetInt("kept", int64(n))
 	if q.BinaryResult {
 		out.Bin = encodeWindowBinary(st.Dict, names, n, func(i, j int) relation.Value {
-			return rows.At(order[i], j)
+			return rows.At(kept.slot(i), j)
 		}, out.Total, out.FastPath, out.PlanCached)
+		sp.SetInt("bytes", int64(len(out.Bin)))
 		return out, nil
 	}
 	rendered := make([]map[string]string, n)
-	for i, slot := range order {
+	size := 0
+	for i := range rendered {
 		row := make(map[string]string, len(names))
-		for j, name := range names {
-			row[name] = st.Dict.Name(rows.At(slot, j))
+		for j, nm := range kept.row(i) {
+			row[names[j]] = nm
+			size += len(nm)
 		}
 		rendered[i] = row
 	}
 	out.Rows = rendered
+	sp.SetInt("bytes", int64(size))
 	return out, nil
 }
 
-// rowLess orders rows by their rendered key — each column's name then a NUL
-// byte, compared bytewise — and equal keys by name. It builds keys only
-// when a NUL in a name could shift the columns against each other.
-func rowLess(d *relation.Dict, rows *relation.Instance, width int) func(a, b int32) bool {
-	key := func(s int32) string {
-		var k strings.Builder
-		for j := 0; j < width; j++ {
-			k.WriteString(d.Name(rows.At(s, j)))
-			k.WriteByte(0)
-		}
-		return k.String()
+// keptRows is a window's first rows in order, each row's names fetched from
+// the dictionary once. It is a table of rows: one more than are kept, so a
+// candidate can be fetched into the spare row and swapped in.
+type keptRows struct {
+	width int
+	names []string // width names per table row
+	slots []int32  // each table row's slot in the answer
+	keys  [][]byte // each table row's rendered key, only when a name holds a NUL
+	order []int32  // kept table rows: a max-heap while selecting, then sorted
+}
+
+// orderRows keeps the first k rows of rows — all of them when k is not
+// positive — in window order: by rendered key, each column's name then a
+// NUL byte, compared bytewise, and equal keys by their columns. When no bound
+// name holds a NUL byte the key order is plain column-by-column order, so
+// rows compare without keys. A bounded max-heap keeps the k first rows so
+// far: a limit-5 query over a million-row window neither sorts nor renders a
+// million rows, and a candidate fetches a column's name only when the
+// comparison with the heap's last row reaches that column.
+func orderRows(d *relation.Dict, rows *relation.Instance, k int) keptRows {
+	live := rows.LiveRows()
+	if k <= 0 || k > len(live) {
+		k = len(live)
 	}
-	return func(a, b int32) bool {
-		for j := 0; j < width; j++ {
-			x, y := d.Name(rows.At(a, j)), d.Name(rows.At(b, j))
-			if x == y {
-				continue
-			}
-			if strings.HasPrefix(y, x) && y[len(x)] == 0 || strings.HasPrefix(x, y) && x[len(y)] == 0 {
-				if ka, kb := key(a), key(b); ka != kb {
-					return ka < kb
-				}
-			}
-			return x < y
+	w := rows.Width()
+	ints := make([]int32, 2*k+1)
+	t := keptRows{
+		width: w,
+		names: make([]string, (k+1)*w),
+		slots: ints[:k+1],
+		order: ints[k+1:],
+	}
+	if d.HasNUL() {
+		t.keys = make([][]byte, k+1)
+	}
+	for r, s := range live[:k] {
+		t.fill(d, rows, int32(r), s, 0)
+		t.order[r] = int32(r)
+	}
+	if k < len(live) {
+		for i := k/2 - 1; i >= 0; i-- {
+			t.down(i)
 		}
-		return false
+		spare := int32(k)
+		for _, s := range live[k:] {
+			if t.beats(d, rows, spare, s, t.order[0]) {
+				t.order[0], spare = spare, t.order[0]
+				t.down(0)
+			}
+		}
+	}
+	slices.SortFunc(t.order, t.compare)
+	return t
+}
+
+// row returns the names of the i-th kept row.
+func (t *keptRows) row(i int) []string { return t.at(t.order[i]) }
+
+// slot returns the answer slot of the i-th kept row.
+func (t *keptRows) slot(i int) int32 { return t.slots[t.order[i]] }
+
+// at returns table row r's names.
+func (t *keptRows) at(r int32) []string {
+	return t.names[int(r)*t.width : int(r+1)*t.width]
+}
+
+// fill fetches slot s's names from column j on into table row r, and its key
+// when rows are keyed.
+func (t *keptRows) fill(d *relation.Dict, rows *relation.Instance, r, s int32, j int) {
+	t.slots[r] = s
+	row := t.at(r)
+	for ; j < t.width; j++ {
+		row[j] = d.Name(rows.At(s, j))
+	}
+	if t.keys != nil {
+		k := t.keys[r][:0]
+		for _, nm := range row {
+			k = append(append(k, nm...), 0)
+		}
+		t.keys[r] = k
 	}
 }
 
-// firstRows returns the first k slots under less, in order — all of them
-// when k is not positive — keeping at most k candidates in a max-heap.
-func firstRows(slots []int32, k int, less func(a, b int32) bool) []int32 {
-	if k <= 0 || k > len(slots) {
-		k = len(slots)
+// beats fetches slot s into the spare table row and reports whether it
+// orders before table row r. Without keys it fetches names column by column
+// and stops at the first column that differs from r's, unless s wins.
+func (t *keptRows) beats(d *relation.Dict, rows *relation.Instance, spare, s, r int32) bool {
+	if t.keys != nil {
+		t.fill(d, rows, spare, s, 0)
+		return t.compare(spare, r) < 0
 	}
-	h := slices.Clone(slots[:k])
-	down := func(i int) { // sift h[i] down; the root is the last row kept
-		for c := 2*i + 1; c < k; i, c = c, 2*c+1 {
-			if c+1 < k && less(h[c], h[c+1]) {
-				c++
+	row, last := t.at(spare), t.at(r)
+	for j := range row {
+		row[j] = d.Name(rows.At(s, j))
+		if c := strings.Compare(row[j], last[j]); c != 0 {
+			if c > 0 {
+				return false
 			}
-			if !less(h[i], h[c]) {
-				return
-			}
-			h[i], h[c] = h[c], h[i]
+			t.fill(d, rows, spare, s, j+1)
+			return true
 		}
 	}
-	if k < len(slots) {
-		for i := k/2 - 1; i >= 0; i-- {
-			down(i)
-		}
-		for _, s := range slots[k:] {
-			if less(s, h[0]) {
-				h[0] = s
-				down(0)
-			}
+	return false
+}
+
+// compare orders table rows a and b: by key when rows are keyed, then
+// column by column.
+func (t *keptRows) compare(a, b int32) int {
+	if t.keys != nil {
+		if c := bytes.Compare(t.keys[a], t.keys[b]); c != 0 {
+			return c
 		}
 	}
-	sort.Slice(h, func(i, j int) bool { return less(h[i], h[j]) })
-	return h
+	ra, rb := t.at(a), t.at(b)
+	for j := range ra {
+		if c := strings.Compare(ra[j], rb[j]); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// down sifts the heap entry at i down; the root is the last row kept.
+func (t *keptRows) down(i int) {
+	h := t.order
+	for c := 2*i + 1; c < len(h); i, c = c, 2*c+1 {
+		if c+1 < len(h) && t.compare(h[c], h[c+1]) < 0 {
+			c++
+		}
+		if t.compare(h[i], h[c]) >= 0 {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+	}
 }

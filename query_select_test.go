@@ -94,15 +94,22 @@ func subset(r *rand.Rand, names []string, k int) []string {
 // TestQueryMatchesReferenceRandom checks the public query path — Where
 // evaluated inside the plan, Project, the bounded top-k and rendering —
 // against the reference pipeline over two full windows: the fast
-// evaluator's and the chase's. Value names include NUL bytes and prefixes
-// of one another, so the top-k order is pinned byte for byte.
+// evaluator's and the chase's. Value names are prefixes of one another, so
+// the top-k order is pinned byte for byte. Each schema runs twice: once
+// with names that include NUL bytes, where rows compare by their keys, and
+// once without, where they compare column by column.
 func TestQueryMatchesReferenceRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(27))
-	vals := []string{"v", "v\x00", "v\x00w", "v\x01", "vw", "w", "", "\x00"}
-	for _, d := range [][2]string{
-		{"CT(C,T); CS(C,S); CHR(C,H,R)", "C -> T; C H -> R"},
-		{"F(A,B,C); D1(A,E,G); D2(B,H)", "A -> E G; B -> H"},
+	for _, c := range []struct {
+		d    [2]string
+		vals []string
+	}{
+		{[2]string{"CT(C,T); CS(C,S); CHR(C,H,R)", "C -> T; C H -> R"}, nulNames},
+		{[2]string{"F(A,B,C); D1(A,E,G); D2(B,H)", "A -> E G; B -> H"}, nulNames},
+		{[2]string{"CT(C,T); CS(C,S); CHR(C,H,R)", "C -> T; C H -> R"}, plainNames},
+		{[2]string{"F(A,B,C); D1(A,E,G); D2(B,H)", "A -> E G; B -> H"}, plainNames},
 	} {
+		d, vals := c.d, c.vals
 		sch := MustParse(d[0], d[1])
 		cs, err := sch.OpenConcurrentStore()
 		if err != nil {
@@ -119,6 +126,9 @@ func TestQueryMatchesReferenceRandom(t *testing.T) {
 			}
 		}
 		db := cs.Snapshot()
+		if got, want := db.st.Dict.HasNUL(), strings.Contains(strings.Join(vals, ""), "\x00"); got != want {
+			t.Fatalf("%s: dictionary HasNUL %v, want %v", d[0], got, want)
+		}
 		chaseEv := query.NewEvaluator(sch.s, sch.fds, &independence.Result{}, chase.DefaultCaps)
 		all := sch.s.U.Names(sch.s.U.All())
 		for k := 0; k < 300; k++ {
@@ -165,6 +175,13 @@ func TestQueryMatchesReferenceRandom(t *testing.T) {
 		}
 	}
 }
+
+// Value pools for TestQueryMatchesReferenceRandom: names that are prefixes
+// of one another, with and without NUL bytes.
+var (
+	nulNames   = []string{"v", "v\x00", "v\x00w", "v\x01", "vw", "w", "", "\x00"}
+	plainNames = []string{"v", "v\x01", "v\x01w", "vw", "vw\x01", "w", "", "\x01"}
+)
 
 // TestWindowOrderNULNames pins the row order against the NUL-joined key
 // order for names that embed NUL bytes, at every limit: the bounded top-k
