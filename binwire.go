@@ -30,8 +30,8 @@ import (
 // serialization. Values travel as client-local integer ids bound by the
 // record's bindings; the server re-interns each name and remaps ids, so a
 // batch is self-contained and ids never leak between requests. A payload of
-// several frames, including the per-operation record kinds older clients
-// wrote, decodes the same way: frame by frame, bindings before ops.
+// several frames decodes frame by frame, bindings before ops. A frame of the
+// retired per-operation record kinds is malformed (wal.ErrLegacyRecord).
 
 // BinContentType is the media type of both binary wire encodings: the
 // request body of POST /v1/batchbin and the window response the daemon

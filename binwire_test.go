@@ -3,6 +3,7 @@ package indep
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
@@ -11,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"indep/internal/engine"
 	"indep/internal/relation"
 	"indep/internal/wal"
 )
@@ -49,9 +49,29 @@ func binTestOps(n int) []BatchOp {
 	return ops
 }
 
+// splitBinBatch re-frames an encoder's record in the shape
+// wal.AppendRecordFrame gives a record whose bindings outgrow one frame: a
+// frame of the leading bindings alone, then one of the rest with the ops.
+func splitBinBatch(enc *BinBatchEncoder) []byte {
+	k := len(enc.rec.Interns) / 2
+	buf := wal.AppendRecordFrame(nil, wal.Record{Interns: enc.rec.Interns[:k]})
+	return wal.AppendRecordFrame(buf, wal.Record{Interns: enc.rec.Interns[k:], Ops: enc.rec.Ops})
+}
+
+// retiredFrame is a CRC-valid frame of the retired per-operation record
+// kind 2, one insert of CT(1, 2), which the decoder refuses with
+// wal.ErrLegacyRecord.
+func retiredFrame() []byte {
+	p := []byte{2, 0, 2, 2, 4}
+	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(p)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(p, crc32.MakeTable(crc32.Castagnoli)))
+	return append(buf, p...)
+}
+
 // TestBinBatchRoundTrip pins the wire contract: a 64-op encoder payload
 // applied through ApplyBinBatch yields exactly the state the JSON path's
-// InsertBatch yields for the same rows.
+// InsertBatch yields for the same rows, and so does the same record split
+// across two frames.
 func TestBinBatchRoundTrip(t *testing.T) {
 	sch := binTestSchema(t)
 	ops := binTestOps(64)
@@ -86,6 +106,16 @@ func TestBinBatchRoundTrip(t *testing.T) {
 	}
 	if diffs := DiffDatabases(want.Snapshot(), got.Snapshot()); diffs != nil {
 		t.Fatalf("binary batch diverged from JSON path: %v", diffs)
+	}
+	split, err := sch.OpenConcurrentStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := split.ApplyBinBatch(context.Background(), splitBinBatch(enc)); err != nil || n != 64 {
+		t.Fatalf("split payload: n=%d err=%v", n, err)
+	}
+	if diffs := DiffDatabases(want.Snapshot(), split.Snapshot()); diffs != nil {
+		t.Fatalf("split payload diverged from JSON path: %v", diffs)
 	}
 
 	// Reset must yield a self-contained next payload (bindings re-emitted).
@@ -144,15 +174,26 @@ func TestBinBatchMalformed(t *testing.T) {
 		t.Fatal(err)
 	}
 	valid := enc.Bytes()
-	cases := map[string][]byte{
-		"truncated":   valid[:len(valid)-3],
-		"corrupted":   append(append([]byte(nil), valid[:len(valid)-1]...), valid[len(valid)-1]^0xff),
-		"empty frame": {0, 0, 0, 0, 0, 0, 0, 0},
+	ct := wal.Record{
+		Interns: []wal.Binding{{Value: 1, Name: "c"}, {Value: 2, Name: "t"}},
+		Ops:     []wal.TupleOp{{Rel: 0, Tuple: relation.Tuple{1, 2}}},
 	}
-	for name, payload := range cases {
-		n, err := cs.ApplyBinBatch(context.Background(), payload)
-		if err == nil || Rejected(err) {
-			t.Errorf("%s: want malformed error, got n=%d err=%v", name, n, err)
+	cases := map[string]struct {
+		payload []byte
+		want    string // in the error; "" for any malformed error
+	}{
+		"truncated":   {valid[:len(valid)-3], ""},
+		"corrupted":   {append(append([]byte(nil), valid[:len(valid)-1]...), valid[len(valid)-1]^0xff), ""},
+		"empty frame": {[]byte{0, 0, 0, 0, 0, 0, 0, 0}, ""},
+		"rebind across frames": {wal.AppendRecordFrame(wal.AppendRecordFrame(nil, ct),
+			wal.Record{Interns: []wal.Binding{{Value: 1, Name: "other"}}, Ops: ct.Ops}), "rebinds id 1"},
+		"unbound id": {wal.AppendRecordFrame(nil, wal.Record{Interns: ct.Interns[:1], Ops: ct.Ops}),
+			"unbound value id 2"},
+	}
+	for name, c := range cases {
+		n, err := cs.ApplyBinBatch(context.Background(), c.payload)
+		if err == nil || Rejected(err) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: want malformed error %q, got n=%d err=%v", name, c.want, n, err)
 		}
 	}
 	if cs.Rows() != 0 {
@@ -214,57 +255,6 @@ func TestWindowBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// legacyBinBatch is a binary batch for "CT(C,T); CS(C,S); CHR(C,H,R)" in
-// the per-operation frames clients sent before the commit record: one
-// frame per binding, a batch frame of inserts, then one frame per delete.
-func legacyBinBatch() []byte {
-	var buf []byte
-	for i, name := range []string{"c1", "t1", "s1", "c2", "t2"} {
-		buf = legacyFrame(buf, 1, &wal.Binding{Value: relation.Value(i + 1), Name: name})
-	}
-	buf = legacyFrame(buf, 4, nil,
-		engine.Op{Scheme: 0, Tuple: relation.Tuple{1, 2}},
-		engine.Op{Scheme: 1, Tuple: relation.Tuple{1, 3}})
-	buf = legacyFrame(buf, 2, nil, engine.Op{Scheme: 0, Tuple: relation.Tuple{4, 5}})
-	return legacyFrame(buf, 3, nil, engine.Op{Scheme: 1, Tuple: relation.Tuple{4, 3}})
-}
-
-// TestBinBatchLegacyFrames: a payload in the per-operation frames older
-// clients send decodes as the same operations the commit record carries.
-func TestBinBatchLegacyFrames(t *testing.T) {
-	sch, err := Parse("CT(C,T); CS(C,S); CHR(C,H,R)", "C -> T; C H -> R")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sch.DecodeBinBatch(legacyBinBatch())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []BinOp{
-		{Rel: "CT", Row: map[string]string{"C": "c1", "T": "t1"}},
-		{Rel: "CS", Row: map[string]string{"C": "c1", "S": "s1"}},
-		{Rel: "CT", Row: map[string]string{"C": "c2", "T": "t2"}},
-		{Rel: "CS", Delete: true, Row: map[string]string{"C": "c2", "S": "s1"}},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("legacy payload decoded as %+v, want %+v", got, want)
-	}
-	enc := NewBinBatchEncoder(sch)
-	for _, op := range want {
-		if op.Delete {
-			err = enc.Delete(op.Rel, op.Row)
-		} else {
-			err = enc.Add(op.Rel, op.Row)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if again, err := sch.DecodeBinBatch(enc.Bytes()); err != nil || !reflect.DeepEqual(again, want) {
-		t.Fatalf("commit-record payload decoded as %+v, %v; want %+v", again, err, want)
-	}
-}
-
 // FuzzDecodeBinaryBatch: arbitrary bytes through the full binary ingest path
 // must error or apply cleanly — never panic, never corrupt the store into a
 // state its own invariants reject.
@@ -283,7 +273,8 @@ func FuzzDecodeBinaryBatch(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(enc.Bytes())
-	f.Add(legacyBinBatch())
+	f.Add(splitBinBatch(enc))
+	f.Add(retiredFrame())
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
 	cs, err := sch.OpenConcurrentStore()
@@ -291,7 +282,11 @@ func FuzzDecodeBinaryBatch(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		cs.ApplyBinBatch(context.Background(), payload)
+		_, err := cs.ApplyBinBatch(context.Background(), payload)
+		if pl, _, ferr := wal.NextStreamFrame(payload); ferr == nil && len(pl) > 0 && pl[0] >= 1 && pl[0] <= 4 &&
+			!errors.Is(err, wal.ErrLegacyRecord) {
+			t.Fatalf("payload %x opens with a retired kind-%d frame: %v, want wal.ErrLegacyRecord", payload, pl[0], err)
+		}
 	})
 }
 
@@ -552,7 +547,7 @@ func FuzzDecodeShardBatch(f *testing.F) {
 	valid := enc.Bytes()
 	f.Add(valid)
 	f.Add(valid[:len(valid)-1])
-	f.Add(legacyBinBatch())
+	f.Add(splitBinBatch(enc))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		ops, err := sch.DecodeBinBatch(payload)

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"strings"
@@ -103,6 +105,26 @@ func TestBatchBinEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed batchbin: %s, want 400", resp.Status)
+	}
+
+	// A commit record followed by a frame of the retired per-operation
+	// kind 2 is refused as a whole, and the error names the upgrade step.
+	enc.Reset()
+	enc.Add("CT", map[string]string{"C": "c99", "T": "t99"})
+	p := []byte{2, 0, 2, 2, 4} // kind 2: insert CT(1, 2)
+	legacy := binary.LittleEndian.AppendUint32(enc.Bytes(), uint32(len(p)))
+	legacy = binary.LittleEndian.AppendUint32(legacy, crc32.Checksum(p, crc32.MakeTable(crc32.Castagnoli)))
+	resp, err = http.Post(ts.URL+"/v1/batchbin", indep.BinContentType, bytes.NewReader(append(legacy, p...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "checkpoint") {
+		t.Fatalf("per-operation batchbin: %s %s, want 400 naming the upgrade step", resp.Status, body)
+	}
+	if store.Rows() != 64 {
+		t.Fatalf("store has %d rows after a refused payload, want 64", store.Rows())
 	}
 }
 

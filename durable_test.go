@@ -2,12 +2,12 @@ package indep
 
 import (
 	"context"
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -532,127 +532,72 @@ func TestDurableCheckpointUnderInternsRecovers(t *testing.T) {
 	requireSameStore(t, ds, re2)
 }
 
-// legacyFrame appends a CRC frame around a hand-encoded record payload of
-// the per-operation kinds logs held before the commit record: 1 binds a
-// value, 2 inserts one tuple, 3 deletes one, 4 inserts several.
-func legacyFrame(buf []byte, kind byte, bind *wal.Binding, ops ...engine.Op) []byte {
-	p := []byte{kind}
-	if bind != nil {
-		p = binary.AppendVarint(p, int64(bind.Value))
-		p = binary.AppendUvarint(p, uint64(len(bind.Name)))
-		p = append(p, bind.Name...)
-	}
-	if kind == 4 {
-		p = binary.AppendUvarint(p, uint64(len(ops)))
-	}
-	for _, op := range ops {
-		p = binary.AppendUvarint(p, uint64(op.Scheme))
-		p = binary.AppendUvarint(p, uint64(len(op.Tuple)))
-		for _, v := range op.Tuple {
-			p = binary.AppendVarint(p, int64(v))
-		}
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(p, crc32.MakeTable(crc32.Castagnoli)))
-	return append(buf, p...)
-}
-
-// TestDurableRecoversLegacyLog keeps data directories from before the
-// commit record working: a segment of the per-operation frames that log
-// wrote — bindings ahead of the commit that first uses them, one insert or
-// batch frame per commit's inserts, one frame per delete — recovers the
-// state its writes produced, value ids included, and the store then appends
-// commit records after it.
-func TestDurableRecoversLegacyLog(t *testing.T) {
+// TestDurableRefusesLegacyLog: a log that holds a frame of the retired
+// per-operation record kinds fails to open with wal.ErrLegacyRecord, whose
+// text names the upgrade step, and the data directory is left as it was:
+// nothing truncated, no segment created.
+func TestDurableRefusesLegacyLog(t *testing.T) {
 	sch := MustParse("CT(C,T); CS(C,S)", "C -> T")
-	src, err := sch.OpenConcurrentStore()
+	dir := t.TempDir()
+	ds, err := sch.OpenDurableStore(dir, DurableOptions{NoFsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg := append([]byte("INDEPWAL"), 1, 0, 0, 0, 0, 0, 0, 0)
-	frames := 0
-	var marks relation.Marks
-	src.eng.SetCommitHook(func(c engine.Commit) func() error {
-		for _, b := range src.eng.Dict().AppendNew(&marks, nil) {
-			seg = legacyFrame(seg, 1, &b)
-			frames++
-		}
-		n := 0
-		for n < len(c.Ops) && !c.Ops[n].Delete {
-			n++
-		}
-		switch {
-		case n == 1:
-			seg = legacyFrame(seg, 2, nil, c.Ops[0])
-			frames++
-		case n > 1:
-			seg = legacyFrame(seg, 4, nil, c.Ops[:n]...)
-			frames++
-		}
-		for _, op := range c.Ops[n:] {
-			seg = legacyFrame(seg, 3, nil, op)
-			frames++
-		}
-		return nil
-	})
-	ct := func(c, t string) map[string]string { return map[string]string{"C": c, "T": t} }
-	cs := func(c, s string) map[string]string { return map[string]string{"C": c, "S": s} }
-	if err := src.Insert("CT", ct("c1", "t1")); err != nil {
+	if err := ds.Insert("CT", map[string]string{"C": "c1", "T": "t1"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := src.InsertBatch([]BatchOp{{"CT", ct("c2", "t2")}, {"CS", cs("c1", "s1")}, {"CS", cs("c2", "s2")}}); err != nil {
+	if err := ds.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := src.Delete("CT", ct("c1", "t1")); err != nil {
+	// The checkpoint rotated the log: the newest segment holds this commit.
+	if err := ds.Insert("CS", map[string]string{"C": "c1", "S": "s1"}); err != nil {
 		t.Fatal(err)
 	}
-	enc := NewBinBatchEncoder(sch)
-	for _, err := range []error{
-		enc.Add("CT", ct("c1", "t3")), enc.Add("CS", cs("c3", "s3")),
-		enc.Delete("CS", cs("c1", "s1")), enc.Delete("CT", ct("c2", "t2")),
-	} {
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segment in %s: %v", dir, err)
+	}
+	newest := segs[len(segs)-1]
+	seg, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(newest, append(seg, retiredFrame()...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	files := func() map[string]string {
+		ents, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
+		m := make(map[string]string, len(ents))
+		for _, e := range ents {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m[e.Name()] = string(b)
+		}
+		return m
 	}
-	if _, err := src.ApplyBinBatch(context.Background(), enc.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, wal.SegmentFile(1)), seg, 0o644); err != nil {
-		t.Fatal(err)
+	before := files()
+	if cks, _ := filepath.Glob(filepath.Join(dir, "ckpt-*.ckpt")); len(cks) != 1 {
+		t.Fatalf("directory holds checkpoints %v, want one", cks)
 	}
 	re, err := sch.OpenDurableStore(dir, DurableOptions{NoFsync: true})
-	if err != nil {
-		t.Fatalf("recovery: %v", err)
+	if err == nil {
+		re.Close()
+		t.Fatal("a log with a kind-2 frame opened")
 	}
-	if rec := re.Recovery(); rec.Records != frames || rec.Skipped != 0 || rec.TruncatedBytes != 0 {
-		t.Fatalf("recovery %+v, want %d records and nothing skipped or truncated", rec, frames)
+	if !errors.Is(err, wal.ErrLegacyRecord) || !strings.Contains(err.Error(), "checkpoint") {
+		t.Fatalf("open: %v, want wal.ErrLegacyRecord naming the upgrade step", err)
 	}
-	if diffs := DiffDatabases(src.Snapshot(), re.Snapshot()); diffs != nil {
-		t.Fatalf("legacy log recovered a different state: %v", diffs)
-	}
-	if got, want := re.eng.Dict().Len(), src.eng.Dict().Len(); got != want {
-		t.Fatalf("recovered %d bindings, want %d", got, want)
-	}
-
-	// New commits land in a segment of commit records after the legacy one.
-	for _, st := range []*ConcurrentStore{src, re.ConcurrentStore} {
-		if err := st.Insert("CT", ct("c4", "t4")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := re.Close(); err != nil {
-		t.Fatal(err)
-	}
-	again, err := sch.OpenDurableStore(dir, DurableOptions{NoFsync: true})
-	if err != nil {
-		t.Fatalf("second recovery: %v", err)
-	}
-	defer again.Close()
-	if diffs := DiffDatabases(src.Snapshot(), again.Snapshot()); diffs != nil {
-		t.Fatalf("mixed-format log recovered a different state: %v", diffs)
+	if after := files(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("the refused open changed the directory: %d files before, %d after", len(before), len(after))
 	}
 }
 

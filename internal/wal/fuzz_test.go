@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -20,15 +21,18 @@ func FuzzDecodeRecord(f *testing.F) {
 		},
 	}.appendPayload(nil))
 	f.Add(Record{}.appendPayload(nil))
-	f.Add(legacyIntern(5, "CS402"))
-	f.Add(legacyOp(kindInsert, TupleOp{Rel: 1, Tuple: relation.Tuple{1, 2, 3}}))
-	f.Add(legacyOp(kindDelete, TupleOp{Rel: 0, Tuple: relation.Tuple{-7}}))
-	f.Add(legacyBatch(TupleOp{Rel: 2, Tuple: relation.Tuple{9}}))
+	f.Add(Record{Interns: []Binding{{Value: 1, Name: "a\x00b"}}}.appendPayload(nil)) // bindings alone, as a split record leads
+	f.Add([]byte{2, 1, 3, 2, 4, 6})                                                  // a retired kind-2 insert, refused
+	f.Add([]byte{99})                                                                // unknown kind
+	f.Add(append(Record{}.appendPayload(nil), 0))                                    // trailing byte
 	f.Add([]byte{})
-	f.Add([]byte{4, 255, 255, 255, 255, 255, 255, 255, 255, 255, 1})    // absurd batch count
+	f.Add([]byte{5, 255, 255, 255, 255, 255, 255, 255, 255, 255, 1})    // absurd binding count
 	f.Add([]byte{5, 0, 255, 255, 255, 255, 255, 255, 255, 255, 255, 1}) // absurd insert count
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		rec, err := DecodeRecord(payload)
+		if legacy := len(payload) > 0 && payload[0] >= 1 && payload[0] <= 4; legacy != errors.Is(err, ErrLegacyRecord) {
+			t.Fatalf("payload %x: %v; kinds 1-4, and only they, must be refused as legacy", payload, err)
+		}
 		if err != nil {
 			return
 		}
@@ -55,14 +59,14 @@ func FuzzReplRecordStream(f *testing.F) {
 		Ops:     []TupleOp{{Rel: 0, Tuple: relation.Tuple{1, 2}}, {Rel: 1, Tuple: relation.Tuple{1}, Delete: true}},
 	})
 	good = AppendRecordFrame(good, Record{Ops: []TupleOp{{Rel: 0, Tuple: relation.Tuple{1, 2}, Delete: true}}})
-	var legacy []byte
-	legacy = rawFrame(legacy, legacyIntern(1, "s"))
-	legacy = rawFrame(legacy, legacyOp(kindInsert, TupleOp{Rel: 0, Tuple: relation.Tuple{1, 2}}))
-	legacy = rawFrame(legacy, legacyOp(kindDelete, TupleOp{Rel: 0, Tuple: relation.Tuple{1, 2}}))
-	legacy = rawFrame(legacy, legacyBatch(TupleOp{Rel: 0, Tuple: relation.Tuple{3, 4}}))
+	var four []byte // one commit a frame, as a log segment holds them
+	four = AppendRecordFrame(four, Record{Interns: []Binding{{Value: 1, Name: "s"}}})
+	four = AppendRecordFrame(four, Record{Ops: []TupleOp{{Rel: 0, Tuple: relation.Tuple{1, 2}}}})
+	four = AppendRecordFrame(four, Record{Ops: []TupleOp{{Rel: 0, Tuple: relation.Tuple{1, 2}, Delete: true}}})
+	four = AppendRecordFrame(four, Record{Ops: []TupleOp{{Rel: 0, Tuple: relation.Tuple{3, 4}}}})
 	f.Add(good, uint8(3))
 	f.Add(good[:len(good)-3], uint8(1))
-	f.Add(legacy, uint8(7))
+	f.Add(four, uint8(7))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}, uint8(5))
 	f.Add([]byte{}, uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {

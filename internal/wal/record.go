@@ -25,24 +25,25 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 
 	"indep/internal/relation"
 )
 
-// Record kinds: the first byte of a record payload. The log writes only
-// kindCommit. Kinds 1–4 are the per-operation records logs and clients wrote
-// before it; DecodeRecord still reads them, mapped into the same Record
-// shape, so older data directories and binary batches keep working. They
-// retire in a later release.
-const (
-	kindIntern byte = 1 // one binding
-	kindInsert byte = 2 // one insert
-	kindDelete byte = 3 // one delete
-	kindBatch  byte = 4 // counted inserts
-	kindCommit byte = 5 // counted bindings, then counted inserts and deletes
-)
+// kindCommit is the first byte of every record payload: counted bindings,
+// then counted inserts and deletes.
+const kindCommit byte = 5
+
+// ErrLegacyRecord refuses a payload of the retired per-operation record
+// kinds 1–4 (one binding, one insert, one delete, counted inserts), which
+// logs and binary batches held before the commit record. Under them one
+// commit spans several frames, so the log contract above would not hold.
+var ErrLegacyRecord = errors.New("wal: retired per-operation record (kinds 1-4): " +
+	"upgrade a data directory by opening it once with a build from commit ba0fef1 through 9d4763b " +
+	"and taking a checkpoint (POST /v1/checkpoint, or a clean indepd shutdown); " +
+	"encode binary batches with indep.BinBatchEncoder")
 
 // Binding is one durable dictionary binding: a value and its display name.
 type Binding = relation.Binding
@@ -109,73 +110,52 @@ var (
 	maxBatchOps = 1 << 22 // each declared count: bindings, inserts plus deletes
 )
 
-// DecodeRecord parses one record payload, of the current kind or a legacy
-// one. Trailing bytes are an error: a frame holds exactly one record.
-// Empty Interns and Ops decode as nil.
+// DecodeRecord parses one record payload. Trailing bytes are an error: a
+// frame holds exactly one record. A payload of a retired kind is refused
+// with ErrLegacyRecord. Empty Interns and Ops decode as nil.
 func DecodeRecord(payload []byte) (Record, error) {
 	if len(payload) == 0 {
 		return Record{}, fmt.Errorf("wal: empty record payload")
 	}
+	switch k := payload[0]; {
+	case k >= 1 && k <= 4:
+		return Record{}, ErrLegacyRecord
+	case k != kindCommit:
+		return Record{}, fmt.Errorf("wal: unknown record kind %d", k)
+	}
 	var r Record
-	b := payload[1:]
-	var err error
-	switch payload[0] {
-	case kindCommit:
-		var n, ins, dels uint64
-		if n, b, err = readCount(b, "bindings"); err != nil {
-			return Record{}, err
-		}
-		if n > 0 {
-			r.Interns = make([]Binding, 0, n)
-		}
-		for i := uint64(0); i < n; i++ {
-			var bd Binding
-			if bd, b, err = readBinding(b); err != nil {
-				return Record{}, err
-			}
-			r.Interns = append(r.Interns, bd)
-		}
-		if ins, b, err = readCount(b, "inserts"); err != nil {
-			return Record{}, err
-		}
-		if dels, b, err = readCount(b, "deletes"); err != nil {
-			return Record{}, err
-		}
-		if ins+dels > uint64(maxBatchOps) || ins+dels > uint64(len(b))/2 {
-			return Record{}, fmt.Errorf("wal: record of %d ops exceeds payload", ins+dels)
-		}
-		if ins+dels > 0 {
-			r.Ops = make([]TupleOp, 0, ins+dels)
-		}
-		if r.Ops, b, err = readTupleOps(b, ins, false, r.Ops); err != nil {
-			return Record{}, err
-		}
-		if r.Ops, b, err = readTupleOps(b, dels, true, r.Ops); err != nil {
-			return Record{}, err
-		}
-	case kindIntern:
+	n, b, err := readCount(payload[1:], "bindings")
+	if err != nil {
+		return Record{}, err
+	}
+	if n > 0 {
+		r.Interns = make([]Binding, 0, n)
+	}
+	for i := uint64(0); i < n; i++ {
 		var bd Binding
 		if bd, b, err = readBinding(b); err != nil {
 			return Record{}, err
 		}
-		r.Interns = []Binding{bd}
-	case kindInsert, kindDelete:
-		if r.Ops, b, err = readTupleOps(b, 1, payload[0] == kindDelete, nil); err != nil {
-			return Record{}, err
-		}
-	case kindBatch:
-		var n uint64
-		if n, b, err = readCount(b, "ops"); err != nil {
-			return Record{}, err
-		}
-		if n > 0 {
-			r.Ops = make([]TupleOp, 0, n)
-		}
-		if r.Ops, b, err = readTupleOps(b, n, false, r.Ops); err != nil {
-			return Record{}, err
-		}
-	default:
-		return Record{}, fmt.Errorf("wal: unknown record kind %d", payload[0])
+		r.Interns = append(r.Interns, bd)
+	}
+	var ins, dels uint64
+	if ins, b, err = readCount(b, "inserts"); err != nil {
+		return Record{}, err
+	}
+	if dels, b, err = readCount(b, "deletes"); err != nil {
+		return Record{}, err
+	}
+	if ins+dels > uint64(maxBatchOps) || ins+dels > uint64(len(b))/2 {
+		return Record{}, fmt.Errorf("wal: record of %d ops exceeds payload", ins+dels)
+	}
+	if ins+dels > 0 {
+		r.Ops = make([]TupleOp, 0, ins+dels)
+	}
+	if r.Ops, b, err = readTupleOps(b, ins, false, r.Ops); err != nil {
+		return Record{}, err
+	}
+	if r.Ops, b, err = readTupleOps(b, dels, true, r.Ops); err != nil {
+		return Record{}, err
 	}
 	if len(b) != 0 {
 		return Record{}, fmt.Errorf("wal: %d trailing bytes after record", len(b))

@@ -8,8 +8,7 @@ import (
 	"path/filepath"
 )
 
-// ReplayStats summarizes a recovery pass. A record is one commit (in a log
-// written before the commit record: one binding or one operation).
+// ReplayStats summarizes a recovery pass. A record is one commit.
 type ReplayStats struct {
 	Segments       int   // segments scanned
 	Records        int   // records handed to the callback
@@ -100,7 +99,7 @@ func replaySegment(dir string, seq uint64, last bool, fn func(Record) error, sta
 		}
 		rec, err := DecodeRecord(payload)
 		if err != nil {
-			return records, 0, fmt.Errorf("wal: %s: offset %d: %v", segName(seq), good, err)
+			return records, 0, fmt.Errorf("wal: %s: offset %d: %w", segName(seq), good, err)
 		}
 		if err := fn(rec); err != nil {
 			if errors.Is(err, ErrSkip) {

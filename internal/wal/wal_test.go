@@ -2,8 +2,7 @@ package wal
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -17,31 +16,6 @@ import (
 // insertRec is a one-insert record, the shape most log tests append.
 func insertRec(rel int, t relation.Tuple) Record {
 	return Record{Ops: []TupleOp{{Rel: rel, Tuple: t}}}
-}
-
-// Hand encoders for the per-operation record kinds 1–4 the log wrote before
-// the commit kind; DecodeRecord still reads them.
-func legacyIntern(v relation.Value, name string) []byte {
-	buf := binary.AppendVarint([]byte{kindIntern}, int64(v))
-	buf = binary.AppendUvarint(buf, uint64(len(name)))
-	return append(buf, name...)
-}
-
-func legacyOp(kind byte, op TupleOp) []byte { return appendTupleOp([]byte{kind}, op) }
-
-func legacyBatch(ops ...TupleOp) []byte {
-	buf := binary.AppendUvarint([]byte{kindBatch}, uint64(len(ops)))
-	for _, op := range ops {
-		buf = appendTupleOp(buf, op)
-	}
-	return buf
-}
-
-// rawFrame frames an already-encoded payload the way AppendRecordFrame does.
-func rawFrame(buf, payload []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
-	return append(buf, payload...)
 }
 
 func TestRecordRoundTrip(t *testing.T) {
@@ -88,33 +62,6 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeLegacyKinds pins the one-round compatibility of the
-// per-operation kinds: each decodes into the commit record shape.
-func TestDecodeLegacyKinds(t *testing.T) {
-	op := TupleOp{Rel: 2, Tuple: relation.Tuple{4, -5}}
-	del := op
-	del.Delete = true
-	cases := []struct {
-		payload []byte
-		want    Record
-	}{
-		{legacyIntern(12345, "CS402"), Record{Interns: []Binding{{Value: 12345, Name: "CS402"}}}},
-		{legacyOp(kindInsert, op), Record{Ops: []TupleOp{op}}},
-		{legacyOp(kindDelete, op), Record{Ops: []TupleOp{del}}},
-		{legacyBatch(), Record{}},
-		{legacyBatch(op, TupleOp{Rel: 0, Tuple: relation.Tuple{9}}), Record{Ops: []TupleOp{op, {Rel: 0, Tuple: relation.Tuple{9}}}}},
-	}
-	for i, c := range cases {
-		got, err := DecodeRecord(c.payload)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(got, c.want) {
-			t.Fatalf("case %d: got %+v, want %+v", i, got, c.want)
-		}
-	}
-}
-
 func TestDecodeRecordRejectsTrailing(t *testing.T) {
 	payload := insertRec(1, relation.Tuple{9}).appendPayload(nil)
 	if _, err := DecodeRecord(append(payload, 0)); err == nil {
@@ -123,15 +70,26 @@ func TestDecodeRecordRejectsTrailing(t *testing.T) {
 	if _, err := DecodeRecord(nil); err == nil {
 		t.Fatal("empty payload not rejected")
 	}
-	if _, err := DecodeRecord([]byte{99}); err == nil {
-		t.Fatal("unknown kind not rejected")
+	if _, err := DecodeRecord([]byte{99}); err == nil || errors.Is(err, ErrLegacyRecord) {
+		t.Fatalf("unknown kind: %v, want an unknown-kind error", err)
+	}
+	// The retired per-operation kinds: one binding, one insert, one delete,
+	// counted inserts. Each is well formed in its old layout.
+	for _, p := range [][]byte{
+		{1, 10, 5, 'C', 'S', '4', '0', '2'},
+		{2, 1, 2, 2, 4},
+		{3, 0, 1, 13},
+		{4, 1, 0, 1, 18},
+	} {
+		if _, err := DecodeRecord(p); !errors.Is(err, ErrLegacyRecord) {
+			t.Fatalf("kind %d payload %x: %v, want ErrLegacyRecord", p[0], p, err)
+		}
 	}
 	// Counts beyond the payload are refused before anything is allocated.
 	for _, p := range [][]byte{
 		{kindCommit, 0xff, 0xff, 0xff, 0x7f},
 		{kindCommit, 0, 0xff, 0xff, 0xff, 0x7f, 0},
 		{kindCommit, 0, 1, 1, 0, 0},
-		{kindBatch, 0xff, 0xff, 0xff, 0x7f, 1},
 	} {
 		if _, err := DecodeRecord(p); err == nil {
 			t.Fatalf("absurd count in %x not rejected", p)
@@ -289,41 +247,6 @@ func TestLogAppendsOversizeBindings(t *testing.T) {
 		if !reflect.DeepEqual(binds, want.Interns) || !reflect.DeepEqual(got[len(got)-1].Ops, want.Ops) {
 			t.Fatalf("names of %d bytes: the frames do not add up to the record", nameLen)
 		}
-	}
-}
-
-// TestReplayLegacySegment replays a segment of hand-encoded kind 1–4
-// frames, as logs written before the commit kind hold them.
-func TestReplayLegacySegment(t *testing.T) {
-	dir := t.TempDir()
-	seg := make([]byte, segHeader)
-	copy(seg, segMagic)
-	binary.LittleEndian.PutUint64(seg[8:], 1)
-	op := TupleOp{Rel: 0, Tuple: relation.Tuple{1, 65}}
-	for _, p := range [][]byte{
-		legacyIntern(1, "a"),
-		legacyIntern(65, "b"),
-		legacyBatch(op, TupleOp{Rel: 1, Tuple: relation.Tuple{65}}),
-		legacyOp(kindDelete, op),
-		legacyOp(kindInsert, op),
-	} {
-		seg = rawFrame(seg, p)
-	}
-	if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	del := op
-	del.Delete = true
-	want := []Record{
-		{Interns: []Binding{{Value: 1, Name: "a"}}},
-		{Interns: []Binding{{Value: 65, Name: "b"}}},
-		{Ops: []TupleOp{op, {Rel: 1, Tuple: relation.Tuple{65}}}},
-		{Ops: []TupleOp{del}},
-		{Ops: []TupleOp{op}},
-	}
-	got, stats := replayAll(t, dir, 0)
-	if !reflect.DeepEqual(got, want) || stats.TruncatedBytes != 0 {
-		t.Fatalf("legacy replay: got %+v (stats %+v), want %+v", got, stats, want)
 	}
 }
 
