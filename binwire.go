@@ -1,11 +1,13 @@
 package indep
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"math/bits"
 	"math/rand/v2"
 	"slices"
@@ -25,13 +27,16 @@ import (
 //
 // A binary batch is WAL record frames — BinBatchEncoder writes one (more
 // only when its bindings outgrow a frame), the CRC32-framed bytes the log
-// itself writes for a commit (wal.AppendRecordFrame) — so the wire format inherits the log's encoder,
-// decoder, and corruption detection instead of defining a second
-// serialization. Values travel as client-local integer ids bound by the
-// record's bindings; the server re-interns each name and remaps ids, so a
-// batch is self-contained and ids never leak between requests. A payload of
-// several frames decodes frame by frame, bindings before ops. A frame of the
-// retired per-operation record kinds is malformed (wal.ErrLegacyRecord).
+// itself writes for a commit (wal.AppendRecordFrame) — so the wire format
+// inherits the log's encoder, record walker (wal.WalkRecord) and corruption
+// detection instead of defining a second serialization. Values travel as
+// client-local integer ids bound by the record's bindings, so a batch is
+// self-contained and ids never leak between requests: a node resolves each
+// id to its name's value in its own dictionary, and a router splitting a
+// batch (SplitBinBatch) forwards each shard its ops under the client's ids
+// with the bindings they use. A payload of several frames decodes frame by
+// frame, bindings before ops. A frame of the retired per-operation record
+// kinds is malformed (wal.ErrLegacyRecord).
 
 // BinContentType is the media type of both binary wire encodings: the
 // request body of POST /v1/batchbin and the window response the daemon
@@ -115,80 +120,176 @@ func (e *BinBatchEncoder) Reset() {
 	e.rec.Ops = e.rec.Ops[:0]
 }
 
-// binBatchOps walks the frames of a binary batch payload, validating frame
-// checksums, bindings (no conflicting rebinds), relation indices, arities,
-// and value-id boundness, and calls bind once per binding and op once per
-// tuple operation, frame by frame: each record's bindings, then its ops
-// (inserts, then deletes). Tuples still hold client-local ids — every one
-// guaranteed bound — and callers resolve them through the bindings they
-// accumulated. Any error is a malformed payload, reported before op has
-// been called for the offending operation.
-func binBatchOps(s *schema.Schema, payload []byte,
-	bind func(v relation.Value, name string),
-	op func(rel int, tuple []relation.Value, del bool) error) error {
-	arity := make([]int, s.Size())
-	for i := range arity {
-		arity[i] = s.Attrs(i).Len()
+// binScan checks a binary batch payload and numbers its distinct client ids
+// in binding order: slot k is the k-th id bound. walk makes every check —
+// frame checksums, each record (wal.WalkRecord), no conflicting rebind,
+// relation indices, arities and bound ids — and hands each op over with its
+// values rewritten from client ids to slots, so callers keep their own
+// per-id tables dense by construction. An id is found through a table
+// indexed by id when it lies in [0, 2·bindings], bindings being the count
+// the records read so far declare, and through a map otherwise: a hostile
+// id such as 2^40 never sizes the table, while the ids of a router's
+// sub-batch, a subset of its client's, mostly stay in it.
+type binScan struct {
+	s        *schema.Schema
+	arity    []int
+	maxArity int
+	ids      []relation.Value         // slot → client id
+	names    []byte                   // the slots' names, concatenated
+	ends     []int                    // slot k's name is names[ends[k]:ends[k+1]]
+	dense    []int32                  // client id → 1 + slot, 0 if unbound; dense[len:cap] stays zero
+	sparse   map[relation.Value]int32 // the same for ids bound outside dense
+	vals     []relation.Value         // the walker's scratch
+	declared int                      // bindings the records read so far declare
+}
+
+func newBinScan(s *schema.Schema) *binScan {
+	b := &binScan{s: s, arity: make([]int, s.Size()), ends: []int{0}}
+	for i := range b.arity {
+		b.arity[i] = s.Attrs(i).Len()
+		b.maxArity = max(b.maxArity, b.arity[i])
 	}
-	names := make(map[relation.Value]string) // client id → name (rebind check)
+	b.vals = make([]relation.Value, b.maxArity)
+	return b
+}
+
+// name returns slot k's name.
+func (b *binScan) name(k int32) []byte { return b.names[b.ends[k]:b.ends[k+1]] }
+
+// slot returns the slot of a client id, or -1 when the id is unbound.
+func (b *binScan) slot(id relation.Value) int32 {
+	if id >= 0 && id < relation.Value(len(b.dense)) && b.dense[id] != 0 {
+		return b.dense[id] - 1
+	}
+	if k, ok := b.sparse[id]; ok { // an id bound before dense grew past it
+		return k - 1
+	}
+	return -1
+}
+
+// bind records one binding, refusing a rebind of an id to another name.
+func (b *binScan) bind(id relation.Value, name []byte) error {
+	if k := b.slot(id); k >= 0 {
+		if prev := b.name(k); !bytes.Equal(prev, name) {
+			return fmt.Errorf("indep: binary batch rebinds id %d (%q, then %q)", int64(id), prev, name)
+		}
+		return nil
+	}
+	if len(b.ids) == math.MaxInt32 { // slots are int32s
+		return fmt.Errorf("indep: binary batch binds more than %d ids", math.MaxInt32)
+	}
+	b.ids = append(b.ids, id)
+	b.names = append(b.names, name...)
+	b.ends = append(b.ends, len(b.names))
+	k := int32(len(b.ids))
+	switch {
+	case id >= 0 && id < relation.Value(len(b.dense)):
+	case id >= 0 && id <= relation.Value(2*b.declared):
+		b.dense = slices.Grow(b.dense, int(id)+1-len(b.dense))[:id+1]
+	default:
+		if b.sparse == nil {
+			b.sparse = make(map[relation.Value]int32)
+		}
+		b.sparse[id] = k
+		return nil
+	}
+	b.dense[id] = k
+	return nil
+}
+
+// walk checks payload frame by frame and calls op once per tuple operation
+// in frame order — each record's inserts, then its deletes — with the op's
+// values as slots, valid until op returns. reserve is told each record's op
+// count before its first op. Any error is a malformed payload, reported
+// before op has been called for the offending operation; an error from op
+// is returned as is.
+func (b *binScan) walk(payload []byte, reserve func(ops int),
+	op func(rel int, del bool, slots []relation.Value) error) error {
+	var failed error // an error the walk's own checks or op returned
+	v := wal.RecordVisitor{
+		Bindings: func(n int) {
+			b.declared += n
+			b.ids = slices.Grow(b.ids, n)
+			b.ends = slices.Grow(b.ends, n)
+			b.dense = slices.Grow(b.dense, 2*b.declared+1-len(b.dense))
+		},
+		Binding: func(id relation.Value, name []byte) error {
+			failed = b.bind(id, name)
+			return failed
+		},
+		Ops: reserve,
+		Op: func(rel int, del bool, vals []relation.Value) error {
+			if rel < 0 || rel >= len(b.arity) {
+				failed = fmt.Errorf("indep: binary batch addresses relation %d (schema has %d)", rel, len(b.arity))
+				return failed
+			}
+			if len(vals) != b.arity[rel] {
+				failed = fmt.Errorf("indep: binary batch: %s tuple has %d values, want %d",
+					b.s.Name(rel), len(vals), b.arity[rel])
+				return failed
+			}
+			for j, id := range vals {
+				k := b.slot(id)
+				if k < 0 {
+					failed = fmt.Errorf("indep: binary batch references unbound value id %d", int64(id))
+					return failed
+				}
+				vals[j] = relation.Value(k)
+			}
+			failed = op(rel, del, vals)
+			return failed
+		},
+	}
 	for buf := payload; len(buf) > 0; {
 		pl, n, err := wal.NextStreamFrame(buf)
 		if err != nil { // ErrShortFrame included: a truncated body is malformed
 			return fmt.Errorf("indep: binary batch: %w", err)
 		}
-		rec, err := wal.DecodeRecord(pl)
-		if err != nil {
-			return fmt.Errorf("indep: binary batch: %w", err)
-		}
 		buf = buf[n:]
-		for _, b := range rec.Interns {
-			if prev, dup := names[b.Value]; dup && prev != b.Name {
-				return fmt.Errorf("indep: binary batch rebinds id %d (%q, then %q)",
-					int64(b.Value), prev, b.Name)
+		b.names = slices.Grow(b.names, len(pl)) // a frame's names fit in the frame
+		if b.vals, err = wal.WalkRecord(pl, b.vals, v); err != nil {
+			if failed != nil {
+				return failed
 			}
-			names[b.Value] = b.Name
-			bind(b.Value, b.Name)
-		}
-		for _, o := range rec.Ops {
-			if o.Rel < 0 || o.Rel >= len(arity) {
-				return fmt.Errorf("indep: binary batch addresses relation %d (schema has %d)",
-					o.Rel, len(arity))
-			}
-			if len(o.Tuple) != arity[o.Rel] {
-				return fmt.Errorf("indep: binary batch: %s tuple has %d values, want %d",
-					s.Name(o.Rel), len(o.Tuple), arity[o.Rel])
-			}
-			for _, v := range o.Tuple {
-				if _, ok := names[v]; !ok {
-					return fmt.Errorf("indep: binary batch references unbound value id %d", int64(v))
-				}
-			}
-			if err := op(o.Rel, o.Tuple, o.Delete); err != nil {
-				return err
-			}
+			return fmt.Errorf("indep: binary batch: %w", err)
 		}
 	}
 	return nil
 }
 
 // decodeBinBatch validates a binary batch payload and returns its operations
-// in frame order, client-local value ids remapped by re-interning their
-// bound names into the store's dictionary. A malformed payload is reported
-// before the caller has anything to apply.
+// in frame order, each client id resolved to the store's value for its
+// name. Names are interned once each, copied out of the payload, and only
+// once the whole payload has checked out, so a malformed payload touches
+// neither the dictionary nor anything else. The ops' tuples share one
+// arena.
 func (cs *ConcurrentStore) decodeBinBatch(payload []byte) ([]engine.Op, error) {
-	remap := make(map[relation.Value]relation.Value)
+	b := newBinScan(cs.schema.s)
 	var ops []engine.Op
-	err := binBatchOps(cs.schema.s, payload,
-		func(v relation.Value, name string) { remap[v] = cs.eng.Dict().Value(name) },
-		func(rel int, tuple []relation.Value, del bool) error {
-			t := make(relation.Tuple, len(tuple))
-			for j, v := range tuple {
-				t[j] = remap[v]
-			}
-			ops = append(ops, engine.Op{Scheme: rel, Tuple: t, Delete: del})
-			return nil
-		})
-	return ops, err
+	var arena []relation.Value
+	err := b.walk(payload, func(n int) {
+		ops = slices.Grow(ops, n)
+		arena = slices.Grow(arena, n*b.maxArity)
+	}, func(rel int, del bool, slots []relation.Value) error {
+		start := len(arena)
+		arena = append(arena, slots...)
+		ops = append(ops, engine.Op{Scheme: rel, Tuple: arena[start:len(arena):len(arena)], Delete: del})
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	dict := cs.eng.Dict()
+	vals := make([]relation.Value, len(b.ids)) // slot → store value
+	for k := range vals {
+		vals[k] = dict.Value(string(b.name(int32(k))))
+	}
+	for _, op := range ops {
+		for j, k := range op.Tuple {
+			op.Tuple[j] = vals[k]
+		}
+	}
+	return ops, nil
 }
 
 // ApplyBinBatch decodes a binary batch (a BinBatchEncoder payload) and
@@ -200,10 +301,10 @@ func (cs *ConcurrentStore) decodeBinBatch(payload []byte) ([]engine.Op, error) {
 // the deletes are applied (a delete never fails; an absent tuple is a
 // no-op). The return value is the number of operations applied. The decode
 // path shares the WAL's frame and record parsers and never touches
-// encoding/json. Client-local value ids are remapped by re-interning their
-// bound names; a tuple referencing an unbound id, an unknown relation, or a
-// wrong arity is malformed (not a rejection), and a malformed payload is
-// detected before anything is applied.
+// encoding/json. Client-local value ids resolve to the store's values for
+// their bound names; a tuple referencing an unbound id, an unknown relation,
+// or a wrong arity is malformed (not a rejection), and a malformed payload
+// is detected before anything is applied.
 func (cs *ConcurrentStore) ApplyBinBatch(ctx context.Context, payload []byte) (int, error) {
 	ctx, sp := obs.StartSpan(ctx, "store.batchbin")
 	if sp.Recording() {
@@ -220,10 +321,8 @@ func (cs *ConcurrentStore) ApplyBinBatch(ctx context.Context, payload []byte) (i
 	return len(ops), nil
 }
 
-// BinOp is one decoded operation of a binary batch payload — the
-// router-facing view of the wire format, with values resolved back to names
-// so a cluster tier can split a client batch and re-encode each operation
-// for the shard that owns it.
+// BinOp is one decoded operation of a binary batch payload, with values
+// resolved back to names (see DecodeBinBatch).
 type BinOp struct {
 	Rel    string
 	Delete bool
@@ -231,20 +330,24 @@ type BinOp struct {
 }
 
 // DecodeBinBatch decodes a binary batch payload into its operations in
-// frame order without applying anything. Validation matches ApplyBinBatch:
-// checksummed frames, no conflicting rebinds, known relations, exact
-// arities, every referenced id bound. This is how a cluster router takes a
-// batch apart before forwarding the pieces.
+// frame order without applying anything, each row keyed by attribute name.
+// Validation matches ApplyBinBatch: checksummed frames, no conflicting
+// rebinds, known relations, exact arities, every referenced id bound. It is
+// for tools that want a batch's rows; a router splits a batch with
+// SplitBinBatch, which builds no rows.
 func (s *Schema) DecodeBinBatch(payload []byte) ([]BinOp, error) {
-	bound := make(map[relation.Value]string)
+	b := newBinScan(s.s)
 	var ops []BinOp
-	err := binBatchOps(s.s, payload,
-		func(v relation.Value, name string) { bound[v] = name },
-		func(rel int, tuple []relation.Value, del bool) error {
+	var names []string // slot → name, converted on first use
+	err := b.walk(payload, func(n int) { ops = slices.Grow(ops, n) },
+		func(rel int, del bool, slots []relation.Value) error {
+			for len(names) < len(b.ids) {
+				names = append(names, string(b.name(int32(len(names)))))
+			}
 			attrs := s.s.Attrs(rel).Attrs()
 			row := make(map[string]string, len(attrs))
 			for j, a := range attrs {
-				row[s.s.U.Name(a)] = bound[tuple[j]]
+				row[s.s.U.Name(a)] = names[slots[j]]
 			}
 			ops = append(ops, BinOp{Rel: s.s.Name(rel), Delete: del, Row: row})
 			return nil
@@ -255,10 +358,111 @@ func (s *Schema) DecodeBinBatch(payload []byte) ([]BinOp, error) {
 	return ops, nil
 }
 
+// SplitBinBatch takes a binary batch apart by destination without applying
+// anything, the way a cluster router splits a client's batch across shards.
+// It validates exactly as ApplyBinBatch does, and asks route for each op's
+// destination in [0, n), passing the op's relation index and name, a lookup
+// of the name bound to the op's j-th value; the name aliases the payload and
+// is valid until route returns. It returns one self-contained payload per
+// destination, nil for a destination no op went to: that destination's ops
+// under their client ids, and the bindings those ops use, each once. Payloads
+// are framed by wal.AppendRecordFrame, as a BinBatchEncoder frames them.
+// index[d] maps subs[d]'s ops, in the order ApplyBinBatchPartial reports
+// them (inserts first, then deletes), to their positions in the client
+// payload's frame order.
+func (s *Schema) SplitBinBatch(payload []byte, n int,
+	route func(rel int, name func(j int) []byte) int) (subs [][]byte, index [][]int, err error) {
+	type splitOp struct {
+		rel, dest  int
+		del        bool
+		start, end int // the op's slots in arena
+	}
+	b := newBinScan(s.s)
+	var ops []splitOp
+	var arena, cur []relation.Value
+	perDest := make([]int, n) // ops per destination
+	name := func(j int) []byte { return b.name(int32(cur[j])) }
+	err = b.walk(payload, func(k int) {
+		ops = slices.Grow(ops, k)
+		arena = slices.Grow(arena, k*b.maxArity)
+	}, func(rel int, del bool, slots []relation.Value) error {
+		cur = slots
+		d := route(rel, name)
+		if d < 0 || d >= n {
+			return fmt.Errorf("indep: split routes a %s op to destination %d of %d", s.s.Name(rel), d, n)
+		}
+		perDest[d]++
+		ops = append(ops, splitOp{rel: rel, dest: d, del: del, start: len(arena), end: len(arena) + len(slots)})
+		arena = append(arena, slots...)
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+
+	// names holds every slot's name as one string, so bindings cut from
+	// it allocate nothing. bindBytes bounds the encoding of every binding a
+	// destination can use, and the client's ops took at most
+	// len(payload)-bindBytes.
+	names := string(b.names)
+	bindBytes := 0
+	for k, id := range b.ids {
+		size := b.ends[k+1] - b.ends[k]
+		bindBytes += varintLen(int64(id)) + uvarintLen(uint64(size)) + size
+	}
+	used, widest := 0, 0
+	for _, c := range perDest {
+		used, widest = used+min(c, 1), max(widest, c)
+	}
+	out := make([]byte, 0, len(payload)+max(used-1, 0)*bindBytes+used*recordHeaderBytes)
+
+	// One destination at a time: its inserts, then its deletes, each in
+	// client order — the order the shard reports them in — under client
+	// ids, with each slot they use bound once.
+	subs, index = make([][]byte, n), make([][]int, n)
+	idx := make([]int, 0, len(ops))
+	stamp := make([]int32, len(b.ids)) // 1 + the last destination that bound the slot
+	dops := make([]wal.TupleOp, 0, widest)
+	interns := make([]wal.Binding, 0, len(b.ids))
+	for d := range n {
+		if perDest[d] == 0 {
+			continue
+		}
+		first := len(idx)
+		dops, interns = dops[:0], interns[:0]
+		for _, del := range [2]bool{false, true} {
+			for i, o := range ops {
+				if o.dest != d || o.del != del {
+					continue
+				}
+				t := arena[o.start:o.end:o.end]
+				for j, k := range t {
+					if stamp[k] != int32(d+1) {
+						stamp[k] = int32(d + 1)
+						interns = append(interns, wal.Binding{Value: b.ids[k], Name: names[b.ends[k]:b.ends[k+1]]})
+					}
+					t[j] = b.ids[k]
+				}
+				dops = append(dops, wal.TupleOp{Rel: o.rel, Tuple: t, Delete: del})
+				idx = append(idx, i)
+			}
+		}
+		start := len(out)
+		out = wal.AppendRecordFrame(out, wal.Record{Interns: interns, Ops: dops})
+		subs[d], index[d] = out[start:len(out):len(out)], idx[first:len(idx):len(idx)]
+	}
+	return subs, index, nil
+}
+
+// recordHeaderBytes bounds a record frame's bytes besides its bindings and
+// ops: the frame header, the kind, and three counts.
+const recordHeaderBytes = 8 + 1 + 3*binary.MaxVarintLen64
+
 // OpOutcome records one operation of a partially applied batch that was not
 // applied. Index is the operation's 0-based position in payload frame order
-// — the same order DecodeBinBatch returns — so a router can map a shard's
-// outcomes back onto the client's original batch.
+// — frame by frame, each record's inserts, then its deletes — so a router
+// can map a shard's outcomes back onto the client's original batch (see
+// SplitBinBatch).
 type OpOutcome struct {
 	Index int    `json:"index"`
 	Code  string `json:"code"` // "rejected"

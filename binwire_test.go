@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -56,6 +57,58 @@ func splitBinBatch(enc *BinBatchEncoder) []byte {
 	k := len(enc.rec.Interns) / 2
 	buf := wal.AppendRecordFrame(nil, wal.Record{Interns: enc.rec.Interns[:k]})
 	return wal.AppendRecordFrame(buf, wal.Record{Interns: enc.rec.Interns[k:], Ops: enc.rec.Ops})
+}
+
+// hostileRecord inserts CT(c,t), CS(c,s) and CHR(c,h,r) — hostileRows —
+// binding c, t, s, h and r to the client ids given, in that order.
+func hostileRecord(c, t, s, h, r relation.Value) wal.Record {
+	return wal.Record{
+		Interns: []wal.Binding{{Value: c, Name: "c"}, {Value: t, Name: "t"}, {Value: s, Name: "s"},
+			{Value: h, Name: "h"}, {Value: r, Name: "r"}},
+		Ops: []wal.TupleOp{{Rel: 0, Tuple: relation.Tuple{c, t}}, {Rel: 1, Tuple: relation.Tuple{c, s}},
+			{Rel: 2, Tuple: relation.Tuple{c, h, r}}},
+	}
+}
+
+var hostileRows = []BatchOp{
+	{Rel: "CT", Row: map[string]string{"C": "c", "T": "t"}},
+	{Rel: "CS", Row: map[string]string{"C": "c", "S": "s"}},
+	{Rel: "CHR", Row: map[string]string{"C": "c", "H": "h", "R": "r"}},
+}
+
+// acrossGrowth returns a payload whose id 9, bound to c in frame 1, is
+// outside the decoder's dense id table then (it spans [0, 2·bindings
+// declared], here [0, 2]), and is used by frame 2's ops after frame 2's
+// bindings have grown the table past 9. A non-nil rebind is a last frame rebinding id 9.
+func acrossGrowth(rebind *wal.Binding) []byte {
+	buf := wal.AppendRecordFrame(nil, wal.Record{Interns: []wal.Binding{{Value: 9, Name: "c"}}})
+	rec := hostileRecord(9, 1, 2, 3, 4)
+	rec.Interns = rec.Interns[1:]
+	for _, v := range []relation.Value{5, 6, 7, 8, 10} {
+		rec.Interns = append(rec.Interns, wal.Binding{Value: v, Name: fmt.Sprint("filler", v)})
+	}
+	buf = wal.AppendRecordFrame(buf, rec)
+	if rebind != nil {
+		buf = wal.AppendRecordFrame(buf, wal.Record{Interns: []wal.Binding{*rebind}})
+	}
+	return buf
+}
+
+// hostileIDPayloads are well-formed payloads inserting hostileRows under
+// client ids a BinBatchEncoder never picks, in a fixed order.
+func hostileIDPayloads() []struct {
+	name    string
+	payload []byte
+} {
+	return []struct {
+		name    string
+		payload []byte
+	}{
+		{"ids 0, -5 and 2^40", wal.AppendRecordFrame(nil, hostileRecord(0, -5, 1<<40, 1, 2))},
+		{"sparse ids", wal.AppendRecordFrame(nil, hostileRecord(1000, 3_000_000, 77, 1<<20, 9999))},
+		{"bound outside the dense table, used after it grew", acrossGrowth(nil)},
+		{"rebound to its name after the dense table grew", acrossGrowth(&wal.Binding{Value: 9, Name: "c"})},
+	}
 }
 
 // retiredFrame is a CRC-valid frame of the retired per-operation record
@@ -116,6 +169,27 @@ func TestBinBatchRoundTrip(t *testing.T) {
 	}
 	if diffs := DiffDatabases(want.Snapshot(), split.Snapshot()); diffs != nil {
 		t.Fatalf("split payload diverged from JSON path: %v", diffs)
+	}
+
+	// Ids an encoder never picks decode to the same rows.
+	for _, h := range hostileIDPayloads() {
+		oracle, err := sch.OpenConcurrentStore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := oracle.InsertBatch(hostileRows); err != nil {
+			t.Fatal(err)
+		}
+		cs, err := sch.OpenConcurrentStore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := cs.ApplyBinBatch(context.Background(), h.payload); err != nil || n != 3 {
+			t.Fatalf("%s: n=%d err=%v", h.name, n, err)
+		}
+		if diffs := DiffDatabasesByName(oracle.Snapshot(), cs.Snapshot()); diffs != nil {
+			t.Fatalf("%s diverged from JSON path: %v", h.name, diffs)
+		}
 	}
 
 	// Reset must yield a self-contained next payload (bindings re-emitted).
@@ -189,6 +263,10 @@ func TestBinBatchMalformed(t *testing.T) {
 			wal.Record{Interns: []wal.Binding{{Value: 1, Name: "other"}}, Ops: ct.Ops}), "rebinds id 1"},
 		"unbound id": {wal.AppendRecordFrame(nil, wal.Record{Interns: ct.Interns[:1], Ops: ct.Ops}),
 			"unbound value id 2"},
+		"unbound id 2^40": {wal.AppendRecordFrame(nil, wal.Record{Interns: ct.Interns,
+			Ops: []wal.TupleOp{{Rel: 0, Tuple: relation.Tuple{1, 1 << 40}}}}), "unbound value id 1099511627776"},
+		"rebind across dense table growth": {acrossGrowth(&wal.Binding{Value: 9, Name: "other"}),
+			`rebinds id 9 ("c", then "other")`},
 	}
 	for name, c := range cases {
 		n, err := cs.ApplyBinBatch(context.Background(), c.payload)
@@ -277,6 +355,10 @@ func FuzzDecodeBinaryBatch(f *testing.F) {
 	f.Add(retiredFrame())
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
+	for _, h := range hostileIDPayloads() {
+		f.Add(h.payload)
+	}
+	f.Add(acrossGrowth(&wal.Binding{Value: 9, Name: "other"}))
 	cs, err := sch.OpenConcurrentStore()
 	if err != nil {
 		f.Fatal(err)
@@ -761,4 +843,149 @@ func TestMergeWindowAnswersAllocsFlat(t *testing.T) {
 		t.Fatalf("allocs per merge at 50 rows %v, at 500 rows %v (disjoint, overlapping)", counts[:2], counts[2:])
 	}
 	t.Logf("allocs per merge (disjoint, overlapping): %v", counts[:2])
+}
+
+// allocPayload encodes ops rows cycling the running example's relations,
+// attribute a of row i holding the name a + i mod domain, and returns the
+// payload and its binding count. Once the rows have cycled through the
+// domain the bindings stop growing with the op count.
+func allocPayload(t testing.TB, sch *Schema, ops, domain int) ([]byte, int) {
+	t.Helper()
+	rels := sch.Relations()
+	enc := NewBinBatchEncoder(sch)
+	for i := 0; i < ops; i++ {
+		rel := rels[i%len(rels)]
+		attrs, err := sch.RelationAttrs(rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := make(map[string]string, len(attrs))
+		for _, a := range attrs {
+			row[a] = fmt.Sprintf("%s%d", a, i%domain)
+		}
+		if err := enc.Add(rel, row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return enc.Bytes(), len(enc.rec.Interns)
+}
+
+// lastByteRoute routes an op by the last byte of its first value's name.
+func lastByteRoute(n int) func(rel int, name func(j int) []byte) int {
+	return func(rel int, name func(j int) []byte) int {
+		nm := name(0)
+		return int(nm[len(nm)-1]) % n
+	}
+}
+
+// TestDecodeBinBatchAllocsFlat pins the node decode's allocations: the
+// same at 64 ops as at 512 over the same bindings, and at most one more
+// per extra binding (the name's copy into the dictionary).
+func TestDecodeBinBatchAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are skewed under -race")
+	}
+	sch := binTestSchema(t)
+	cs, err := sch.OpenConcurrentStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(payload []byte) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if _, err := cs.decodeBinBatch(payload); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	p64, b64 := allocPayload(t, sch, 64, 7)
+	p512, b512 := allocPayload(t, sch, 512, 7)
+	wide, bWide := allocPayload(t, sch, 64, 32)
+	if b64 != b512 || bWide <= b64 {
+		t.Fatalf("bindings: %d at 64 ops, %d at 512, %d over the wide domain", b64, b512, bWide)
+	}
+	a64, a512, aWide := allocs(p64), allocs(p512), allocs(wide)
+	if a512 != a64 {
+		t.Fatalf("decode allocates %v times at 64 ops, %v at 512 over the same %d bindings", a64, a512, b64)
+	}
+	if aWide-a64 > float64(bWide-b64) {
+		t.Fatalf("decode allocates %v times over %d bindings, %v over %d: more than one per binding",
+			a64, b64, aWide, bWide)
+	}
+	t.Logf("allocs per decode: %v over %d bindings, %v over %d", a64, b64, aWide, bWide)
+}
+
+// TestSplitBinBatchAllocsFlat pins the split's allocations: the same at 64
+// ops as at 512, and at most one more per extra destination.
+func TestSplitBinBatchAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are skewed under -race")
+	}
+	sch := binTestSchema(t)
+	p64, _ := allocPayload(t, sch, 64, 7)
+	p512, _ := allocPayload(t, sch, 512, 7)
+	var counts [2][2]float64 // [2 or 4 destinations][64 or 512 ops]
+	for di, n := range []int{2, 4} {
+		route := lastByteRoute(n)
+		for pi, payload := range [][]byte{p64, p512} {
+			subs, _, err := sch.SplitBinBatch(payload, n, route)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for d, sub := range subs {
+				if sub == nil {
+					t.Fatalf("%d destinations: destination %d got no ops", n, d)
+				}
+			}
+			counts[di][pi] = testing.AllocsPerRun(50, func() {
+				if _, _, err := sch.SplitBinBatch(payload, n, route); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+	if counts[0][0] != counts[0][1] || counts[1][0] != counts[1][1] {
+		t.Fatalf("split allocations at 64 and 512 ops: %v over 2 destinations, %v over 4", counts[0], counts[1])
+	}
+	if counts[1][0] > counts[0][0]+2 {
+		t.Fatalf("split allocates %v times over 2 destinations, %v over 4", counts[0][0], counts[1][0])
+	}
+	t.Logf("allocs per split: %v over 2 destinations, %v over 4", counts[0][0], counts[1][0])
+}
+
+// TestHostileIDAllocBudget pins that a client id sizes nothing: decoding
+// or splitting a payload of one binding, of id 2^40, allocates under 4 KiB.
+func TestHostileIDAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are skewed under -race")
+	}
+	sch := binTestSchema(t)
+	cs, err := sch.OpenConcurrentStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := wal.AppendRecordFrame(nil, wal.Record{Interns: []wal.Binding{{Value: 1 << 40, Name: "c"}}})
+	route := lastByteRoute(2)
+	for what, f := range map[string]func() error{
+		"decode": func() error { _, err := cs.decodeBinBatch(payload); return err },
+		"split":  func() error { _, _, err := sch.SplitBinBatch(payload, 2, route); return err },
+	} {
+		run := func() {
+			if err := f(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(20, run)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const runs = 100
+		for range runs {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; bytes >= 4<<10 {
+			t.Fatalf("%s of one binding of id 2^40 allocates %d bytes (%v allocations)", what, bytes, allocs)
+		} else {
+			t.Logf("%s: %v allocations, %d bytes", what, allocs, bytes)
+		}
+	}
 }

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -126,6 +128,52 @@ func TestBatchBinEndpoint(t *testing.T) {
 	if store.Rows() != 64 {
 		t.Fatalf("store has %d rows after a refused payload, want 64", store.Rows())
 	}
+
+	// A Content-Length that overstates the body (far past the 1 MiB the
+	// server reserves from it) or understates it is a bad body, and
+	// nothing lands.
+	enc.Reset()
+	enc.Add("CT", map[string]string{"C": "c100", "T": "t100"})
+	payload := enc.Bytes()
+	for declared, want := range map[int]string{
+		16 << 20:         "bad body: unexpected EOF",
+		len(payload) - 3: "binary batch: wal: incomplete frame",
+	} {
+		status, body := rawPost(t, ts.URL, "/v1/batchbin", payload, declared)
+		if status != http.StatusBadRequest || !strings.Contains(string(body), want) {
+			t.Fatalf("%d-byte body declared as %d bytes: %d %s, want 400 %q", len(payload), declared, status, body, want)
+		}
+	}
+	if store.Rows() != 64 {
+		t.Fatalf("store has %d rows after mis-declared bodies, want 64", store.Rows())
+	}
+}
+
+// rawPost sends body to path over a bare connection under a Content-Length
+// header of declared bytes, whatever the body's length, then closes its
+// writing half, and returns the first response's status and body.
+func rawPost(t *testing.T, url, path string, body []byte, declared int) (int, []byte) {
+	t.Helper()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(url, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: indepd\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n",
+		path, indep.BinContentType, declared)
+	if _, err := conn.Write(body); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, data
 }
 
 // getWindow GETs a window URL with the given Accept header and returns the

@@ -84,13 +84,13 @@
 package main
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -532,13 +532,20 @@ func (s *server) handleBatchBin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	payload, err := io.ReadAll(r.Body)
-	if err != nil {
+	// The buffer is sized once from Content-Length, capped so that a header
+	// overstating the body cannot reserve maxBodyBytes; a body past the cap
+	// grows it as it arrives. MinRead spare room lets ReadFrom see EOF
+	// without growing.
+	body := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), maxBodyPresize)+bytes.MinRead))
+	if _, err := body.ReadFrom(r.Body); err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "bad body: " + err.Error()})
 		return
 	}
-	s.applyBatch(w, r, payload, partial)
+	s.applyBatch(w, r, body.Bytes(), partial)
 }
+
+// maxBodyPresize caps the buffer a binary batch's Content-Length reserves.
+const maxBodyPresize = 1 << 20
 
 // applyBatch applies a binary payload. A backend that can commits it
 // atomically unless partial is set, and the response is written literally:

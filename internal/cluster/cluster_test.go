@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -191,5 +192,55 @@ func TestShardErrorFormat(t *testing.T) {
 	answered := &ShardError{Shard: "s1", Status: 500, Err: fmt.Errorf("boom")}
 	if !strings.Contains(answered.Error(), "500") {
 		t.Errorf("status error should carry the code: %s", answered)
+	}
+}
+
+// TestPlacementRouteMatchesOwner pins that route, which reads a row's key
+// names positionally off a payload, places every row where Owner places
+// the same row given by attribute name: on the bench-shaped schema, on the
+// running example, on a key that is not a tuple's first value, and on a
+// non-independent schema, over 1, 2 and 4 shards, with names that are
+// empty, longer than a hash block, or hold NUL bytes.
+func TestPlacementRouteMatchesOwner(t *testing.T) {
+	schemas := [][2]string{
+		{"FACT(A,B,C,D); DIM1(A,E,F,G,H,I); DIM2(B,J,K,L,M,N); DIM3(C,O,P,Q,R,S); DIM4(D,T,U,V,W,X,Y)",
+			"A -> E F G H I; B -> J K L M N; C -> O P Q R S; D -> T U V W X Y"},
+		{"CT(C,T); CS(C,S); CHR(C,H,R)", "C -> T; C H -> R"},
+		{"AB(A,B); BC(B,C)", "B -> A; C -> B"},
+		{"R(A,B); S(B,C)", "C -> A"},
+	}
+	rng := rand.New(rand.NewSource(40))
+	pick := []func() string{
+		func() string { return "" },
+		func() string { return fmt.Sprintf("a-name-longer-than-eight-bytes-%d", rng.Intn(50)) },
+		func() string { return fmt.Sprintf("n\x00%d\x00", rng.Intn(50)) },
+		func() string { return fmt.Sprintf("v%d", rng.Intn(1000)) },
+	}
+	for _, src := range schemas {
+		sch, an := analyze(t, src[0], src[1])
+		for _, shards := range []int{1, 2, 4} {
+			p := PlanPlacement(sch, an, members(shards), 2*shards, 64)
+			for rel, name := range sch.Relations() {
+				attrs, err := sch.RelationAttrs(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 200; i++ {
+					names := make([][]byte, len(attrs))
+					row := make(map[string]string, len(attrs))
+					for j, a := range attrs {
+						v := pick[rng.Intn(len(pick))]()
+						names[j], row[a] = []byte(v), v
+					}
+					want, err := p.Owner(name, row)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := p.shards[p.route(rel, func(j int) []byte { return names[j] })]; got != want {
+						t.Fatalf("%s on %d shards, row %q: route places it on %s, Owner on %s", name, shards, row, got, want)
+					}
+				}
+			}
+		}
 	}
 }

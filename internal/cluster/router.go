@@ -257,83 +257,62 @@ func (r *Router) withRetry(ctx context.Context, shard string, fn func() error) e
 	return err
 }
 
-// subBatch is the slice of a client batch owned by one shard: the encoder
-// assembling its payload and, in payload frame order (inserts in arrival
-// order, then deletes in arrival order — the same order the shard's report
-// indexes), each local op's index in the client batch.
-type subBatch struct {
-	enc     *indep.BinBatchEncoder
-	insIdx  []int
-	delIdx  []int
-	someErr error
-}
-
-func (sb *subBatch) index() []int { return append(append([]int(nil), sb.insIdx...), sb.delIdx...) }
-
 // Batch splits a client binary batch per owning shard, forwards the pieces
 // concurrently in partial mode, and reassembles the shards' per-op reports
-// into one report indexed like the client's payload. Rejections are per-op
-// and do not fail the call. A non-nil error means at least one shard could
-// not be reached or failed mid-batch; the report still covers every shard
-// that answered, and because applied inserts and deletes are idempotent the
+// into one report indexed like the client's payload. The split reads each
+// op's partition-key names straight from the payload and hands every shard
+// its ops under the client's own value ids (indep.Schema.SplitBinBatch), so
+// no row is built and nothing is re-interned. Rejections are per-op and do
+// not fail the call. A non-nil error means at least one shard could not be
+// reached or failed mid-batch; the report still covers every shard that
+// answered, and because applied inserts and deletes are idempotent the
 // client may retry the whole payload (see Options.Retries for the one
 // delete-unshields-insert shape that is not a fixpoint). A malformed
 // payload returns (nil, error) with nothing forwarded.
 func (r *Router) Batch(ctx context.Context, payload []byte) (*indep.BatchReport, error) {
-	ops, err := r.sch.DecodeBinBatch(payload)
+	// Placement indexes shards in membership order, as r.members lists them.
+	subs, index, err := r.sch.SplitBinBatch(payload, len(r.members), r.place.route)
 	if err != nil {
 		return nil, err
 	}
-	inc(r.batches)
-	addN(r.ops, uint64(len(ops)))
-	subs := make(map[string]*subBatch)
-	for i, op := range ops {
-		owner, err := r.place.Owner(op.Rel, op.Row)
-		if err != nil {
-			return nil, err
-		}
-		sb := subs[owner]
-		if sb == nil {
-			sb = &subBatch{enc: indep.NewBinBatchEncoder(r.sch)}
-			subs[owner] = sb
-		}
-		if op.Delete {
-			err = sb.enc.Delete(op.Rel, op.Row)
-			sb.delIdx = append(sb.delIdx, i)
-		} else {
-			err = sb.enc.Add(op.Rel, op.Row)
-			sb.insIdx = append(sb.insIdx, i)
-		}
-		if err != nil {
-			return nil, err
-		}
+	ops := 0
+	for _, idx := range index {
+		ops += len(idx)
 	}
+	inc(r.batches)
+	addN(r.ops, uint64(ops))
 
 	type shardResult struct {
-		shard string
-		rep   *indep.BatchReport
-		err   error
+		dest int
+		rep  *indep.BatchReport
+		err  error
 	}
 	results := make(chan shardResult, len(subs))
-	for shard, sb := range subs {
-		go func(shard string, sb *subBatch) {
+	sent := 0
+	for d, sub := range subs {
+		if sub == nil {
+			continue
+		}
+		sent++
+		go func() {
+			shard := r.members[d].Name
 			var rep *indep.BatchReport
 			err := r.withRetry(ctx, shard, func() error {
 				var err error
-				rep, err = r.tr[shard].ApplyPartial(ctx, sb.enc.Bytes())
+				rep, err = r.tr[shard].ApplyPartial(ctx, sub)
 				return err
 			})
-			results <- shardResult{shard: shard, rep: rep, err: err}
-		}(shard, sb)
+			results <- shardResult{dest: d, rep: rep, err: err}
+		}()
 	}
 
-	report := &indep.BatchReport{Ops: len(ops)}
+	report := &indep.BatchReport{Ops: ops}
 	var failed []string
 	var firstErr error
-	for range subs {
+	for range sent {
 		res := <-results
 		if res.err != nil {
-			failed = append(failed, res.shard)
+			failed = append(failed, r.members[res.dest].Name)
 			if firstErr == nil {
 				firstErr = res.err
 			}
@@ -341,7 +320,7 @@ func (r *Router) Batch(ctx context.Context, payload []byte) (*indep.BatchReport,
 				continue
 			}
 		}
-		idx := subs[res.shard].index()
+		idx := index[res.dest]
 		report.Processed += res.rep.Processed
 		report.Applied += res.rep.Applied
 		report.Changed += res.rep.Changed
@@ -355,7 +334,7 @@ func (r *Router) Batch(ctx context.Context, payload []byte) (*indep.BatchReport,
 	if firstErr != nil {
 		sort.Strings(failed)
 		return report, fmt.Errorf("cluster: %d of %d shards failed (%v): %w",
-			len(failed), len(subs), failed, firstErr)
+			len(failed), sent, failed, firstErr)
 	}
 	return report, nil
 }

@@ -14,12 +14,15 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"indep"
 	"indep/internal/cluster"
+	"indep/internal/relation"
 	"indep/internal/replt"
+	"indep/internal/wal"
 )
 
 // testCluster is an in-process cluster: one router over n shard stores.
@@ -579,6 +582,9 @@ func FuzzClusterRoute(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte{})
 	f.Add([]byte("IBW1garbage"))
+	for _, p := range hostilePayloads() {
+		f.Add(p)
+	}
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		tc := newTestCluster(t, sch, 3, cluster.Options{}, nil)
@@ -602,4 +608,68 @@ func FuzzClusterRoute(f *testing.F) {
 			t.Fatalf("state diverged: %v", diffs)
 		}
 	})
+}
+
+// hostilePayloads are payloads under client ids a BinBatchEncoder never
+// picks, each inserting CT(c,t), CS(c,s) and CHR(c,h,r): ids 0, -5 and
+// 2^40; sparse ids; an id bound in frame 1 outside the dense id table (it
+// spans [0, 2·bindings declared]) and used after frame 2's bindings grew
+// the table past it; and that payload with the id rebound in a frame 3, to its own
+// name and then to another, which is malformed.
+func hostilePayloads() [][]byte {
+	record := func(c, t, s, h, r relation.Value) wal.Record {
+		return wal.Record{
+			Interns: []wal.Binding{{Value: c, Name: "c"}, {Value: t, Name: "t"}, {Value: s, Name: "s"},
+				{Value: h, Name: "h"}, {Value: r, Name: "r"}},
+			Ops: []wal.TupleOp{{Rel: 0, Tuple: relation.Tuple{c, t}}, {Rel: 1, Tuple: relation.Tuple{c, s}},
+				{Rel: 2, Tuple: relation.Tuple{c, h, r}}},
+		}
+	}
+	grown := wal.AppendRecordFrame(nil, wal.Record{Interns: []wal.Binding{{Value: 9, Name: "c"}}})
+	rec := record(9, 1, 2, 3, 4)
+	rec.Interns = rec.Interns[1:]
+	for _, v := range []relation.Value{5, 6, 7, 8, 10} {
+		rec.Interns = append(rec.Interns, wal.Binding{Value: v, Name: fmt.Sprint("filler", v)})
+	}
+	grown = wal.AppendRecordFrame(grown, rec)
+	rebind := func(name string) []byte {
+		return wal.AppendRecordFrame(slices.Clone(grown), wal.Record{Interns: []wal.Binding{{Value: 9, Name: name}}})
+	}
+	return [][]byte{
+		wal.AppendRecordFrame(nil, record(0, -5, 1<<40, 1, 2)),
+		wal.AppendRecordFrame(nil, record(1000, 3_000_000, 77, 1<<20, 9999)),
+		grown,
+		rebind("c"),
+		rebind("other"),
+	}
+}
+
+// TestRouterHostileIDsMatchSingleNode: on payloads whose client ids an
+// encoder never picks, the router, which forwards the client's ids, and a
+// single node, which re-interns them, fail with the same error or agree on
+// the report and the state.
+func TestRouterHostileIDsMatchSingleNode(t *testing.T) {
+	sch := runningExample(t)
+	ctx := context.Background()
+	for i, payload := range hostilePayloads() {
+		tc := newTestCluster(t, sch, 3, cluster.Options{}, nil)
+		oracle, err := sch.OpenConcurrentStore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantErr := oracle.ApplyBinBatchPartial(ctx, payload)
+		got, gotErr := tc.rt.Batch(ctx, payload)
+		if wantErr != nil || gotErr != nil {
+			if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
+				t.Fatalf("payload %d: single node err %v, router err %v", i, wantErr, gotErr)
+			}
+			continue
+		}
+		if msg := reportsEqual(got, want); msg != "" || want.Applied != 3 {
+			t.Fatalf("payload %d: %s (single node applied %d)", i, msg, want.Applied)
+		}
+		if diffs := indep.DiffDatabasesByName(oracle.Snapshot(), tc.assembled(t)); diffs != nil {
+			t.Fatalf("payload %d: state diverged: %v", i, diffs)
+		}
+	}
 }

@@ -58,11 +58,12 @@ func Ints(vs []int) uint64 {
 	return h
 }
 
-// Str folds a string into the accumulator, eight bytes at a time, with the
-// length mixed in so prefixes don't collide trivially ("ab","c" vs "a","bc"
-// hash differently when each element is folded with Str). It allocates
-// nothing, so routing tiers may hash request values freely.
-func Str(h uint64, s string) uint64 {
+// Str folds a string, or the same bytes as a slice, into the accumulator,
+// eight bytes at a time, with the length mixed in so prefixes don't collide
+// trivially ("ab","c" vs "a","bc" hash differently when each element is
+// folded with Str). It allocates nothing, so routing tiers may hash request
+// values freely, names still in the request's bytes included.
+func Str[S ~string | ~[]byte](h uint64, s S) uint64 {
 	h = Mix(h, uint64(len(s)))
 	for len(s) >= 8 {
 		var x uint64

@@ -110,55 +110,131 @@ var (
 	maxBatchOps = 1 << 22 // each declared count: bindings, inserts plus deletes
 )
 
+// A RecordVisitor receives one record's contents from WalkRecord, in
+// payload order. Every callback must be set.
+type RecordVisitor struct {
+	// Bindings is told the record's binding count, then Binding is called
+	// once per binding. name aliases the payload.
+	Bindings func(n int)
+	Binding  func(v relation.Value, name []byte) error
+	// Ops is told the record's op count, then Op is called once per tuple
+	// op, inserts first. vals holds the op's values in the walk's scratch
+	// slice and is valid until Op returns.
+	Ops func(n int)
+	Op  func(rel int, del bool, vals []relation.Value) error
+}
+
+// WalkRecord scans one record payload in place, making every check
+// DecodeRecord makes — the kind (a retired one is ErrLegacyRecord), the
+// count limits, name lengths, trailing bytes — and hands its contents to v
+// without allocating: names alias the payload, and each op's values land in
+// scratch, which is grown only when an op is wider than it. It returns
+// scratch for the next walk. An error from a callback ends the walk and is
+// returned as is; a malformed payload may have been partly visited.
+func WalkRecord(payload []byte, scratch []relation.Value, v RecordVisitor) ([]relation.Value, error) {
+	if len(payload) == 0 {
+		return scratch, fmt.Errorf("wal: empty record payload")
+	}
+	switch k := payload[0]; {
+	case k >= 1 && k <= 4:
+		return scratch, ErrLegacyRecord
+	case k != kindCommit:
+		return scratch, fmt.Errorf("wal: unknown record kind %d", k)
+	}
+	n, b, err := readCount(payload[1:], "bindings")
+	if err != nil {
+		return scratch, err
+	}
+	v.Bindings(int(n))
+	for i := uint64(0); i < n; i++ {
+		var id int64
+		if id, b, err = readVarint(b); err != nil {
+			return scratch, err
+		}
+		var size uint64
+		if size, b, err = readUvarint(b); err != nil {
+			return scratch, err
+		}
+		if size > uint64(len(b)) {
+			return scratch, fmt.Errorf("wal: intern name length %d exceeds payload", size)
+		}
+		if err := v.Binding(relation.Value(id), b[:size:size]); err != nil {
+			return scratch, err
+		}
+		b = b[size:]
+	}
+	var ins, dels uint64
+	if ins, b, err = readCount(b, "inserts"); err != nil {
+		return scratch, err
+	}
+	if dels, b, err = readCount(b, "deletes"); err != nil {
+		return scratch, err
+	}
+	if ins+dels > uint64(maxBatchOps) || ins+dels > uint64(len(b))/2 {
+		return scratch, fmt.Errorf("wal: record of %d ops exceeds payload", ins+dels)
+	}
+	v.Ops(int(ins + dels))
+	for i := uint64(0); i < ins+dels; i++ {
+		var rel, arity uint64
+		if rel, b, err = readUvarint(b); err != nil {
+			return scratch, err
+		}
+		if arity, b, err = readUvarint(b); err != nil {
+			return scratch, err
+		}
+		if arity > uint64(len(b)) { // each value takes ≥ 1 byte
+			return scratch, fmt.Errorf("wal: tuple arity %d exceeds payload", arity)
+		}
+		if uint64(cap(scratch)) < arity {
+			scratch = make([]relation.Value, arity)
+		}
+		vals := scratch[:arity]
+		for j := range vals {
+			var x int64
+			if x, b, err = readVarint(b); err != nil {
+				return scratch, err
+			}
+			vals[j] = relation.Value(x)
+		}
+		if err := v.Op(int(rel), i >= ins, vals); err != nil {
+			return scratch, err
+		}
+	}
+	if len(b) != 0 {
+		return scratch, fmt.Errorf("wal: %d trailing bytes after record", len(b))
+	}
+	return scratch, nil
+}
+
 // DecodeRecord parses one record payload. Trailing bytes are an error: a
 // frame holds exactly one record. A payload of a retired kind is refused
 // with ErrLegacyRecord. Empty Interns and Ops decode as nil.
 func DecodeRecord(payload []byte) (Record, error) {
-	if len(payload) == 0 {
-		return Record{}, fmt.Errorf("wal: empty record payload")
-	}
-	switch k := payload[0]; {
-	case k >= 1 && k <= 4:
-		return Record{}, ErrLegacyRecord
-	case k != kindCommit:
-		return Record{}, fmt.Errorf("wal: unknown record kind %d", k)
-	}
 	var r Record
-	n, b, err := readCount(payload[1:], "bindings")
+	_, err := WalkRecord(payload, nil, RecordVisitor{
+		Bindings: func(n int) {
+			if n > 0 {
+				r.Interns = make([]Binding, 0, n)
+			}
+		},
+		Binding: func(v relation.Value, name []byte) error {
+			r.Interns = append(r.Interns, Binding{Value: v, Name: string(name)})
+			return nil
+		},
+		Ops: func(n int) {
+			if n > 0 {
+				r.Ops = make([]TupleOp, 0, n)
+			}
+		},
+		Op: func(rel int, del bool, vals []relation.Value) error {
+			t := make(relation.Tuple, len(vals))
+			copy(t, vals)
+			r.Ops = append(r.Ops, TupleOp{Rel: rel, Tuple: t, Delete: del})
+			return nil
+		},
+	})
 	if err != nil {
 		return Record{}, err
-	}
-	if n > 0 {
-		r.Interns = make([]Binding, 0, n)
-	}
-	for i := uint64(0); i < n; i++ {
-		var bd Binding
-		if bd, b, err = readBinding(b); err != nil {
-			return Record{}, err
-		}
-		r.Interns = append(r.Interns, bd)
-	}
-	var ins, dels uint64
-	if ins, b, err = readCount(b, "inserts"); err != nil {
-		return Record{}, err
-	}
-	if dels, b, err = readCount(b, "deletes"); err != nil {
-		return Record{}, err
-	}
-	if ins+dels > uint64(maxBatchOps) || ins+dels > uint64(len(b))/2 {
-		return Record{}, fmt.Errorf("wal: record of %d ops exceeds payload", ins+dels)
-	}
-	if ins+dels > 0 {
-		r.Ops = make([]TupleOp, 0, ins+dels)
-	}
-	if r.Ops, b, err = readTupleOps(b, ins, false, r.Ops); err != nil {
-		return Record{}, err
-	}
-	if r.Ops, b, err = readTupleOps(b, dels, true, r.Ops); err != nil {
-		return Record{}, err
-	}
-	if len(b) != 0 {
-		return Record{}, fmt.Errorf("wal: %d trailing bytes after record", len(b))
 	}
 	return r, nil
 }
@@ -176,59 +252,6 @@ func readCount(b []byte, what string) (uint64, []byte, error) {
 		return 0, nil, fmt.Errorf("wal: %d %s exceed payload", n, what)
 	}
 	return n, b, nil
-}
-
-func readBinding(b []byte) (Binding, []byte, error) {
-	v, b, err := readVarint(b)
-	if err != nil {
-		return Binding{}, nil, err
-	}
-	n, b, err := readUvarint(b)
-	if err != nil {
-		return Binding{}, nil, err
-	}
-	if n > uint64(len(b)) {
-		return Binding{}, nil, fmt.Errorf("wal: intern name length %d exceeds payload", n)
-	}
-	return Binding{Value: relation.Value(v), Name: string(b[:n])}, b[n:], nil
-}
-
-// readTupleOps appends n tuple ops, each marked del, to ops.
-func readTupleOps(b []byte, n uint64, del bool, ops []TupleOp) ([]TupleOp, []byte, error) {
-	for i := uint64(0); i < n; i++ {
-		op, rest, err := readTupleOp(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		op.Delete = del
-		ops = append(ops, op)
-		b = rest
-	}
-	return ops, b, nil
-}
-
-func readTupleOp(b []byte) (TupleOp, []byte, error) {
-	rel, b, err := readUvarint(b)
-	if err != nil {
-		return TupleOp{}, nil, err
-	}
-	arity, b, err := readUvarint(b)
-	if err != nil {
-		return TupleOp{}, nil, err
-	}
-	if arity > uint64(len(b)) { // each value takes ≥ 1 byte
-		return TupleOp{}, nil, fmt.Errorf("wal: tuple arity %d exceeds payload", arity)
-	}
-	t := make(relation.Tuple, arity)
-	for i := range t {
-		var v int64
-		v, b, err = readVarint(b)
-		if err != nil {
-			return TupleOp{}, nil, err
-		}
-		t[i] = relation.Value(v)
-	}
-	return TupleOp{Rel: int(rel), Tuple: t}, b, nil
 }
 
 func readUvarint(b []byte) (uint64, []byte, error) {
