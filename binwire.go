@@ -259,7 +259,9 @@ func (b *binScan) walk(payload []byte, reserve func(ops int),
 
 // decodeBinBatch validates a binary batch payload and returns its operations
 // in frame order, each client id resolved to the store's value for its
-// name. Names are interned once each, copied out of the payload, and only
+// name. A name an insert uses is interned, once, copied out of the payload;
+// a name only deletes use is looked up, as ConcurrentStore.Delete does, and
+// one the store never bound resolves to unboundValue. Names resolve only
 // once the whole payload has checked out, so a malformed payload touches
 // neither the dictionary nor anything else. The ops' tuples share one
 // arena.
@@ -279,10 +281,31 @@ func (cs *ConcurrentStore) decodeBinBatch(payload []byte) ([]engine.Op, error) {
 	if err != nil {
 		return nil, err
 	}
+	// vals maps slot → store value, once a first pass marked (1) every slot
+	// an insert uses. Inserts' names are bound first, so a delete-only slot
+	// whose name an insert binds under another id still finds it.
 	dict := cs.eng.Dict()
-	vals := make([]relation.Value, len(b.ids)) // slot → store value
-	for k := range vals {
-		vals[k] = dict.Value(string(b.name(int32(k))))
+	vals := make([]relation.Value, len(b.ids))
+	for _, op := range ops {
+		if !op.Delete {
+			for _, k := range op.Tuple {
+				vals[k] = 1
+			}
+		}
+	}
+	for k, v := range vals {
+		if v == 1 {
+			vals[k] = dict.Value(string(b.name(int32(k))))
+		} else {
+			vals[k] = unboundValue
+		}
+	}
+	for k, v := range vals {
+		if v == unboundValue {
+			if found, ok := dict.Lookup(string(b.name(int32(k)))); ok {
+				vals[k] = found
+			}
+		}
 	}
 	for _, op := range ops {
 		for j, k := range op.Tuple {
@@ -291,6 +314,11 @@ func (cs *ConcurrentStore) decodeBinBatch(payload []byte) ([]engine.Op, error) {
 	}
 	return ops, nil
 }
+
+// unboundValue is a delete's value for a name the store never bound. No
+// dictionary value is negative, so a tuple holding it is never present and
+// its delete changes nothing.
+const unboundValue relation.Value = -1
 
 // ApplyBinBatch decodes a binary batch (a BinBatchEncoder payload) and
 // applies it as one atomic commit: one payload is one lock acquisition, one
@@ -471,9 +499,11 @@ type OpOutcome struct {
 
 // BatchReport summarizes a partially applied batch. Processed counts the
 // operations attempted; it falls short of Ops only when a non-rejection
-// error (durability, chase budget) aborted the run midway, in which case
-// ApplyBinBatchPartial also returns that error. Rejections never stop the
-// batch: the rejected operation is recorded and the rest proceed. Applied
+// error in the walk (a chase budget) stopped it midway, in which case
+// ApplyBinBatchPartial also returns that error. A durability error covers
+// the whole commit: it is returned with a report of every operation, none
+// of which is known to be durable. Rejections never stop the batch: the
+// rejected operation is recorded and the rest proceed. Applied
 // counts the operations not rejected; Changed counts those that changed
 // the state — an insert of a present tuple or a delete of an absent one is
 // applied but changes nothing.
@@ -485,12 +515,15 @@ type BatchReport struct {
 	Rejected  []OpOutcome `json:"rejected,omitempty"`
 }
 
-// ApplyBinBatchPartial decodes a binary batch and applies each operation
-// individually in frame order, reporting per-operation outcomes instead of
-// the all-or-nothing semantics of ApplyBinBatch. This is the mode a cluster
-// router uses (POST /v1/batchbin?partial=1): a batch split across shards
-// cannot be atomic anyway, and per-op outcomes are what reassembles into a
-// single client-facing report. A malformed payload is detected up front and
+// ApplyBinBatchPartial decodes a binary batch and applies it in frame
+// order with per-operation outcomes instead of the all-or-nothing semantics
+// of ApplyBinBatch: a rejected insert is reported and the rest proceed. The
+// payload is still one commit, cut only where an accepted insert follows an
+// accepted delete (engine.Engine.ApplyPartial), which a BinBatchEncoder
+// payload never has. This is the mode a cluster router uses (POST
+// /v1/batchbin?partial=1): a batch split across shards cannot be atomic
+// anyway, and per-op outcomes are what reassembles into a single
+// client-facing report. A malformed payload is detected up front and
 // applies nothing. Re-applying an accepted insert or an applied delete is a
 // no-op, so retrying a partially applied payload converges.
 func (cs *ConcurrentStore) ApplyBinBatchPartial(ctx context.Context, payload []byte) (*BatchReport, error) {
@@ -503,20 +536,15 @@ func (cs *ConcurrentStore) ApplyBinBatchPartial(ctx context.Context, payload []b
 	if err != nil {
 		return nil, err
 	}
-	rep := &BatchReport{Ops: len(ops)}
-	for i := range ops {
-		rep.Processed++
-		switch changed, err := cs.eng.Apply(ctx, ops[i:i+1]); {
-		case err == nil:
-			rep.Applied++
-			rep.Changed += changed
-		case Rejected(err):
-			rep.Rejected = append(rep.Rejected, OpOutcome{Index: i, Code: "rejected", Error: err.Error()})
-		default:
-			return rep, err
-		}
+	r, err := cs.eng.ApplyPartial(ctx, ops)
+	rep := &BatchReport{Ops: len(ops), Processed: r.Done, Applied: r.Done - len(r.Rejected), Changed: len(r.Changed)}
+	if err != nil && r.Done < len(ops) {
+		rep.Processed++ // the operation the error stopped the walk at
 	}
-	return rep, nil
+	for _, rj := range r.Rejected {
+		rep.Rejected = append(rep.Rejected, OpOutcome{Index: rj.Index, Code: "rejected", Error: rj.Err.Error()})
+	}
+	return rep, err
 }
 
 // RelationBinary renders the named relation's live tuples as a binary

@@ -523,7 +523,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // indep.BinBatchEncoder builds): WAL record frames, decoded and applied
 // without touching encoding/json anywhere on the path. ?partial=1 — the
 // mode a cluster router forwards sub-batches in — asks for per-op
-// application.
+// outcomes (indep.ConcurrentStore.ApplyBinBatchPartial).
 func (s *server) handleBatchBin(w http.ResponseWriter, r *http.Request) {
 	p := r.URL.Query().Get("partial")
 	partial, err := strconv.ParseBool(cmp.Or(p, "false"))
@@ -549,8 +549,9 @@ const maxBodyPresize = 1 << 20
 
 // applyBatch applies a binary payload. A backend that can commits it
 // atomically unless partial is set, and the response is written literally:
-// {"status":"ok","accepted":n}. Otherwise operations apply individually in
-// frame order and the response is the per-op indep.BatchReport: rejections
+// {"status":"ok","accepted":n}. Otherwise operations apply in frame order as
+// one commit, each rejected insert reported and skipped, and the response
+// is the per-op indep.BatchReport: rejections
 // ride inside a 200 instead of aborting the batch, because a batch split
 // across shards cannot be atomic anyway. A router whose shard failed after
 // others applied their sub-batches answers 503 with the partial report;

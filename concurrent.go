@@ -135,7 +135,8 @@ func (cs *ConcurrentStore) InsertBatchCtx(ctx context.Context, ops []BatchOp) er
 		}
 		eops[k] = engine.Op{Scheme: i, Tuple: t}
 	}
-	return cs.eng.InsertBatchCtx(ctx, eops)
+	_, err := cs.eng.Apply(ctx, eops)
+	return err
 }
 
 // Snapshot returns an immutable consistent view of the store as a Database:

@@ -1,6 +1,7 @@
 package indep
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -220,6 +221,9 @@ func TestConcurrentStoreDeleteDoesNotIntern(t *testing.T) {
 			t.Fatalf("Delete(ghost) = %v, %v", ok, err)
 		}
 	}
+	if n := cs.eng.Dict().Len(); n != 0 {
+		t.Fatalf("ghost deletes bound %d names", n)
+	}
 	if err := cs.Insert("CT", map[string]string{"C": "cs101", "T": "jones"}); err != nil {
 		t.Fatal(err)
 	}
@@ -238,6 +242,56 @@ func TestConcurrentStoreDeleteDoesNotIntern(t *testing.T) {
 	// And a delete addressing interned values still works.
 	if ok, err := cs.Delete("CT", map[string]string{"C": "cs101", "T": "jones"}); err != nil || !ok {
 		t.Fatalf("Delete(real) = %v, %v", ok, err)
+	}
+
+	// The same holds for a binary payload of ghost deletes, atomic and
+	// partial, on a durable store: nothing is bound, so the next commit
+	// journals no ghost binding and a reopen restores none. The report keeps
+	// every delete's place, and a delete naming a known value beside a
+	// ghost one still deletes.
+	dir := t.TempDir()
+	ds, err := s.OpenDurableStore(dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { ds.Close() }()
+	if err := ds.Insert("CT", map[string]string{"C": "cs101", "T": "jones"}); err != nil {
+		t.Fatal(err)
+	}
+	enc := NewBinBatchEncoder(s)
+	for i := 0; i < 100; i++ {
+		if err := enc.Delete("CT", map[string]string{"C": fmt.Sprintf("ghost%d", i), "T": "nobody"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	names := ds.eng.Dict().Len()
+	if n, err := ds.ApplyBinBatch(context.Background(), enc.Bytes()); err != nil || n != 100 {
+		t.Fatalf("ghost payload: ApplyBinBatch = %d, %v", n, err)
+	}
+	if err := enc.Delete("CT", map[string]string{"C": "cs101", "T": "jones"}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ds.ApplyBinBatchPartial(context.Background(), enc.Bytes())
+	if err != nil || rep.Ops != 101 || rep.Applied != 101 || rep.Changed != 1 || len(rep.Rejected) != 0 {
+		t.Fatalf("ghost payload: partial report %+v, %v", rep, err)
+	}
+	if n := ds.eng.Dict().Len(); n != names {
+		t.Fatalf("binary ghost deletes grew the dictionary %d -> %d", names, n)
+	}
+	if err := ds.Insert("CS", map[string]string{"C": "cs102", "S": "ann"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ds, err = s.OpenDurableStore(dir, DurableOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if n := ds.eng.Dict().Len(); n != names+2 {
+		t.Fatalf("reopened dictionary holds %d names, want %d", n, names+2)
+	}
+	if ds.Rows() != 1 {
+		t.Fatalf("reopened store holds %d rows, want 1", ds.Rows())
 	}
 }
 

@@ -84,9 +84,9 @@ type DurableOptions struct {
 }
 
 // RecoveryStats reports what recovery-on-open found. A skipped record was
-// rejected as a whole, its ops then applied one by one (engine.Engine.Replay),
-// or contradicts the dictionary or schema and applies nothing past that;
-// replay goes on after either.
+// rejected as a whole and then applied partially, every op the state admits
+// kept, as one commit (engine.Engine.Replay), or contradicts the dictionary
+// or schema and applies nothing past that; replay goes on after either.
 type RecoveryStats struct {
 	CheckpointSeq    uint64        // 0 when no checkpoint was loaded
 	CheckpointTuples int           // tuples restored from the checkpoint

@@ -369,10 +369,18 @@ func (r *Router) one(ctx context.Context, rel string, row map[string]string, del
 		return false, err
 	}
 	if len(rep.Rejected) > 0 {
-		return false, fmt.Errorf("%s: %w", rep.Rejected[0].Error, indep.ErrRejected)
+		return false, rejection(rep.Rejected[0].Error)
 	}
 	return rep.Changed > 0, nil
 }
+
+// rejection is a shard's rejection of a routed op. It reads exactly as the
+// shard's message, which already names the violation, and unwraps to
+// indep.ErrRejected so indep.Rejected holds, as on a single node.
+type rejection string
+
+func (r rejection) Error() string { return string(r) }
+func (rejection) Unwrap() error   { return indep.ErrRejected }
 
 // Window answers a window query byte-identically to a single node holding
 // all the data, over one of two read paths chosen from the relations the

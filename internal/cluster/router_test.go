@@ -242,6 +242,17 @@ func TestRouterSingleOps(t *testing.T) {
 	if !indep.Rejected(err) {
 		t.Fatalf("conflicting insert: got %v, want a rejection", err)
 	}
+	// The routed rejection reads exactly as the single node's.
+	single, serr := sch.OpenConcurrentStore()
+	if serr != nil {
+		t.Fatal(serr)
+	}
+	if serr = single.Insert("CT", map[string]string{"C": "c1", "T": "t1"}); serr != nil {
+		t.Fatal(serr)
+	}
+	if serr = single.Insert("CT", map[string]string{"C": "c1", "T": "t2"}); err.Error() != serr.Error() {
+		t.Fatalf("routed rejection %q, single node %q", err, serr)
+	}
 	// Idempotent re-insert, then delete, then re-delete (a no-op): Delete
 	// reports whether the owning shard held the tuple.
 	if err := tc.rt.Insert(ctx, "CT", map[string]string{"C": "c1", "T": "t1"}); err != nil {
@@ -670,6 +681,65 @@ func TestRouterHostileIDsMatchSingleNode(t *testing.T) {
 		}
 		if diffs := indep.DiffDatabasesByName(oracle.Snapshot(), tc.assembled(t)); diffs != nil {
 			t.Fatalf("payload %d: state diverged: %v", i, diffs)
+		}
+	}
+}
+
+// TestRouterSubBatchOneCommit pins that a routed sub-batch is one commit on
+// its shard: a 64-op client batch with rejections and deletes mixed in adds
+// at most one WAL record to each durable shard, and the router's report
+// still equals the single node's.
+func TestRouterSubBatchOneCommit(t *testing.T) {
+	sch := runningExample(t)
+	var members []cluster.Member
+	opts := cluster.Options{Transports: make(map[string]cluster.Transport)}
+	shards := make(map[string]*indep.DurableStore)
+	for i := 1; i <= 3; i++ {
+		name := fmt.Sprintf("shard%d", i)
+		ds, err := sch.OpenDurableStore(t.TempDir(), indep.DurableOptions{NoFsync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ds.Close() })
+		shards[name] = ds
+		members = append(members, cluster.Member{Name: name, URL: "local://" + name})
+		opts.Transports[name] = &cluster.LocalTransport{Shard: name, Store: ds.ConcurrentStore}
+	}
+	rt, err := cluster.NewRouter(sch, members, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := sch.OpenConcurrentStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	ctx := context.Background()
+	for round := 0; round < 4; round++ {
+		ops := clusterOps(rng, 64)
+		payload := encodePayload(t, sch, ops[:48], ops[48:])
+		records := make(map[string]uint64)
+		for name, ds := range shards {
+			records[name] = ds.WAL().Records
+		}
+		rep, err := rt.Batch(ctx, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := oracle.ApplyBinBatchPartial(ctx, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := reportsEqual(want, rep); diff != "" {
+			t.Fatalf("round %d: %s", round, diff)
+		}
+		if rep.Changed <= len(shards) {
+			t.Fatalf("round %d changed only %d tuples; per-op commits would pass unnoticed", round, rep.Changed)
+		}
+		for name, ds := range shards {
+			if n := ds.WAL().Records - records[name]; n > 1 {
+				t.Fatalf("round %d: %s logged %d records for one sub-batch", round, name, n)
+			}
 		}
 	}
 }

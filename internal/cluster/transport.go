@@ -21,8 +21,9 @@ import (
 // LocalTransport (an in-process store, for benchmarks and race-able fault
 // tests); the replication test harness wraps either with fault injection.
 type Transport interface {
-	// ApplyPartial forwards a binary sub-batch for per-op application
-	// (POST /v1/batchbin?partial=1) and returns the shard's report.
+	// ApplyPartial forwards a binary sub-batch for partial application,
+	// one commit on the shard with per-op outcomes
+	// (POST /v1/batchbin?partial=1), and returns the shard's report.
 	ApplyPartial(ctx context.Context, payload []byte) (*indep.BatchReport, error)
 	// Relation fetches the shard's raw fragment of the named relation
 	// (GET /v1/cluster/rel) decoded from its binary window encoding — how a

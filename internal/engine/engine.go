@@ -39,6 +39,9 @@ import (
 // delete when Delete is set — the unit of Apply.
 type Op = maintenance.Op
 
+// Result is what ApplyPartial did (see maintenance.Result).
+type Result = maintenance.Result
+
 // Commit describes one successful state mutation: the ops that actually
 // changed the state (duplicates and no-op deletes are excluded) in applied
 // order, inserts before deletes. Trace carries the request trace ID that
@@ -195,10 +198,11 @@ func (e *Engine) commit(c Commit) func() error {
 // from the WAL byte position instead (see wal.Position).
 func (e *Engine) Version() uint64 { return e.version.Load() }
 
-// MaxBatchOps bounds a single Apply. The limit keeps one batch's lock hold
-// time sane and guarantees a durable store can always frame the commit as
-// one decodable log record (the WAL decoder enforces its own, larger cap — a
-// record we can write must be one we can read back).
+// MaxBatchOps bounds a single Apply, and a commit of ApplyPartial. The limit
+// keeps one batch's lock hold time sane and guarantees a durable store can
+// always frame the commit as one decodable log record (the WAL decoder
+// enforces its own, larger cap — a record we can write must be one we can
+// read back).
 const MaxBatchOps = 1 << 16
 
 // Apply applies a batch of inserts and deletes as one atomic mutation and
@@ -216,18 +220,30 @@ const MaxBatchOps = 1 << 16
 // Apply is idempotent — a duplicate insert or an absent delete is a no-op.
 // Replaying a commit log goes through Replay.
 func (e *Engine) Apply(ctx context.Context, ops []Op) (changed int, err error) {
-	done, err := e.apply(ctx, "engine.batch", ops)
-	return len(done), err
+	r, err := e.apply(ctx, "engine.batch", ops, maintenance.Atomic)
+	return len(r.Changed), err
+}
+
+// ApplyPartial is Apply under maintenance.Partial: the outcome of applying
+// each op alone, in order, from one lock hold and one Commit (one log record
+// and fsync wait). A new commit starts, under the same hold, where an
+// accepted insert follows an accepted delete, since a commit lists its
+// inserts first (the order a log record replays in), or at MaxBatchOps ops.
+// The ops accepted before an error that stops the walk are committed, and a
+// commit-hook wait error covers every commit of the call.
+func (e *Engine) ApplyPartial(ctx context.Context, ops []Op) (Result, error) {
+	return e.apply(ctx, "engine.partial", ops, maintenance.Partial)
 }
 
 // Replay re-applies one logged commit; recovery and the replication
 // follower both install records through it. It restores the record's
 // bindings, then applies its ops as one commit; if the guards reject that
 // commit as a whole, which happens only when replaying a record the state
-// already reflects, it applies each op alone, ignores rejections and reports
-// the record skipped. Other errors (a contradicting binding, a malformed op,
-// a durability failure) are returned. Recovery replays before SetCommitHook,
-// so nothing is re-logged; a follower re-journals each record into its log.
+// already reflects, it applies the record with ApplyPartial, still as one
+// commit, and reports the record skipped. Other errors (a contradicting
+// binding, a malformed op, a durability failure) are returned. Recovery
+// replays before SetCommitHook, so nothing is re-logged; a follower
+// re-journals each record into its log.
 //
 // On the fast path, replaying any contiguous suffix of a log in order, over
 // the state the whole log produced, converges, so a follower that lost its
@@ -236,7 +252,7 @@ func (e *Engine) Apply(ctx context.Context, ops []Op) (changed int, err error) {
 // rejected by the current guards; a last-mention insert never is, since a
 // guard violation is a conflict between two tuples of one relation and
 // every tuple then present that the final state lacks was present when the
-// insert was first admitted; and the per-op fallback keeps the other
+// insert was first admitted; and the partial fallback keeps the other
 // members of a rejected commit. On the chase path a violation can take
 // three tuples (CT(c,t), CD(c,d1), TD(t,d2) under C→T, C→D, T→D), so only a
 // whole log replayed from empty is guaranteed to reproduce its state.
@@ -253,12 +269,8 @@ func (e *Engine) Replay(ctx context.Context, rec wal.Record) (skipped bool, err 
 	if _, err := e.Apply(ctx, ops); !errors.Is(err, maintenance.ErrViolation) {
 		return false, err
 	}
-	for i := range ops {
-		if _, err := e.Apply(ctx, ops[i:i+1]); err != nil && !errors.Is(err, maintenance.ErrViolation) {
-			return true, err
-		}
-	}
-	return true, nil
+	_, err = e.ApplyPartial(ctx, ops)
+	return true, err
 }
 
 // Insert validates and adds one tuple. A rejected insert leaves the state
@@ -273,7 +285,7 @@ func (e *Engine) Insert(scheme int, t relation.Tuple) error {
 // request), the operation records an engine.insert span with lock-wait and
 // validation children.
 func (e *Engine) InsertCtx(ctx context.Context, scheme int, t relation.Tuple) error {
-	_, err := e.apply(ctx, "engine.insert", []Op{{Scheme: scheme, Tuple: t}})
+	_, err := e.apply(ctx, "engine.insert", []Op{{Scheme: scheme, Tuple: t}}, maintenance.Atomic)
 	return err
 }
 
@@ -285,46 +297,41 @@ func (e *Engine) Delete(scheme int, t relation.Tuple) (bool, error) {
 
 // DeleteCtx is Delete with the context's trace ID attached to the commit.
 func (e *Engine) DeleteCtx(ctx context.Context, scheme int, t relation.Tuple) (bool, error) {
-	done, err := e.apply(ctx, "engine.delete", []Op{{Scheme: scheme, Tuple: t, Delete: true}})
-	return len(done) == 1, err
+	r, err := e.apply(ctx, "engine.delete", []Op{{Scheme: scheme, Tuple: t, Delete: true}}, maintenance.Atomic)
+	return len(r.Changed) == 1, err
 }
 
 // InsertBatch is Apply for callers that only insert and do not need the
 // changed count.
 func (e *Engine) InsertBatch(ops []Op) error {
-	return e.InsertBatchCtx(context.Background(), ops)
-}
-
-// InsertBatchCtx is InsertBatch with the context's trace ID attached to the
-// commit.
-func (e *Engine) InsertBatchCtx(ctx context.Context, ops []Op) error {
-	_, err := e.Apply(ctx, ops)
+	_, err := e.Apply(context.Background(), ops)
 	return err
 }
 
 // apply is the engine's one mutation routine: every write — single insert,
-// single delete, batch, recovery replay, replication — is a call of it, so a
-// feature of the write path (a new lock rule, a new statistic, a new hook
-// argument) is added here and nowhere else. span names the engine-operation
-// span. It returns the ops that changed the state; ops itself is not
-// retained, so a caller's one-element literal stays on its stack.
-func (e *Engine) apply(ctx context.Context, span string, ops []Op) (changed []Op, err error) {
-	if len(ops) > MaxBatchOps {
-		return nil, fmt.Errorf("engine: batch of %d ops exceeds limit %d", len(ops), MaxBatchOps)
+// single delete, batch, partial payload, recovery replay, replication — is a
+// call of it, so a feature of the write path (a new lock rule, a new
+// statistic, a new hook argument) is added here and nowhere else. span names
+// the engine-operation span; p is what a rejected insert does (see
+// maintenance.Policy). ops itself is not retained, so a caller's one-element
+// literal stays on its stack.
+func (e *Engine) apply(ctx context.Context, span string, ops []Op, p maintenance.Policy) (r Result, err error) {
+	if len(ops) > MaxBatchOps && p == maintenance.Atomic {
+		return r, fmt.Errorf("engine: batch of %d ops exceeds limit %d", len(ops), MaxBatchOps)
 	}
 	// Check addressing and arity up front so the maintainers can assume
 	// well-formed operations.
 	for _, op := range ops {
 		if op.Scheme < 0 || op.Scheme >= len(e.shards) {
-			return nil, fmt.Errorf("engine: no scheme %d", op.Scheme)
+			return r, fmt.Errorf("engine: no scheme %d", op.Scheme)
 		}
 		if want := e.s.Attrs(op.Scheme).Len(); len(op.Tuple) != want {
-			return nil, fmt.Errorf("engine: tuple arity %d does not match %s arity %d",
+			return r, fmt.Errorf("engine: tuple arity %d does not match %s arity %d",
 				len(op.Tuple), e.s.Name(op.Scheme), want)
 		}
 	}
 	if len(ops) == 0 {
-		return nil, nil
+		return r, nil
 	}
 	start := time.Now()
 	sp := obs.SpanFrom(ctx).StartChild(span)
@@ -359,16 +366,26 @@ func (e *Engine) apply(ctx context.Context, span string, ops []Op) (changed []Op
 	}
 	if e.fast {
 		vsp := sp.StartChild("guard.validate")
-		changed, err = e.guard.Apply(ops)
+		r, err = e.guard.Apply(ops, p)
 		vsp.End()
 	} else {
 		vsp := e.startChaseSpan(sp)
-		changed, err = e.chase.Apply(ops)
+		r, err = e.chase.Apply(ops, p)
 		e.endChaseSpan(vsp)
 	}
-	var wait func() error
-	if len(changed) > 0 {
-		wait = e.commit(Commit{Ops: changed, Trace: obs.Trace(ctx), Span: sp})
+	// A commit holds its inserts before its deletes, the order a log record
+	// replays in, and at most MaxBatchOps ops; see ApplyPartial.
+	var waitBuf [1]func() error
+	waits := waitBuf[:0]
+	for rest := r.Changed; len(rest) > 0; {
+		n := 1
+		for n < min(len(rest), MaxBatchOps) && (rest[n].Delete || !rest[n-1].Delete) {
+			n++
+		}
+		if w := e.commit(Commit{Ops: rest[:n], Trace: obs.Trace(ctx), Span: sp}); w != nil {
+			waits = append(waits, w)
+		}
+		rest = rest[n:]
 	}
 	if !e.fast {
 		// On the chase path the stripes guard only the statistics.
@@ -376,12 +393,12 @@ func (e *Engine) apply(ctx context.Context, span string, ops []Op) (changed []Op
 		lockStripes()
 	}
 	d := time.Since(start)
-	e.note(ops, changed, err)
+	e.note(ops, p, r, err)
 	for _, s := range stripes {
 		e.shards[s].lat.Observe(int64(d))
 		e.shards[s].mu.Unlock()
 	}
-	e.endOpSpan(sp, len(changed) > 0, err)
+	e.endOpSpan(sp, len(r.Changed) > 0, err)
 	if e.slowHit(d) {
 		target := e.s.Name(stripes[0])
 		if len(ops) > 1 {
@@ -389,33 +406,38 @@ func (e *Engine) apply(ctx context.Context, span string, ops []Op) (changed []Op
 		}
 		e.noteSlow(strings.TrimPrefix(span, "engine."), target, obs.Trace(ctx), d, err)
 	}
-	if wait != nil {
+	for _, wait := range waits {
 		if werr := wait(); werr != nil {
-			return changed, werr
+			err = werr // a durability failure outranks the walk's own error
 		}
 	}
-	return changed, err
+	return r, err
 }
 
 // note attributes a batch's outcome to the touched shards, whose stripes
-// the caller holds: per insert op an accept or — when the batch was turned
-// away — a reject, and tuple deltas for the ops that changed the state.
-// Deletes count only when they removed a tuple. Chase budget exhaustion is
-// a server-side limit, not a client rejection, and is deliberately not
-// counted in rejects.
-func (e *Engine) note(ops, changed []Op, err error) {
+// the caller holds: per insert op an accept or a reject, and tuple deltas
+// for the ops that changed the state. An insert the batch's error turned
+// away — any of a failed Atomic batch, the one a Partial walk stopped at —
+// is a reject. Deletes count only when they removed a tuple. Chase budget
+// exhaustion is a server-side limit, not a client rejection, and is
+// deliberately not counted in rejects.
+func (e *Engine) note(ops []Op, p maintenance.Policy, r Result, err error) {
 	budget := errors.Is(err, chase.ErrBudget)
-	for _, op := range ops {
+	rej := r.Rejected
+	for i, op := range ops {
 		sh := &e.shards[op.Scheme]
 		switch {
-		case op.Delete || budget:
-		case err != nil:
+		case op.Delete || i >= r.Done && budget:
+		case i < r.Done && len(rej) > 0 && rej[0].Index == i:
 			sh.rejects++
-		default:
+			rej = rej[1:]
+		case i < r.Done:
 			sh.inserts++
+		case p == maintenance.Atomic || i == r.Done:
+			sh.rejects++
 		}
 	}
-	for _, op := range changed {
+	for _, op := range r.Changed {
 		sh := &e.shards[op.Scheme]
 		if op.Delete {
 			sh.deletes++

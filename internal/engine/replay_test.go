@@ -363,3 +363,56 @@ func TestVersionBumpsPerCommit(t *testing.T) {
 		t.Fatalf("after mixed batch: version %d, want %d", got, v0+4)
 	}
 }
+
+// TestReplayFallbackIsOneCommit pins Replay's partial fallback: a record
+// the guards reject as a whole replays the ops the state admits as one
+// commit, so a follower re-journals it as one local record, not one per op.
+func TestReplayFallbackIsOneCommit(t *testing.T) {
+	e := openUniversity(t)
+	// COURSE(C,T,D) with C->T: bind cs101 to jones.
+	if err := e.Insert(0, tuple(e, "cs101", "jones", "cs")); err != nil {
+		t.Fatal(err)
+	}
+	var commits [][]Op
+	e.SetCommitHook(func(c Commit) func() error {
+		commits = append(commits, slices.Clone(c.Ops))
+		return nil
+	})
+	skipped, err := e.Replay(context.Background(), wal.Record{Ops: []wal.TupleOp{
+		{Rel: 0, Tuple: tuple(e, "cs101", "smith", "cs")}, // violates C->T
+		{Rel: 0, Tuple: tuple(e, "cs102", "smith", "cs")},
+		{Rel: 0, Tuple: tuple(e, "cs103", "brown", "ee")},
+		{Rel: 0, Tuple: tuple(e, "cs101", "jones", "cs"), Delete: true},
+	}})
+	if err != nil || !skipped {
+		t.Fatalf("Replay = %v, %v; want the record skipped", skipped, err)
+	}
+	if len(commits) != 1 || len(commits[0]) != 3 {
+		t.Fatalf("fallback committed %v, want one commit of the three admitted ops", commits)
+	}
+}
+
+// TestApplyPartialOverMaxBatchOps pins that ApplyPartial takes more than
+// MaxBatchOps ops in one call and cuts its commits at MaxBatchOps ops, so
+// each stays one decodable log record.
+func TestApplyPartialOverMaxBatchOps(t *testing.T) {
+	e := openUniversity(t)
+	ops := make([]Op, MaxBatchOps+2)
+	for i := range ops {
+		ops[i] = Op{Scheme: 0, Tuple: relation.Tuple{relation.Value(i), 1, 2}}
+	}
+	ops[len(ops)-1].Tuple = relation.Tuple{relation.Value(MaxBatchOps), 3, 2} // violates C->T
+	commits := 0
+	e.SetCommitHook(func(Commit) func() error { commits++; return nil })
+	r, err := e.ApplyPartial(context.Background(), ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Done != len(ops) || len(r.Changed) != len(ops)-1 || commits != 2 {
+		t.Fatalf("walked %d of %d ops, changed %d, %d commits; want all, %d, 2",
+			r.Done, len(ops), len(r.Changed), commits, len(ops)-1)
+	}
+	if len(r.Rejected) != 1 || r.Rejected[0].Index != len(ops)-1 {
+		t.Fatalf("rejected %v, want index %d", r.Rejected, len(ops)-1)
+	}
+}

@@ -49,14 +49,88 @@ type Op struct {
 	Delete bool
 }
 
-// appendChanged appends op to an Apply result, sizing the slice for the
-// whole batch on first use so a batch costs one allocation and a batch that
+// Policy is what a rejected insert does to its batch. SAT is closed under
+// subsets, so both policies admit through the same per-relation checks.
+type Policy uint8
+
+const (
+	// Atomic admits every insert before any delete; its first error leaves
+	// the state as it was and is returned.
+	Atomic Policy = iota
+	// Partial applies the ops in order, each insert admitted against the
+	// state the ops before it left, and records a rejected insert in
+	// Result.Rejected. Any other error (a chase budget) stops the walk at
+	// that op; what it accepted before stays.
+	Partial
+)
+
+// Rejection is one insert a Partial batch turned away.
+type Rejection struct {
+	Index int   // the op's position in the batch
+	Err   error // wraps ErrViolation
+}
+
+// Result is what applying a batch did: the ops that changed the state in
+// applied order (not admissible duplicates or deletes of absent tuples), a
+// Partial batch's rejections in batch order, and how many ops were given an
+// outcome — all of them, or the ops before the one that stopped the walk.
+type Result struct {
+	Changed  []Op
+	Rejected []Rejection
+	Done     int
+}
+
+// appendChanged appends op to r.Changed, sizing the slice for the whole
+// batch on first use so a batch costs one allocation and a batch that
 // changes nothing costs none.
-func appendChanged(changed []Op, op Op, batch int) []Op {
-	if changed == nil {
-		changed = make([]Op, 0, batch)
+func (r *Result) appendChanged(op Op, batch int) {
+	if r.Changed == nil {
+		r.Changed = make([]Op, 0, batch)
 	}
-	return append(changed, op)
+	r.Changed = append(r.Changed, op)
+}
+
+// walk is the per-op admission loop of both policies over the one-tuple
+// calls both maintainers have; Guard.Apply runs it under either policy,
+// ChaseMaintainer.Apply under Partial. An Atomic walk takes the inserts in
+// a first pass and the deletes in a second, and its first error removes the
+// inserts again in reverse (deletes cannot fail, so the state returns
+// exactly to where it was).
+func walk(m interface {
+	InsertReport(scheme int, t relation.Tuple) (bool, error)
+	Delete(scheme int, t relation.Tuple) (bool, error)
+}, ops []Op, p Policy) (r Result, err error) {
+	for pass := 0; pass < 2; pass++ {
+		for i, op := range ops {
+			if p == Partial && pass == 1 || p == Atomic && op.Delete != (pass == 1) {
+				continue
+			}
+			var changed bool
+			if op.Delete {
+				changed, err = m.Delete(op.Scheme, op.Tuple)
+			} else {
+				changed, err = m.InsertReport(op.Scheme, op.Tuple)
+			}
+			switch {
+			case err == nil:
+			case p == Atomic:
+				for k := len(r.Changed) - 1; k >= 0; k-- {
+					m.Delete(r.Changed[k].Scheme, r.Changed[k].Tuple)
+				}
+				return Result{}, err
+			case !errors.Is(err, ErrViolation):
+				r.Done = i
+				return r, err
+			default:
+				r.Rejected = append(r.Rejected, Rejection{Index: i, Err: err})
+			}
+			if changed {
+				r.appendChanged(op, len(ops))
+			}
+		}
+	}
+	r.Done = len(ops)
+	return r, nil
 }
 
 // checkSchemes rejects ops addressed outside [0, n) before anything is
@@ -324,40 +398,14 @@ func (g *Guard) Delete(scheme int, t relation.Tuple) (bool, error) {
 	return true, nil
 }
 
-// Apply applies a batch atomically. The inserts go first, validated and
-// added in op order: if one violates, those already added are removed again
-// in reverse (deletes cannot fail, so the state returns exactly to where it
-// was) and the violation is returned. Then the deletes are applied. The
-// result is the ops that changed the state, in applied order; admissible
-// duplicates and deletes of absent tuples are left out.
-func (g *Guard) Apply(ops []Op) (changed []Op, err error) {
+// Apply applies a batch under policy p (see Policy and walk). Either policy
+// admits each insert through InsertReport, the same per-relation check a
+// single insert takes.
+func (g *Guard) Apply(ops []Op, p Policy) (Result, error) {
 	if err := checkSchemes(ops, len(g.fds)); err != nil {
-		return nil, err
+		return Result{}, err
 	}
-	for _, op := range ops {
-		if op.Delete {
-			continue
-		}
-		added, err := g.InsertReport(op.Scheme, op.Tuple)
-		if err != nil {
-			for i := len(changed) - 1; i >= 0; i-- {
-				g.Delete(changed[i].Scheme, changed[i].Tuple)
-			}
-			return nil, err
-		}
-		if added {
-			changed = appendChanged(changed, op, len(ops))
-		}
-	}
-	for _, op := range ops {
-		if !op.Delete {
-			continue
-		}
-		if removed, _ := g.Delete(op.Scheme, op.Tuple); removed {
-			changed = appendChanged(changed, op, len(ops))
-		}
-	}
-	return changed, nil
+	return walk(g, ops, p)
 }
 
 // State implements Maintainer.
@@ -472,15 +520,19 @@ func (m *ChaseMaintainer) InsertReport(scheme int, t relation.Tuple) (bool, erro
 	return true, nil
 }
 
-// Apply applies a batch atomically, with Guard.Apply's contract: either all
-// the inserts are admissible together and are added — one trial chase
-// validates them all — or the state is left unchanged and the violation (or
-// budget error) is returned; then the deletes are applied. The result is
-// the ops that changed the state, in applied order.
-func (m *ChaseMaintainer) Apply(ops []Op) (changed []Op, err error) {
+// Apply applies a batch under policy p, with Guard.Apply's contract. A
+// Partial batch takes walk, one trial chase per insert. An Atomic batch
+// takes one trial chase for all its inserts together: either they are
+// admissible together and are added, or the state is left unchanged and the
+// violation (or budget error) is returned; then the deletes are applied.
+func (m *ChaseMaintainer) Apply(ops []Op, p Policy) (Result, error) {
 	if err := checkSchemes(ops, len(m.st.Insts)); err != nil {
-		return nil, err
+		return Result{}, err
 	}
+	if p == Partial {
+		return walk(m, ops, p)
+	}
+	var r Result
 	for _, op := range ops {
 		if op.Delete || m.st.Insts[op.Scheme].Has(op.Tuple) {
 			continue
@@ -489,30 +541,31 @@ func (m *ChaseMaintainer) Apply(ops []Op) (changed []Op, err error) {
 		// touching it: a lazy rebuild below would otherwise pad the candidate
 		// tuples as settled fact and misread the batch's own violation as
 		// state corruption.
-		if changed == nil && !m.jd {
+		if r.Changed == nil && !m.jd {
 			if _, err := m.engine(); err != nil {
-				return nil, err
+				return Result{}, err
 			}
 		}
 		// Add now so in-batch duplicates collapse; roll back below unless
 		// the whole batch chases clean.
 		m.st.Insts[op.Scheme].Add(op.Tuple)
-		changed = appendChanged(changed, op, len(ops))
+		r.appendChanged(op, len(ops))
 	}
-	if len(changed) > 0 {
+	if len(r.Changed) > 0 {
+		var err error
 		if m.jd {
 			var ok bool
 			if ok, err = chase.Satisfies(m.st, m.fds, true, m.caps); err == nil && !ok {
 				err = fmt.Errorf("%w: chase found a contradiction", ErrViolation)
 			}
 		} else {
-			err = m.tryInsert(changed)
+			err = m.tryInsert(r.Changed)
 		}
 		if err != nil {
-			for i := len(changed) - 1; i >= 0; i-- {
-				m.st.Insts[changed[i].Scheme].Remove(changed[i].Tuple)
+			for i := len(r.Changed) - 1; i >= 0; i-- {
+				m.st.Insts[r.Changed[i].Scheme].Remove(r.Changed[i].Tuple)
 			}
-			return nil, err
+			return Result{}, err
 		}
 	}
 	for _, op := range ops {
@@ -520,10 +573,11 @@ func (m *ChaseMaintainer) Apply(ops []Op) (changed []Op, err error) {
 			continue
 		}
 		if removed, _ := m.Delete(op.Scheme, op.Tuple); removed {
-			changed = appendChanged(changed, op, len(ops))
+			r.appendChanged(op, len(ops))
 		}
 	}
-	return changed, nil
+	r.Done = len(ops)
+	return r, nil
 }
 
 // Delete implements Maintainer. No chase is needed: SAT is closed under

@@ -188,9 +188,10 @@ func (f *Follower) WaitFor(pos wal.Position, timeout time.Duration) bool {
 }
 
 // FollowerStats is a point-in-time view of the replication stream. Records
-// are the primary's log records, one per primary commit: AppliedRecords
-// counts those replayed as one local commit, SkippedRecords those the
-// engine rejected as a whole and replayed op by op (the overlap case of
+// are the primary's log records, one per primary commit, and each replays
+// as one local commit: AppliedRecords counts those applied whole,
+// SkippedRecords those the engine rejected as a whole and then applied
+// partially, keeping every op the local state admits (the overlap case of
 // engine.Engine.Replay).
 type FollowerStats struct {
 	Applied        wal.Position `json:"applied"`
@@ -200,7 +201,7 @@ type FollowerStats struct {
 	Healthy        bool         `json:"healthy"`      // last source read succeeded
 	LastError      string       `json:"last_error,omitempty"`
 	AppliedRecords uint64       `json:"applied_records"`
-	SkippedRecords uint64       `json:"skipped_records"` // rejected as a whole on replay (overlap skips)
+	SkippedRecords uint64       `json:"skipped_records"` // rejected as a whole, then applied partially (overlap skips)
 	Resyncs        uint64       `json:"resyncs"`
 	CorruptChunks  uint64       `json:"corrupt_chunks"`
 	DroppedChunks  uint64       `json:"dropped_chunks"` // duplicates and out-of-order deliveries
@@ -242,7 +243,7 @@ func (f *Follower) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("indep_repl_applied_records_total",
 		"stream records, one per primary commit, applied to the local state as one commit", f.appliedRecs.Value)
 	r.CounterFunc("indep_repl_skipped_records_total",
-		"stream records rejected as a whole on replay and applied op by op (overlap skips)", f.skippedRecs.Value)
+		"stream records rejected as a whole on replay and applied partially as one commit (overlap skips)", f.skippedRecs.Value)
 	r.CounterFunc("indep_repl_resyncs_total",
 		"snapshot re-syncs (bootstrap, truncated stream, persistent corruption)", f.resyncs.Value)
 	r.CounterFunc("indep_repl_corrupt_chunks_total",
