@@ -8,13 +8,12 @@
 //	indep closure -schema ... -fds ... -of 'C H'
 //	indep acyclic -schema ...
 //	indep query -schema ... -fds ... -rows data.txt -of 'C T' [-where 'C=cs101'] [-limit 10] [-explain]
-//	indep load -schema ... -fds ... -rows data.txt -url http://localhost:8080 [-wire bin|json] [-batch 256]
-//	indep trace -url http://localhost:8080 -recent [-min 5ms] [-route 'POST /v1/tuple'] [-limit 10]
+//	indep load -schema ... -fds ... -rows data.txt -url http://localhost:8080 [-batch 256]
+//	indep trace -url http://localhost:8080 -recent [-min 5ms] [-route 'DELETE /tuple'] [-limit 10]
 //	indep experiments [-exp all|E1,T3,...] [-seed 1982] [-scale 0]
 //
-// load uploads a tuple file to a running indepd in atomic batches — over the
-// length-prefixed binary protocol (POST /v1/batchbin, the default) or the
-// JSON /v1/batch endpoint.
+// load uploads a tuple file to a running indepd in atomic batches over the
+// length-prefixed binary protocol (POST /v1/batchbin).
 //
 //	indep trace -url http://localhost:8080 -id 4bf92f3577b34da6
 //
@@ -45,6 +44,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -83,7 +83,6 @@ func main() {
 	limit := fs.Int("limit", 0, "query: cap the number of returned rows (0 = all)")
 	explain := fs.Bool("explain", false, "query: print the executed plan (mode, plan cache, per-relation scans)")
 	base := fs.String("url", "http://localhost:8080", "load: base URL of a running indepd")
-	wire := fs.String("wire", "bin", "load: wire encoding, 'bin' (POST /v1/batchbin) or 'json' (POST /v1/batch)")
 	batchSize := fs.Int("batch", 256, "load: rows per request batch")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
@@ -185,7 +184,7 @@ func main() {
 		if *rows == "" {
 			fatal(fmt.Errorf("load needs -rows (the tuple file to upload)"))
 		}
-		if err := runLoad(sch, *rows, *base, *wire, *batchSize); err != nil {
+		if err := runLoad(sch, *rows, *base, *batchSize); err != nil {
 			fatal(err)
 		}
 	default:
@@ -193,53 +192,31 @@ func main() {
 	}
 }
 
-// runLoad uploads a tuple file to a running indepd in batches, over the
-// binary wire protocol (-wire bin, the default: one length-prefixed
-// /v1/batchbin body per batch, no JSON anywhere) or the JSON /v1/batch
-// endpoint (-wire json). Batches are atomic server-side; a rejected or
-// failed batch aborts the load with the server's message.
-func runLoad(sch *indep.Schema, path, base, wire string, batchSize int) error {
+// runLoad uploads a tuple file to a running indepd in batches of batchSize
+// rows (at least 1), one length-prefixed POST /v1/batchbin body per batch,
+// no JSON anywhere. Batches are atomic server-side; a rejected or failed
+// batch aborts the load with the server's message, the batches before it
+// applied.
+func runLoad(sch *indep.Schema, path, base string, batchSize int) error {
 	ops, err := parseTupleFile(sch, path)
 	if err != nil {
 		return err
 	}
-	if batchSize < 1 {
-		batchSize = 1
-	}
-	if wire != "bin" && wire != "json" {
-		return fmt.Errorf("bad -wire %q (want bin or json)", wire)
-	}
+	batchSize = max(batchSize, 1)
 	client := &http.Client{Timeout: 30 * time.Second}
 	enc := indep.NewBinBatchEncoder(sch)
+	u := base + "/v1/batchbin"
 	start := time.Now()
 	sent := 0
 	for off := 0; off < len(ops); off += batchSize {
 		batch := ops[off:min(off+batchSize, len(ops))]
-		var body []byte
-		var u, ctype string
-		if wire == "bin" {
-			enc.Reset()
-			for _, op := range batch {
-				if err := enc.Add(op.Rel, op.Row); err != nil {
-					return err
-				}
-			}
-			body, u, ctype = enc.Bytes(), base+"/v1/batchbin", indep.BinContentType
-		} else {
-			type jsonOp struct {
-				Relation string            `json:"relation"`
-				Row      map[string]string `json:"row"`
-			}
-			jops := make([]jsonOp, len(batch))
-			for i, op := range batch {
-				jops[i] = jsonOp{Relation: op.Rel, Row: op.Row}
-			}
-			if body, err = json.Marshal(map[string]any{"ops": jops}); err != nil {
+		enc.Reset()
+		for _, op := range batch {
+			if err := enc.Add(op.Rel, op.Row); err != nil {
 				return err
 			}
-			u, ctype = base+"/v1/batch", "application/json"
 		}
-		resp, err := client.Post(u, ctype, strings.NewReader(string(body)))
+		resp, err := client.Post(u, indep.BinContentType, bytes.NewReader(enc.Bytes()))
 		if err != nil {
 			return err
 		}
@@ -251,8 +228,8 @@ func runLoad(sch *indep.Schema, path, base, wire string, batchSize int) error {
 		sent += len(batch)
 	}
 	elapsed := time.Since(start)
-	fmt.Printf("loaded %d rows over %s wire in %v (%.0f rows/s)\n",
-		sent, wire, elapsed.Round(time.Millisecond), float64(sent)/elapsed.Seconds())
+	fmt.Printf("loaded %d rows in %v (%.0f rows/s)\n",
+		sent, elapsed.Round(time.Millisecond), float64(sent)/elapsed.Seconds())
 	return nil
 }
 
@@ -275,7 +252,7 @@ func runTrace(argv []string) {
 	id := fs.String("id", "", "fetch one trace by its 16-hex ID")
 	recent := fs.Bool("recent", false, "list retained traces, newest first")
 	minDur := fs.Duration("min", 0, "recent: only traces at least this slow")
-	route := fs.String("route", "", "recent: only traces for this route, e.g. 'POST /v1/tuple'")
+	route := fs.String("route", "", "recent: only traces for this route, e.g. 'DELETE /tuple'")
 	limit := fs.Int("limit", 0, "recent: cap the number of listed traces (0 = server default)")
 	if err := fs.Parse(argv); err != nil {
 		os.Exit(2)
@@ -477,8 +454,8 @@ func usage() {
   indep closure -schema '...' -fds '...' -of 'A B'
   indep acyclic -schema '...'
   indep query -schema '...' -fds '...' -rows data.txt -of 'A B' [-where 'A=v'] [-limit n] [-explain]
-  indep load -schema '...' -fds '...' -rows data.txt -url http://host:8080 [-wire bin|json] [-batch n]
-  indep trace -url http://host:8080 -recent [-min 5ms] [-route 'POST /v1/tuple'] [-limit n]
+  indep load -schema '...' -fds '...' -rows data.txt -url http://host:8080 [-batch n]
+  indep trace -url http://host:8080 -recent [-min 5ms] [-route 'DELETE /tuple'] [-limit n]
   indep trace -url http://host:8080 -id <16-hex trace id>
   indep experiments [-exp all|E1,T3,...] [-seed 1982] [-scale 0]`)
 	os.Exit(2)

@@ -40,15 +40,6 @@ func newClusterServer(rt *cluster.Router, logger *slog.Logger, pprofOn bool, rec
 // routerBackend is the cluster.Router as the API handlers' backend.
 type routerBackend struct{ *cluster.Router }
 
-func (b routerBackend) InsertCtx(ctx context.Context, rel string, row map[string]string) error {
-	return b.Insert(ctx, rel, row)
-}
-
-// DeleteCtx reports whether the owning shard held the tuple.
-func (b routerBackend) DeleteCtx(ctx context.Context, rel string, row map[string]string) (bool, error) {
-	return b.Delete(ctx, rel, row)
-}
-
 func (b routerBackend) ApplyBinBatchPartial(ctx context.Context, payload []byte) (*indep.BatchReport, error) {
 	return b.Batch(ctx, payload)
 }

@@ -393,6 +393,66 @@ func TestClusterRouterDelete(t *testing.T) {
 	}
 }
 
+// TestClusterSingleOpsMatchNode sends one sequence of single-op writes to
+// a router and to a single node: insert, conflicting insert, re-insert,
+// delete, re-delete, an unknown relation and a missing attribute, then the
+// [C T] window, empty after the deletes. Both tiers apply the op as a one-op
+// payload, so every status code and body must be byte-identical; of the
+// window only elapsedNs and planCached, which tell each process's history,
+// are left out.
+func TestClusterSingleOpsMatchNode(t *testing.T) {
+	router, _ := newClusterTestServer(t, 3)
+	node, _ := newTestServer(t, clusterSchema, clusterFDs)
+	ct := func(c, t string) string { return `{"relation":"CT","row":{"C":"` + c + `","T":"` + t + `"}}` }
+	steps := []struct {
+		method, path, body string
+		code               int
+	}{
+		{http.MethodPost, "/v1/insert", ct("c1", "t1"), http.StatusOK},
+		{http.MethodPost, "/v1/insert", ct("c1", "t2"), http.StatusConflict},
+		{http.MethodPost, "/v1/insert", ct("c1", "t1"), http.StatusOK},
+		{http.MethodDelete, "/v1/tuple", ct("c1", "t1"), http.StatusOK},
+		{http.MethodDelete, "/v1/tuple", ct("c1", "t1"), http.StatusOK},
+		{http.MethodPost, "/v1/insert", `{"relation":"XY","row":{"C":"c1"}}`, http.StatusBadRequest},
+		{http.MethodDelete, "/v1/tuple", `{"relation":"CT","row":{"C":"c1"}}`, http.StatusBadRequest},
+		{http.MethodGet, "/v1/window?attrs=C,T", "", http.StatusOK},
+	}
+	send := func(base string, i int) (int, string) {
+		st := steps[i]
+		req, err := http.NewRequest(st.method, base+st.path, strings.NewReader(st.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.method == http.MethodGet {
+			var win map[string]any
+			if err := json.Unmarshal(body, &win); err != nil {
+				t.Fatal(err)
+			}
+			delete(win, "elapsedNs")
+			delete(win, "planCached")
+			body, _ = json.Marshal(win)
+		}
+		return resp.StatusCode, string(body)
+	}
+	for i, st := range steps {
+		rcode, rbody := send(router.URL, i)
+		ncode, nbody := send(node.URL, i)
+		if rcode != st.code || ncode != st.code || rbody != nbody {
+			t.Fatalf("step %d %s %s %s: router %d %s, node %d %s, want %d from both",
+				i, st.method, st.path, st.body, rcode, rbody, ncode, nbody, st.code)
+		}
+	}
+}
+
 // TestClusterTraceCrossesHop sends a write through the router under a
 // client trace ID: the router's flight recorder keeps the request, and the
 // owning shard's keeps the forward, both under that ID.

@@ -41,6 +41,10 @@
 //	GET    /window      ?attrs=C,T[&where=C=cs101&project=T&limit=10]
 //	                    (Accept: application/x-indep-bin streams the binary result from a node)
 //
+// Every write is a binary payload: /batch, /insert and /tuple transcode
+// their JSON ops into the /batchbin payload, and /insert and /tuple apply
+// theirs as a one-op ?partial=1 payload on node and router alike.
+//
 // Node only:
 //
 //	POST   /checkpoint  snapshot state, truncate the log (durable only)
@@ -287,8 +291,6 @@ func fatal(err error) {
 // backend is what the API routes call: a *indep.ConcurrentStore on a node,
 // routerBackend over a cluster.Router in -cluster mode.
 type backend interface {
-	InsertCtx(ctx context.Context, rel string, row map[string]string) error
-	DeleteCtx(ctx context.Context, rel string, row map[string]string) (bool, error)
 	ApplyBinBatchPartial(ctx context.Context, payload []byte) (*indep.BatchReport, error)
 	QueryCtx(ctx context.Context, q indep.WindowQuery) (*indep.WindowResult, error)
 }
@@ -354,10 +356,10 @@ func newAPIServer(sch *indep.Schema, logger *slog.Logger, pprofOn bool, rec obs.
 		rec:      obs.NewRecorder(rec),
 	}
 	s.rec.Register(reg)
-	s.handle("POST /insert", s.handleInsert)
+	s.handle("POST /insert", s.handleOne)
 	s.handle("POST /batch", s.handleBatch)
 	s.handle("POST /batchbin", s.handleBatchBin)
-	s.handle("DELETE /tuple", s.handleDelete)
+	s.handle("DELETE /tuple", s.handleOne)
 	s.handle("GET /window", s.handleWindow)
 	// Probe and scrape routes bypass the readiness gate and log at Debug:
 	// a kubelet hitting /healthz every few seconds must not fill the log.
@@ -489,17 +491,34 @@ func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-func (s *server) handleInsert(w http.ResponseWriter, r *http.Request) {
+// handleOne serves POST /insert and DELETE /tuple as a transcoder like
+// handleBatch: the JSON op becomes a one-op binary payload, applied through
+// ApplyBinBatchPartial on either tier, and its report is answered in the
+// single-op shape — a rejection as 409 with the op's error, otherwise
+// {"status":"ok"} for an insert and {"deleted":b} for a delete.
+func (s *server) handleOne(w http.ResponseWriter, r *http.Request) {
+	del := r.Method == http.MethodDelete
 	var req tupleReq
 	if !decode(w, r, &req) {
 		return
 	}
-	if err := s.api.InsertCtx(r.Context(), req.Relation, req.Row); err != nil {
-		writeErr(w, err, nil)
+	payload, ok := s.transcode(w, []tupleReq{req}, del)
+	if !ok {
 		return
 	}
-	s.noteVersion(w)
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
+	rep, err := s.api.ApplyBinBatchPartial(r.Context(), payload)
+	switch {
+	case err != nil:
+		writeErr(w, err, nil)
+	case len(rep.Rejected) > 0:
+		writeJSON(w, http.StatusConflict, map[string]any{"error": rep.Rejected[0].Error, "rejected": true})
+	case del:
+		s.noteVersion(w)
+		writeJSON(w, http.StatusOK, map[string]any{"deleted": rep.Changed > 0})
+	default:
+		s.noteVersion(w)
+		writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
+	}
 }
 
 // handleBatch is a thin transcoder: the JSON ops become the binary payload
@@ -509,14 +528,26 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
+	if payload, ok := s.transcode(w, req.Ops, false); ok {
+		s.applyBatch(w, r, payload, false)
+	}
+}
+
+// transcode encodes JSON ops as the binary payload /batchbin takes, as
+// deletes when del is set, answering 400 for an op the schema refuses.
+func (s *server) transcode(w http.ResponseWriter, ops []tupleReq, del bool) ([]byte, bool) {
 	enc := indep.NewBinBatchEncoder(s.sch)
-	for _, op := range req.Ops {
-		if err := enc.Add(op.Relation, op.Row); err != nil {
+	add := enc.Add
+	if del {
+		add = enc.Delete
+	}
+	for _, op := range ops {
+		if err := add(op.Relation, op.Row); err != nil {
 			writeErr(w, err, nil)
-			return
+			return nil, false
 		}
 	}
-	s.applyBatch(w, r, enc.Bytes(), false)
+	return enc.Bytes(), true
 }
 
 // handleBatchBin ingests a length-prefixed binary batch (the payload a
@@ -597,20 +628,6 @@ func (s *server) handleClusterRel(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", indep.BinContentType)
 	w.WriteHeader(http.StatusOK)
 	w.Write(data)
-}
-
-func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	var req tupleReq
-	if !decode(w, r, &req) {
-		return
-	}
-	deleted, err := s.api.DeleteCtx(r.Context(), req.Relation, req.Row)
-	if err != nil {
-		writeErr(w, err, nil)
-		return
-	}
-	s.noteVersion(w)
-	writeJSON(w, http.StatusOK, map[string]any{"deleted": deleted})
 }
 
 // parseWindowQuery decodes the /window query parameters:

@@ -86,7 +86,7 @@ func TestInsertSpanTree(t *testing.T) {
 		names[i] = sp["name"].(string)
 		byName[names[i]] = sp
 	}
-	for _, want := range []string{"POST /insert", "store.insert", "engine.insert", "wal.append", "wal.fsync"} {
+	for _, want := range []string{"POST /insert", "store.batchbin.partial", "engine.partial", "wal.append", "wal.fsync"} {
 		if _, ok := byName[want]; !ok {
 			t.Fatalf("span %q missing from tree %v", want, names)
 		}
@@ -107,16 +107,16 @@ func TestInsertSpanTree(t *testing.T) {
 	if parent("POST /insert") != -1 {
 		t.Fatalf("root has parent %d", parent("POST /insert"))
 	}
-	if parent("store.insert") != idx["POST /insert"] {
-		t.Fatalf("store.insert hangs off span %d", parent("store.insert"))
+	if parent("store.batchbin.partial") != idx["POST /insert"] {
+		t.Fatalf("store.batchbin.partial hangs off span %d", parent("store.batchbin.partial"))
 	}
-	if parent("engine.insert") != idx["store.insert"] {
-		t.Fatalf("engine.insert hangs off span %d", parent("engine.insert"))
+	if parent("engine.partial") != idx["store.batchbin.partial"] {
+		t.Fatalf("engine.partial hangs off span %d", parent("engine.partial"))
 	}
 	for _, walSpan := range []string{"wal.append", "wal.fsync"} {
-		if parent(walSpan) != idx["engine.insert"] {
-			t.Fatalf("%s hangs off span %d, want engine.insert (%d)",
-				walSpan, parent(walSpan), idx["engine.insert"])
+		if parent(walSpan) != idx["engine.partial"] {
+			t.Fatalf("%s hangs off span %d, want engine.partial (%d)",
+				walSpan, parent(walSpan), idx["engine.partial"])
 		}
 	}
 
@@ -219,6 +219,18 @@ func TestTraceRecent(t *testing.T) {
 		if tr["route"] != "POST /insert" {
 			t.Fatalf("route filter leaked %v", tr["route"])
 		}
+	}
+	// A versioned path is listed under the bare pattern, the route
+	// `indep trace -route` names.
+	if resp, out := do(t, "DELETE", ts.URL+"/v1/tuple", map[string]any{
+		"relation": "CT", "row": map[string]string{"C": "c0", "T": "t"},
+	}); resp.StatusCode != http.StatusOK || out["deleted"] != true {
+		t.Fatalf("delete: %d %v", resp.StatusCode, out)
+	}
+	resp, out = do(t, "GET", ts.URL+"/debug/trace/recent?route="+url.QueryEscape("DELETE /tuple"), nil)
+	if resp.StatusCode != http.StatusOK || out["count"].(float64) != 1 ||
+		out["traces"].([]any)[0].(map[string]any)["route"] != "DELETE /tuple" {
+		t.Fatalf("recent DELETE /tuple: %d %v", resp.StatusCode, out)
 	}
 	// Probe/debug routes themselves are never traced.
 	resp, out = do(t, "GET", ts.URL+"/debug/trace/recent?route="+url.QueryEscape("GET /debug/trace/recent"), nil)

@@ -339,49 +339,6 @@ func (r *Router) Batch(ctx context.Context, payload []byte) (*indep.BatchReport,
 	return report, nil
 }
 
-// Insert routes one insert. A rejection surfaces as the shard's error,
-// matching ConcurrentStore.Insert (test with indep.Rejected).
-func (r *Router) Insert(ctx context.Context, rel string, row map[string]string) error {
-	_, err := r.one(ctx, rel, row, false)
-	return err
-}
-
-// Delete routes one delete and reports whether the owning shard held the
-// tuple; deleting an absent tuple is a no-op.
-func (r *Router) Delete(ctx context.Context, rel string, row map[string]string) (bool, error) {
-	return r.one(ctx, rel, row, true)
-}
-
-// one routes a single operation and reports whether it changed the state.
-func (r *Router) one(ctx context.Context, rel string, row map[string]string, del bool) (bool, error) {
-	enc := indep.NewBinBatchEncoder(r.sch)
-	var err error
-	if del {
-		err = enc.Delete(rel, row)
-	} else {
-		err = enc.Add(rel, row)
-	}
-	if err != nil {
-		return false, err
-	}
-	rep, err := r.Batch(ctx, enc.Bytes())
-	if err != nil {
-		return false, err
-	}
-	if len(rep.Rejected) > 0 {
-		return false, rejection(rep.Rejected[0].Error)
-	}
-	return rep.Changed > 0, nil
-}
-
-// rejection is a shard's rejection of a routed op. It reads exactly as the
-// shard's message, which already names the violation, and unwraps to
-// indep.ErrRejected so indep.Rejected holds, as on a single node.
-type rejection string
-
-func (r rejection) Error() string { return string(r) }
-func (rejection) Unwrap() error   { return indep.ErrRejected }
-
 // Window answers a window query byte-identically to a single node holding
 // all the data, over one of two read paths chosen from the relations the
 // plan consults (Schema.WindowFetches); window evaluation is a pure

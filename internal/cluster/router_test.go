@@ -135,6 +135,17 @@ func encodePayload(t testing.TB, sch *indep.Schema, ops []indep.BatchOp, dels []
 	return enc.Bytes()
 }
 
+// insert routes one insert as a one-op payload, the shape a daemon's
+// /insert sends, and returns the routing error or the op's rejection.
+func (tc *testCluster) insert(t testing.TB, rel string, row map[string]string) error {
+	t.Helper()
+	rep, err := tc.rt.Batch(context.Background(), encodePayload(t, tc.sch, []indep.BatchOp{{Rel: rel, Row: row}}, nil))
+	if err == nil && len(rep.Rejected) > 0 {
+		err = fmt.Errorf("rejected: %s", rep.Rejected[0].Error)
+	}
+	return err
+}
+
 // reportsEqual compares two batch reports by counts and rejection
 // positions. Error strings are compared by code only: the shard and the
 // oracle phrase the same violation against different local states.
@@ -229,50 +240,6 @@ func TestRouterBatchMatchesSingleNode(t *testing.T) {
 	tc.checkOracle(t, oracle)
 }
 
-// TestRouterSingleOps pins Insert/Delete routing and the rejection error
-// contract (indep.Rejected, matching ConcurrentStore).
-func TestRouterSingleOps(t *testing.T) {
-	sch := runningExample(t)
-	tc := newTestCluster(t, sch, 3, cluster.Options{}, nil)
-	ctx := context.Background()
-	if err := tc.rt.Insert(ctx, "CT", map[string]string{"C": "c1", "T": "t1"}); err != nil {
-		t.Fatal(err)
-	}
-	err := tc.rt.Insert(ctx, "CT", map[string]string{"C": "c1", "T": "t2"})
-	if !indep.Rejected(err) {
-		t.Fatalf("conflicting insert: got %v, want a rejection", err)
-	}
-	// The routed rejection reads exactly as the single node's.
-	single, serr := sch.OpenConcurrentStore()
-	if serr != nil {
-		t.Fatal(serr)
-	}
-	if serr = single.Insert("CT", map[string]string{"C": "c1", "T": "t1"}); serr != nil {
-		t.Fatal(serr)
-	}
-	if serr = single.Insert("CT", map[string]string{"C": "c1", "T": "t2"}); err.Error() != serr.Error() {
-		t.Fatalf("routed rejection %q, single node %q", err, serr)
-	}
-	// Idempotent re-insert, then delete, then re-delete (a no-op): Delete
-	// reports whether the owning shard held the tuple.
-	if err := tc.rt.Insert(ctx, "CT", map[string]string{"C": "c1", "T": "t1"}); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []bool{true, false} {
-		ok, err := tc.rt.Delete(ctx, "CT", map[string]string{"C": "c1", "T": "t1"})
-		if err != nil || ok != want {
-			t.Fatalf("Delete = %v, %v; want %v", ok, err, want)
-		}
-	}
-	res, err := tc.rt.Window(ctx, indep.WindowQuery{Attrs: []string{"C", "T"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Total != 0 {
-		t.Fatalf("window after delete holds %d rows", res.Total)
-	}
-}
-
 // TestRouterWindowFilters pins that where/project/limit survive the
 // scatter-gather path unchanged.
 func TestRouterWindowFilters(t *testing.T) {
@@ -328,10 +295,10 @@ func TestRouterFallbackMode(t *testing.T) {
 		t.Fatalf("status = %q (%q), want fallback with a reason", st.Mode, st.Reason)
 	}
 	ctx := context.Background()
-	if err := tc.rt.Insert(ctx, "R", map[string]string{"A": "a1", "B": "b1"}); err != nil {
+	if err := tc.insert(t, "R", map[string]string{"A": "a1", "B": "b1"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tc.rt.Insert(ctx, "S", map[string]string{"B": "b1", "C": "c1"}); err != nil {
+	if err := tc.insert(t, "S", map[string]string{"B": "b1", "C": "c1"}); err != nil {
 		t.Fatal(err)
 	}
 	for name, store := range tc.stores {
@@ -382,7 +349,7 @@ func TestRouterShardDown(t *testing.T) {
 	const dead = "shard2"
 	injectors[dead].Kill()
 
-	err := tc.rt.Insert(ctx, "CT", rowFor(dead, true))
+	err := tc.insert(t, "CT", rowFor(dead, true))
 	var se *cluster.ShardError
 	if !errors.As(err, &se) || se.Shard != dead {
 		t.Fatalf("insert to dead shard: got %v, want ShardError{%s}", err, dead)
@@ -390,7 +357,7 @@ func TestRouterShardDown(t *testing.T) {
 	if indep.Rejected(err) {
 		t.Fatal("an unreachable shard must not read as a constraint rejection")
 	}
-	if err := tc.rt.Insert(ctx, "CT", rowFor(dead, false)); err != nil {
+	if err := tc.insert(t, "CT", rowFor(dead, false)); err != nil {
 		t.Fatalf("insert to live shard: %v", err)
 	}
 
