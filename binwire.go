@@ -1098,6 +1098,24 @@ func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 // varintLen is the length of x's varint encoding.
 func varintLen(x int64) int { return uvarintLen(uint64(x)<<1 ^ uint64(x>>63)) }
 
+// SetPlanCached sets the result's plan-cache flag everywhere it is carried:
+// PlanCached, Explain's PlanCached and Bin's flags byte, whose checksum it
+// recomputes. A router that compiles a window's plan before evaluating it
+// over gathered rows reports its own compile's hit through it.
+func (res *WindowResult) SetPlanCached(cached bool) {
+	res.PlanCached = cached
+	if res.Explain != nil {
+		res.Explain.PlanCached = cached
+	}
+	if n := len(res.Bin) - 4; n > len(winMagic) {
+		res.Bin[len(winMagic)] &^= 2
+		if cached {
+			res.Bin[len(winMagic)] |= 2
+		}
+		binary.LittleEndian.PutUint32(res.Bin[n:], crc32.Checksum(res.Bin[:n], binCRC))
+	}
+}
+
 // EncodeWindowBinary renders a result's Rows, in their order, as the binary
 // window encoding with its Attrs, Total and plan flags: the inverse of
 // DecodeWindowBinary, for a result that arrived rendered.

@@ -384,6 +384,41 @@ func rowsWithoutAttrs() []byte {
 // TestDecodeWindowBinaryRejectsRowsWithoutAttrs pins the row bound for the
 // attribute-less case: a router decodes shard replies with this function,
 // so one such reply must be an error, not an out-of-memory crash.
+// TestSetPlanCached flips a binary answer's plan-cache flag both ways: the
+// answer still decodes, its checksum recomputed, with the flag set and
+// every other field unchanged, and Explain follows the flag.
+func TestSetPlanCached(t *testing.T) {
+	cs, err := binTestSchema(t).OpenConcurrentStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.InsertBatch(binTestOps(20)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := cs.Query(WindowQuery{Attrs: []string{"C", "T"}, BinaryResult: true, Explain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := DecodeWindowBinary(res.Bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cached := range []bool{!res.PlanCached, res.PlanCached} {
+		res.SetPlanCached(cached)
+		got, err := DecodeWindowBinary(res.Bin)
+		if err != nil {
+			t.Fatalf("cached %v: %v", cached, err)
+		}
+		if res.PlanCached != cached || res.Explain.PlanCached != cached || got.PlanCached != cached {
+			t.Fatalf("cached %v: result %v, explain %v, decoded %v", cached, res.PlanCached, res.Explain.PlanCached, got.PlanCached)
+		}
+		want.PlanCached = cached
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("cached %v: decoded %+v, want %+v", cached, got, want)
+		}
+	}
+}
+
 func TestDecodeWindowBinaryRejectsRowsWithoutAttrs(t *testing.T) {
 	if _, err := DecodeWindowBinary(rowsWithoutAttrs()); err == nil {
 		t.Fatal("2^40 rows of no attributes decoded without error")

@@ -34,6 +34,7 @@ import (
 	"sync"
 
 	"indep/internal/acyclic"
+	"indep/internal/chase"
 	"indep/internal/fd"
 	"indep/internal/independence"
 	"indep/internal/infer"
@@ -46,10 +47,25 @@ type Schema struct {
 	s   *schema.Schema
 	fds fd.List
 
-	// qmu guards qev, the lazily built window-query evaluator shared by
-	// every Database of this schema (see Database.Query).
-	qmu sync.Mutex
-	qev *query.Evaluator
+	// once decides the schema on first use (see decision). res and qev,
+	// the window evaluator built from it and shared by every Database of
+	// this schema, are immutable afterwards.
+	once sync.Once
+	res  *independence.Result
+	qev  *query.Evaluator
+	err  error
+}
+
+// decision runs the independence decision procedure once per Schema and
+// builds the window evaluator from it, so Analyze and every window of a
+// Database share one decision.
+func (s *Schema) decision() (*independence.Result, *query.Evaluator, error) {
+	s.once.Do(func() {
+		if s.res, s.err = independence.Decide(s.s, s.fds); s.err == nil {
+			s.qev = query.NewEvaluator(s.s, s.fds, s.res, chase.DefaultCaps)
+		}
+	})
+	return s.res, s.qev, s.err
 }
 
 // Parse builds a Schema from two compact declarations, e.g.
@@ -193,9 +209,10 @@ type Analysis struct {
 }
 
 // Analyze runs the paper's polynomial independence test and, on failure,
-// returns a chase-verified counterexample state.
+// returns a chase-verified counterexample state. The test runs once per
+// Schema; every call returns a fresh Analysis with its own Witness.
 func (s *Schema) Analyze() (*Analysis, error) {
-	res, err := independence.Decide(s.s, s.fds)
+	res, _, err := s.decision()
 	if err != nil {
 		return nil, err
 	}
@@ -242,7 +259,7 @@ func (s *Schema) newAnalysis(res *independence.Result) *Analysis {
 	}
 	a.WitnessKind = string(res.WitnessKind)
 	if res.Witness != nil {
-		a.Witness = &Database{schema: s, st: res.Witness}
+		a.Witness = &Database{schema: s, st: res.Witness.Clone()}
 	}
 	return a
 }

@@ -96,6 +96,19 @@ func TestAnalyzeNotIndependentWithWitness(t *testing.T) {
 	if !strings.Contains(a.Summary(), "NOT INDEPENDENT") {
 		t.Fatalf("summary: %s", a.Summary())
 	}
+	// The schema decides once, but every Analyze hands out its own witness:
+	// an insert into one leaves the next call's unchanged.
+	before := a.Witness.String()
+	if err := a.Witness.Insert("CD", map[string]string{"C": "extra", "D": "extra"}); err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Witness.String(); got != before || a.Witness.String() == before {
+		t.Fatalf("second witness %q, first before its insert %q, after %q", got, before, a.Witness.String())
+	}
 }
 
 func TestDatabasePaperExample1(t *testing.T) {

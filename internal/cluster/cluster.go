@@ -18,7 +18,7 @@
 //
 // Reads use the same theorem in the other direction. A window plan knows
 // precisely which relations an evaluation consults
-// (Schema.WindowConsults): the contributing relations plus those the
+// (Schema.WindowFetches): the contributing relations plus those the
 // extension tableaux of the window's attributes take valuations against,
 // and the answer is a pure function of those relations' contents. Two read
 // paths follow:

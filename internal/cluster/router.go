@@ -364,7 +364,7 @@ func (r *Router) Batch(ctx context.Context, payload []byte) (*indep.BatchReport,
 // BinaryResult and with rendered Rows otherwise, Explain attached either
 // way when asked.
 func (r *Router) Window(ctx context.Context, q indep.WindowQuery) (*indep.WindowResult, error) {
-	fetches, fast, err := r.sch.WindowFetches(q)
+	fetches, fast, cached, err := r.sch.WindowFetches(q)
 	if err != nil {
 		return nil, err
 	}
@@ -382,7 +382,7 @@ func (r *Router) Window(ctx context.Context, q indep.WindowQuery) (*indep.Window
 		}
 		return r.evalOnOwners(ctx, q, shards, disjoint)
 	}
-	return r.gather(ctx, q, fetches)
+	return r.gather(ctx, q, fetches, cached)
 }
 
 // windowOutput checks q's Project against its window, so that a malformed
@@ -528,7 +528,10 @@ func mergeExplain(parts []*indep.WindowResult) *indep.WindowExplain {
 //
 // Explain counts the scratch state's rows. They are the single node's
 // unless a fetched window held total-projection tuples outside R itself.
-func (r *Router) gather(ctx context.Context, q indep.WindowQuery, fetches []indep.WindowFetch) (*indep.WindowResult, error) {
+// The scratch evaluation hits the plan WindowFetches just compiled, so the
+// answer reports cached, that compile's hit, as a node's first window
+// reports a miss.
+func (r *Router) gather(ctx context.Context, q indep.WindowQuery, fetches []indep.WindowFetch, cached bool) (*indep.WindowResult, error) {
 	inc(r.gathers)
 	type fetch struct {
 		rel, shard string
@@ -579,7 +582,12 @@ func (r *Router) gather(ctx context.Context, q indep.WindowQuery, fetches []inde
 			}
 		}
 	}
-	return scratch.Query(q)
+	res, err := scratch.Query(q)
+	if err != nil {
+		return nil, err
+	}
+	res.SetPlanCached(cached)
+	return res, nil
 }
 
 // fanOut runs call(i) against shards[i] for every i, concurrently and each

@@ -281,17 +281,20 @@ func testWindowsAgainstOracle(t *testing.T, sch *indep.Schema, rng *rand.Rand, w
 			}
 		}
 
-		fetches, _, err := sch.WindowFetches(q)
+		fetches, _, _, err := sch.WindowFetches(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rels, _, err := sch.WindowConsults(q.Attrs...)
+		consults, _, _, err := sch.WindowFetches(indep.WindowQuery{Attrs: q.Attrs})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var fetched []string
+		var fetched, rels []string
 		for _, f := range fetches {
 			fetched = append(fetched, f.Relation)
+		}
+		for _, f := range consults {
+			rels = append(rels, f.Relation)
 		}
 		if !slices.Equal(fetched, rels) {
 			t.Fatalf("window %+v: fetches %v, consults %v", q, fetches, rels)

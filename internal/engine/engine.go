@@ -26,7 +26,6 @@ import (
 	"indep/internal/chase"
 	"indep/internal/fd"
 	"indep/internal/independence"
-	"indep/internal/infer"
 	"indep/internal/maintenance"
 	"indep/internal/obs"
 	"indep/internal/query"
@@ -72,8 +71,6 @@ type CommitHook func(c Commit) (wait func() error)
 // are safe for concurrent use.
 type Engine struct {
 	s    *schema.Schema
-	fds  fd.List
-	caps chase.Caps
 	res  *independence.Result
 	dict *relation.Dict // the maintainer state's; every snapshot shares it
 
@@ -86,7 +83,6 @@ type Engine struct {
 	// mutexes guard only stats. Lock order is always mu before shard.mu.
 	mu    sync.Mutex
 	chase *maintenance.ChaseMaintainer
-	jd    bool
 
 	// hook, when set, observes successful mutations (see CommitHook). Set
 	// once before concurrent use; nil checks are unsynchronized.
@@ -101,9 +97,8 @@ type Engine struct {
 	snapReuses atomic.Uint64
 	snapCopies atomic.Uint64
 
-	// ev is the window-query evaluator, built on first query (see Window).
-	evOnce sync.Once
-	ev     *query.Evaluator
+	// ev is the window-query evaluator, built by New from the decision.
+	ev *query.Evaluator
 
 	// chaseMet collects telemetry from every chase run under the engine's
 	// caps (maintainer and query fallback); queryLat is the window-query
@@ -137,24 +132,22 @@ func New(s *schema.Schema, fds fd.List, caps chase.Caps) (*Engine, error) {
 	}
 	e := &Engine{
 		s:        s,
-		fds:      fds,
-		caps:     caps,
 		res:      res,
 		chaseMet: &chase.Metrics{},
 		shards:   make([]shard, len(s.Rels)),
 	}
 	// Thread the telemetry sink through the caps so the maintainer's and
 	// the query evaluator's internal chases report into it.
-	e.caps.Metrics = e.chaseMet
+	caps.Metrics = e.chaseMet
 	if res.Independent {
 		e.fast = true
 		e.guard = maintenance.NewGuard(s, res.Cover)
 		e.dict = e.guard.State().Dict
 	} else {
-		e.jd = !infer.AllEmbedded(s, fds)
-		e.chase = maintenance.NewChaseMaintainer(s, fds, e.jd, e.caps)
+		e.chase = maintenance.NewChaseMaintainer(s, fds, res.JD, caps)
 		e.dict = e.chase.State().Dict
 	}
+	e.ev = query.NewEvaluator(s, fds, res, caps)
 	return e, nil
 }
 

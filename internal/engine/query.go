@@ -48,18 +48,11 @@ func (e *Engine) querySnapshot() (st *relation.State, reused bool, version uint6
 	return st, false, v
 }
 
-// Evaluator returns the engine's window-query evaluator, built once from
-// the independence analysis the engine already holds. Snapshot-backed
-// databases reuse it so plans compile once per engine, not per view.
-func (e *Engine) Evaluator() *query.Evaluator { return e.evaluator() }
-
-// evaluator lazily builds the evaluator.
-func (e *Engine) evaluator() *query.Evaluator {
-	e.evOnce.Do(func() {
-		e.ev = query.NewEvaluator(e.s, e.fds, e.res, e.caps)
-	})
-	return e.ev
-}
+// Evaluator returns the engine's window-query evaluator, which New built
+// from the decision the engine holds, its accepted Loop runs included.
+// Snapshot-backed databases reuse it so plans compile once per engine, not
+// per view.
+func (e *Engine) Evaluator() *query.Evaluator { return e.ev }
 
 // Window computes the window [x] — the X-total projection of the
 // representative instance — over a consistent snapshot of the current
@@ -114,10 +107,10 @@ type WindowMeta struct {
 func (e *Engine) WindowMetaCtx(ctx context.Context, x attrset.Set, where map[int]string, explain bool) (*query.Result, *relation.State, WindowMeta, error) {
 	sp := obs.SpanFrom(ctx).StartChild("engine.window")
 	st, reused, version := e.querySnapshot()
-	res, err := e.evaluator().Query(st, x, query.Resolve(st.Dict, where))
+	res, err := e.ev.Query(st, x, query.Resolve(st.Dict, where))
 	meta := WindowMeta{SnapshotReused: reused, Version: version}
 	if err == nil && (explain || sp.Recording()) {
-		meta.Explain = e.evaluator().Explain(res, st)
+		meta.Explain = e.ev.Explain(res, st)
 	}
 	if sp.Recording() {
 		sp.SetAttr("window", e.s.U.Format(x, " "))
@@ -168,7 +161,7 @@ type QueryStats struct {
 // QueryStats returns the engine's query-side counters.
 func (e *Engine) QueryStats() QueryStats {
 	return QueryStats{
-		Stats:          e.evaluator().Stats(),
+		Stats:          e.ev.Stats(),
 		SnapshotReuses: e.snapReuses.Load(),
 		SnapshotCopies: e.snapCopies.Load(),
 	}

@@ -82,7 +82,7 @@ func (e *Engine) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("indep_engine_snapshot_copies_total",
 		"queries that had to cut a fresh snapshot", e.snapCopies.Load)
 
-	ev := e.evaluator()
+	ev := e.ev
 	r.CounterFunc("indep_query_windows_total",
 		"window queries evaluated", func() uint64 { return ev.Stats().Queries })
 	r.CounterFunc("indep_query_plan_hits_total",

@@ -23,7 +23,10 @@ const (
 	ReasonLoopRejected Reason = "loop-rejected"
 )
 
-// Result is the outcome of the independence decision procedure.
+// Result is the outcome of the independence decision procedure and what it
+// proved on the way. The guard, the chase maintainer and the window
+// evaluator are built from it and derive none of it again. It is immutable,
+// but for Witness, which a caller handing it out mutably must clone.
 type Result struct {
 	Independent bool
 	Reason      Reason
@@ -37,6 +40,14 @@ type Result struct {
 	// FailingFDs are the FDs of F that no embedded cover can derive
 	// (cover-embedding failures), split to single-attribute RHS.
 	FailingFDs fd.List
+
+	// Runs holds each scheme's accepted Loop run when the schema is
+	// independent, nil otherwise: Theorem 5's extension data.
+	Runs []*AcceptedRun
+
+	// JD reports that a chase under F ∪ {*D} needs the join-dependency
+	// rule: some FD of F is embedded in no scheme (Lemma 4).
+	JD bool
 
 	// Rejection details the Loop failure, when Reason is ReasonLoopRejected.
 	Rejection *Rejection
@@ -61,17 +72,20 @@ func Decide(s *schema.Schema, fds fd.List) (*Result, error) {
 		return nil, err
 	}
 
+	jd := !infer.AllEmbedded(s, fds)
 	cover, ok, failing := infer.ExtractCover(s, fds)
 	if !ok {
 		res := &Result{
 			Reason:      ReasonNotCoverEmbedding,
 			FailingFDs:  failing,
+			JD:          jd,
 			Witness:     Lemma3Witness(s, fds, failing[0]),
 			WitnessKind: WitnessLemma3,
 		}
 		return res, nil
 	}
 	res := DecideEmbedded(s, cover)
+	res.JD = jd
 	return res, nil
 }
 
@@ -81,9 +95,9 @@ func Decide(s *schema.Schema, fds fd.List) (*Result, error) {
 // rejection, preferring the Lemma 7 construction when a cross-relation
 // derivation exists and the Theorem 4 construction otherwise.
 func DecideEmbedded(s *schema.Schema, cover infer.AssignedList) *Result {
-	accepted, rej := LoopAccepts(s, cover)
-	if accepted {
-		return &Result{Independent: true, Reason: ReasonIndependent, Cover: cover}
+	runs, rej := LoopAccepts(s, cover)
+	if rej == nil {
+		return &Result{Independent: true, Reason: ReasonIndependent, Cover: cover, Runs: runs}
 	}
 	res := &Result{
 		Reason:    ReasonLoopRejected,

@@ -2,6 +2,7 @@ package independence
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"indep/internal/attrset"
@@ -10,6 +11,7 @@ import (
 	"indep/internal/infer"
 	"indep/internal/relation"
 	"indep/internal/schema"
+	"indep/internal/workload"
 )
 
 func mustDecide(t *testing.T, s *schema.Schema, fds fd.List) *Result {
@@ -377,5 +379,48 @@ func TestTheorem3EquivalenceFToFJD(t *testing.T) {
 			t.Fatalf("Theorem 3 equivalence violated on %s / %s: %v vs %v",
 				s, fds.Format(s.U), res1.Independent, res2.Independent)
 		}
+	}
+}
+
+// TestDecideKeepsAcceptedRuns pins what a decision hands its consumers: an
+// independent Result carries, for every scheme, the run PrepareExtension
+// builds from the same cover; any other Result carries no runs; and JD is
+// the Lemma 4 test on every result.
+func TestDecideKeepsAcceptedRuns(t *testing.T) {
+	r := rand.New(rand.NewSource(44))
+	var independent, other int
+	for i := 0; i < 240; i++ {
+		s, fds := workload.Schema(r, workload.Config{
+			Attrs: 4 + r.Intn(3), Schemes: 2 + r.Intn(3), SchemeMax: 3, FDs: 1 + r.Intn(4), LHSMax: 2,
+			Embedded: r.Intn(2) == 0, Shape: workload.Shape(r.Intn(3)),
+		})
+		res := mustDecide(t, s, fds)
+		if res.JD != !infer.AllEmbedded(s, fds) {
+			t.Fatalf("%s with %s: JD %v", s, fds.Format(s.U), res.JD)
+		}
+		if !res.Independent {
+			other++
+			if res.Runs != nil {
+				t.Fatalf("%s with %s (%s): %d runs kept", s, fds.Format(s.U), res.Reason, len(res.Runs))
+			}
+			continue
+		}
+		independent++
+		if len(res.Runs) != s.Size() {
+			t.Fatalf("%s with %s: %d runs for %d schemes", s, fds.Format(s.U), len(res.Runs), s.Size())
+		}
+		for l, run := range res.Runs {
+			want, rej := PrepareExtension(s, res.Cover, l)
+			if rej != nil {
+				t.Fatalf("%s with %s: scheme %d rejected: %v", s, fds.Format(s.U), l, rej)
+			}
+			if run.Scheme() != l || run.Available() != want.Available() ||
+				!reflect.DeepEqual(run.Consulted(s.U.All()), want.Consulted(s.U.All())) {
+				t.Fatalf("%s with %s: scheme %d kept run differs from PrepareExtension's", s, fds.Format(s.U), l)
+			}
+		}
+	}
+	if independent < 20 || other < 20 {
+		t.Fatalf("insufficient coverage: %d independent, %d not", independent, other)
 	}
 }

@@ -317,15 +317,19 @@ func RunLoop(s *schema.Schema, cover infer.AssignedList, l int) (*Rejection, []I
 	return rej, r.Trace
 }
 
-// LoopAccepts reports whether The Loop accepts for every scheme of D given
-// an embedded cover (Theorem 3 conditions (1)–(4) ⇔ acceptance).
-func LoopAccepts(s *schema.Schema, cover infer.AssignedList) (bool, *Rejection) {
+// LoopAccepts runs The Loop for every scheme of D given an embedded cover
+// and returns each scheme's accepted run, indexed by scheme, or the first
+// rejection (Theorem 3 conditions (1)–(4) ⇔ acceptance).
+func LoopAccepts(s *schema.Schema, cover infer.AssignedList) ([]*AcceptedRun, *Rejection) {
+	runs := make([]*AcceptedRun, len(s.Rels))
 	for l := range s.Rels {
-		if rej, _ := RunLoop(s, cover, l); rej != nil {
-			return false, rej
+		run, rej := PrepareExtension(s, cover, l)
+		if rej != nil {
+			return nil, rej
 		}
+		runs[l] = run
 	}
-	return true, nil
+	return runs, nil
 }
 
 // CrossDerivation reports whether the hypothesis of Lemma 7 holds for the

@@ -609,5 +609,5 @@ func ForSchema(s *schema.Schema, fds fd.List, caps chase.Caps) (Maintainer, bool
 	if res.Independent {
 		return NewGuard(s, res.Cover), true, nil
 	}
-	return NewChaseMaintainer(s, fds, !infer.AllEmbedded(s, fds), caps), false, nil
+	return NewChaseMaintainer(s, fds, res.JD, caps), false, nil
 }

@@ -1,0 +1,41 @@
+package query
+
+import (
+	"testing"
+
+	"indep/internal/attrset"
+	"indep/internal/chase"
+	"indep/internal/fd"
+	"indep/internal/independence"
+	"indep/internal/schema"
+)
+
+// TestColdPlanAllocBudget pins what a fresh evaluator costs to compile its
+// first plans on the benchmark's star schema: a local window over FACT, a
+// DIM1 point window and a FACT ⋈ DIM1 join window. Plan reads each scheme's
+// accepted Loop run from the decision, so the budget covers the plan
+// itself (relevance test and consulted schemes) and nothing of The Loop.
+// It measures 21 allocations; running The Loop once per scheme inside the
+// evaluator, as it once did, measured 126.
+func TestColdPlanAllocBudget(t *testing.T) {
+	s := schema.MustParse("FACT(A,B,C,D); DIM1(A,E,F,G,H,I); DIM2(B,J,K,L,M,N); DIM3(C,O,P,Q,R,S); DIM4(D,T,U,V,W,X,Y)")
+	fds, err := fd.Parse(s.U, "A -> E F G H I; B -> J K L M N; C -> O P Q R S; D -> T U V W X Y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := independence.Decide(s, fds)
+	if err != nil || !res.Independent {
+		t.Fatalf("bench schema: independent %v, err %v", res != nil && res.Independent, err)
+	}
+	xs := []attrset.Set{s.U.Set("A", "B", "C", "D"), s.U.Set("A", "E", "F"), s.U.Set("A", "B", "C", "D", "E", "F")}
+	if n := testing.AllocsPerRun(100, func() {
+		ev := NewEvaluator(s, fds, res, chase.DefaultCaps)
+		for _, x := range xs {
+			if _, cached, err := ev.Plan(x); err != nil || cached {
+				t.Fatalf("plan %v: cached %v, err %v", s.U.Names(x), cached, err)
+			}
+		}
+	}); n > 25 {
+		t.Fatalf("a cold evaluator compiling %d plans allocates %v/op, budget 25", len(xs), n)
+	}
+}

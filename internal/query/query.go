@@ -9,8 +9,9 @@
 // dependencies force, say about X?" without inventing values.
 //
 // The payoff of independence is that windows are computable
-// relation-by-relation. For an independent schema, each accepted Loop run
-// leaves behind extension data (independence.AcceptedRun): any tuple of r_l
+// relation-by-relation. For an independent schema, the decision procedure
+// keeps each scheme's accepted Loop run (independence.Result.Runs), and the
+// evaluator reads its extension data from there: any tuple of r_l
 // extends to a universal tuple whose determined attributes are computed by
 // tiny tableau valuations (Theorem 5), so the window is the union, over
 // relations, of the X-total tuple extensions — local joins, no global
@@ -19,8 +20,9 @@
 // Theorem 1 imposes.
 //
 // Plans are cached per attribute set: deciding which relations can
-// contribute to a window (and materializing their extension data) happens
-// once per distinct X, so repeated windows skip straight to evaluation.
+// contribute to a window, and which they consult, happens once per distinct
+// X, so repeated windows skip straight to evaluation. A plan compile reads
+// the decision's runs and never runs The Loop.
 // Evaluators are safe for concurrent use; evaluation never mutates the
 // state it reads, so callers may share one immutable snapshot across any
 // number of concurrent Window calls.
@@ -36,30 +38,29 @@ import (
 	"indep/internal/chase"
 	"indep/internal/fd"
 	"indep/internal/independence"
-	"indep/internal/infer"
 	"indep/internal/relation"
 	"indep/internal/schema"
 )
 
-// Evaluator answers window queries for one schema. Create with
-// NewEvaluator; all methods are safe for concurrent use.
+// Evaluator answers window queries for one schema, from the extension data
+// its decision kept. Create with NewEvaluator; all methods are safe for
+// concurrent use.
 type Evaluator struct {
 	s    *schema.Schema
 	fds  fd.List
 	caps chase.Caps
 
-	// Fast path (independent schemas): cover is the embedded cover the
-	// decision procedure extracted; runs[l] holds scheme l's extension data,
-	// built lazily on first use and immutable afterwards.
-	fast  bool
-	cover infer.AssignedList
+	// Fast path (independent schemas): runs[l] is scheme l's accepted Loop
+	// run, taken from the decision and immutable.
+	fast bool
+	runs []*independence.AcceptedRun
 
 	// Chase path: jd reports whether the fallback chase must apply the
-	// join-dependency rule (false when every FD is embedded, per Lemma 4).
+	// join-dependency rule (the decision's Result.JD).
 	jd bool
 
+	// mu guards plans.
 	mu    sync.Mutex
-	runs  []*independence.AcceptedRun
 	plans map[attrset.Set]*Plan
 
 	queries    atomic.Uint64
@@ -77,22 +78,19 @@ type Stats struct {
 }
 
 // NewEvaluator builds an evaluator from an independence analysis result
-// (the same Result the engine and the public Analysis are built from).
+// (the same Result the engine and the public Analysis are built from). It
+// reads the extension data and the JD flag the decision recorded and runs
+// no analysis of its own.
 func NewEvaluator(s *schema.Schema, fds fd.List, res *independence.Result, caps chase.Caps) *Evaluator {
-	ev := &Evaluator{
+	return &Evaluator{
 		s:     s,
 		fds:   fds,
 		caps:  caps,
+		fast:  res.Independent,
+		runs:  res.Runs,
+		jd:    res.JD,
 		plans: make(map[attrset.Set]*Plan),
 	}
-	if res.Independent {
-		ev.fast = true
-		ev.cover = res.Cover
-		ev.runs = make([]*independence.AcceptedRun, s.Size())
-	} else {
-		ev.jd = !infer.AllEmbedded(s, fds)
-	}
-	return ev
 }
 
 // Fast reports whether windows evaluate relation-by-relation (independent
@@ -174,24 +172,6 @@ func planConsults(s *schema.Schema, p *Plan) []Consult {
 	return out
 }
 
-// run returns scheme l's extension data, building it on first use. For an
-// independent schema The Loop accepts every scheme, so a rejection here is
-// impossible by Theorem 2; it is reported as an error rather than a panic
-// because the evaluator may outlive bugs elsewhere.
-func (ev *Evaluator) run(l int) (*independence.AcceptedRun, error) {
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	if ev.runs[l] == nil {
-		run, rej := independence.PrepareExtension(ev.s, ev.cover, l)
-		if rej != nil {
-			return nil, fmt.Errorf("query: Loop rejected scheme %s of an independent schema: %v",
-				ev.s.Name(l), rej)
-		}
-		ev.runs[l] = run
-	}
-	return ev.runs[l], nil
-}
-
 // MaxCachedPlans bounds the plan cache. Attribute sets come straight from
 // clients (GET /v1/window), so an unbounded cache would let a scan of
 // distinct subsets grow the daemon's memory without limit; past the cap,
@@ -217,11 +197,7 @@ func (ev *Evaluator) Plan(x attrset.Set) (*Plan, bool, error) {
 
 	p := &Plan{X: x, Fast: ev.fast}
 	if ev.fast {
-		for l := range ev.s.Rels {
-			run, err := ev.run(l)
-			if err != nil {
-				return nil, false, err
-			}
+		for l, run := range ev.runs {
 			if !x.SubsetOf(run.Available()) {
 				continue // no tuple of r_l can be X-total in its extension
 			}

@@ -191,7 +191,13 @@ func TestColumnarMatchesRowReference(t *testing.T) {
 			t.Fatalf("trial %d: SnapshotCols rows = %d, Len = %d", trial, n, in.Len())
 		}
 		back := NewInstance(attrs)
-		back.AddCols(cols, n)
+		for r := 0; r < n; r++ {
+			row := make(Tuple, len(cols))
+			for c := range cols {
+				row[c] = cols[c][r]
+			}
+			back.Add(row)
+		}
 		sameTupleSet(t, "SnapshotCols", back.Rows(), ref.tuples)
 	}
 }

@@ -514,19 +514,6 @@ func (in *Instance) SnapshotCols() ([][]Value, int) {
 	return out, in.n
 }
 
-// AddCols bulk-loads rows given column-major: cols[c][r] is row r's value
-// in column c (the checkpoint decode shape). Rows are deduplicated through
-// the normal Add path.
-func (in *Instance) AddCols(cols [][]Value, rows int) {
-	scratch := make(Tuple, len(cols))
-	for r := 0; r < rows; r++ {
-		for c := range cols {
-			scratch[c] = cols[c][r]
-		}
-		in.Add(scratch)
-	}
-}
-
 // ProjectionCols returns, for each attribute of sub (ascending), its
 // column position within the scheme attrs (ascending order) — the shared
 // projection/join column map; the query layer uses it too, so projection

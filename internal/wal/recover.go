@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -68,8 +67,7 @@ func replaySegment(dir string, seq uint64, last bool, fn func(Record) error, sta
 	if err != nil {
 		return 0, 0, err
 	}
-	if len(data) < segHeader || string(data[:8]) != segMagic ||
-		binary.LittleEndian.Uint64(data[8:16]) != seq {
+	if err := CheckSegmentHeader(data, seq); err != nil {
 		if last {
 			// A header torn mid-creation carries no records. Remove the
 			// file entirely — a zero-length remnant would read as a corrupt
@@ -80,7 +78,7 @@ func replaySegment(dir string, seq uint64, last bool, fn func(Record) error, sta
 			syncDir(dir)
 			return 0, int64(len(data)), nil
 		}
-		return 0, 0, fmt.Errorf("wal: %s: bad segment header", segName(seq))
+		return 0, 0, fmt.Errorf("wal: %s: bad segment header: %w", segName(seq), err)
 	}
 	b := data[segHeader:]
 	good := int64(segHeader)

@@ -86,18 +86,18 @@ const SegmentHeaderBytes = segHeader
 // still holds the bytes a persisted position claims.
 func SegmentFile(seq uint64) string { return segName(seq) }
 
-// CheckSegmentHeader verifies the 16-byte header at the start of a streamed
-// segment: magic plus the expected sequence number. ErrShortFrame means the
-// buffer does not yet hold the whole header.
+// CheckSegmentHeader verifies the 16-byte header at the start of a segment,
+// streamed or read back by recovery: magic plus the expected sequence
+// number. ErrShortFrame means the buffer does not yet hold the whole header.
 func CheckSegmentHeader(b []byte, seq uint64) error {
 	if len(b) < segHeader {
 		return ErrShortFrame
 	}
 	if string(b[:8]) != segMagic {
-		return fmt.Errorf("wal: streamed segment %d: bad magic", seq)
+		return fmt.Errorf("wal: segment %d: bad magic", seq)
 	}
 	if got := binary.LittleEndian.Uint64(b[8:16]); got != seq {
-		return fmt.Errorf("wal: streamed segment declares seq %d, want %d", got, seq)
+		return fmt.Errorf("wal: segment declares seq %d, want %d", got, seq)
 	}
 	return nil
 }

@@ -2,10 +2,12 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -453,6 +455,44 @@ func TestReplayTornHeaderSegment(t *testing.T) {
 	}
 	if recs, _ := replayAll(t, dir, 0); len(recs) != 2 {
 		t.Fatalf("after reopen: %d records, want 2", len(recs))
+	}
+
+	// A sealed segment's header is never torn: bad magic, or a header that
+	// declares another sequence number, fails replay naming the segment,
+	// and the segment stays on disk.
+	header := func(magic string, seq uint64) []byte {
+		return binary.LittleEndian.AppendUint64([]byte(magic), seq)
+	}
+	for name, bad := range map[string]func(seq uint64) []byte{
+		"bad magic":   func(seq uint64) []byte { return header("NOTAWAL!", seq) },
+		"another seq": func(seq uint64) []byte { return header(segMagic, seq+7) },
+	} {
+		dir := t.TempDir()
+		l, err := OpenLog(dir, Options{Sync: SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Append(insertRec(0, relation.Tuple{1})).Wait(); err != nil {
+			t.Fatal(err)
+		}
+		seq := l.Stats().ActiveSeq
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		sealed := filepath.Join(dir, segName(seq+1))
+		if err := os.WriteFile(sealed, bad(seq+1), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, segName(seq+2)), header(segMagic, seq+2), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Replay(dir, 0, func(Record) error { return nil })
+		if err == nil || !strings.Contains(err.Error(), segName(seq+1)) {
+			t.Fatalf("%s: replay error %v, want one naming %s", name, err, segName(seq+1))
+		}
+		if _, err := os.Stat(sealed); err != nil {
+			t.Fatalf("%s: sealed segment removed: %v", name, err)
+		}
 	}
 }
 

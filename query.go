@@ -8,9 +8,7 @@ import (
 	"strings"
 	"time"
 
-	"indep/internal/chase"
 	"indep/internal/engine"
-	"indep/internal/independence"
 	"indep/internal/obs"
 	"indep/internal/query"
 	"indep/internal/relation"
@@ -216,36 +214,11 @@ func (db *Database) Query(q WindowQuery) (*WindowResult, error) {
 	return out, nil
 }
 
-// windowEvaluator returns the schema's shared window evaluator, running the
-// independence decision procedure once on first use.
+// windowEvaluator returns the schema's shared window evaluator, built from
+// the schema's one decision.
 func (s *Schema) windowEvaluator() (*query.Evaluator, error) {
-	s.qmu.Lock()
-	defer s.qmu.Unlock()
-	if s.qev == nil {
-		res, err := independence.Decide(s.s, s.fds)
-		if err != nil {
-			return nil, err
-		}
-		s.qev = query.NewEvaluator(s.s, s.fds, res, chase.DefaultCaps)
-	}
-	return s.qev, nil
-}
-
-// WindowConsults reports which relations an evaluation of the window [attrs]
-// may read. On the independent fast path that is the contributing relations
-// plus every relation the extension tableaux of the window's attributes take
-// valuations against — the exact set a cluster router must gather from
-// shards before it can evaluate the window away from the data, because
-// Theorem 5's extensions consult those relations and no others. For a
-// non-independent schema it returns
-// (nil, false, nil): the fallback chase consults the whole state, so a
-// router can only proxy the query to a node holding everything.
-func (s *Schema) WindowConsults(attrs ...string) (rels []string, fast bool, err error) {
-	fetches, fast, err := s.WindowFetches(WindowQuery{Attrs: attrs})
-	for _, f := range fetches {
-		rels = append(rels, f.Relation)
-	}
-	return rels, fast, err
+	_, ev, err := s.decision()
+	return ev, err
 }
 
 // WindowFetch is one relation a window evaluation consults, with Where: the
@@ -256,32 +229,41 @@ type WindowFetch struct {
 	Where    map[string]string
 }
 
-// WindowFetches is WindowConsults for a whole query: the relations an
-// evaluation of q may read, in the same order, each with the share of
-// q.Where its tuples must satisfy to take part in an answer row. A tuple
-// helps produce a row only through Theorem 5's extension joins, and agrees
-// with that row on the relation's attributes for a contributor's own tuple,
-// on the distinguished columns of the tableau row that reads it otherwise —
-// not on every attribute the relation shares with the window: an FD's
-// tableau row leaves the relation's other columns free. So q evaluates to
-// the same answer over any state holding, of each fetched relation R, every
-// tuple of R satisfying its Where and otherwise only tuples of R or of R's
-// total projection.
-func (s *Schema) WindowFetches(q WindowQuery) (fetches []WindowFetch, fast bool, err error) {
+// WindowFetches reports which relations an evaluation of q may read, each
+// with the share of q.Where its tuples must satisfy to take part in an
+// answer row. On the independent fast path that is the contributing
+// relations plus every relation the extension tableaux of the window's
+// attributes take valuations against — the exact set a cluster router must
+// gather from shards before it can evaluate the window away from the data,
+// because Theorem 5's extensions consult those relations and no others. For
+// a non-independent schema fetches is nil and fast false: the fallback
+// chase consults the whole state, so a router can only proxy the query to a
+// node holding everything. cached reports that the plan came from the
+// schema evaluator's cache, as WindowResult.PlanCached does.
+//
+// A tuple helps produce a row only through Theorem 5's extension joins, and
+// agrees with that row on the relation's attributes for a contributor's own
+// tuple, on the distinguished columns of the tableau row that reads it
+// otherwise — not on every attribute the relation shares with the window:
+// an FD's tableau row leaves the relation's other columns free. So q
+// evaluates to the same answer over any state holding, of each fetched
+// relation R, every tuple of R satisfying its Where and otherwise only
+// tuples of R or of R's total projection.
+func (s *Schema) WindowFetches(q WindowQuery) (fetches []WindowFetch, fast, cached bool, err error) {
 	x, where, err := s.windowArgs(q)
 	if err != nil {
-		return nil, false, err
+		return nil, false, false, err
 	}
 	ev, err := s.windowEvaluator()
 	if err != nil {
-		return nil, false, err
+		return nil, false, false, err
 	}
-	p, _, err := ev.Plan(x)
+	p, cached, err := ev.Plan(x)
 	if err != nil {
-		return nil, false, err
+		return nil, false, false, err
 	}
 	if !p.Fast {
-		return nil, false, nil
+		return nil, false, cached, nil
 	}
 	for _, c := range p.Consults() {
 		f := WindowFetch{Relation: s.s.Name(c.Scheme)}
@@ -295,7 +277,7 @@ func (s *Schema) WindowFetches(q WindowQuery) (fetches []WindowFetch, fast bool,
 		}
 		fetches = append(fetches, f)
 	}
-	return fetches, true, nil
+	return fetches, true, cached, nil
 }
 
 // windowArgs resolves a query's window attributes and keys its Where by
