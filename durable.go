@@ -131,31 +131,22 @@ func (s *Schema) OpenDurableStore(dir string, opts DurableOptions) (*DurableStor
 		slow:            opts.SlowCommit,
 	}
 
-	// Phase 1: checkpoint. Dictionary bindings restore to their exact
-	// values; tuples re-admit through the guards (see readmit), so a
-	// checkpoint that somehow encodes an inconsistent state is rejected
-	// here rather than served.
+	// Phase 1: checkpoint, installed into the empty engine (see
+	// installCheckpoint), so a checkpoint that somehow encodes an
+	// inconsistent state is rejected here rather than served.
 	ck, err := wal.LatestCheckpoint(dir)
 	if err != nil {
 		return nil, err
 	}
 	fromSeq := uint64(0)
 	if ck != nil {
-		if err := restoreCheckpointDict(eng, ck); err != nil {
+		tuples, err := installCheckpoint(eng, ck)
+		if err != nil {
 			return nil, err
-		}
-		var ops []engine.Op
-		for i := 0; i < ck.NumSchemes(); i++ {
-			for r := 0; r < ck.RowCount(i); r++ {
-				ops = append(ops, engine.Op{Scheme: i, Tuple: ck.AppendRow(make(relation.Tuple, 0, ck.Arity(i)), i, r)})
-			}
-		}
-		if err := readmit(eng, ops); err != nil {
-			return nil, fmt.Errorf("indep: checkpoint state fails admission: %w", err)
 		}
 		fromSeq = ck.Seq
 		ds.recovery.CheckpointSeq = ck.Seq
-		ds.recovery.CheckpointTuples = len(ops)
+		ds.recovery.CheckpointTuples = tuples
 	}
 
 	// Phase 2: log replay. Each record is one commit and replays as one
@@ -274,34 +265,80 @@ func (ds *DurableStore) appendRecord(ops []engine.Op) *wal.Ticket {
 	return ds.log.Append(rec)
 }
 
-// restoreCheckpointDict checks a checkpoint — recovery's, or a follower's
-// re-sync snapshot — against the engine's schema, its relation count and
-// the arity of every relation holding rows, so the caller may read the rows
-// as tuples, and then restores the checkpoint's dictionary bindings.
-func restoreCheckpointDict(eng *engine.Engine, ck *wal.Checkpoint) error {
+// installCheckpoint is the one routine that turns a checkpoint into engine
+// state: recovery's on its empty engine, a follower re-sync's on its live
+// one. It checks the relation count and the arity of every relation holding
+// rows, restores the bindings, deletes every local tuple the checkpoint
+// lacks, then inserts every checkpoint tuple the state lacks, one relation
+// (one stripe) at a time. It reads the local state only when the engine
+// holds rows, so recovery cuts no snapshot and builds no index. Every step
+// goes through readmit, so a follower re-journals it, the restored bindings
+// riding in its first local record. It returns the checkpoint's tuple count.
+func installCheckpoint(eng *engine.Engine, ck *wal.Checkpoint) (tuples int, err error) {
 	s := eng.Schema()
-	if ck.NumSchemes() != s.Size() {
-		return fmt.Errorf("indep: checkpoint has %d relations, schema has %d", ck.NumSchemes(), s.Size())
+	if len(ck.Cols) != s.Size() {
+		return 0, fmt.Errorf("indep: checkpoint has %d relations, schema has %d", len(ck.Cols), s.Size())
 	}
-	for i := 0; i < ck.NumSchemes(); i++ {
-		if want := s.Attrs(i).Len(); ck.RowCount(i) > 0 && ck.Arity(i) != want {
-			return fmt.Errorf("indep: checkpoint tuple arity %d in %s (want %d)", ck.Arity(i), s.Name(i), want)
+	for i, cols := range ck.Cols {
+		if want := s.Attrs(i).Len(); ck.Counts[i] > 0 && len(cols) != want {
+			return 0, fmt.Errorf("indep: checkpoint tuple arity %d in %s (want %d)", len(cols), s.Name(i), want)
 		}
 	}
 	for _, b := range ck.Dict {
 		if err := eng.Dict().Restore(b.Value, b.Name); err != nil {
-			return fmt.Errorf("indep: corrupt checkpoint dictionary: %w", err)
+			return 0, fmt.Errorf("indep: corrupt checkpoint dictionary: %w", err)
 		}
 	}
-	return nil
+	var local *relation.State
+	if eng.Rows() > 0 {
+		local = eng.QuerySnapshot()
+	}
+	var stale []engine.Op                        // local tuples the checkpoint lacks
+	missing := make([][]engine.Op, len(ck.Cols)) // per relation: checkpoint tuples the state lacks
+	for i, cols := range ck.Cols {
+		tuples += ck.Counts[i]
+		var have, want *relation.Instance
+		if local != nil {
+			have, want = local.Insts[i], relation.NewInstanceSize(local.Insts[i].Attrs, ck.Counts[i])
+		}
+		for r := 0; r < ck.Counts[i]; r++ {
+			t := make(relation.Tuple, len(cols))
+			for c, col := range cols {
+				t[c] = col[r]
+			}
+			if want != nil {
+				want.Add(t)
+				if have.Has(t) {
+					continue
+				}
+			}
+			missing[i] = append(missing[i], engine.Op{Scheme: i, Tuple: t})
+		}
+		if have != nil {
+			for _, t := range have.Rows() {
+				if !want.Has(t) {
+					stale = append(stale, engine.Op{Scheme: i, Tuple: t, Delete: true})
+				}
+			}
+		}
+	}
+	if err := readmit(eng, stale); err != nil {
+		return 0, fmt.Errorf("indep: checkpoint install delete: %w", err)
+	}
+	for _, ops := range missing {
+		if err := readmit(eng, ops); err != nil {
+			return 0, fmt.Errorf("indep: checkpoint state fails admission: %w", err)
+		}
+	}
+	return tuples, nil
 }
 
-// readmit installs a checkpointed state — recovery's whole checkpoint, or a
-// follower re-sync's deletes and then inserts against its live state —
-// through the engine in MaxBatchOps chunks. Each chunk of inserts yields a
-// trial state that is a subset of the checkpointed (consistent) state, and
-// SAT is closed under subsets, so chunking cannot turn a good checkpoint
-// away.
+// readmit applies installCheckpoint's deletes, or one relation's inserts,
+// through the engine in MaxBatchOps chunks. Once the deletes are done, each
+// chunk of inserts yields a trial state that is a subset of the checkpointed
+// (consistent) state, and SAT is closed under subsets, so chunking cannot
+// turn a good checkpoint away: an insert fails only when the checkpoint
+// itself fails admission.
 func readmit(eng *engine.Engine, ops []engine.Op) error {
 	for len(ops) > 0 {
 		k := min(len(ops), engine.MaxBatchOps)
@@ -401,21 +438,31 @@ func (ds *DurableStore) Checkpoint() error {
 		return fmt.Errorf("indep: store is closed")
 	}
 	start := time.Now()
-	var seq uint64
-	st := ds.eng.SnapshotWith(func() { seq = ds.log.Rotate() })
-	size, err := wal.WriteCheckpoint(ds.dir, wal.NewCheckpoint(seq, st))
+	ck := ds.cut()
+	size, err := wal.WriteCheckpoint(ds.dir, ck)
 	if err != nil {
 		return err
 	}
-	err = ds.log.RemoveBefore(seq)
+	err = ds.log.RemoveBefore(ck.Seq)
 	d := time.Since(start)
 	ds.ckptCount.Inc()
 	ds.ckptDur.Observe(int64(d))
 	ds.ckptBytes.Observe(size)
 	if ds.logger != nil {
-		ds.logger.Info("checkpoint written", "seq", seq, "bytes", size, "duration", d)
+		ds.logger.Info("checkpoint written", "seq", ck.Seq, "bytes", size, "duration", d)
 	}
 	return err
+}
+
+// cut is the one place a state image is cut: a consistent snapshot with a
+// log rotation at the snapshot point, while every state lock is held, so
+// the image plus the segments from its Seq on reproduce every later state.
+// Checkpoint writes it to disk; ReplSnapshot ships it to a follower. The
+// caller holds ds.mu and has checked the store is open.
+func (ds *DurableStore) cut() *wal.Checkpoint {
+	var seq uint64
+	st := ds.eng.SnapshotWith(func() { seq = ds.log.Rotate() })
+	return wal.NewCheckpoint(seq, st)
 }
 
 // Close flushes and closes the log. Writes after Close fail; the in-memory

@@ -180,6 +180,9 @@ func TestDurableCheckpointAndTruncation(t *testing.T) {
 	if rec.CheckpointSeq == 0 || rec.CheckpointTuples == 0 {
 		t.Fatalf("checkpoint not used in recovery: %+v", rec)
 	}
+	if c := re.eng.QueryStats().SnapshotCopies; c != 0 {
+		t.Fatalf("installing into the empty engine cut %d query snapshots, want 0", c)
+	}
 	if got := re.Snapshot().String(); got != want {
 		t.Fatalf("recovered snapshot differs after checkpoint:\n--- want ---\n%s\n--- got ---\n%s", want, got)
 	}

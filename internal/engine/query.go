@@ -54,28 +54,6 @@ func (e *Engine) querySnapshot() (st *relation.State, reused bool, version uint6
 // per view.
 func (e *Engine) Evaluator() *query.Evaluator { return e.ev }
 
-// Window computes the window [x] — the X-total projection of the
-// representative instance — over a consistent snapshot of the current
-// state. Evaluation never touches an engine state lock: concurrent
-// writers are never blocked by a running query, and a query never
-// observes a half-applied batch (readers do share read-locked probe
-// indexes on the snapshot itself). The snapshot the window was evaluated
-// against is returned alongside the result so callers can render values
-// through its dictionary.
-func (e *Engine) Window(x attrset.Set) (*query.Result, *relation.State, error) {
-	return e.WindowCtx(context.Background(), x)
-}
-
-// WindowCtx is Window with the context's trace ID attached to any slow-query
-// log record; the query latency lands in the engine's window histogram
-// either way.
-func (e *Engine) WindowCtx(ctx context.Context, x attrset.Set) (*query.Result, *relation.State, error) {
-	start := time.Now()
-	res, st, _, err := e.WindowMetaCtx(ctx, x, nil, false)
-	e.ObserveWindow(ctx, x, time.Since(start), err)
-	return res, st, err
-}
-
 // ObserveWindow records one window answer that took d: its latency in the
 // window histogram and, past the slow threshold, a slow-query log record.
 // A caller of WindowMetaCtx reports the whole answer through it, ordering
@@ -96,13 +74,16 @@ type WindowMeta struct {
 	Explain        *query.Explain
 }
 
-// WindowMetaCtx is WindowCtx with a selection — attribute → value-name
-// conditions, resolved through the snapshot's dictionary — reporting
-// snapshot reuse and, when explain is set, the executed plan. When the
-// context carries an active span the evaluation records an engine.window
-// span whose attributes are the explain output: mode, plan-cache hit,
-// snapshot reuse, consulted relations with rows scanned, and pruned
-// relations. It records no latency: the caller times the answer it builds
+// WindowMetaCtx computes the window [x], the X-total projection of the
+// representative instance, under a selection (attribute → value-name
+// conditions, resolved through the snapshot's dictionary). It evaluates
+// over a consistent snapshot without a state lock, so it never blocks a
+// writer nor sees a half-applied batch, and returns that snapshot, for
+// rendering values, with its reuse and, when explain is set, the executed
+// plan. When the context carries an active span the evaluation records an
+// engine.window span whose attributes are the explain output: mode,
+// plan-cache hit, snapshot reuse, consulted relations with rows scanned,
+// and pruned relations. It records no latency: the caller times the answer it builds
 // from the result and reports it through ObserveWindow.
 func (e *Engine) WindowMetaCtx(ctx context.Context, x attrset.Set, where map[int]string, explain bool) (*query.Result, *relation.State, WindowMeta, error) {
 	sp := obs.SpanFrom(ctx).StartChild("engine.window")

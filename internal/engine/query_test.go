@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"indep/internal/chase"
@@ -84,7 +85,7 @@ func TestEngineWindow(t *testing.T) {
 	if err := e.Insert(1, relation.Tuple{c, e.Dict().Value("ada")}); err != nil {
 		t.Fatal(err)
 	}
-	res, st, err := e.Window(s.U.Set("S", "T"))
+	res, st, _, err := e.WindowMetaCtx(context.Background(), s.U.Set("S", "T"), nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,35 +47,6 @@ func NewCheckpoint(seq uint64, st *relation.State) *Checkpoint {
 	return ck
 }
 
-// NumSchemes returns the number of relations in the snapshot.
-func (ck *Checkpoint) NumSchemes() int { return len(ck.Cols) }
-
-// RowCount returns scheme i's row count.
-func (ck *Checkpoint) RowCount(i int) int { return ck.Counts[i] }
-
-// Arity returns scheme i's column count.
-func (ck *Checkpoint) Arity(i int) int { return len(ck.Cols[i]) }
-
-// AppendRow appends scheme i's row r to dst and returns it — the scratch-
-// tuple iteration shape recovery uses to re-admit rows without
-// materializing the whole relation.
-func (ck *Checkpoint) AppendRow(dst relation.Tuple, i, r int) relation.Tuple {
-	for _, col := range ck.Cols[i] {
-		dst = append(dst, col[r])
-	}
-	return dst
-}
-
-// TuplesOf materializes scheme i's rows as freshly allocated tuples — for
-// cold paths (re-sync diffs, tests) that want row-shaped data.
-func (ck *Checkpoint) TuplesOf(i int) []relation.Tuple {
-	out := make([]relation.Tuple, ck.Counts[i])
-	for r := range out {
-		out[r] = ck.AppendRow(make(relation.Tuple, 0, ck.Arity(i)), i, r)
-	}
-	return out
-}
-
 // Checkpoint file layout: magic (a shared prefix plus one version byte),
 // then a uvarint/varint-encoded body, then a trailing CRC32 over everything
 // before it. Files are written to a temp name and atomically renamed, so a
@@ -91,7 +62,10 @@ const (
 	ckptMagic       = ckptMagicPrefix + string(rune(ckptV2))
 )
 
-func (ck *Checkpoint) encode() []byte {
+// Encode renders the checkpoint in its file format (magic, body, trailing
+// CRC): the bytes WriteCheckpoint persists, and what a primary ships as a
+// catch-up snapshot over the replication stream without touching disk.
+func (ck *Checkpoint) Encode() []byte {
 	buf := []byte(ckptMagic)
 	buf = binary.AppendUvarint(buf, ck.Seq)
 	buf = binary.AppendUvarint(buf, uint64(len(ck.Dict)))
@@ -119,19 +93,10 @@ func (ck *Checkpoint) encode() []byte {
 	return binary.LittleEndian.AppendUint32(buf, sum)
 }
 
-// Encode renders the checkpoint in its file format (magic, body, trailing
-// CRC): the bytes WriteCheckpoint would persist, exposed so a primary can
-// ship a catch-up snapshot over the replication stream without touching
-// disk.
-func (ck *Checkpoint) Encode() []byte { return ck.encode() }
-
-// DecodeCheckpointBytes parses an encoded checkpoint (the replication
-// snapshot wire format), verifying the magic, version and trailing CRC.
+// DecodeCheckpointBytes parses an encoded checkpoint (a checkpoint file, or
+// the replication snapshot wire format), verifying the magic, version and
+// trailing CRC.
 func DecodeCheckpointBytes(data []byte) (*Checkpoint, error) {
-	return decodeCheckpoint(data)
-}
-
-func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	magicLen := len(ckptMagicPrefix) + 1
 	if len(data) < magicLen+4 || string(data[:len(ckptMagicPrefix)]) != ckptMagicPrefix {
 		return nil, fmt.Errorf("wal: not a checkpoint file")
@@ -242,7 +207,7 @@ func decodeSchemes(ck *Checkpoint, b []byte) error {
 // rename, directory fsync) and garbage-collects older checkpoint files.
 // It returns the checkpoint's encoded size in bytes.
 func WriteCheckpoint(dir string, ck *Checkpoint) (int64, error) {
-	data := ck.encode()
+	data := ck.Encode()
 	size := int64(len(data))
 	tmp, err := os.CreateTemp(dir, "ckpt-*.tmp")
 	if err != nil {
@@ -282,7 +247,7 @@ func LatestCheckpoint(dir string) (*Checkpoint, error) {
 			lastErr = err
 			continue
 		}
-		ck, err := decodeCheckpoint(data)
+		ck, err := DecodeCheckpointBytes(data)
 		if err != nil {
 			lastErr = err
 			continue

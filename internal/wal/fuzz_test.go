@@ -128,7 +128,7 @@ func FuzzReplRecordStream(f *testing.F) {
 // arbitrary bytes.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	good := (&Checkpoint{Seq: 3, Dict: []Binding{{Value: 1, Name: "v"}},
-		Cols: [][][]relation.Value{{{1}, {2}}, {}}, Counts: []int{1, 0}}).encode()
+		Cols: [][][]relation.Value{{{1}, {2}}, {}}, Counts: []int{1, 0}}).Encode()
 	f.Add(good)
 	f.Add(good[:len(good)-5])
 	retired := append([]byte(nil), good...) // the version gate: a retired version byte
@@ -136,11 +136,11 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add(retired)
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ck, err := decodeCheckpoint(data)
+		ck, err := DecodeCheckpointBytes(data)
 		if err != nil {
 			return
 		}
-		again, err := decodeCheckpoint(ck.encode())
+		again, err := DecodeCheckpointBytes(ck.Encode())
 		if err != nil {
 			t.Fatalf("re-encoding accepted checkpoint failed: %v", err)
 		}
@@ -165,7 +165,7 @@ func TestDecodeCheckpointRejectsRowsWithoutColumns(t *testing.T) {
 		t.Fatal("a relation of 2^40 rows and no columns decoded without error")
 	}
 	empty := (&Checkpoint{Cols: [][][]relation.Value{{}}, Counts: []int{0}}).Encode()
-	if ck, err := DecodeCheckpointBytes(empty); err != nil || ck.RowCount(0) != 0 {
+	if ck, err := DecodeCheckpointBytes(empty); err != nil || ck.Counts[0] != 0 {
 		t.Fatalf("empty relation without columns: %v", err)
 	}
 }
@@ -175,19 +175,19 @@ func TestDecodeCheckpointRejectsRowsWithoutColumns(t *testing.T) {
 // error, never panic, and accepted inputs must re-encode stably.
 func FuzzDecodeColumnCheckpoint(f *testing.F) {
 	v2 := (&Checkpoint{Seq: 11,
-		Cols: [][][]relation.Value{{{1, 3}, {2, 4}}, {{-5}}}, Counts: []int{2, 1}}).encode()
+		Cols: [][][]relation.Value{{{1, 3}, {2, 4}}, {{-5}}}, Counts: []int{2, 1}}).Encode()
 	f.Add(v2)
 	f.Add((&Checkpoint{Seq: 9, Dict: []Binding{{Value: 2, Name: "q"}},
-		Cols: [][][]relation.Value{{{7}, {8}}}, Counts: []int{1}}).encode())
+		Cols: [][][]relation.Value{{{7}, {8}}}, Counts: []int{1}}).Encode())
 	f.Add([]byte("INDEPCK2"))
 	f.Add(v2[:len(v2)-3])
 	f.Add(rowsWithoutColumns())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ck, err := decodeCheckpoint(data)
+		ck, err := DecodeCheckpointBytes(data)
 		if err != nil {
 			return
 		}
-		again, err := decodeCheckpoint(ck.encode())
+		again, err := DecodeCheckpointBytes(ck.Encode())
 		if err != nil {
 			t.Fatalf("re-encoding accepted checkpoint failed: %v", err)
 		}

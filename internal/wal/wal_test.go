@@ -547,9 +547,14 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Counts, ck.Counts) {
 		t.Fatalf("counts %v, want %v", got.Counts, ck.Counts)
 	}
-	for i := range ck.Cols {
-		if !reflect.DeepEqual(got.TuplesOf(i), ck.TuplesOf(i)) {
-			t.Fatalf("scheme %d: %v, want %v", i, got.TuplesOf(i), ck.TuplesOf(i))
+	for i, cols := range ck.Cols {
+		if len(got.Cols[i]) != len(cols) {
+			t.Fatalf("scheme %d: arity %d, want %d", i, len(got.Cols[i]), len(cols))
+		}
+		for c, col := range cols {
+			if g, w := got.Cols[i][c][:got.Counts[i]], col[:ck.Counts[i]]; !reflect.DeepEqual(g, w) {
+				t.Fatalf("scheme %d column %d: %v, want %v", i, c, g, w)
+			}
 		}
 	}
 
@@ -562,7 +567,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if _, err := WriteCheckpoint(dir, ck); err != nil {
 		t.Fatal(err)
 	}
-	data := bad.encode()
+	data := bad.Encode()
 	data[len(data)-1] ^= 0xff
 	if err := os.WriteFile(filepath.Join(dir, ckptName(9)), data, 0o644); err != nil {
 		t.Fatal(err)
@@ -579,19 +584,19 @@ func TestCheckpointRoundTrip(t *testing.T) {
 func TestCheckpointCorruptionDetected(t *testing.T) {
 	ck := &Checkpoint{Seq: 3, Dict: []Binding{{Value: 1, Name: "v"}},
 		Cols: [][][]relation.Value{{{1}, {2}, {3}}}, Counts: []int{1}}
-	data := ck.encode()
+	data := ck.Encode()
 	for off := 0; off < len(data); off++ {
 		mut := append([]byte(nil), data...)
 		mut[off] ^= 0x55
 		if bytes.Equal(mut, data) {
 			continue
 		}
-		if _, err := decodeCheckpoint(mut); err == nil {
+		if _, err := DecodeCheckpointBytes(mut); err == nil {
 			t.Fatalf("corruption at offset %d undetected", off)
 		}
 	}
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := decodeCheckpoint(data[:cut]); err == nil {
+		if _, err := DecodeCheckpointBytes(data[:cut]); err == nil {
 			t.Fatalf("truncation at %d undetected", cut)
 		}
 	}

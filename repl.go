@@ -37,7 +37,9 @@ type ReplChunk struct {
 type ReplSource interface {
 	// ReplSnapshot returns an encoded checkpoint of the source's current
 	// state (wal.DecodeCheckpointBytes decodes it) and the log position to
-	// tail from once it is installed.
+	// tail from once it is installed. A follower installs it through
+	// installCheckpoint, the routine recovery installs its local checkpoint
+	// through, as a diff against its live state.
 	ReplSnapshot() (data []byte, tail wal.Position, err error)
 	// ReplRead serves flushed log bytes from pos, up to max (0 means a
 	// sensible default). It returns wal.ErrSegmentGone when the position
@@ -45,20 +47,19 @@ type ReplSource interface {
 	ReplRead(pos wal.Position, max int) (ReplChunk, error)
 }
 
-// ReplSnapshot implements ReplSource: it cuts a consistent snapshot with a
-// log rotation at the cut (the same cut Checkpoint uses) and returns it
-// encoded, without writing anything to disk or truncating the log. The
-// returned tail position is the start of the segment opened at the cut:
-// the snapshot plus the stream from tail reproduces every later state.
+// ReplSnapshot implements ReplSource: it cuts a state image (cut, the same
+// cut Checkpoint writes) and returns it encoded, without writing anything
+// to disk or truncating the log. The returned tail position is the start of
+// the segment opened at the cut: the image plus the stream from tail
+// reproduces every later state.
 func (ds *DurableStore) ReplSnapshot() ([]byte, wal.Position, error) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	if ds.closed {
 		return nil, wal.Position{}, fmt.Errorf("indep: store is closed")
 	}
-	var seq uint64
-	st := ds.eng.SnapshotWith(func() { seq = ds.log.Rotate() })
-	return wal.NewCheckpoint(seq, st).Encode(), wal.Position{Seq: seq}, nil
+	ck := ds.cut()
+	return ck.Encode(), wal.Position{Seq: ck.Seq}, nil
 }
 
 // ReplRead implements ReplSource by reading flushed bytes straight out of
@@ -92,7 +93,7 @@ func DiffDatabasesByName(a, b *Database) []string {
 }
 
 // tupleKey renders a tuple as a comparable map key (raw values, fixed
-// width), for the set diffs the oracle and the follower's re-sync share.
+// width), for the divergence oracle's set diff.
 func tupleKey(t relation.Tuple) string {
 	b := make([]byte, 8*len(t))
 	for i, v := range t {

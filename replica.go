@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"indep/internal/engine"
 	"indep/internal/obs"
 	"indep/internal/wal"
 )
@@ -113,7 +112,7 @@ func (s *Schema) OpenFollower(dir string, src ReplSource, opts FollowerOptions) 
 		done:         make(chan struct{}),
 	}
 	f.fcond = sync.NewCond(&f.fmu)
-	f.applied = loadReplPos(dir)
+	f.applied = loadReplPos(dir, ds.recovery.CheckpointSeq)
 	f.persisted = f.applied
 	go f.run()
 	return f, nil
@@ -121,11 +120,11 @@ func (s *Schema) OpenFollower(dir string, src ReplSource, opts FollowerOptions) 
 
 // loadReplPos reads the persisted stream position and validates it against
 // the local log: the position is trusted only if every local byte it was
-// persisted after still exists (the segment file is long enough, or a
-// local checkpoint superseded it). Anything else — missing file, parse
-// error, truncated log — yields the zero position, which makes the tail
-// loop bootstrap from a snapshot.
-func loadReplPos(dir string) wal.Position {
+// persisted after still exists (the segment file is long enough, or the
+// local checkpoint recovery loaded, cut at ckptSeq, superseded it).
+// Anything else — missing file, parse error, truncated log — yields the
+// zero position, which makes the tail loop bootstrap from a snapshot.
+func loadReplPos(dir string, ckptSeq uint64) wal.Position {
 	b, err := os.ReadFile(filepath.Join(dir, replposFile))
 	if err != nil {
 		return wal.Position{}
@@ -150,7 +149,7 @@ func loadReplPos(dir string) wal.Position {
 	}
 	// Segment gone: fine if a local checkpoint covers it (its records are
 	// folded into the checkpoint), otherwise the log lost history.
-	if ck, err := wal.LatestCheckpoint(dir); err == nil && ck != nil && ck.Seq > local.Seq {
+	if ckptSeq > local.Seq {
 		return pos
 	}
 	return wal.Position{}
@@ -369,14 +368,11 @@ func (f *Follower) applyRecord(rec wal.Record) error {
 }
 
 // resync bootstraps or repairs the follower from a primary snapshot,
-// installing it as a diff against the local state: restore the dictionary,
-// delete every local tuple the snapshot lacks, then insert the snapshot
-// tuples the local state lacks. The local state is never wiped — every step
-// goes through Engine.Apply (see readmit) and re-journals locally, the
-// restored bindings riding in the first local record (or in persistPos's)
-// — and because the local state after the deletions is a subset of the
-// (consistent) snapshot state, the inserts cannot be rejected. Returns the
-// position to tail from.
+// installed as a diff against the local state by installCheckpoint, the
+// routine recovery installs its checkpoint through. The local state is
+// never wiped: every step re-journals locally, and because the local state
+// after the deletions is a subset of the (consistent) snapshot state, the
+// inserts cannot be rejected. Returns the position to tail from.
 func (f *Follower) resync() (wal.Position, error) {
 	f.resyncs.Inc()
 	data, tail, err := f.src.ReplSnapshot()
@@ -387,45 +383,15 @@ func (f *Follower) resync() (wal.Position, error) {
 	if err != nil {
 		return wal.Position{}, err
 	}
-	if err := restoreCheckpointDict(f.eng, ck); err != nil {
+	tuples, err := installCheckpoint(f.eng, ck)
+	if err != nil {
 		return wal.Position{}, err
-	}
-	st := f.eng.Snapshot()
-	var stale []engine.Op                           // local tuples the snapshot lacks
-	missing := make([][]engine.Op, ck.NumSchemes()) // per relation: snapshot tuples the local state lacks
-	for i := range missing {
-		tuples := ck.TuplesOf(i)
-		want := make(map[string]bool, len(tuples))
-		for _, t := range tuples {
-			want[tupleKey(t)] = true
-			if !st.Insts[i].Has(t) {
-				missing[i] = append(missing[i], engine.Op{Scheme: i, Tuple: t})
-			}
-		}
-		for _, t := range st.Insts[i].Rows() {
-			if !want[tupleKey(t)] {
-				stale = append(stale, engine.Op{Scheme: i, Tuple: t, Delete: true})
-			}
-		}
-	}
-	if err := readmit(f.eng, stale); err != nil {
-		return wal.Position{}, fmt.Errorf("indep: resync delete: %w", err)
-	}
-	// One relation at a time, so each batch holds a single stripe.
-	for _, ops := range missing {
-		if err := readmit(f.eng, ops); err != nil {
-			return wal.Position{}, fmt.Errorf("indep: resync insert: %w", err)
-		}
 	}
 	f.setApplied(tail)
 	if err := f.persistPos(); err != nil {
 		return wal.Position{}, err
 	}
 	if f.opts.Logger != nil {
-		tuples := 0
-		for i := 0; i < ck.NumSchemes(); i++ {
-			tuples += ck.RowCount(i)
-		}
 		f.opts.Logger.Info("follower resynced", "tail", tail.String(), "tuples", tuples, "dict", len(ck.Dict))
 	}
 	return tail, nil

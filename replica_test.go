@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -119,8 +120,8 @@ func TestReplSourceRoundTrip(t *testing.T) {
 		t.Fatalf("snapshot tail %s, want a segment start", tail)
 	}
 	total := 0
-	for i := 0; i < ck.NumSchemes(); i++ {
-		total += ck.RowCount(i)
+	for _, n := range ck.Counts {
+		total += n
 	}
 	if want := ds.Rows(); total != want {
 		t.Fatalf("snapshot holds %d tuples, state has %d", total, want)
@@ -196,7 +197,8 @@ func TestFollowerBootstrapsFromSnapshot(t *testing.T) {
 // TestFollowerRestartResumes closes a caught-up follower, advances the
 // primary, and reopens the follower in the same directory: local recovery
 // plus the persisted position must resume the stream with no snapshot
-// re-sync and converge.
+// re-sync and converge. It does so twice, the second time after a local
+// checkpoint removed the segment the persisted position names.
 func TestFollowerRestartResumes(t *testing.T) {
 	sch, ds, _ := openPrimary(t, 2)
 	defer ds.Close()
@@ -226,12 +228,129 @@ func TestFollowerRestartResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
 	waitCaughtUp(t, f, ds)
 	requireConverged(t, ds, f)
 	if st := f.ReplStats(); st.Resyncs != 0 {
 		t.Fatalf("restart forced %d resyncs, want none", st.Resyncs)
 	}
+
+	// Once REPLPOS is written, a local checkpoint removes the segment it
+	// names; the checkpoint recovery loads covers that segment, so the
+	// position is still trusted and the restart resumes without a re-sync.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		f.fmu.Lock()
+		persisted := f.persisted == f.applied
+		f.fmu.Unlock()
+		if persisted {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("follower never persisted its position")
+		}
+	}
+	if err := f.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Insert("DIM2", map[string]string{"K2": "after-ck", "D2_1": "g", "D2_2": "h"}); err != nil {
+		t.Fatal(err)
+	}
+	f, err = sch.OpenFollower(fdir, ds, FollowerOptions{NoFsync: true, PollInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if f.Recovery().CheckpointSeq == 0 {
+		t.Fatal("restart loaded no local checkpoint")
+	}
+	waitCaughtUp(t, f, ds)
+	requireConverged(t, ds, f)
+	if st := f.ReplStats(); st.Resyncs != 0 {
+		t.Fatalf("restart after a local checkpoint forced %d resyncs, want none", st.Resyncs)
+	}
+}
+
+// goneCounter is a ReplSource counting the wal.ErrSegmentGone answers its
+// source gives.
+type goneCounter struct {
+	ReplSource
+	gone atomic.Int64
+}
+
+func (g *goneCounter) ReplRead(pos wal.Position, max int) (ReplChunk, error) {
+	chunk, err := g.ReplSource.ReplRead(pos, max)
+	if errors.Is(err, wal.ErrSegmentGone) {
+		g.gone.Add(1)
+	}
+	return chunk, err
+}
+
+// TestFollowerResyncDeletesStaleTuples closes a follower holding tuple X;
+// the primary then deletes X, inserts Y and checkpoints, truncating the
+// segment the follower stopped in. The reopened follower must find its
+// segment gone, re-sync once from the primary's snapshot, and install it as
+// a diff against its recovered state: X deleted, Y inserted.
+func TestFollowerResyncDeletesStaleTuples(t *testing.T) {
+	sch, ds, _ := openPrimary(t, 1)
+	defer ds.Close()
+	x := map[string]string{"K1": "x", "D1_1": "a", "D1_2": "b"}
+	y := map[string]string{"K1": "y", "D1_1": "a", "D1_2": "b"}
+	if err := ds.Insert("DIM1", x); err != nil {
+		t.Fatal(err)
+	}
+	held := func(f *Follower) []string {
+		t.Helper()
+		rows, err := f.Snapshot().Tuples("DIM1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keys []string
+		for _, r := range rows {
+			keys = append(keys, r["K1"])
+		}
+		return keys
+	}
+
+	fdir := t.TempDir()
+	opts := FollowerOptions{NoFsync: true, PollInterval: time.Millisecond}
+	f, err := sch.OpenFollower(fdir, ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCaughtUp(t, f, ds)
+	if got := held(f); len(got) != 1 || got[0] != "x" {
+		t.Fatalf("caught-up follower holds %v, want [x]", got)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if ok, err := ds.Delete("DIM1", x); err != nil || !ok {
+		t.Fatalf("delete X: %v %v", ok, err)
+	}
+	if err := ds.Insert("DIM1", y); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+
+	src := &goneCounter{ReplSource: ds}
+	f, err = sch.OpenFollower(fdir, src, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	waitCaughtUp(t, f, ds)
+	if st := f.ReplStats(); st.Resyncs != 1 || src.gone.Load() == 0 {
+		t.Fatalf("resyncs %d after %d segment-gone reads, want 1 after at least 1", st.Resyncs, src.gone.Load())
+	}
+	if got := held(f); len(got) != 1 || got[0] != "y" {
+		t.Fatalf("re-synced follower holds %v, want [y]", got)
+	}
+	requireConverged(t, ds, f)
 }
 
 // TestFollowerAbortRestartConverges kills the follower without its final
@@ -493,6 +612,15 @@ func TestFollowerSurvivesRowsWithoutColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	if st := waitReplError(t, f); st.Healthy || f.Rows() != 0 {
+		t.Fatalf("after the hostile snapshot: %+v, %d rows", st, f.Rows())
+	}
+}
+
+// waitReplError blocks until the follower reports a stream error and
+// returns its stats.
+func waitReplError(t *testing.T, f *Follower) FollowerStats {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for f.ReplStats().LastError == "" {
 		if time.Now().After(deadline) {
@@ -500,7 +628,55 @@ func TestFollowerSurvivesRowsWithoutColumns(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if st := f.ReplStats(); st.Healthy || f.Rows() != 0 {
-		t.Fatalf("after the hostile snapshot: %+v, %d rows", st, f.Rows())
+	return f.ReplStats()
+}
+
+// TestCheckpointInstallRefusesInconsistentState feeds two well-encoded but
+// bad checkpoints to both callers of installCheckpoint: one holding CT rows
+// (c,t1) and (c,t2), which C -> T forbids, and one whose relation has the
+// wrong arity. Recovery must refuse to open the store, the conflict as a
+// rejection; a follower fed the same bytes must stay up, report the error
+// and install nothing.
+func TestCheckpointInstallRefusesInconsistentState(t *testing.T) {
+	sch := MustParse("CT(C,T)", "C -> T")
+	var d relation.Dict
+	c, t1, t2 := d.Value("c"), d.Value("t1"), d.Value("t2")
+	dict := d.AppendNew(&relation.Marks{}, nil)
+	for _, tc := range []struct {
+		name     string
+		ck       *wal.Checkpoint
+		want     string // in the error
+		rejected bool
+	}{
+		{"conflict", &wal.Checkpoint{Seq: 1, Dict: dict,
+			Cols: [][][]relation.Value{{{c, c}, {t1, t2}}}, Counts: []int{2}}, "fails admission", true},
+		{"arity", &wal.Checkpoint{Seq: 1, Dict: dict,
+			Cols: [][][]relation.Value{{{c}, {t1}, {t2}}}, Counts: []int{1}}, "arity 3", false},
+	} {
+		dir := t.TempDir()
+		if _, err := wal.WriteCheckpoint(dir, tc.ck); err != nil {
+			t.Fatal(err)
+		}
+		ds, err := sch.OpenDurableStore(dir, DurableOptions{NoFsync: true})
+		if err == nil {
+			ds.Close()
+			t.Fatalf("%s: recovery opened the store", tc.name)
+		}
+		if Rejected(err) != tc.rejected || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: recovery error %v (rejected %v), want %q", tc.name, err, Rejected(err), tc.want)
+		}
+
+		f, err := sch.OpenFollower(t.TempDir(), hostileSnapshot(tc.ck.Encode()), FollowerOptions{NoFsync: true, PollInterval: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := waitReplError(t, f)
+		rows := f.Rows()
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if st.Healthy || rows != 0 || !strings.Contains(st.LastError, tc.want) {
+			t.Fatalf("%s: follower %+v with %d rows, want the error %q and none", tc.name, st, rows, tc.want)
+		}
 	}
 }
