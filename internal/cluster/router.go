@@ -22,10 +22,8 @@ type Options struct {
 	// split into; 0 means twice the shard count (every shard owns ~2 ranges
 	// of every hot relation, smoothing the split without fragmenting reads).
 	Parts int
-	// VNodes is the number of ring points per member (default 64).
-	VNodes int
-	// Retries is how many times a failed forward or gather is retried
-	// against the same shard before the shard is reported down (default 2).
+	// Retries is how many times a failed shard call is retried against the
+	// same shard before the shard is reported down (default 2).
 	// Retries mean at-least-once delivery: re-applying an accepted insert
 	// or an applied delete is a no-op, so redelivery converges — except for
 	// a payload that both deletes a tuple and inserts one conflicting with
@@ -44,6 +42,9 @@ type Options struct {
 	Logger *slog.Logger
 }
 
+// vnodes is the number of ring points each member projects (see NewRing).
+const vnodes = 64
+
 // Router is the cluster routing tier: it owns the placement, splits writes
 // per owning shard, forwards them over the binary batch wire, and answers
 // window reads on the owning shards or over gathered fragments. A Router is
@@ -59,29 +60,15 @@ type Router struct {
 	fallback string // designated shard when the schema is not independent
 
 	mu     sync.Mutex
-	health map[string]*ShardStatus
+	health map[string]*ShardStatus // a failed shard call counts once, in Failures
 
-	batches    *obs.Counter
-	ops        *obs.Counter
-	rejected   *obs.Counter
-	gathers    *obs.Counter
-	proxied    *obs.Counter
-	retries    *obs.Counter
-	fwdErrs    map[string]*obs.Counter
-	fwdSeconds map[string]*obs.Histogram
-}
-
-// inc and addN tolerate a router whose metrics were never registered.
-func inc(c *obs.Counter) {
-	if c != nil {
-		c.Inc()
-	}
-}
-
-func addN(c *obs.Counter, n uint64) {
-	if c != nil {
-		c.Add(n)
-	}
+	batches    obs.Counter
+	ops        obs.Counter
+	rejected   obs.Counter
+	gathers    obs.Counter
+	proxied    obs.Counter
+	retries    obs.Counter
+	fwdSeconds map[string]*obs.Histogram // per shard, one observation per attempt
 }
 
 // ShardStatus is one shard's health as the router sees it.
@@ -111,9 +98,6 @@ func NewRouter(sch *indep.Schema, members []Member, opts Options) (*Router, erro
 	if opts.Parts == 0 {
 		opts.Parts = 2 * len(members)
 	}
-	if opts.VNodes == 0 {
-		opts.VNodes = 64
-	}
 	if opts.Retries == 0 {
 		opts.Retries = 2
 	}
@@ -125,14 +109,15 @@ func NewRouter(sch *indep.Schema, members []Member, opts Options) (*Router, erro
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	r := &Router{
-		sch:     sch,
-		an:      an,
-		members: members,
-		place:   PlanPlacement(sch, an, members, opts.Parts, opts.VNodes),
-		tr:      make(map[string]Transport, len(members)),
-		opts:    opts,
-		logger:  logger,
-		health:  make(map[string]*ShardStatus, len(members)),
+		sch:        sch,
+		an:         an,
+		members:    members,
+		place:      PlanPlacement(sch, an, members, opts.Parts, vnodes),
+		tr:         make(map[string]Transport, len(members)),
+		opts:       opts,
+		logger:     logger,
+		health:     make(map[string]*ShardStatus, len(members)),
+		fwdSeconds: make(map[string]*obs.Histogram, len(members)),
 	}
 	for _, m := range members {
 		if t := opts.Transports[m.Name]; t != nil {
@@ -141,6 +126,7 @@ func NewRouter(sch *indep.Schema, members []Member, opts Options) (*Router, erro
 			r.tr[m.Name] = NewHTTPTransport(m, opts.Timeout)
 		}
 		r.health[m.Name] = &ShardStatus{Name: m.Name, URL: m.URL, Healthy: true}
+		r.fwdSeconds[m.Name] = &obs.Histogram{}
 	}
 	if !an.Independent {
 		r.fallback = r.place.Owners(sch.Relations()[0])[0]
@@ -189,19 +175,21 @@ func (r *Router) RegisterMetrics(reg *obs.Registry) {
 			}
 			return float64(n)
 		})
-	r.batches = reg.Counter("indep_cluster_batches_total", "Client batches routed.")
-	r.ops = reg.Counter("indep_cluster_ops_total", "Operations forwarded to shards.")
-	r.rejected = reg.Counter("indep_cluster_rejected_ops_total", "Operations shards rejected as constraint violations.")
-	r.gathers = reg.Counter("indep_cluster_window_gathers_total", "Windows evaluated on the router over gathered fragments.")
-	r.proxied = reg.Counter("indep_cluster_window_proxied_total", "Windows evaluated on the owning shards.")
-	r.retries = reg.Counter("indep_cluster_forward_retries_total", "Forward attempts retried after a shard error.")
-	r.fwdErrs = make(map[string]*obs.Counter, len(r.members))
-	r.fwdSeconds = make(map[string]*obs.Histogram, len(r.members))
+	reg.CounterFunc("indep_cluster_batches_total", "Client batches routed.", r.batches.Value)
+	reg.CounterFunc("indep_cluster_ops_total", "Operations forwarded to shards.", r.ops.Value)
+	reg.CounterFunc("indep_cluster_rejected_ops_total", "Operations shards rejected as constraint violations.", r.rejected.Value)
+	reg.CounterFunc("indep_cluster_window_gathers_total", "Windows evaluated on the router over gathered fragments.", r.gathers.Value)
+	reg.CounterFunc("indep_cluster_window_proxied_total", "Windows evaluated on the owning shards.", r.proxied.Value)
+	reg.CounterFunc("indep_cluster_forward_retries_total", "Shard call attempts retried after a shard error.", r.retries.Value)
 	for _, m := range r.members {
-		r.fwdErrs[m.Name] = reg.Counter("indep_cluster_forward_errors_total",
-			"Forwards that failed after all retries.", obs.L("shard", m.Name))
-		r.fwdSeconds[m.Name] = reg.Histogram("indep_cluster_forward_seconds",
-			"Per-shard forward latency (batch sub-forwards, shard windows and fragment gathers).", 1e-9, obs.L("shard", m.Name))
+		h := r.health[m.Name]
+		shard := obs.L("shard", m.Name)
+		reg.CounterFunc("indep_cluster_forward_errors_total",
+			"Shard calls (batch forwards, window and fragment fetches, health pings) that failed after all retries.",
+			func() uint64 { r.mu.Lock(); defer r.mu.Unlock(); return h.Failures }, shard)
+		reg.RegisterHistogram("indep_cluster_forward_seconds",
+			"Per-shard call latency, one observation per attempt (batch forwards, window and fragment fetches, health pings).",
+			1e-9, r.fwdSeconds[m.Name], shard)
 	}
 }
 
@@ -210,9 +198,6 @@ func (r *Router) note(shard string, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h := r.health[shard]
-	if h == nil {
-		return
-	}
 	h.Checks++
 	h.LastCheck = time.Now()
 	if err != nil {
@@ -232,13 +217,11 @@ func (r *Router) withRetry(ctx context.Context, shard string, fn func() error) e
 	for attempt := 0; ; attempt++ {
 		start := time.Now()
 		err = fn()
-		if h := r.fwdSeconds[shard]; h != nil {
-			h.Observe(int64(time.Since(start)))
-		}
+		r.fwdSeconds[shard].ObserveSince(start)
 		if err == nil || attempt >= r.opts.Retries || ctx.Err() != nil {
 			break
 		}
-		inc(r.retries)
+		r.retries.Inc()
 		r.logger.Debug("retrying shard", "shard", shard, "attempt", attempt+1, "error", err)
 		select {
 		case <-ctx.Done():
@@ -249,11 +232,6 @@ func (r *Router) withRetry(ctx context.Context, shard string, fn func() error) e
 		break
 	}
 	r.note(shard, err)
-	if err != nil {
-		if c := r.fwdErrs[shard]; c != nil {
-			c.Inc()
-		}
-	}
 	return err
 }
 
@@ -264,7 +242,8 @@ func (r *Router) withRetry(ctx context.Context, shard string, fn func() error) e
 // its ops under the client's own value ids (indep.Schema.SplitBinBatch), so
 // no row is built and nothing is re-interned. Rejections are per-op and do
 // not fail the call. A non-nil error means at least one shard could not be
-// reached or failed mid-batch; the report still covers every shard that
+// reached or failed mid-batch; it names every failed shard and wraps the
+// first in membership order. The report still covers every shard that
 // answered, and because applied inserts and deletes are idempotent the
 // client may retry the whole payload (see Options.Retries for the one
 // delete-unshields-insert shape that is not a fixpoint). A malformed
@@ -279,62 +258,47 @@ func (r *Router) Batch(ctx context.Context, payload []byte) (*indep.BatchReport,
 	for _, idx := range index {
 		ops += len(idx)
 	}
-	inc(r.batches)
-	addN(r.ops, uint64(ops))
+	r.batches.Inc()
+	r.ops.Add(uint64(ops))
 
-	type shardResult struct {
-		dest int
-		rep  *indep.BatchReport
-		err  error
-	}
-	results := make(chan shardResult, len(subs))
-	sent := 0
+	dests := make([]int, 0, len(subs)) // membership indexes of the shards that get a piece
+	shards := make([]string, 0, len(subs))
 	for d, sub := range subs {
-		if sub == nil {
-			continue
+		if sub != nil {
+			dests = append(dests, d)
+			shards = append(shards, r.members[d].Name)
 		}
-		sent++
-		go func() {
-			shard := r.members[d].Name
-			var rep *indep.BatchReport
-			err := r.withRetry(ctx, shard, func() error {
-				var err error
-				rep, err = r.tr[shard].ApplyPartial(ctx, sub)
-				return err
-			})
-			results <- shardResult{dest: d, rep: rep, err: err}
-		}()
 	}
+	reps := make([]*indep.BatchReport, len(shards))
+	errs := r.fanOut(ctx, shards, func(i int) (err error) {
+		reps[i], err = r.tr[shards[i]].ApplyPartial(ctx, subs[dests[i]])
+		return err
+	})
 
 	report := &indep.BatchReport{Ops: ops}
 	var failed []string
-	var firstErr error
-	for range sent {
-		res := <-results
-		if res.err != nil {
-			failed = append(failed, r.members[res.dest].Name)
-			if firstErr == nil {
-				firstErr = res.err
-			}
-			if res.rep == nil {
-				continue
-			}
+	for i, rep := range reps {
+		if errs[i] != nil {
+			failed = append(failed, shards[i])
 		}
-		idx := index[res.dest]
-		report.Processed += res.rep.Processed
-		report.Applied += res.rep.Applied
-		report.Changed += res.rep.Changed
-		for _, o := range res.rep.Rejected {
+		if rep == nil {
+			continue
+		}
+		idx := index[dests[i]]
+		report.Processed += rep.Processed
+		report.Applied += rep.Applied
+		report.Changed += rep.Changed
+		for _, o := range rep.Rejected {
 			report.Rejected = append(report.Rejected,
 				indep.OpOutcome{Index: idx[o.Index], Code: o.Code, Error: o.Error})
 		}
 	}
 	sort.Slice(report.Rejected, func(i, j int) bool { return report.Rejected[i].Index < report.Rejected[j].Index })
-	addN(r.rejected, uint64(len(report.Rejected)))
-	if firstErr != nil {
+	r.rejected.Add(uint64(len(report.Rejected)))
+	if err := firstError(errs); err != nil {
 		sort.Strings(failed)
 		return report, fmt.Errorf("cluster: %d of %d shards failed (%v): %w",
-			len(failed), sent, failed, firstErr)
+			len(failed), len(shards), failed, err)
 	}
 	return report, nil
 }
@@ -442,7 +406,7 @@ func (r *Router) windowOwners(rel string, q indep.WindowQuery, out map[string]bo
 // only), reports SnapshotReused only if every owner reused its snapshot,
 // and StoreVersion 0, since no single version describes the answer.
 func (r *Router) evalOnOwners(ctx context.Context, q indep.WindowQuery, shards []string, disjoint bool) (*indep.WindowResult, error) {
-	inc(r.proxied)
+	r.proxied.Inc()
 	sub := q
 	sub.BinaryResult = true
 	if len(shards) > 1 && !disjoint {
@@ -450,7 +414,7 @@ func (r *Router) evalOnOwners(ctx context.Context, q indep.WindowQuery, shards [
 	}
 	parts := make([]*indep.WindowResult, len(shards))
 	answers := make([]*indep.WindowAnswer, len(shards))
-	if err := r.fanOut(ctx, shards, func(i int) (err error) {
+	if err := firstError(r.fanOut(ctx, shards, func(i int) (err error) {
 		if parts[i], err = r.tr[shards[i]].Window(ctx, sub); err != nil {
 			return err
 		}
@@ -458,7 +422,7 @@ func (r *Router) evalOnOwners(ctx context.Context, q indep.WindowQuery, shards [
 			return &ShardError{Shard: shards[i], Status: http.StatusOK, Err: fmt.Errorf("bad window answer: %w", err)}
 		}
 		return nil
-	}); err != nil {
+	})); err != nil {
 		return nil, err
 	}
 	var res *indep.WindowResult
@@ -532,7 +496,7 @@ func mergeExplain(parts []*indep.WindowResult) *indep.WindowExplain {
 // answer reports cached, that compile's hit, as a node's first window
 // reports a miss.
 func (r *Router) gather(ctx context.Context, q indep.WindowQuery, fetches []indep.WindowFetch, cached bool) (*indep.WindowResult, error) {
-	inc(r.gathers)
+	r.gathers.Inc()
 	type fetch struct {
 		rel, shard string
 		sel        *indep.WindowQuery // nil: the whole fragment
@@ -563,14 +527,14 @@ func (r *Router) gather(ctx context.Context, q indep.WindowQuery, fetches []inde
 		shards[i] = c.shard
 	}
 	frags := make([]*indep.WindowResult, len(calls))
-	if err := r.fanOut(ctx, shards, func(i int) (err error) {
+	if err := firstError(r.fanOut(ctx, shards, func(i int) (err error) {
 		if c := calls[i]; c.sel != nil {
 			frags[i], err = r.tr[c.shard].Window(ctx, *c.sel)
 		} else {
 			frags[i], err = r.tr[c.shard].Relation(ctx, c.rel)
 		}
 		return err
-	}); err != nil {
+	})); err != nil {
 		return nil, err
 	}
 	scratch := r.sch.NewDatabase()
@@ -591,21 +555,29 @@ func (r *Router) gather(ctx context.Context, q indep.WindowQuery, fetches []inde
 }
 
 // fanOut runs call(i) against shards[i] for every i, concurrently and each
-// under withRetry, and returns the first error in shard order.
-func (r *Router) fanOut(ctx context.Context, shards []string, call func(i int) error) error {
-	if len(shards) == 1 {
-		return r.withRetry(ctx, shards[0], func() error { return call(0) })
-	}
+// under withRetry, and returns each call's final error in shard order. It is
+// the router's one concurrent shard-call routine: batch forwards, window and
+// fragment fetches and health pings all go through it.
+func (r *Router) fanOut(ctx context.Context, shards []string, call func(i int) error) []error {
 	errs := make([]error, len(shards))
+	one := func(i int) { errs[i] = r.withRetry(ctx, shards[i], func() error { return call(i) }) }
 	var wg sync.WaitGroup
-	for i, shard := range shards {
+	for i := 1; i < len(shards); i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = r.withRetry(ctx, shard, func() error { return call(i) })
+			one(i)
 		}()
 	}
+	if len(shards) > 0 {
+		one(0) // on the calling goroutine
+	}
 	wg.Wait()
+	return errs
+}
+
+// firstError returns the first non-nil error in errs.
+func firstError(errs []error) error {
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -614,18 +586,14 @@ func (r *Router) fanOut(ctx context.Context, shards []string, call func(i int) e
 	return nil
 }
 
-// CheckHealth pings every shard once, concurrently, updating and returning
+// CheckHealth pings every shard once through fanOut, updating and returning
 // the health table. Pings use the same retry/backoff as forwards.
 func (r *Router) CheckHealth(ctx context.Context) []ShardStatus {
-	var wg sync.WaitGroup
-	for _, m := range r.members {
-		wg.Add(1)
-		go func(name string) {
-			defer wg.Done()
-			r.withRetry(ctx, name, func() error { return r.tr[name].Ping(ctx) })
-		}(m.Name)
+	names := make([]string, len(r.members))
+	for i, m := range r.members {
+		names[i] = m.Name
 	}
-	wg.Wait()
+	r.fanOut(ctx, names, func(i int) error { return r.tr[names[i]].Ping(ctx) })
 	return r.Health()
 }
 

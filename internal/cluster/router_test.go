@@ -20,6 +20,7 @@ import (
 
 	"indep"
 	"indep/internal/cluster"
+	"indep/internal/obs"
 	"indep/internal/relation"
 	"indep/internal/replt"
 	"indep/internal/wal"
@@ -319,9 +320,12 @@ func TestRouterFallbackMode(t *testing.T) {
 	}
 }
 
-// TestRouterShardDown pins failure classification: with one shard
-// unreachable, ops owned by it fail with a ShardError (the 503 signal),
-// ops owned by live shards keep working, and the health table notices.
+// TestRouterShardDown kills one shard, then two of three, and demands that
+// every routed call needing a dead shard fails as a ShardError (never as a
+// rejection) while the live shards keep serving: a batch spanning every
+// shard names each dead shard, sorted, wraps the first in membership order
+// and reports only the live shards' ops; the health table and the
+// forward-error metric agree; and reviving heals everything.
 func TestRouterShardDown(t *testing.T) {
 	sch := runningExample(t)
 	injectors := make(map[string]*replt.ShardInjector)
@@ -332,56 +336,103 @@ func TestRouterShardDown(t *testing.T) {
 			return in
 		})
 	ctx := context.Background()
+	members := []string{"shard1", "shard2", "shard3"}
 
-	// Find rows owned by two different shards.
-	rowFor := func(dead string, want bool) map[string]string {
-		for i := 0; ; i++ {
-			row := map[string]string{"C": fmt.Sprintf("c%d", i), "T": "t"}
+	// rowOf returns a fresh CT row owned by the shard.
+	next := 0
+	rowOf := func(shard string) map[string]string {
+		for ; ; next++ {
+			row := map[string]string{"C": fmt.Sprintf("c%d", next), "T": "t"}
 			owner, err := tc.rt.Placement().Owner("CT", row)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if (owner == dead) == want {
+			if owner == shard {
+				next++
 				return row
 			}
 		}
 	}
-	const dead = "shard2"
-	injectors[dead].Kill()
 
-	err := tc.insert(t, "CT", rowFor(dead, true))
-	var se *cluster.ShardError
-	if !errors.As(err, &se) || se.Shard != dead {
-		t.Fatalf("insert to dead shard: got %v, want ShardError{%s}", err, dead)
-	}
-	if indep.Rejected(err) {
-		t.Fatal("an unreachable shard must not read as a constraint rejection")
-	}
-	if err := tc.insert(t, "CT", rowFor(dead, false)); err != nil {
-		t.Fatalf("insert to live shard: %v", err)
-	}
-
-	tc.rt.CheckHealth(ctx)
-	for _, h := range tc.rt.Health() {
-		if h.Name == dead && h.Healthy {
-			t.Errorf("health table still thinks %s is up", dead)
+	for _, dead := range [][]string{{"shard2"}, {"shard1", "shard3"}} { // membership order
+		var live []string
+		for _, m := range members {
+			if !slices.Contains(dead, m) {
+				live = append(live, m)
+			}
 		}
-		if h.Name != dead && !h.Healthy {
-			t.Errorf("health table thinks %s is down", h.Name)
+		for _, d := range dead {
+			injectors[d].Kill()
 		}
-	}
 
-	// A gather that needs the dead shard fails as a ShardError too...
-	if _, err := tc.rt.Window(ctx, indep.WindowQuery{Attrs: []string{"C", "T"}}); !errors.As(err, &se) {
-		t.Fatalf("window over dead shard: got %v, want ShardError", err)
-	}
-	// ...and the shard coming back heals everything with no intervention.
-	injectors[dead].Revive()
-	if _, err := tc.rt.Window(ctx, indep.WindowQuery{Attrs: []string{"C", "T"}}); err != nil {
-		t.Fatalf("window after revive: %v", err)
-	}
-	if tc.rt.CheckHealth(ctx); !tc.rt.Health()[1].Healthy {
-		t.Error("health table did not recover after revive")
+		err := tc.insert(t, "CT", rowOf(dead[len(dead)-1]))
+		var se *cluster.ShardError
+		if !errors.As(err, &se) || se.Shard != dead[len(dead)-1] {
+			t.Fatalf("%v down: insert to a dead shard: got %v, want ShardError{%s}", dead, err, dead[len(dead)-1])
+		}
+		if indep.Rejected(err) {
+			t.Fatal("an unreachable shard must not read as a constraint rejection")
+		}
+		if err := tc.insert(t, "CT", rowOf(live[0])); err != nil {
+			t.Fatalf("%v down: insert to a live shard: %v", dead, err)
+		}
+
+		// One op per shard, in reverse membership order.
+		var ops []indep.BatchOp
+		for i := len(members) - 1; i >= 0; i-- {
+			ops = append(ops, indep.BatchOp{Rel: "CT", Row: rowOf(members[i])})
+		}
+		rep, err := tc.rt.Batch(ctx, encodePayload(t, sch, ops, nil))
+		if want := fmt.Sprintf("%d of 3 shards failed (%v)", len(dead), dead); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%v down: batch error %v, want it to name %q", dead, err, want)
+		}
+		if !errors.As(err, &se) || se.Shard != dead[0] {
+			t.Fatalf("%v down: batch error wraps %v, want ShardError{%s}", dead, err, dead[0])
+		}
+		if rep == nil || rep.Ops != len(ops) || rep.Processed != len(live) || rep.Applied != len(live) || len(rep.Rejected) != 0 {
+			t.Fatalf("%v down: report %+v, want only the %d live shards' ops", dead, rep, len(live))
+		}
+
+		tc.rt.CheckHealth(ctx)
+		reg := obs.NewRegistry()
+		tc.rt.RegisterMetrics(reg)
+		fams, err := obs.ParseExposition(reg.Expose())
+		if err != nil {
+			t.Fatal(err)
+		}
+		errsByShard := make(map[string]float64)
+		for _, f := range fams {
+			if f.Name == "indep_cluster_forward_errors_total" {
+				for _, smp := range f.Samples {
+					errsByShard[smp.Label("shard")] = smp.Value
+				}
+			}
+		}
+		for _, h := range tc.rt.Health() {
+			if down := slices.Contains(dead, h.Name); h.Healthy == down {
+				t.Errorf("%v down: health table has %s healthy=%v", dead, h.Name, h.Healthy)
+			}
+			if got := errsByShard[h.Name]; got != float64(h.Failures) {
+				t.Errorf("%v down: %s forward errors %v, health failures %d", dead, h.Name, got, h.Failures)
+			}
+		}
+
+		// A gather that needs a dead shard fails as a ShardError too...
+		if _, err := tc.rt.Window(ctx, indep.WindowQuery{Attrs: []string{"C", "T"}}); !errors.As(err, &se) {
+			t.Fatalf("%v down: window over a dead shard: got %v, want ShardError", dead, err)
+		}
+		// ...and the shards coming back heal everything with no intervention.
+		for _, d := range dead {
+			injectors[d].Revive()
+		}
+		if _, err := tc.rt.Window(ctx, indep.WindowQuery{Attrs: []string{"C", "T"}}); err != nil {
+			t.Fatalf("%v down: window after revive: %v", dead, err)
+		}
+		for _, h := range tc.rt.CheckHealth(ctx) {
+			if !h.Healthy {
+				t.Errorf("%v down: health table did not recover %s after revive", dead, h.Name)
+			}
+		}
 	}
 }
 

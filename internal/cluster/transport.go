@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -93,14 +94,17 @@ func NewHTTPTransport(m Member, timeout time.Duration) *HTTPTransport {
 // parts, not more router memory.
 const maxShardResponse = 256 << 20
 
-func (t *HTTPTransport) do(ctx context.Context, method, path string, body []byte, contentType, accept string) (int, []byte, error) {
+// do sends one request to the shard and returns the body of a 200. Any other
+// status is a ShardError carrying it and the shard's message; a request that
+// got no answer is a ShardError with Status 0.
+func (t *HTTPTransport) do(ctx context.Context, method, path string, body []byte, contentType, accept string) ([]byte, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, t.Base+path, rd)
 	if err != nil {
-		return 0, nil, &ShardError{Shard: t.Shard, Err: err}
+		return nil, &ShardError{Shard: t.Shard, Err: err}
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
@@ -114,44 +118,41 @@ func (t *HTTPTransport) do(ctx context.Context, method, path string, body []byte
 	}
 	resp, err := t.Client.Do(req)
 	if err != nil {
-		return 0, nil, &ShardError{Shard: t.Shard, Err: err}
+		return nil, &ShardError{Shard: t.Shard, Err: err}
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(resp.Body, maxShardResponse))
-	if err != nil {
-		return resp.StatusCode, nil, &ShardError{Shard: t.Shard, Status: resp.StatusCode, Err: err}
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = errors.New(strings.TrimSpace(string(data)))
 	}
-	return resp.StatusCode, data, nil
+	if err != nil {
+		return nil, &ShardError{Shard: t.Shard, Status: resp.StatusCode, Err: err}
+	}
+	return data, nil
 }
 
 // ApplyPartial implements Transport over POST /v1/batchbin?partial=1.
 func (t *HTTPTransport) ApplyPartial(ctx context.Context, payload []byte) (*indep.BatchReport, error) {
-	status, data, err := t.do(ctx, http.MethodPost, "/v1/batchbin?partial=1", payload, indep.BinContentType, "")
+	data, err := t.do(ctx, http.MethodPost, "/v1/batchbin?partial=1", payload, indep.BinContentType, "")
 	if err != nil {
 		return nil, err
 	}
-	if status != http.StatusOK {
-		return nil, &ShardError{Shard: t.Shard, Status: status, Err: fmt.Errorf("%s", strings.TrimSpace(string(data)))}
-	}
 	var rep indep.BatchReport
 	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, &ShardError{Shard: t.Shard, Status: status, Err: fmt.Errorf("bad batch report: %w", err)}
+		return nil, &ShardError{Shard: t.Shard, Status: http.StatusOK, Err: fmt.Errorf("bad batch report: %w", err)}
 	}
 	return &rep, nil
 }
 
 // Relation implements Transport over GET /v1/cluster/rel.
 func (t *HTTPTransport) Relation(ctx context.Context, rel string) (*indep.WindowResult, error) {
-	status, data, err := t.do(ctx, http.MethodGet, "/v1/cluster/rel?name="+url.QueryEscape(rel), nil, "", indep.BinContentType)
+	data, err := t.do(ctx, http.MethodGet, "/v1/cluster/rel?name="+url.QueryEscape(rel), nil, "", indep.BinContentType)
 	if err != nil {
 		return nil, err
 	}
-	if status != http.StatusOK {
-		return nil, &ShardError{Shard: t.Shard, Status: status, Err: fmt.Errorf("%s", strings.TrimSpace(string(data)))}
-	}
 	res, err := indep.DecodeWindowBinary(data)
 	if err != nil {
-		return nil, &ShardError{Shard: t.Shard, Status: status, Err: err}
+		return nil, &ShardError{Shard: t.Shard, Status: http.StatusOK, Err: err}
 	}
 	return res, nil
 }
@@ -176,12 +177,9 @@ func (t *HTTPTransport) Window(ctx context.Context, q indep.WindowQuery) (*indep
 		vals.Set("explain", "1")
 		accept = "application/json"
 	}
-	status, data, err := t.do(ctx, http.MethodGet, "/v1/window?"+vals.Encode(), nil, "", accept)
+	data, err := t.do(ctx, http.MethodGet, "/v1/window?"+vals.Encode(), nil, "", accept)
 	if err != nil {
 		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, &ShardError{Shard: t.Shard, Status: status, Err: fmt.Errorf("%s", strings.TrimSpace(string(data)))}
 	}
 	switch {
 	case !q.Explain && q.BinaryResult:
@@ -189,7 +187,7 @@ func (t *HTTPTransport) Window(ctx context.Context, q indep.WindowQuery) (*indep
 	case !q.Explain:
 		res, err := indep.DecodeWindowBinary(data)
 		if err != nil {
-			return nil, &ShardError{Shard: t.Shard, Status: status, Err: err}
+			return nil, &ShardError{Shard: t.Shard, Status: http.StatusOK, Err: err}
 		}
 		return res, nil
 	}
@@ -202,7 +200,7 @@ func (t *HTTPTransport) Window(ctx context.Context, q indep.WindowQuery) (*indep
 		Explain    *indep.WindowExplain `json:"explain"`
 	}
 	if err := json.Unmarshal(data, &body); err != nil {
-		return nil, &ShardError{Shard: t.Shard, Status: status, Err: fmt.Errorf("bad window response: %w", err)}
+		return nil, &ShardError{Shard: t.Shard, Status: http.StatusOK, Err: fmt.Errorf("bad window response: %w", err)}
 	}
 	res := &indep.WindowResult{
 		Attrs: body.Attrs, Rows: body.Rows, Total: body.Total,
@@ -216,14 +214,8 @@ func (t *HTTPTransport) Window(ctx context.Context, q indep.WindowQuery) (*indep
 
 // Ping implements Transport over GET /readyz.
 func (t *HTTPTransport) Ping(ctx context.Context) error {
-	status, data, err := t.do(ctx, http.MethodGet, "/readyz", nil, "", "")
-	if err != nil {
-		return err
-	}
-	if status != http.StatusOK {
-		return &ShardError{Shard: t.Shard, Status: status, Err: fmt.Errorf("%s", strings.TrimSpace(string(data)))}
-	}
-	return nil
+	_, err := t.do(ctx, http.MethodGet, "/readyz", nil, "", "")
+	return err
 }
 
 // LocalTransport serves a shard from an in-process store, still routing

@@ -68,7 +68,9 @@ type FollowerOptions struct {
 	SegmentBytes int64
 	Logger       *slog.Logger
 	// PollInterval is the delay between source reads when caught up or
-	// disconnected (default 25ms).
+	// disconnected (default 25ms), and the first wait after a failed
+	// re-sync; each consecutive failure doubles that wait, up to
+	// maxResyncWait.
 	PollInterval time.Duration
 	// ChunkBytes caps one ReplRead (default 256 KiB).
 	ChunkBytes int
@@ -397,15 +399,18 @@ func (f *Follower) resync() (wal.Position, error) {
 	return tail, nil
 }
 
-// sleep waits one poll interval or until the follower is stopped (false).
-func (f *Follower) sleep() bool {
+// sleep waits d or until the follower is stopped.
+func (f *Follower) sleep(d time.Duration) {
 	select {
 	case <-f.stop:
-		return false
-	case <-time.After(f.opts.PollInterval):
-		return true
+	case <-time.After(d):
 	}
 }
+
+// maxResyncWait caps the wait between consecutive failed re-syncs, which
+// doubles from the poll interval: every attempt cuts a snapshot on the
+// primary, and each cut rotates its log.
+const maxResyncWait = 5 * time.Second
 
 // persistEvery is how many applied records may accumulate before the tail
 // loop persists its position even while busy. Idle moments also persist.
@@ -424,6 +429,7 @@ func (f *Follower) run() {
 	var corruptAt wal.Position
 	corruptStreak := 0
 	sincePersist := 0
+	resyncWait := f.opts.PollInterval
 
 	corrupted := func() {
 		f.corruptChunks.Inc()
@@ -461,11 +467,13 @@ func (f *Follower) run() {
 			f.noteRead(tail, err)
 			if err != nil {
 				f.reconnects.Inc()
-				if !f.sleep() {
-					continue // drain the stop signal at the top of the loop
+				f.sleep(resyncWait) // a stop is drained at the top of the loop
+				if resyncWait < maxResyncWait {
+					resyncWait = min(2*resyncWait, maxResyncWait)
 				}
 				continue
 			}
+			resyncWait = f.opts.PollInterval
 			cursor, buf = tail, nil
 			sincePersist = 0
 			continue
@@ -479,7 +487,7 @@ func (f *Follower) run() {
 				continue
 			}
 			f.reconnects.Inc()
-			f.sleep()
+			f.sleep(f.opts.PollInterval)
 			continue
 		}
 
@@ -509,7 +517,7 @@ func (f *Follower) run() {
 			if err := f.persistPos(); err == nil {
 				sincePersist = 0
 			}
-			f.sleep()
+			f.sleep(f.opts.PollInterval)
 			continue
 		}
 

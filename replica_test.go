@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -678,5 +679,46 @@ func TestCheckpointInstallRefusesInconsistentState(t *testing.T) {
 		if st.Healthy || rows != 0 || !strings.Contains(st.LastError, tc.want) {
 			t.Fatalf("%s: follower %+v with %d rows, want the error %q and none", tc.name, st, rows, tc.want)
 		}
+	}
+}
+
+// TestFollowerResyncBacksOff opens a follower over CT(C,T); CS(C,S) against
+// a CT(C,T) primary, so every re-sync fails on the relation count. Each
+// attempt cuts a snapshot that rotates the primary's log, so the follower
+// must back off: at a 1ms poll interval, half a second holds a handful of
+// attempts, not hundreds, and Close still interrupts the wait.
+func TestFollowerResyncBacksOff(t *testing.T) {
+	dir := t.TempDir()
+	ds, err := MustParse("CT(C,T)", "C -> T").OpenDurableStore(dir, DurableOptions{NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	f, err := MustParse("CT(C,T); CS(C,S)", "C -> T").OpenFollower(t.TempDir(), ds,
+		FollowerOptions{NoFsync: true, PollInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(500 * time.Millisecond)
+	st := f.ReplStats()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("Close took %v during the backoff", d)
+	}
+	if st.Resyncs == 0 || st.Resyncs > 15 {
+		t.Errorf("%d re-syncs in 500ms, want 1..15", st.Resyncs)
+	}
+	if uint64(len(segs)) > st.Resyncs+1 {
+		t.Errorf("primary holds %d segments after %d re-syncs", len(segs), st.Resyncs)
+	}
+	if !strings.Contains(st.LastError, "checkpoint has 1 relations, schema has 2") {
+		t.Errorf("last error %q, want the relation-count mismatch", st.LastError)
 	}
 }
