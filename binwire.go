@@ -549,9 +549,8 @@ func (cs *ConcurrentStore) ApplyBinBatchPartial(ctx context.Context, payload []b
 
 // RelationBinary renders the named relation's live tuples as a binary
 // window result over the relation's own attributes, unsorted and unlimited —
-// the raw fragment a cluster router gathers from each shard when a window
-// must be evaluated away from the data and its Where does not touch the
-// relation (GET /v1/cluster/rel). The tuples
+// the raw fragment GET /v1/cluster/rel serves for diffing whole shard
+// states. The tuples
 // come from the store's query snapshot: a consistent cut at the current
 // version, cut at most once between writes and shared with window queries.
 // Decode with DecodeWindowBinary; the fragment's Total is its row count.

@@ -2,7 +2,7 @@ package main
 
 // The -cluster routing tier: indepd without a store of its own, splitting
 // writes across shard daemons by the placement rule (see internal/cluster)
-// and answering windows on the owning shards or over fragments gathered
+// and answering windows on the owning shards or over windows gathered
 // from them. It is a plain stateless HTTP tier: run several routers over
 // the same -shards list for availability; they compute identical
 // placements.

@@ -51,7 +51,7 @@
 //	GET    /state       full state as JSON rows
 //	GET    /analysis    independence analysis
 //	GET    /stats       per-relation counters, latency quantiles, WAL depth
-//	GET    /cluster/rel one relation's fragment, for a router's gather
+//	GET    /cluster/rel one relation's fragment, for a whole-state diff (no router reads it)
 //	GET    /v1/repl/wal       raw flushed WAL bytes by cursor (?pos=seq/off&max=&wait=1)
 //	GET    /v1/repl/snapshot  encoded state snapshot for follower bootstrap
 //
@@ -611,9 +611,9 @@ func (s *server) applyBatch(w http.ResponseWriter, r *http.Request, payload []by
 }
 
 // handleClusterRel serves the shard's raw fragment of one relation as the
-// binary window encoding — what a cluster router gathers of a relation
-// before evaluating a scattered window whose Where does not touch it. The
-// fragment is a consistent snapshot of this shard.
+// binary window encoding, for a client diffing whole shard states; a
+// cluster router reads its shards through /v1/window only. The fragment is
+// a consistent snapshot of this shard.
 func (s *server) handleClusterRel(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("name")
 	if name == "" {

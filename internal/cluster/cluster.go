@@ -30,9 +30,10 @@
 //     Where). A Where binding the whole partition key goes to the one owner
 //     of that hash range.
 //   - A window consulting several relations is evaluated on the router: of
-//     each relation R it gathers σ_{Where∩R}(R) through the owners' window
-//     endpoint when Where touches R (Schema.WindowFetches), the whole
-//     fragment otherwise, and evaluates over the assembled state.
+//     each relation R it gathers the window over R's scheme that Where's
+//     share of R selects (Schema.WindowFetches; the share may be empty)
+//     through the owners' window endpoint, and evaluates over the assembled
+//     state.
 //
 // Either way the answer is identical to a single node's.
 //

@@ -47,7 +47,7 @@ const vnodes = 64
 
 // Router is the cluster routing tier: it owns the placement, splits writes
 // per owning shard, forwards them over the binary batch wire, and answers
-// window reads on the owning shards or over gathered fragments. A Router is
+// window reads on the owning shards or over gathered windows. A Router is
 // safe for concurrent use.
 type Router struct {
 	sch      *indep.Schema
@@ -178,17 +178,17 @@ func (r *Router) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("indep_cluster_batches_total", "Client batches routed.", r.batches.Value)
 	reg.CounterFunc("indep_cluster_ops_total", "Operations forwarded to shards.", r.ops.Value)
 	reg.CounterFunc("indep_cluster_rejected_ops_total", "Operations shards rejected as constraint violations.", r.rejected.Value)
-	reg.CounterFunc("indep_cluster_window_gathers_total", "Windows evaluated on the router over gathered fragments.", r.gathers.Value)
+	reg.CounterFunc("indep_cluster_window_gathers_total", "Windows evaluated on the router over the consulted relations' windows fetched from the shards.", r.gathers.Value)
 	reg.CounterFunc("indep_cluster_window_proxied_total", "Windows evaluated on the owning shards.", r.proxied.Value)
 	reg.CounterFunc("indep_cluster_forward_retries_total", "Shard call attempts retried after a shard error.", r.retries.Value)
 	for _, m := range r.members {
 		h := r.health[m.Name]
 		shard := obs.L("shard", m.Name)
 		reg.CounterFunc("indep_cluster_forward_errors_total",
-			"Shard calls (batch forwards, window and fragment fetches, health pings) that failed after all retries.",
+			"Shard calls (batch forwards, window fetches, health pings) that failed after all retries.",
 			func() uint64 { r.mu.Lock(); defer r.mu.Unlock(); return h.Failures }, shard)
 		reg.RegisterHistogram("indep_cluster_forward_seconds",
-			"Per-shard call latency, one observation per attempt (batch forwards, window and fragment fetches, health pings).",
+			"Per-shard call latency, one observation per attempt (batch forwards, window fetches, health pings).",
 			1e-9, r.fwdSeconds[m.Name], shard)
 	}
 }
@@ -318,9 +318,10 @@ func (r *Router) Batch(ctx context.Context, payload []byte) (*indep.BatchReport,
 // routine with the designated shard as the one owner.
 //
 // A window consulting two or more relations is evaluated on the router
-// (see gather): of each relation R it fetches σ_{Where∩R}(R) through the
-// owners' GET /v1/window when Where selects on R, the whole fragment
-// otherwise, assembles a scratch state and evaluates there.
+// (see gather): of each relation R it fetches the window over R's scheme
+// selected by Where's share of R (nothing, when Where does not touch R)
+// through the owners' GET /v1/window, assembles a scratch state and
+// evaluates there.
 //
 // Each owner answers from its own consistent snapshot; an answer spanning
 // shards is only point-in-time consistent when no writes race the query.
@@ -471,12 +472,12 @@ func mergeExplain(parts []*indep.WindowResult) *indep.WindowExplain {
 }
 
 // gather evaluates the window on the router over a scratch state S'
-// assembled from the consulted relations. A relation R whose fetch carries
-// a selection sel_R (WindowFetch.Where: the share of Where that every tuple
-// of R the evaluation reads satisfies) is fetched as the window
-// σ_{sel_R}[attrs(R)] from the owners windowOwners picks, one when sel_R
-// binds R's partition key; any other R is fetched whole from every owner.
-// All fetches go out in one fanOut.
+// assembled from the consulted relations. Each relation R is fetched as
+// the window σ_{sel_R}[attrs(R)], where sel_R is its fetch's selection
+// (WindowFetch.Where: the share of Where that every tuple of R the
+// evaluation reads satisfies, possibly empty), from the owners
+// windowOwners picks: one when sel_R binds R's partition key, every owner
+// otherwise. All fetches go out in one fanOut.
 //
 // The answer is the one over the state S the shards hold together:
 //   - A shard's window over R's scheme is taken over part of S, so it holds
@@ -499,22 +500,16 @@ func (r *Router) gather(ctx context.Context, q indep.WindowQuery, fetches []inde
 	r.gathers.Inc()
 	type fetch struct {
 		rel, shard string
-		sel        *indep.WindowQuery // nil: the whole fragment
+		sel        indep.WindowQuery
 	}
 	var calls []fetch
 	for _, f := range fetches {
-		if len(f.Where) == 0 {
-			for _, shard := range r.place.Owners(f.Relation) {
-				calls = append(calls, fetch{rel: f.Relation, shard: shard})
-			}
-			continue
-		}
 		attrs, err := r.sch.RelationAttrs(f.Relation)
 		if err != nil {
 			return nil, err
 		}
-		sel := &indep.WindowQuery{Attrs: attrs, Where: f.Where}
-		shards, _, err := r.windowOwners(f.Relation, *sel, nil)
+		sel := indep.WindowQuery{Attrs: attrs, Where: f.Where}
+		shards, _, err := r.windowOwners(f.Relation, sel, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -528,11 +523,7 @@ func (r *Router) gather(ctx context.Context, q indep.WindowQuery, fetches []inde
 	}
 	frags := make([]*indep.WindowResult, len(calls))
 	if err := firstError(r.fanOut(ctx, shards, func(i int) (err error) {
-		if c := calls[i]; c.sel != nil {
-			frags[i], err = r.tr[c.shard].Window(ctx, *c.sel)
-		} else {
-			frags[i], err = r.tr[c.shard].Relation(ctx, c.rel)
-		}
+		frags[i], err = r.tr[calls[i].shard].Window(ctx, calls[i].sel)
 		return err
 	})); err != nil {
 		return nil, err
@@ -541,7 +532,7 @@ func (r *Router) gather(ctx context.Context, q indep.WindowQuery, fetches []inde
 	for i, frag := range frags {
 		for _, row := range frag.Rows {
 			if err := scratch.Insert(calls[i].rel, row); err != nil {
-				return nil, fmt.Errorf("cluster: assembling %s fragment from %s: %w",
+				return nil, fmt.Errorf("cluster: assembling %s window from %s: %w",
 					calls[i].rel, calls[i].shard, err)
 			}
 		}
@@ -556,8 +547,8 @@ func (r *Router) gather(ctx context.Context, q indep.WindowQuery, fetches []inde
 
 // fanOut runs call(i) against shards[i] for every i, concurrently and each
 // under withRetry, and returns each call's final error in shard order. It is
-// the router's one concurrent shard-call routine: batch forwards, window and
-// fragment fetches and health pings all go through it.
+// the router's one concurrent shard-call routine: batch forwards, window
+// fetches and health pings all go through it.
 func (r *Router) fanOut(ctx context.Context, shards []string, call func(i int) error) []error {
 	errs := make([]error, len(shards))
 	one := func(i int) { errs[i] = r.withRetry(ctx, shards[i], func() error { return call(i) }) }

@@ -26,17 +26,15 @@ type Transport interface {
 	// one commit on the shard with per-op outcomes
 	// (POST /v1/batchbin?partial=1), and returns the shard's report.
 	ApplyPartial(ctx context.Context, payload []byte) (*indep.BatchReport, error)
-	// Relation fetches the shard's raw fragment of the named relation
-	// (GET /v1/cluster/rel) decoded from its binary window encoding — how a
-	// gather reads a consulted relation that Where does not touch.
-	Relation(ctx context.Context, rel string) (*indep.WindowResult, error)
-	// Window evaluates a whole window query on the shard (GET /v1/window) —
-	// the read path for a window consulting one relation, whose answers the
-	// router merges across owners, and for fallback mode. A gather also
-	// uses it to fetch σ_{Where∩R}(R) of a consulted relation R that Where
-	// touches, as the window over R's scheme. As a store does, it answers
-	// with Bin (Rows nil) when q sets BinaryResult and with rendered Rows
-	// otherwise; a Bin answer is the shard's bytes, unchecked.
+	// Window evaluates a whole window query on the shard (GET /v1/window).
+	// It is the one read a router makes of a shard: the read path for a
+	// window consulting one relation, whose answers the router merges
+	// across owners, and for fallback mode; and how a gather fetches each
+	// consulted relation R, as the window over R's scheme selected by
+	// Where's share of R (no selection when Where does not touch R). As a
+	// store does, it answers with Bin (Rows nil) when q sets BinaryResult
+	// and with rendered Rows otherwise; a Bin answer is the shard's bytes,
+	// unchecked.
 	Window(ctx context.Context, q indep.WindowQuery) (*indep.WindowResult, error)
 	// Ping reports whether the shard is up and ready.
 	Ping(ctx context.Context) error
@@ -89,9 +87,9 @@ func NewHTTPTransport(m Member, timeout time.Duration) *HTTPTransport {
 	}
 }
 
-// maxShardResponse bounds a shard response body (reports, fragments,
-// windows); a gigabyte-sized fragment means the deployment needed more
-// parts, not more router memory.
+// maxShardResponse bounds a shard response body (reports, windows); a
+// gigabyte-sized window means the deployment needed more parts, not more
+// router memory.
 const maxShardResponse = 256 << 20
 
 // do sends one request to the shard and returns the body of a 200. Any other
@@ -142,19 +140,6 @@ func (t *HTTPTransport) ApplyPartial(ctx context.Context, payload []byte) (*inde
 		return nil, &ShardError{Shard: t.Shard, Status: http.StatusOK, Err: fmt.Errorf("bad batch report: %w", err)}
 	}
 	return &rep, nil
-}
-
-// Relation implements Transport over GET /v1/cluster/rel.
-func (t *HTTPTransport) Relation(ctx context.Context, rel string) (*indep.WindowResult, error) {
-	data, err := t.do(ctx, http.MethodGet, "/v1/cluster/rel?name="+url.QueryEscape(rel), nil, "", indep.BinContentType)
-	if err != nil {
-		return nil, err
-	}
-	res, err := indep.DecodeWindowBinary(data)
-	if err != nil {
-		return nil, &ShardError{Shard: t.Shard, Status: http.StatusOK, Err: err}
-	}
-	return res, nil
 }
 
 // Window implements Transport over GET /v1/window. The binary result
@@ -234,19 +219,6 @@ func (t *LocalTransport) ApplyPartial(ctx context.Context, payload []byte) (*ind
 		return nil, &ShardError{Shard: t.Shard, Err: err}
 	}
 	return rep, nil
-}
-
-// Relation implements Transport on the in-process store.
-func (t *LocalTransport) Relation(ctx context.Context, rel string) (*indep.WindowResult, error) {
-	data, err := t.Store.RelationBinary(rel)
-	if err != nil {
-		return nil, &ShardError{Shard: t.Shard, Err: err}
-	}
-	res, err := indep.DecodeWindowBinary(data)
-	if err != nil {
-		return nil, &ShardError{Shard: t.Shard, Err: err}
-	}
-	return res, nil
 }
 
 // Window implements Transport on the in-process store.

@@ -30,14 +30,14 @@ type readLog struct {
 	reads []shardRead
 }
 
-// shardRead is one read of one shard: a whole fragment of rel, or the
-// window q. rows is the number of rows the shard returned, rendered or
-// binary, and cached its PlanCached flag.
+// shardRead is one read of one shard: the window q. rows is the number of
+// rows the shard returned, rendered or binary, and cached its PlanCached
+// flag.
 type shardRead struct {
-	shard, rel string
-	q          *indep.WindowQuery
-	rows       int
-	cached     bool
+	shard  string
+	q      indep.WindowQuery
+	rows   int
+	cached bool
 }
 
 func (l *readLog) add(r shardRead, res *indep.WindowResult) {
@@ -70,13 +70,7 @@ type loggingTransport struct {
 
 func (c *loggingTransport) Window(ctx context.Context, q indep.WindowQuery) (*indep.WindowResult, error) {
 	res, err := c.Transport.Window(ctx, q)
-	c.log.add(shardRead{shard: c.shard, q: &q}, res)
-	return res, err
-}
-
-func (c *loggingTransport) Relation(ctx context.Context, rel string) (*indep.WindowResult, error) {
-	res, err := c.Transport.Relation(ctx, rel)
-	c.log.add(shardRead{shard: c.shard, rel: rel}, res)
+	c.log.add(shardRead{shard: c.shard, q: q}, res)
 	return res, err
 }
 
@@ -102,12 +96,11 @@ func windowValues(attr string) []string {
 // holding the same data, and requires identical answers, rendered and
 // binary alike; a window merged from its owners has its plan cached only
 // if every owner's was. It also pins how
-// each window read the shards: a single-relation window makes Window calls
-// and no Relation calls, reaching one shard when its Where binds the full
-// partition key; a multi-relation window fetches each consulted relation
-// with a selection (Schema.WindowFetches) by Window calls carrying it, on
-// one shard when it binds the relation's partition key, and every other
-// relation whole by Relation calls on every owner.
+// each window read the shards: a single-relation window makes Window calls,
+// reaching one shard when its Where binds the full partition key; a
+// multi-relation window fetches each consulted relation by Window calls
+// carrying its selection (Schema.WindowFetches), on one shard when it binds
+// the relation's partition key.
 //
 // On U(A,B); V(A,C,B) with A -> C, U's tuples reach C through V's A -> C
 // row, which leaves V's B free: a Where on B selects U's tuples but not
@@ -323,9 +316,6 @@ func testWindowsAgainstOracle(t *testing.T, sch *indep.Schema, rng *rand.Rand, w
 			rel := fetches[0].Relation
 			shards := make(map[string]bool)
 			for _, r := range reads {
-				if r.q == nil {
-					t.Fatalf("single-relation window %+v (%s) read the %s fragment of %s", q, rel, r.rel, r.shard)
-				}
 				shards[r.shard] = true
 			}
 			if len(reads) == 0 {
@@ -379,50 +369,37 @@ func testWindowsAgainstOracle(t *testing.T, sch *indep.Schema, rng *rand.Rand, w
 	}
 }
 
-// checkFetch pins how a gathered window read one consulted relation: with
-// a selection, only Window calls over the relation's scheme carrying it, on
-// the one owner of the hash range when it binds the partition key and on
-// every owner otherwise; without one, a Relation call on every owner. It
-// returns the number of reads of the relation.
+// checkFetch pins how a gathered window read one consulted relation: only
+// Window calls over the relation's scheme carrying exactly its selection,
+// empty when Where does not touch it, on the one owner of the hash range
+// when the selection binds the partition key and on every owner otherwise.
+// It returns the number of reads of the relation.
 func checkFetch(t *testing.T, tc *testCluster, q indep.WindowQuery, f indep.WindowFetch, reads []shardRead, relOf map[string]string) int {
 	t.Helper()
-	var windows, fragments []string
+	var windows []string
 	for _, r := range reads {
-		switch {
-		case r.q != nil && relOf[attrKey(r.q.Attrs)] == f.Relation:
-			if !reflect.DeepEqual(r.q.Where, f.Where) || r.q.Project != nil || r.q.Limit != 0 {
-				t.Fatalf("window %+v: %s fetched as %+v, want its selection %v", q, f.Relation, *r.q, f.Where)
-			}
-			windows = append(windows, r.shard)
-		case r.q == nil && r.rel == f.Relation:
-			fragments = append(fragments, r.shard)
+		if relOf[attrKey(r.q.Attrs)] != f.Relation {
+			continue
 		}
+		if !reflect.DeepEqual(r.q.Where, f.Where) || r.q.Project != nil || r.q.Limit != 0 {
+			t.Fatalf("window %+v: %s fetched as %+v, want its selection %v", q, f.Relation, r.q, f.Where)
+		}
+		windows = append(windows, r.shard)
 	}
 	slices.Sort(windows)
-	slices.Sort(fragments)
-	owners := tc.rt.Placement().Owners(f.Relation)
-	switch {
-	case len(f.Where) == 0:
-		if len(windows) != 0 || !slices.Equal(fragments, owners) {
-			t.Fatalf("window %+v: unselected %s read by Window on %v and whole on %v, want whole on %v",
-				q, f.Relation, windows, fragments, owners)
-		}
-	case bound(tc.rt.Placement().PartitionKey(f.Relation), f.Where):
+	want := tc.rt.Placement().Owners(f.Relation)
+	if bound(tc.rt.Placement().PartitionKey(f.Relation), f.Where) {
 		owner, err := tc.rt.Placement().Owner(f.Relation, f.Where)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(fragments) != 0 || !slices.Equal(windows, []string{owner}) {
-			t.Fatalf("window %+v: key-bound %s read by Window on %v and whole on %v, want Window on %s only",
-				q, f.Relation, windows, fragments, owner)
-		}
-	default:
-		if len(fragments) != 0 || !slices.Equal(windows, owners) {
-			t.Fatalf("window %+v: selected %s read by Window on %v and whole on %v, want Window on %v",
-				q, f.Relation, windows, fragments, owners)
-		}
+		want = []string{owner}
 	}
-	return len(windows) + len(fragments)
+	if !slices.Equal(windows, want) {
+		t.Fatalf("window %+v: %s (selection %v) read by Window on %v, want on %v",
+			q, f.Relation, f.Where, windows, want)
+	}
+	return len(windows)
 }
 
 // explainMatches compares a router explain with the oracle's. With extra
@@ -525,9 +502,6 @@ func TestRouterJoinWindowFetchIndependentOfSize(t *testing.T) {
 		}
 		rows := 0
 		for _, r := range log.take() {
-			if r.q == nil {
-				t.Fatalf("%d fact rows: the join window read the whole %s fragment of %s", n, r.rel, r.shard)
-			}
 			rows += r.rows
 		}
 		fetched = append(fetched, rows)

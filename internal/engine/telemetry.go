@@ -4,7 +4,6 @@ import (
 	"log/slog"
 	"time"
 
-	"indep/internal/chase"
 	"indep/internal/obs"
 )
 
@@ -40,10 +39,6 @@ func (e *Engine) noteSlow(op, what, trace string, d time.Duration, err error) {
 	}
 	e.tel.Log.Warn("slow operation", args...)
 }
-
-// ChaseMetrics returns the engine's chase telemetry sink — every chase the
-// engine runs (serialized maintenance and query fallback) reports into it.
-func (e *Engine) ChaseMetrics() *chase.Metrics { return e.chaseMet }
 
 // RegisterMetrics files every engine-level metric family with the registry:
 // per-relation operation counters and latency histograms, commit and

@@ -114,21 +114,6 @@ func (l List) Sort() {
 	})
 }
 
-// LHSs returns the distinct left-hand sides of the list in deterministic
-// order.
-func (l List) LHSs() []attrset.Set {
-	seen := make(map[attrset.Set]bool)
-	var out []attrset.Set
-	for _, f := range l {
-		if !seen[f.LHS] {
-			seen[f.LHS] = true
-			out = append(out, f.LHS)
-		}
-	}
-	attrset.SortSets(out)
-	return out
-}
-
 // Parse reads a semicolon- or newline-separated list of FDs, such as
 // "A B -> C; C -> D", resolving attribute names in u. Unknown attribute
 // names are an error (FDs must live inside a known universe).

@@ -228,27 +228,6 @@ func (r *Registry) RegisterHistogram(name, help string, scale float64, h *Histog
 	r.register(KindHistogram, name, help, scale, &series{h: h, labels: labels})
 }
 
-// FamilyInfo describes one registered family — the naming-lint test
-// enumerates these.
-type FamilyInfo struct {
-	Name   string
-	Kind   Kind
-	Help   string
-	Series int
-}
-
-// Families lists the registered families sorted by name.
-func (r *Registry) Families() []FamilyInfo {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]FamilyInfo, 0, len(r.fams))
-	for _, f := range r.fams {
-		out = append(out, FamilyInfo{Name: f.name, Kind: f.kind, Help: f.help, Series: len(f.series)})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // fnum renders a float the way the exposition format expects.
 func fnum(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 

@@ -61,18 +61,6 @@ func HashCols(t Tuple, cols []int) uint64 {
 	return h
 }
 
-// AgreeAt reports whether two tuples of the same scheme carry equal values
-// at the given column positions — the verification step for any bucket
-// keyed by HashCols.
-func AgreeAt(a, b Tuple, cols []int) bool {
-	for _, c := range cols {
-		if a[c] != b[c] {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone copies the tuple.
 func (t Tuple) Clone() Tuple {
 	out := make(Tuple, len(t))
@@ -137,10 +125,6 @@ func (in *Instance) Len() int { return in.n }
 
 // Width returns the arity of the instance.
 func (in *Instance) Width() int { return in.Attrs.Len() }
-
-// NumSlots returns the arena length: live rows plus vacated slots. Slot
-// numbers range over [0, NumSlots()).
-func (in *Instance) NumSlots() int { return len(in.live) }
 
 // Alive reports whether slot s holds a current row.
 func (in *Instance) Alive(s int32) bool { return in.live[s] }

@@ -114,14 +114,6 @@ func (in *ShardInjector) ApplyPartial(ctx context.Context, payload []byte) (*ind
 	return in.Next.ApplyPartial(ctx, payload)
 }
 
-// Relation fetches the shard's fragment through the fault model.
-func (in *ShardInjector) Relation(ctx context.Context, rel string) (*indep.WindowResult, error) {
-	if drop, _ := in.roll(false); drop {
-		return nil, in.dead()
-	}
-	return in.Next.Relation(ctx, rel)
-}
-
 // Window evaluates a window on the shard through the fault model.
 func (in *ShardInjector) Window(ctx context.Context, q indep.WindowQuery) (*indep.WindowResult, error) {
 	if drop, _ := in.roll(false); drop {

@@ -575,6 +575,7 @@ func (f *Follower) run() {
 			sincePersist++
 		}
 		if bad {
+			f.setApplied(applied) // the frames before the bad one are applied
 			corrupted()
 			continue
 		}

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -720,5 +722,81 @@ func TestFollowerResyncBacksOff(t *testing.T) {
 	}
 	if !strings.Contains(st.LastError, "checkpoint has 1 relations, schema has 2") {
 		t.Errorf("last error %q, want the relation-count mismatch", st.LastError)
+	}
+}
+
+// flipOnce is a ReplSource whose reads wait until open is closed and whose
+// first non-empty chunk arrives with its last byte flipped. snapped closes
+// once the first snapshot has been served.
+type flipOnce struct {
+	ReplSource
+	open, snapped chan struct{}
+	snapOnce      sync.Once
+	flipped       atomic.Bool
+}
+
+func (g *flipOnce) ReplSnapshot() ([]byte, wal.Position, error) {
+	defer g.snapOnce.Do(func() { close(g.snapped) })
+	return g.ReplSource.ReplSnapshot()
+}
+
+func (g *flipOnce) ReplRead(pos wal.Position, max int) (ReplChunk, error) {
+	<-g.open
+	chunk, err := g.ReplSource.ReplRead(pos, max)
+	if err == nil && len(chunk.Data) > 0 && g.flipped.CompareAndSwap(false, true) {
+		chunk.Data = slices.Clone(chunk.Data)
+		chunk.Data[len(chunk.Data)-1] ^= 0xff
+	}
+	return chunk, err
+}
+
+// TestFollowerAppliesEachRecordOnceAfterCorruptFrame: three commits on
+// CT(C,T) — insert (c1,t1), delete it, insert (c1,t2) — reach the follower
+// in one chunk whose last frame is corrupt. The follower applies the two
+// good frames, drops the bad one and re-reads from where it stopped, so
+// every primary record is applied once: re-reading from before the good
+// frames would replay them, taking the state from {} back to {(c1,t1)} and
+// journaling the repeats.
+func TestFollowerAppliesEachRecordOnceAfterCorruptFrame(t *testing.T) {
+	sch := MustParse("CT(C,T)", "C -> T")
+	ds, err := sch.OpenDurableStore(t.TempDir(), DurableOptions{NoFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	src := &flipOnce{ReplSource: ds, open: make(chan struct{}), snapped: make(chan struct{})}
+	f, err := sch.OpenFollower(t.TempDir(), src, FollowerOptions{NoFsync: true, PollInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	openReads := sync.OnceFunc(func() { close(src.open) })
+	defer openReads() // before Close, which waits for a read in flight
+	select {
+	case <-src.snapped:
+	case <-time.After(10 * time.Second):
+		t.Fatal("follower never bootstrapped")
+	}
+
+	base := ds.WAL().Records
+	if err := ds.Insert("CT", map[string]string{"C": "c1", "T": "t1"}); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := ds.Delete("CT", map[string]string{"C": "c1", "T": "t1"}); !ok || err != nil {
+		t.Fatalf("delete: %v, %v", ok, err)
+	}
+	if err := ds.Insert("CT", map[string]string{"C": "c1", "T": "t2"}); err != nil {
+		t.Fatal(err)
+	}
+	openReads()
+	waitCaughtUp(t, f, ds)
+	requireConverged(t, ds, f)
+	st := f.ReplStats()
+	if st.CorruptChunks != 1 {
+		t.Fatalf("corrupt chunks %d, want the one flipped", st.CorruptChunks)
+	}
+	if want := ds.WAL().Records - base; st.AppliedRecords+st.SkippedRecords != want {
+		t.Fatalf("follower applied %d and skipped %d records for the primary's %d",
+			st.AppliedRecords, st.SkippedRecords, want)
 	}
 }
