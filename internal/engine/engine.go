@@ -89,9 +89,11 @@ type Engine struct {
 	hook CommitHook
 
 	// version counts successful mutations; commit bumps it under the same
-	// locks that guard the mutated relations. Together with snapCache it
-	// lets the query path reuse a snapshot for as long as no write lands
-	// in between (see QuerySnapshot).
+	// locks that guard the mutated relations, and stamps it on each mutated
+	// relation's stripe. Together with snapCache it lets the query path
+	// reuse a snapshot for as long as no write lands in between, and each
+	// relation's copy for as long as no write lands on it (see
+	// QuerySnapshot).
 	version    atomic.Uint64
 	snapCache  atomic.Pointer[cachedSnapshot]
 	snapReuses atomic.Uint64
@@ -112,9 +114,12 @@ type Engine struct {
 
 // shard is the per-relation lock stripe with its operation counters. The
 // latency histogram is lock-free and may be observed or snapshotted without
-// holding mu.
+// holding mu. version is the engine version of the last commit that changed
+// the relation; it is guarded by the relation's state lock, which is mu on
+// the fast path and the engine's mu on the chase path.
 type shard struct {
 	mu      sync.Mutex
+	version uint64
 	tuples  int64
 	inserts uint64
 	rejects uint64
@@ -172,10 +177,14 @@ func (e *Engine) SetCommitHook(h CommitHook) { e.hook = h }
 
 // commit runs the hook (if any) for a successful mutation and returns the
 // wait function to invoke once locks are released. The caller holds the
-// locks guarding the mutated relations; the version bump under those locks
-// is what keeps QuerySnapshot's cache coherent.
+// locks guarding the mutated relations; the version bump under those locks,
+// stamped on every relation the commit changed, is what keeps
+// QuerySnapshot's cache coherent.
 func (e *Engine) commit(c Commit) func() error {
-	e.version.Add(1)
+	v := e.version.Add(1)
+	for _, op := range c.Ops {
+		e.shards[op.Scheme].version = v
+	}
 	if e.hook == nil {
 		return nil
 	}
@@ -183,8 +192,10 @@ func (e *Engine) commit(c Commit) func() error {
 }
 
 // Version returns the engine's mutation counter: it bumps once per
-// successful commit, under the locks guarding the mutated relations. It is
-// a cheap change detector (the query path keys its snapshot cache on it),
+// successful commit, under the locks guarding the mutated relations, and
+// each relation's stripe keeps the value of the last commit that changed
+// it. It is a cheap change detector (the query path keys its snapshot cache
+// on it, and each relation's cached copy on its stripe's value),
 // NOT a replication token — the counter restarts from recovery's replay
 // count after a reopen, and bumps in different relation stripes are not
 // ordered against each other. Cross-restart read-your-writes tokens come
@@ -495,39 +506,64 @@ func (e *Engine) endChaseSpan(c chaseSpan) {
 }
 
 // Snapshot returns a copy of the current state's tuples: a consistent cut
-// that no later operation mutates. Its Dict is the engine's own, shared and
-// not copied: the dictionary only appends, so the cut's tuples render and
-// resolve names exactly as they did at the cut, and a name bound later
-// resolves to a value none of them holds.
+// that no later operation mutates, and that the caller may mutate. Its Dict
+// is the engine's own, shared and not copied: the dictionary only appends,
+// so the cut's tuples render and resolve names exactly as they did at the
+// cut, and a name bound later resolves to a value none of them holds.
 func (e *Engine) Snapshot() *relation.State { return e.SnapshotWith(nil) }
 
 // SnapshotWith is Snapshot with a cut callback: fn (when non-nil) runs
 // while every state lock is held, i.e. at a point where no mutation is in
 // flight and every completed mutation's commit hook has already run.
 // Durable stores use it to mark a log position that exactly matches the
-// snapshot — the foundation of checkpointing.
-func (e *Engine) SnapshotWith(fn func()) *relation.State {
-	var st *relation.State
+// snapshot — the foundation of checkpointing. The locks are held only while
+// each relation's columns, live mask and free list are copied; no index is
+// copied or built under them.
+func (e *Engine) SnapshotWith(fn func()) *relation.State { return e.cut(fn, nil).st }
+
+// cut is the engine's one place relation instances are copied: under every
+// state lock it runs fn, reads the version, and copies each relation with
+// relation.Instance.Snapshot. With prev, an earlier cut whose instances are
+// never mutated, a relation no commit changed since prev keeps prev's
+// instance, built indexes and all, and a changed one is cut as the
+// successor of prev's, inheriting its match indexes.
+func (e *Engine) cut(fn func(), prev *cachedSnapshot) *cachedSnapshot {
+	var src *relation.State
 	if e.fast {
 		for i := range e.shards {
 			e.shards[i].mu.Lock()
 		}
-		if fn != nil {
-			fn()
-		}
-		st = e.guard.State().Clone()
-		for i := range e.shards {
-			e.shards[i].mu.Unlock()
-		}
+		defer func() {
+			for i := range e.shards {
+				e.shards[i].mu.Unlock()
+			}
+		}()
+		src = e.guard.State()
 	} else {
 		e.mu.Lock()
-		if fn != nil {
-			fn()
-		}
-		st = e.chase.State().Clone()
-		e.mu.Unlock()
+		defer e.mu.Unlock()
+		src = e.chase.State()
 	}
-	return st
+	if fn != nil {
+		fn()
+	}
+	c := &cachedSnapshot{
+		version:  e.version.Load(),
+		versions: make([]uint64, len(e.shards)),
+		st:       &relation.State{Schema: src.Schema, Insts: make([]*relation.Instance, len(src.Insts)), Dict: src.Dict},
+	}
+	for i, in := range src.Insts {
+		c.versions[i] = e.shards[i].version
+		var old *relation.Instance
+		if prev != nil {
+			if old = prev.st.Insts[i]; prev.versions[i] == c.versions[i] {
+				c.st.Insts[i] = old
+				continue
+			}
+		}
+		c.st.Insts[i] = in.Snapshot(old)
+	}
+	return c
 }
 
 // Rows returns the total number of tuples across all relations.

@@ -11,20 +11,27 @@ import (
 	"indep/internal/relation"
 )
 
-// cachedSnapshot pairs a deep-copied state with the mutation version it was
-// cut at. While the engine's version is unchanged the copy is current, so
-// queries can share it without taking any state lock.
+// cachedSnapshot pairs a copied state with the mutation version it was cut
+// at and, per relation, the version of the last commit that changed it.
+// While the engine's version is unchanged the copy is current, so queries
+// can share it without taking any state lock; after a write, each relation
+// whose stripe still carries its version is current too.
 type cachedSnapshot struct {
-	version uint64
-	st      *relation.State
+	version  uint64
+	versions []uint64
+	st       *relation.State
 }
 
 // QuerySnapshot returns a consistent state for lock-free reading. If no
 // mutation has landed since the last call the cached copy is returned
 // without touching a single lock — the common case under read-heavy load —
-// otherwise a fresh snapshot is cut (briefly holding the state locks, as
-// Snapshot does) and cached. The returned state is shared: callers must
-// treat it as immutable.
+// otherwise a new snapshot is cut (briefly holding the state locks, as
+// Snapshot does) and cached. The new cut shares the cached instance of
+// every relation no commit changed since, with the indexes its windows
+// built, and cuts each changed relation as a successor of its cached copy,
+// so its match indexes are the cached ones plus the buckets the write
+// touched. The returned state is shared: callers must treat it as
+// immutable.
 func (e *Engine) QuerySnapshot() *relation.State {
 	st, _, _ := e.querySnapshot()
 	return st
@@ -39,13 +46,13 @@ func (e *Engine) querySnapshot() (st *relation.State, reused bool, version uint6
 		return c.st, true, c.version
 	}
 	e.snapCopies.Add(1)
-	var v uint64
-	st = e.SnapshotWith(func() { v = e.version.Load() })
+	c := e.cut(nil, e.snapCache.Load())
 	// A concurrent QuerySnapshot may store a newer cut first and this store
 	// may regress the cache; that is harmless — the stale entry just fails
-	// the version check on the next call.
-	e.snapCache.Store(&cachedSnapshot{version: v, st: st})
-	return st, false, v
+	// the version check on the next call, and any cached cut is a valid
+	// predecessor.
+	e.snapCache.Store(c)
+	return c.st, false, c.version
 }
 
 // Evaluator returns the engine's window-query evaluator, which New built

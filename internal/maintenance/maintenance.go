@@ -91,8 +91,10 @@ func (r *Result) appendChanged(op Op, batch int) {
 }
 
 // walk is the per-op admission loop of both policies over the one-tuple
-// calls both maintainers have; Guard.Apply runs it under either policy,
-// ChaseMaintainer.Apply under Partial. An Atomic walk takes the inserts in
+// calls both maintainers have, and the one loop that applies ops through
+// them: Guard.Apply runs it under either policy, ChaseMaintainer.Apply under
+// Partial, and under Atomic for the deletes once its inserts are in (walk
+// finds each insert present). An Atomic walk takes the inserts in
 // a first pass and the deletes in a second, and its first error removes the
 // inserts again in reverse (deletes cannot fail, so the state returns
 // exactly to where it was).
@@ -524,7 +526,7 @@ func (m *ChaseMaintainer) InsertReport(scheme int, t relation.Tuple) (bool, erro
 // Partial batch takes walk, one trial chase per insert. An Atomic batch
 // takes one trial chase for all its inserts together: either they are
 // admissible together and are added, or the state is left unchanged and the
-// violation (or budget error) is returned; then the deletes are applied.
+// violation (or budget error) is returned; then walk applies the deletes.
 func (m *ChaseMaintainer) Apply(ops []Op, p Policy) (Result, error) {
 	if err := checkSchemes(ops, len(m.st.Insts)); err != nil {
 		return Result{}, err
@@ -568,16 +570,10 @@ func (m *ChaseMaintainer) Apply(ops []Op, p Policy) (Result, error) {
 			return Result{}, err
 		}
 	}
-	for _, op := range ops {
-		if !op.Delete {
-			continue
-		}
-		if removed, _ := m.Delete(op.Scheme, op.Tuple); removed {
-			r.appendChanged(op, len(ops))
-		}
-	}
-	r.Done = len(ops)
-	return r, nil
+	// The inserts are in, so walk finds each present and applies the deletes.
+	d, err := walk(m, ops, Atomic)
+	r.Changed, r.Done = append(r.Changed, d.Changed...), d.Done
+	return r, err
 }
 
 // Delete implements Maintainer. No chase is needed: SAT is closed under

@@ -33,20 +33,36 @@ func TestInstanceProbesAllocationFree(t *testing.T) {
 	}
 }
 
+// The pin holds for an instance with its own indexes and for a snapshot
+// that inherits its root's: a probe of a bucket the successor rebuilt and
+// one of a bucket it shares with the root.
 func TestMatchingRowsSteadyStateAllocationFree(t *testing.T) {
 	in := NewInstance(attrset.Of(0, 1))
 	for i := 0; i < 128; i++ {
 		in.Add(Tuple{Value(i % 16), Value(i)})
 	}
-	cols := []int{0}
-	want := []Value{3}
-	in.MatchingRows(cols, want) // build the index
-	if n := testing.AllocsPerRun(200, func() { in.MatchingRows(cols, want) }); n != 0 {
-		t.Errorf("warmed MatchingRows probe allocates %v per run", n)
+	root := in.Snapshot(nil)
+	root.MatchingRows([]int{0}, []Value{0})
+	in.Add(Tuple{3, 1000})
+	succ := in.Snapshot(root)
+	for _, c := range []struct {
+		name string
+		in   *Instance
+		want Value
+	}{{"own index", in, 3}, {"rebuilt bucket", succ, 3}, {"root's bucket", succ, 4}} {
+		cols := []int{0}
+		want := []Value{c.want}
+		c.in.MatchingRows(cols, want) // build the index
+		if n := testing.AllocsPerRun(200, func() { c.in.MatchingRows(cols, want) }); n != 0 {
+			t.Errorf("%s: warmed MatchingRows probe allocates %v per run", c.name, n)
+		}
+		c.in.LiveRows() // build the live-slot cache
+		if n := testing.AllocsPerRun(200, func() { c.in.MatchingRows(nil, nil) }); n != 0 {
+			t.Errorf("%s: warmed full-scan probe allocates %v per run", c.name, n)
+		}
 	}
-	in.LiveRows() // build the live-slot cache
-	if n := testing.AllocsPerRun(200, func() { in.MatchingRows(nil, nil) }); n != 0 {
-		t.Errorf("warmed full-scan probe allocates %v per run", n)
+	if succ.root.Load() != root {
+		t.Fatal("the successor must inherit its root's index")
 	}
 }
 

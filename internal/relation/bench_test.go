@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"fmt"
 	"testing"
 
 	"indep/internal/attrset"
@@ -70,4 +71,47 @@ func BenchmarkWindowScanBandwidth(b *testing.B) {
 			b.Fatal("impossible") // keep the scan from being optimized away
 		}
 	})
+}
+
+// BenchmarkSuccessorIndex measures a snapshot's cut plus its first probe
+// of a 100k-row relation, over a column of distinct values and over one of
+// a thousand values a hundred rows each: with no predecessor (a fresh
+// index), and as the successor of an indexed snapshot with a given share of
+// its slots changed since (an inherited index). It is the evidence for
+// rerootShare: up to the share at which a successor re-roots, the inherited
+// build must stay cheaper than the fresh one.
+func BenchmarkSuccessorIndex(b *testing.B) {
+	const rows = 100000
+	in := NewInstance(attrset.Of(0, 1, 2))
+	for r := 0; r < rows; r++ {
+		in.Add(Tuple{Value(r), Value(r % 1000), Value(r % 7)})
+	}
+	for _, col := range []struct {
+		name string
+		cols []int
+	}{{"distinct", []int{0}}, {"100-per-key", []int{1}}} {
+		want := []Value{1}
+		b.Run(col.name+"/fresh", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				in.Snapshot(nil).MatchingRows(col.cols, want)
+			}
+		})
+		for _, share := range []int{1000, 64, 16, 9} {
+			b.Run(fmt.Sprintf("%s/changed=1|%d", col.name, share), func(b *testing.B) {
+				live := in.Clone()
+				root := live.Snapshot(nil)
+				root.MatchingRows(col.cols, want)
+				t := make(Tuple, 3)
+				for s := 0; s < rows/share; s++ {
+					live.Remove(live.AppendRow(t[:0], int32(s*share)))
+					t[0] = Value(-s - 1)
+					live.Add(t)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					live.Snapshot(root).MatchingRows(col.cols, want)
+				}
+			})
+		}
+	}
 }

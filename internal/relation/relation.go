@@ -19,6 +19,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"indep/internal/attrset"
 	"indep/internal/hashkey"
@@ -78,15 +79,18 @@ func (t Tuple) Clone() Tuple {
 // rows collide. Membership probes hash the tuple and compare values column
 // by column — no string key is ever built, so Has and duplicate Adds are
 // allocation-free; a fresh Add writes straight into the arenas with no
-// per-row clone.
+// per-row clone. A new instance keeps the index from its first Add; a copy
+// made by Snapshot builds it on its first membership probe (see find), since
+// the query path that reads most copies never makes one.
 type Instance struct {
-	Attrs attrset.Set
-	cols  [][]Value          // one arena per column; equal lengths = slot count
-	live  []bool             // live[s]: slot s holds a current row
-	free  []int32            // vacated slots, reused LIFO by Add
-	n     int                // live row count
-	pos   map[uint64]int32   // row hash → first slot
-	over  map[uint64][]int32 // additional slots on hash collision
+	Attrs    attrset.Set
+	cols     [][]Value          // one arena per column; equal lengths = slot count
+	live     []bool             // live[s]: slot s holds a current row
+	free     []int32            // vacated slots, reused LIFO by Add
+	n        int                // live row count
+	pos      map[uint64]int32   // row hash → first slot
+	over     map[uint64][]int32 // additional slots on hash collision
+	posReady atomic.Bool        // pos and over are built; set once, under secMu
 
 	// secondary holds lazily built hash indexes over column subsets, keyed
 	// by the column-position list (see MatchingRows), plus the cached list
@@ -97,6 +101,17 @@ type Instance struct {
 	secMu     sync.RWMutex
 	secondary map[uint64][]*colIndex
 	liveRows  []int32
+
+	// root, when set, is the snapshot whose match indexes this one inherits
+	// (see Snapshot). dirty marks the slots whose row or liveness differs
+	// from the root's and changed lists them in ascending order; both are
+	// computed on the first index build (nil until then). Guarded by secMu,
+	// except that root is atomic so a cut can read its predecessor's
+	// without the lock; it is cleared when the instance builds its own
+	// indexes instead, and on every mutation.
+	root    atomic.Pointer[Instance]
+	dirty   []uint64
+	changed []int32
 }
 
 // NewInstance creates an empty instance over the given scheme.
@@ -110,6 +125,7 @@ func NewInstanceSize(attrs attrset.Set, n int) *Instance {
 		cols:  make([][]Value, attrs.Len()),
 		pos:   make(map[uint64]int32, n),
 	}
+	in.posReady.Store(true)
 	if n > 0 {
 		arena := make([]Value, n*len(in.cols)) // one allocation for every column
 		for c := range in.cols {
@@ -228,6 +244,9 @@ func (in *Instance) rowEqual(s int32, t Tuple) bool {
 
 // find returns the slot of t, or -1.
 func (in *Instance) find(t Tuple) int32 {
+	if !in.posReady.Load() {
+		in.buildPos()
+	}
 	h := t.hash()
 	p, ok := in.pos[h]
 	if !ok {
@@ -242,6 +261,23 @@ func (in *Instance) find(t Tuple) int32 {
 		}
 	}
 	return -1
+}
+
+// buildPos builds the primary index of a copy made by Snapshot. It runs
+// under secMu because readers sharing a snapshot may probe it at once.
+func (in *Instance) buildPos() {
+	in.secMu.Lock()
+	defer in.secMu.Unlock()
+	if in.posReady.Load() {
+		return
+	}
+	in.pos = make(map[uint64]int32, in.n)
+	for s, alive := range in.live {
+		if alive {
+			in.indexAdd(in.rowHash(int32(s)), int32(s))
+		}
+	}
+	in.posReady.Store(true)
 }
 
 // indexAdd records slot s for a row hashing to h.
@@ -285,25 +321,76 @@ func (in *Instance) shrinkOver(h uint64, n int) {
 	}
 }
 
-// invalidateSecondary drops the lazy match indexes and the live-slot cache;
-// mutations call it so a stale index can never answer a probe.
+// invalidateSecondary drops the lazy match indexes, the live-slot cache and
+// any inheritance from a root; mutations call it so a stale index can never
+// answer a probe.
 func (in *Instance) invalidateSecondary() {
-	if in.secondary == nil && in.liveRows == nil {
+	if in.secondary == nil && in.liveRows == nil && in.root.Load() == nil {
 		return
 	}
 	in.secMu.Lock()
-	in.secondary = nil
-	in.liveRows = nil
+	in.secondary, in.liveRows = nil, nil
+	in.root.Store(nil)
+	in.dirty, in.changed = nil, nil
 	in.secMu.Unlock()
 }
 
 // colIndex is a lazily built hash index of the instance's rows over one
 // column subset: buckets maps the hash of a row's values at cols to the
-// slots carrying them. Distinct value vectors can share a bucket (64-bit
-// hash collisions), so probes verify the values before trusting a bucket.
+// slots carrying them, in ascending order. Distinct value vectors can share
+// a bucket (64-bit hash collisions), so probes verify the values before
+// trusting a bucket.
+//
+// An inherited index has no buckets of its own. base is the root's index
+// over the same columns, and touched numbers the buckets the instance's
+// changed slots leave or enter; every other bucket is base's. The first
+// probe of a touched bucket merges it (see Instance.bucket) into its
+// merged entry, which later probes return as is.
 type colIndex struct {
 	cols    []int
 	buckets map[uint64][]int32
+	base    *colIndex
+	touched map[uint64]int32
+	merged  []atomic.Pointer[[]int32]
+}
+
+// bucket returns the slots of ix whose values at its columns hash to h. A
+// touched bucket of an inherited index is merged on its first probe: the
+// root's bucket less the changed slots, and the changed slots whose rows
+// now hash to h, in ascending slot order, exactly as a fresh build lays it
+// out. Concurrent first probes may both merge; either result is the bucket.
+func (in *Instance) bucket(ix *colIndex, h uint64) []int32 {
+	if ix.base == nil {
+		return ix.buckets[h]
+	}
+	i, ok := ix.touched[h]
+	if !ok {
+		return ix.base.buckets[h]
+	}
+	if m := ix.merged[i].Load(); m != nil {
+		return *m
+	}
+	kept := ix.base.buckets[h]
+	b := make([]int32, 0, len(kept)+1)
+	enter := func(c int32) {
+		if int(c) < len(in.live) && in.live[c] && in.hashRowCols(c, ix.cols) == h {
+			b = append(b, c)
+		}
+	}
+	j := 0
+	for _, s := range kept {
+		for ; j < len(in.changed) && in.changed[j] < s; j++ {
+			enter(in.changed[j])
+		}
+		if in.dirty[s/64]&(1<<(s%64)) == 0 {
+			b = append(b, s)
+		}
+	}
+	for ; j < len(in.changed); j++ {
+		enter(in.changed[j])
+	}
+	ix.merged[i].Store(&b)
+	return b
 }
 
 // matchesRow reports whether row slot s agrees with want on the column
@@ -325,50 +412,14 @@ func (in *Instance) matchesRow(s int32, cols []int, want []Value) bool {
 // are dropped on mutation, so the amortization pays off on immutable
 // instances — which is exactly what the window-query evaluator probes: its
 // per-tuple extension joins against an engine snapshot would otherwise
-// rescan the joined relation for every tuple. Safe for concurrent use by
-// readers. The result is read-only.
+// rescan the joined relation for every tuple. A snapshot cut as a
+// successor (see Snapshot) builds its index from its root's instead. Safe
+// for concurrent use by readers. The result is read-only.
 func (in *Instance) MatchingRows(cols []int, want []Value) []int32 {
 	if len(cols) == 0 {
 		return in.LiveRows()
 	}
-	ck := hashkey.Ints(cols)
-	var idx *colIndex
-	in.secMu.RLock()
-	for _, ci := range in.secondary[ck] {
-		if intsEqual(ci.cols, cols) {
-			idx = ci
-			break
-		}
-	}
-	in.secMu.RUnlock()
-	if idx == nil {
-		in.secMu.Lock()
-		if in.secondary == nil {
-			in.secondary = make(map[uint64][]*colIndex)
-		}
-		for _, ci := range in.secondary[ck] { // raced with another builder
-			if intsEqual(ci.cols, cols) {
-				idx = ci
-				break
-			}
-		}
-		if idx == nil {
-			idx = &colIndex{
-				cols:    append([]int(nil), cols...),
-				buckets: make(map[uint64][]int32, in.n),
-			}
-			for s, alive := range in.live {
-				if !alive {
-					continue
-				}
-				h := in.hashRowCols(int32(s), cols)
-				idx.buckets[h] = append(idx.buckets[h], int32(s))
-			}
-			in.secondary[ck] = append(in.secondary[ck], idx)
-		}
-		in.secMu.Unlock()
-	}
-	cands := idx.buckets[hashkey.Int64s(want)]
+	cands := in.bucket(in.index(cols), hashkey.Int64s(want))
 	n := 0
 	for _, s := range cands {
 		if in.matchesRow(s, cols, want) {
@@ -385,6 +436,125 @@ func (in *Instance) MatchingRows(cols []int, want []Value) []int32 {
 		}
 	}
 	return out
+}
+
+// index returns the match index over cols, building it on first use.
+func (in *Instance) index(cols []int) *colIndex {
+	ck := hashkey.Ints(cols)
+	in.secMu.RLock()
+	idx := in.lookupIndex(ck, cols)
+	in.secMu.RUnlock()
+	if idx != nil {
+		return idx
+	}
+	in.secMu.Lock()
+	defer in.secMu.Unlock()
+	if idx := in.lookupIndex(ck, cols); idx != nil { // raced with another builder
+		return idx
+	}
+	cols = append([]int(nil), cols...)
+	if in.inherits() {
+		idx = in.inheritIndex(cols)
+	} else {
+		idx = &colIndex{cols: cols, buckets: make(map[uint64][]int32, in.n)}
+		for s, alive := range in.live {
+			if alive {
+				h := in.hashRowCols(int32(s), cols)
+				idx.buckets[h] = append(idx.buckets[h], int32(s))
+			}
+		}
+	}
+	if in.secondary == nil {
+		in.secondary = make(map[uint64][]*colIndex)
+	}
+	in.secondary[ck] = append(in.secondary[ck], idx)
+	return idx
+}
+
+// lookupIndex returns the built index over cols, or nil; the caller holds
+// secMu.
+func (in *Instance) lookupIndex(ck uint64, cols []int) *colIndex {
+	for _, ci := range in.secondary[ck] {
+		if intsEqual(ci.cols, cols) {
+			return ci
+		}
+	}
+	return nil
+}
+
+// rerootShare bounds inheritance: a snapshot whose changed slots exceed one
+// rerootShare-th of its rows builds its own indexes and becomes the root of
+// the snapshots cut after it. An inherited index costs a scan of the slots
+// against the root's and two hashes per changed slot, and each touched
+// bucket a merge on its first probe; a fresh one costs a hash and a map
+// append per row. Below one eighth the inherited index stays several times
+// cheaper on distinct keys and still cheaper on skewed ones (see
+// BenchmarkSuccessorIndex), while most probes still read the root's buckets
+// directly and the root a successor pins is not far behind it.
+const rerootShare = 8
+
+// inherits reports whether the instance builds its indexes from its root's.
+// The first call compares every slot with the root's and keeps the slots
+// that differ; past the rerootShare bound it drops the root instead. The
+// caller holds secMu.
+func (in *Instance) inherits() bool {
+	root := in.root.Load()
+	if root == nil || in.dirty != nil {
+		return root != nil
+	}
+	slots := max(len(in.live), len(root.live))
+	dirty := make([]uint64, (slots+63)/64)
+	var changed []int32
+	for s := 0; s < slots; s++ {
+		was := s < len(root.live) && root.live[s]
+		is := s < len(in.live) && in.live[s]
+		if was == is && (!is || sameRow(in, root, int32(s))) {
+			continue
+		}
+		if len(changed) == in.n/rerootShare {
+			in.root.Store(nil)
+			return false
+		}
+		dirty[s/64] |= 1 << (s % 64)
+		changed = append(changed, int32(s))
+	}
+	in.dirty, in.changed = dirty, changed
+	return true
+}
+
+// sameRow reports whether slot s carries the same values in a and b.
+func sameRow(a, b *Instance, s int32) bool {
+	for c, col := range a.cols {
+		if col[s] != b.cols[c][s] {
+			return false
+		}
+	}
+	return true
+}
+
+// inheritIndex builds the index over cols from the root's: it hashes each
+// changed slot's row in the root and in the instance to find the buckets
+// they leave or enter, and merges none of them yet. The caller holds
+// secMu; the root never locks a successor, so taking the root's lock here
+// cannot deadlock.
+func (in *Instance) inheritIndex(cols []int) *colIndex {
+	root := in.root.Load()
+	idx := &colIndex{cols: cols, base: root.index(cols), touched: make(map[uint64]int32)}
+	touch := func(h uint64) {
+		if _, ok := idx.touched[h]; !ok {
+			idx.touched[h] = int32(len(idx.touched))
+		}
+	}
+	for _, s := range in.changed {
+		if int(s) < len(root.live) && root.live[s] {
+			touch(root.hashRowCols(s, cols))
+		}
+		if int(s) < len(in.live) && in.live[s] {
+			touch(in.hashRowCols(s, cols))
+		}
+	}
+	idx.merged = make([]atomic.Pointer[[]int32], len(idx.touched))
+	return idx
 }
 
 func intsEqual(a, b []int) bool {
@@ -453,27 +623,42 @@ func (in *Instance) Has(t Tuple) bool {
 	return in.find(t) >= 0
 }
 
-// Clone deep-copies the instance. Columns copy as whole arenas (memmove,
-// not per-row re-insertion), which is what makes engine snapshots cheap.
-func (in *Instance) Clone() *Instance {
+// Snapshot copies the instance: its columns, live mask and free list, each
+// one memmove, and nothing else. This is all a caller holding a writer's
+// locks pays; the copy builds its primary index on its first membership
+// probe and each match index on its first MatchingRows, outside those
+// locks.
+//
+// prev, when non-nil, is an earlier snapshot of the same relation that is
+// never mutated. The copy then inherits from prev's root (prev itself, or
+// the snapshot prev inherits from): on its first probe it finds the slots
+// whose row or liveness differs from the root's, and each match index it
+// builds shares the root's buckets, merging each one the changed slots
+// touch on its first probe (see bucket). Past rerootShare it builds its own
+// indexes and becomes the root of later snapshots. The copy is an ordinary
+// instance: mutating it drops the inheritance.
+func (in *Instance) Snapshot(prev *Instance) *Instance {
+	slots := len(in.live)
 	out := &Instance{Attrs: in.Attrs, cols: make([][]Value, len(in.cols)), n: in.n}
-	for c := range in.cols {
-		out.cols[c] = append([]Value(nil), in.cols[c]...)
+	arena := make([]Value, slots*len(in.cols)) // one allocation for every column
+	for c, col := range in.cols {
+		out.cols[c] = arena[c*slots : (c+1)*slots : (c+1)*slots]
+		copy(out.cols[c], col)
 	}
 	out.live = append([]bool(nil), in.live...)
 	out.free = append([]int32(nil), in.free...)
-	out.pos = make(map[uint64]int32, len(in.pos))
-	for h, s := range in.pos {
-		out.pos[h] = s
-	}
-	if len(in.over) > 0 {
-		out.over = make(map[uint64][]int32, len(in.over))
-		for h, v := range in.over {
-			out.over[h] = append([]int32(nil), v...)
+	if prev != nil {
+		root := prev.root.Load()
+		if root == nil {
+			root = prev
 		}
+		out.root.Store(root)
 	}
 	return out
 }
+
+// Clone copies the instance to be mutated: a Snapshot with no predecessor.
+func (in *Instance) Clone() *Instance { return in.Snapshot(nil) }
 
 // SnapshotCols returns the live rows in column-major form plus the row
 // count: one slice per column, each holding exactly the live rows in slot

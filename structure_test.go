@@ -132,14 +132,29 @@ func calls(n ast.Node, name, recv string) bool {
 //   - internal/cluster starts goroutines in one place, (*Router).fanOut,
 //     the router's one concurrent shard-call routine;
 //   - a shard is reached through ApplyPartial, Window and Ping only, and
-//     the router has no per-op write method.
+//     the router has no per-op write method;
+//   - in internal/engine relation instances are copied only by
+//     (*Engine).cut, the one cut behind snapshots, checkpoints and query
+//     snapshots;
+//   - maintenance's walk is the only loop that applies ops through a
+//     maintainer's one-tuple calls (InsertReport, Delete);
+//   - internal/wal declares one record kind, kindCommit.
 //
 // A change that adds a second path fails here; one that moves a mechanism
 // on purpose updates the expectation below.
 func TestStructure(t *testing.T) {
 	decls := parseModule(t)
-	var transport, routerWrites []string
+	var transport, routerWrites, walKinds []string
 	for _, d := range decls {
+		if gd, ok := d.decl.(*ast.GenDecl); ok && d.dir == "internal/wal" && gd.Tok == token.CONST {
+			for _, spec := range gd.Specs {
+				for _, n := range spec.(*ast.ValueSpec).Names {
+					if strings.HasPrefix(n.Name, "kind") {
+						walKinds = append(walKinds, n.Name)
+					}
+				}
+			}
+		}
 		if d.dir != "internal/cluster" {
 			continue
 		}
@@ -199,6 +214,36 @@ func TestStructure(t *testing.T) {
 		},
 		{"cluster.Transport methods", transport, []string{"ApplyPartial", "Ping", "Window"}},
 		{"cluster.Router write methods", routerWrites, nil},
+		{
+			"internal/engine functions copying relation instances",
+			slices.Compact(sites(decls, func(dir string, n ast.Node) bool {
+				return dir == "internal/engine" &&
+					(calls(n, "Snapshot", "") && len(n.(*ast.CallExpr).Args) == 1 || calls(n, "Clone", ""))
+			})),
+			[]string{"internal/engine (*Engine).cut"},
+		},
+		{
+			"loops applying ops through a maintainer's one-tuple calls",
+			slices.Compact(sites(decls, func(dir string, n ast.Node) bool {
+				var body *ast.BlockStmt
+				switch l := n.(type) {
+				case *ast.ForStmt:
+					body = l.Body
+				case *ast.RangeStmt:
+					body = l.Body
+				default:
+					return false
+				}
+				found := false
+				ast.Inspect(body, func(m ast.Node) bool {
+					found = found || m != nil && (calls(m, "InsertReport", "") || calls(m, "Delete", ""))
+					return !found
+				})
+				return found
+			})),
+			[]string{"internal/maintenance walk"},
+		},
+		{"internal/wal record kinds", walKinds, []string{"kindCommit"}},
 	} {
 		if !slices.Equal(c.got, c.want) {
 			t.Errorf("%s: %q, want %q", c.what, c.got, c.want)
