@@ -8,6 +8,7 @@ package indep
 // outputs come from `indep experiments`.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
@@ -667,5 +668,95 @@ func BenchmarkWindowPlanCached(b *testing.B) {
 		if _, err := cs.Window(sets[i%len(sets)]...); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// windowShapesStore opens a store over the benchmark's star schema holding
+// its read state's shape: 1,000 keys per dimension, each with six or seven
+// dependents drawn from 61 shared names, and 5,000 distinct FACT rows whose
+// keys are Zipf-drawn (s = 1.1), so the hottest key is carried by hundreds
+// of FACT rows.
+func windowShapesStore(b *testing.B) *ConcurrentStore {
+	b.Helper()
+	dims := [4][]string{
+		{"A", "E", "F", "G", "H", "I"},
+		{"B", "J", "K", "L", "M", "N"},
+		{"C", "O", "P", "Q", "R", "S"},
+		{"D", "T", "U", "V", "W", "X", "Y"},
+	}
+	cs, err := MustParse("FACT(A,B,C,D); DIM1(A,E,F,G,H,I); DIM2(B,J,K,L,M,N); DIM3(C,O,P,Q,R,S); DIM4(D,T,U,V,W,X,Y)",
+		"A -> E F G H I; B -> J K L M N; C -> O P Q R S; D -> T U V W X Y").OpenConcurrentStore()
+	if err != nil {
+		b.Fatal(err)
+	}
+	const keys, facts = 1000, 5000
+	key := func(k, id int) string { return fmt.Sprintf("%c%d", 'a'+k, id) }
+	var ops []BatchOp
+	flush := func() {
+		if err := cs.InsertBatch(ops); err != nil {
+			b.Fatal(err)
+		}
+		ops = ops[:0]
+	}
+	for k, attrs := range dims {
+		for id := 0; id < keys; id++ {
+			row := map[string]string{attrs[0]: key(k, id)}
+			for j, a := range attrs[1:] {
+				row[a] = fmt.Sprintf("%c%d", a[0]+'a'-'A', (id*31+j*7+k)%61)
+			}
+			ops = append(ops, BatchOp{Rel: fmt.Sprintf("DIM%d", k+1), Row: row})
+		}
+		flush()
+	}
+	r := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(r, 1.1, 1, keys-1)
+	seen := make(map[[4]uint64]bool, facts)
+	for len(seen) < facts {
+		ids := [4]uint64{zipf.Uint64(), zipf.Uint64(), zipf.Uint64(), zipf.Uint64()}
+		if seen[ids] {
+			continue
+		}
+		seen[ids] = true
+		ops = append(ops, BatchOp{Rel: "FACT", Row: map[string]string{
+			"A": key(0, int(ids[0])), "B": key(1, int(ids[1])), "C": key(2, int(ids[2])), "D": key(3, int(ids[3])),
+		}})
+		if len(ops) == 1000 {
+			flush()
+		}
+	}
+	return cs
+}
+
+// BenchmarkWindowShapes drives QueryCtx with a binary result, as the daemon
+// serves a window, over windowShapesStore's state for three window shapes:
+// a local window on the hottest key (hundreds of answer rows, one
+// contributor), the first 100 rows of all of FACT (a top-k over thousands),
+// and a DIM1 point window (one answer row, while FACT contributes every row
+// carrying the key).
+func BenchmarkWindowShapes(b *testing.B) {
+	cs := windowShapesStore(b)
+	fact := []string{"A", "B", "C", "D"}
+	for _, c := range []struct {
+		name string
+		q    WindowQuery
+	}{
+		{"hot-key", WindowQuery{Attrs: fact, Where: map[string]string{"A": "a0"}}},
+		{"limit100", WindowQuery{Attrs: fact, Limit: 100}},
+		{"dim-point", WindowQuery{Attrs: []string{"A", "E", "F", "G", "H", "I"}, Where: map[string]string{"A": "a3"}}},
+	} {
+		c.q.BinaryResult = true
+		b.Run(c.name, func(b *testing.B) {
+			ctx := context.Background()
+			if _, err := cs.QueryCtx(ctx, c.q); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := cs.QueryCtx(ctx, c.q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

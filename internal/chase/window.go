@@ -13,21 +13,18 @@ import (
 // left in some X column carry no information about X and are skipped.
 func (e *Engine) TotalProjection(x attrset.Set) *relation.Instance {
 	cols := x.Attrs()
-	out := relation.NewInstance(x)
+	out := relation.NewBuilder(len(cols), 0, true)
+	t := make(relation.Tuple, len(cols))
+rows:
 	for _, row := range e.rows {
-		t := make(relation.Tuple, len(cols))
-		total := true
 		for i, a := range cols {
 			r := e.find(row[a])
 			if e.kind[r] != constSym {
-				total = false
-				break
+				continue rows
 			}
 			t[i] = e.val[r]
 		}
-		if total {
-			out.Add(t)
-		}
+		out.Append(t)
 	}
-	return out
+	return out.Instance(x)
 }

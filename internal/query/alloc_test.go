@@ -7,6 +7,7 @@ import (
 	"indep/internal/chase"
 	"indep/internal/fd"
 	"indep/internal/independence"
+	"indep/internal/relation"
 	"indep/internal/schema"
 )
 
@@ -37,5 +38,48 @@ func TestColdPlanAllocBudget(t *testing.T) {
 		}
 	}); n > 25 {
 		t.Fatalf("a cold evaluator compiling %d plans allocates %v/op, budget 25", len(xs), n)
+	}
+}
+
+// TestWindowEvalAllocsFlat pins a warmed evaluation to its answer: on the
+// benchmark's star schema, with every FACT key carried by three FACT rows,
+// a key-selected window allocates as often at 1,000 FACT rows as at
+// 10,000, both for a window FACT alone answers and for a DIM1 point window,
+// where FACT's three probed rows share their extension key and extend once.
+func TestWindowEvalAllocsFlat(t *testing.T) {
+	s := schema.MustParse("FACT(A,B,C,D); DIM1(A,E,F,G,H,I); DIM2(B,J,K,L,M,N); DIM3(C,O,P,Q,R,S); DIM4(D,T,U,V,W,X,Y)")
+	fds, err := fd.Parse(s.U, "A -> E F G H I; B -> J K L M N; C -> O P Q R S; D -> T U V W X Y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := independence.Decide(s, fds)
+	if err != nil || !res.Independent {
+		t.Fatalf("bench schema: independent %v, err %v", res != nil && res.Independent, err)
+	}
+	a := s.U.MustIndex("A")
+	count := func(n int, x attrset.Set) float64 {
+		st := relation.NewState(s)
+		for i := 0; i < n; i++ {
+			v := relation.Value(i)
+			st.Insts[0].Add(relation.Tuple{v / 3, v, v % 5, v % 7})
+			if i%3 == 0 {
+				st.Insts[1].Add(relation.Tuple{v / 3, v % 11, v % 13, v % 17, v % 19, v % 23})
+			}
+		}
+		ev := NewEvaluator(s, fds, res, chase.DefaultCaps)
+		sel := []Cond{{Attr: a, Val: 7}}
+		if r, err := ev.Query(st, x, sel); err != nil || r.Rows.Len() == 0 {
+			t.Fatalf("window %v: %v rows, err %v", s.U.Names(x), r, err)
+		}
+		return testing.AllocsPerRun(100, func() {
+			if _, err := ev.Query(st, x, sel); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, x := range []attrset.Set{s.U.Set("A", "B", "C", "D"), s.U.Set("A", "E", "F", "G", "H", "I")} {
+		if small, large := count(1000, x), count(10000, x); small != large {
+			t.Fatalf("window %v allocates %v times at 1,000 FACT rows, %v at 10,000", s.U.Names(x), small, large)
+		}
 	}
 }

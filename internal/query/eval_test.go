@@ -1,0 +1,229 @@
+package query
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"indep/internal/attrset"
+	"indep/internal/fd"
+	"indep/internal/independence"
+	"indep/internal/relation"
+	"indep/internal/schema"
+	"indep/internal/workload"
+)
+
+// perRowWindow is the fast-path window as evaluated before extension keys
+// and the answer builder: every probed row of every contributor extends,
+// and the answer deduplicates through Instance.Add. It is the oracle the
+// two facts the plan compiles — each contributor's extension key, and
+// whether the plan can repeat a row — are checked against.
+func perRowWindow(p *Plan, st *relation.State, sel []Cond) *relation.Instance {
+	out := relation.NewInstance(p.X)
+	cols := p.X.Attrs()
+	proj := make(relation.Tuple, len(cols))
+	var sc independence.Scratch
+	for i, l := range p.Schemes {
+		inst := st.Insts[l]
+		slots, outer := probe(inst, sel)
+		if p.X.SubsetOf(inst.Attrs) {
+			colPos := relation.ProjectionCols(inst.Attrs, p.X)
+			for _, s := range slots {
+				for j, c := range colPos {
+					proj[j] = inst.At(s, c)
+				}
+				out.Add(proj)
+			}
+			continue
+		}
+		run := p.runs[i]
+	rows:
+		for _, s := range slots {
+			row := inst.AppendRow(nil, s)
+			for _, c := range sel {
+				if outer.Has(c.Attr) &&
+					(!run.ExtendFor(st, row, attrset.Of(c.Attr), &sc) || sc.Ext[c.Attr] != c.Val) {
+					continue rows
+				}
+			}
+			if !run.ExtendFor(st, row, p.X.Diff(outer), &sc) {
+				continue
+			}
+			for j, a := range cols {
+				proj[j] = sc.Ext[a]
+			}
+			out.Add(proj)
+		}
+	}
+	return out
+}
+
+// twoKeys is a schema whose window [B D] has two contributors, R1 and R2,
+// and no other: they group their rows on keys over different attributes,
+// {A,B} and {B,C}, whose values twoKeysState draws from one small domain.
+func twoKeys() (design, attrset.Set) {
+	s := schema.MustParse("R1(A,B,Z); R2(C,B,W); R3(A,D); R4(C,D)")
+	return design{s, fd.MustParse(s.U, "A -> D; C -> D")}, s.U.Set("B", "D")
+}
+
+// twoKeysState draws a satisfying state of twoKeys: six random rows in R1
+// and R2 over values 0–2, and R3 and R4 random functions of A and C.
+func twoKeysState(r *rand.Rand, s *schema.Schema) *relation.State {
+	st := relation.NewState(s)
+	v := func() relation.Value { return relation.Value(r.Intn(3)) }
+	for i := 0; i < 6; i++ {
+		st.Insts[0].Add(relation.Tuple{v(), v(), v()})
+		st.Insts[1].Add(relation.Tuple{v(), v(), v()})
+	}
+	for k := relation.Value(0); k < 3; k++ {
+		st.Insts[2].Add(relation.Tuple{k, v()})
+		st.Insts[3].Add(relation.Tuple{k, v()})
+	}
+	return st
+}
+
+// TestWindowMatchesPerRowOracleRandom evaluates windows, selected and not,
+// over random states: twoKeys's [B D], and random windows of 200 random
+// independent schemas. It checks each answer against perRowWindow: the
+// same rows, each once. Where
+// the plan skips deduplication no answer row may repeat. It also counts
+// the cases that can tell a wrong plan from a right one, so the test
+// cannot pass vacuously: probed rows of one contributor sharing an
+// extension key (grouped), sharing their values on X but not on the key
+// (a key without the consulted rows' DVs would merge them), and two
+// contributors giving the same answer row (a plan that skipped
+// deduplication there would repeat it).
+func TestWindowMatchesPerRowOracleRandom(t *testing.T) {
+	r := rand.New(rand.NewSource(49))
+	var grouped, split, shared, windows int
+	fixed, fixedX := twoKeys()
+	for i, d := range append([]design{fixed}, randomIndependent(t, r, 200)...) {
+		s := d.s
+		ev := newEvaluator(t, s, d.fds)
+		if !ev.Fast() {
+			t.Fatalf("%s: expected an independent schema", s)
+		}
+		rounds := 2
+		if i == 0 {
+			rounds = 10
+		}
+		for round := 0; round < rounds; round++ {
+			var st *relation.State
+			if i == 0 {
+				st = twoKeysState(r, s)
+			} else {
+				st = workload.LocalState(r, s, d.fds, 6, 3, 30)
+			}
+			if st == nil {
+				continue
+			}
+			for k := 0; k < 6; k++ {
+				var x attrset.Set
+				if i == 0 {
+					x = fixedX
+				}
+				for x.IsEmpty() {
+					for a := 0; a < s.U.Size(); a++ {
+						if r.Intn(3) == 0 {
+							x.Add(a)
+						}
+					}
+				}
+				var sel []Cond
+				if k%2 == 1 {
+					for _, a := range x.Attrs() {
+						if r.Intn(3) == 0 {
+							sel = append(sel, Cond{Attr: a, Val: relation.Value(r.Intn(3))})
+						}
+					}
+				}
+				res, err := ev.Query(st, x, sel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				windows++
+				p := res.Plan
+				want := perRowWindow(p, st, sel)
+				seen := relation.NewInstance(x)
+				for _, tu := range res.Rows.Rows() {
+					if !seen.Add(tu) {
+						t.Fatalf("%s: window [%s] where %v repeats row %v (plan deduplicates: %v)",
+							s, s.U.Format(x, " "), sel, tu, p.distinct)
+					}
+				}
+				if !sameInstance(res.Rows, want) || !sameInstance(want, res.Rows) {
+					t.Fatalf("%s: window [%s] where %v over\n%s\ngot  %v\nwant %v",
+						s, s.U.Format(x, " "), sel, st, res.Rows.Rows(), want.Rows())
+				}
+				g, sp := keyCases(p, st, sel)
+				grouped += g
+				split += sp
+				if len(p.Schemes) > 1 && sharesRow(p, st, sel) {
+					shared++
+				}
+			}
+		}
+	}
+	t.Logf("%d windows: %d with grouped rows, %d with rows split by a DV key, %d with a row two contributors give",
+		windows, grouped, split, shared)
+	if grouped == 0 || split == 0 || shared == 0 {
+		t.Fatalf("the random cases never exercised a plan fact: grouped %d, split %d, shared %d", grouped, split, shared)
+	}
+}
+
+// keyCases reports, for the extending contributors of p whose key is
+// narrower than their scheme, whether two probed rows share a key
+// (grouped) and whether two agree on X ∩ R_l while their keys differ
+// (split).
+func keyCases(p *Plan, st *relation.State, sel []Cond) (grouped, split int) {
+	for i, l := range p.Schemes {
+		inst := st.Insts[l]
+		if p.X.SubsetOf(inst.Attrs) || p.keys[i] == inst.Attrs {
+			continue
+		}
+		slots, _ := probe(inst, sel)
+		keys := relation.NewInstance(p.keys[i])
+		onX := map[string]relation.Tuple{}
+		for _, s := range slots {
+			row := inst.AppendRow(nil, s)
+			key := project(inst.Attrs, p.keys[i], row)
+			if !keys.Add(key) {
+				grouped = 1
+			}
+			xk := project(inst.Attrs, p.X.Intersect(inst.Attrs), row)
+			if prev, ok := onX[fmt.Sprint(xk)]; ok && !prev.Equal(key) {
+				split = 1
+			}
+			onX[fmt.Sprint(xk)] = key
+		}
+	}
+	return grouped, split
+}
+
+// sharesRow reports whether two contributors of p give a common answer row.
+func sharesRow(p *Plan, st *relation.State, sel []Cond) bool {
+	var parts []*relation.Instance
+	for i, l := range p.Schemes {
+		one := &Plan{X: p.X, Fast: true, Schemes: []int{l}, runs: p.runs[i : i+1]}
+		parts = append(parts, perRowWindow(one, st, sel))
+	}
+	for i := range parts {
+		for _, tu := range parts[i].Rows() {
+			for j := i + 1; j < len(parts); j++ {
+				if parts[j].Has(tu) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// project returns row's values, over the scheme attrs, on sub.
+func project(attrs, sub attrset.Set, row relation.Tuple) relation.Tuple {
+	var out relation.Tuple
+	for _, c := range relation.ProjectionCols(attrs, sub) {
+		out = append(out, row[c])
+	}
+	return out
+}

@@ -20,9 +20,15 @@
 // Theorem 1 imposes.
 //
 // Plans are cached per attribute set: deciding which relations can
-// contribute to a window, and which they consult, happens once per distinct
-// X, so repeated windows skip straight to evaluation. A plan compile reads
-// the decision's runs and never runs The Loop.
+// contribute to a window, which they consult, and on which attributes a
+// contributor's tuple fixes its extension, happens once per distinct X, so
+// repeated windows skip straight to evaluation. A plan compile reads the
+// decision's runs and never runs The Loop.
+//
+// An evaluation costs its distinct keys and its answer rows, not its
+// probed rows: a contributor's probed rows that agree on its extension key
+// extend once, and the answer is collected by a relation.Builder, which
+// deduplicates only when the plan can repeat a row and builds no index.
 // Evaluators are safe for concurrent use; evaluation never mutates the
 // state it reads, so callers may share one immutable snapshot across any
 // number of concurrent Window calls.
@@ -108,9 +114,11 @@ func (ev *Evaluator) Stats() Stats {
 }
 
 // Plan is a compiled window query for one attribute set: which relations
-// can contribute tuples and, for the fast path, their extension data. Plans
-// are immutable and cached by the evaluator, so repeated windows over the
-// same attribute set skip the closure and join-order computation.
+// can contribute tuples and, for the fast path, their extension data, each
+// contributor's extension key, and whether two contributions can be the
+// same answer row. Plans are immutable and cached by the evaluator, so
+// repeated windows over the same attribute set skip the closure and
+// join-order computation.
 type Plan struct {
 	// X is the window attribute set the plan answers.
 	X attrset.Set
@@ -124,6 +132,17 @@ type Plan struct {
 
 	// runs[i] is the extension data for Schemes[i].
 	runs []*independence.AcceptedRun
+	// keys[i] is the extension key of Schemes[i] = l: R_l ∩ (X ∪ the DVs
+	// of run.Consulted(X)'s rows). ExtendFor binds a tuple's values on R_l,
+	// and a valuation reads a bound value only at a row's distinguished
+	// column, so the tuple's extension to X \ R_l — whether it exists and
+	// its values — is a function of its values on the key, and so is its
+	// answer row. Tuples agreeing on the key extend once.
+	keys []attrset.Set
+	// distinct reports that evaluation must deduplicate answer rows. Only a
+	// plan with one contributor whose scheme lies inside X cannot repeat a
+	// row: each answer row then holds all of one distinct tuple.
+	distinct bool
 	// consults is what Consults returns.
 	consults []Consult
 }
@@ -149,7 +168,8 @@ type Consult struct {
 // router must fetch before evaluating the window away from the data.
 func (p *Plan) Consults() []Consult { return p.consults }
 
-// planConsults computes a fast plan's Consults.
+// planConsults computes a fast plan's Consults and, from the same rows,
+// its contributors' extension keys.
 func planConsults(s *schema.Schema, p *Plan) []Consult {
 	agree := make(map[int]attrset.Set)
 	meet := func(l int, cols attrset.Set) {
@@ -158,11 +178,15 @@ func planConsults(s *schema.Schema, p *Plan) []Consult {
 		}
 		agree[l] = cols
 	}
+	p.keys = make([]attrset.Set, len(p.Schemes))
 	for i, l := range p.Schemes {
 		meet(l, s.Attrs(l))
+		key := p.X
 		for _, row := range p.runs[i].Consulted(p.X) {
 			meet(row.Tag, row.DVs)
+			key = key.Union(row.DVs)
 		}
+		p.keys[i] = key.Intersect(s.Attrs(l))
 	}
 	out := make([]Consult, 0, len(agree))
 	for l, cols := range agree {
@@ -204,6 +228,7 @@ func (ev *Evaluator) Plan(x attrset.Set) (*Plan, bool, error) {
 			p.Schemes = append(p.Schemes, l)
 			p.runs = append(p.runs, run)
 		}
+		p.distinct = len(p.Schemes) != 1 || !ev.s.Attrs(p.Schemes[0]).SubsetOf(x)
 		p.consults = planConsults(ev.s, p)
 	}
 	ev.mu.Lock()
@@ -221,7 +246,9 @@ type Result struct {
 	// X is the window attribute set.
 	X attrset.Set
 	// Rows is the window: an instance over X holding the X-total projection
-	// of the representative instance.
+	// of the representative instance, its rows distinct. A relation.Builder
+	// collects it, so it has no primary index until a membership probe
+	// builds one.
 	Rows *relation.Instance
 	// Fast reports relation-by-relation evaluation (no chase).
 	Fast bool
@@ -288,11 +315,13 @@ func (ev *Evaluator) Query(st *relation.State, x attrset.Set, sel []Cond) (*Resu
 	}
 	if len(sel) > 0 {
 		slots, _ := probe(res.Rows, sel)
-		kept := relation.NewInstance(x)
+		kept := relation.NewBuilder(x.Len(), len(slots), false) // rows of a set stay distinct
+		var row relation.Tuple
 		for _, s := range slots {
-			kept.Add(res.Rows.AppendRow(nil, s))
+			row = res.Rows.AppendRow(row[:0], s)
+			kept.Append(row)
 		}
-		res.Rows = kept
+		res.Rows = kept.Instance(x)
 	}
 	return res, nil
 }
@@ -369,9 +398,12 @@ type probeHits struct {
 // evalFast is the independent-schema window: the union over contributors
 // of the X-total extensions of their probed rows (Theorem 5) satisfying
 // sel. A row extends to sel's attributes outside its scheme first, rejected
-// at the first mismatch, then to the rest of X.
+// at the first mismatch, then to the rest of X. Of the probed rows that
+// agree on their contributor's extension key only the first extends: the
+// others would give its answer row, or none, again. Every probed row still
+// counts as scanned.
 func evalFast(p *Plan, st *relation.State, sel []Cond) (*relation.Instance, []int) {
-	// Probe every contributor first, and size the result from the ones whose
+	// Probe every contributor first, and size the answer from the ones whose
 	// rows are their own extensions: each such row is at most one answer row.
 	// An extending contributor can probe many rows for few answers (a point
 	// window over a dimension probes every fact row carrying the key), so
@@ -389,27 +421,47 @@ func evalFast(p *Plan, st *relation.State, sel []Cond) (*relation.Instance, []in
 			size += len(slots)
 		}
 	}
-	out := relation.NewInstanceSize(p.X, size)
-	cols := p.X.Attrs()
-	proj := make(relation.Tuple, len(cols))
-	var row relation.Tuple
+	out := relation.NewBuilder(p.X.Len(), size, p.distinct)
+	n := st.Schema.U.Size()
+	var colBuf, keyColBuf, posBuf [16]int // column maps, rows and keys stay on the stack
+	var projBuf, keyBuf, rowBuf [16]relation.Value
+	cols := appendAttrs(colBuf[:0], p.X, n)
+	proj, row := scratch(projBuf[:], len(cols)), relation.Tuple(rowBuf[:0])
+	var keys relation.Builder
 	var sc independence.Scratch
 	for i, l := range p.Schemes {
 		inst := st.Insts[l]
 		slots, outer := probed[i].slots, probed[i].outer
 		if p.X.SubsetOf(inst.Attrs) { // the row is its own extension
-			colPos := relation.ProjectionCols(inst.Attrs, p.X)
+			pos := appendRanks(posBuf[:0], inst.Attrs, cols)
 			for _, s := range slots {
-				for j, c := range colPos {
+				for j, c := range pos {
 					proj[j] = inst.At(s, c)
 				}
-				out.Add(proj)
+				out.Append(proj)
 			}
 			continue
+		}
+		// Group on the key only when it is narrower than the scheme and two
+		// rows could share it.
+		var keyPos []int
+		var key relation.Tuple
+		if k := p.keys[i]; k != inst.Attrs && len(slots) >= 2 {
+			keyPos = appendRanks(posBuf[:0], inst.Attrs, appendAttrs(keyColBuf[:0], k, n))
+			key = scratch(keyBuf[:], len(keyPos))
+			keys.Reset(len(keyPos), len(slots), true)
 		}
 		run := p.runs[i]
 	rows:
 		for _, s := range slots {
+			if keyPos != nil {
+				for j, c := range keyPos {
+					key[j] = inst.At(s, c)
+				}
+				if !keys.Append(key) {
+					continue
+				}
+			}
 			row = inst.AppendRow(row[:0], s)
 			for _, c := range sel {
 				if outer.Has(c.Attr) &&
@@ -423,10 +475,37 @@ func evalFast(p *Plan, st *relation.State, sel []Cond) (*relation.Instance, []in
 			for j, a := range cols {
 				proj[j] = sc.Ext[a]
 			}
-			out.Add(proj)
+			out.Append(proj)
 		}
 	}
-	return out, scanned
+	return out.Instance(p.X), scanned
+}
+
+// scratch returns buf's first n values, or fresh ones when buf is shorter.
+func scratch(buf []relation.Value, n int) relation.Tuple {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make(relation.Tuple, n)
+}
+
+// appendAttrs appends x's attributes, ascending, to dst; n bounds them.
+func appendAttrs(dst []int, x attrset.Set, n int) []int {
+	for a := 0; a < n; a++ {
+		if x.Has(a) {
+			dst = append(dst, a)
+		}
+	}
+	return dst
+}
+
+// appendRanks appends each attribute's column position within the scheme
+// attrs to dst.
+func appendRanks(dst []int, attrs attrset.Set, sub []int) []int {
+	for _, a := range sub {
+		dst = append(dst, attrs.Rank(a))
+	}
+	return dst
 }
 
 // evalChase is the general window: chase the padded state to the

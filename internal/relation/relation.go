@@ -80,8 +80,9 @@ func (t Tuple) Clone() Tuple {
 // by column — no string key is ever built, so Has and duplicate Adds are
 // allocation-free; a fresh Add writes straight into the arenas with no
 // per-row clone. A new instance keeps the index from its first Add; a copy
-// made by Snapshot builds it on its first membership probe (see find), since
-// the query path that reads most copies never makes one.
+// made by Snapshot, and an instance a Builder hands over, build it on their
+// first membership probe (see find), since the query path that reads most
+// copies and every answer never makes one.
 type Instance struct {
 	Attrs    attrset.Set
 	cols     [][]Value          // one arena per column; equal lengths = slot count
@@ -263,8 +264,9 @@ func (in *Instance) find(t Tuple) int32 {
 	return -1
 }
 
-// buildPos builds the primary index of a copy made by Snapshot. It runs
-// under secMu because readers sharing a snapshot may probe it at once.
+// buildPos builds the primary index of a copy made by Snapshot or of a
+// Builder's instance. It runs under secMu because readers sharing a
+// snapshot may probe it at once.
 func (in *Instance) buildPos() {
 	in.secMu.Lock()
 	defer in.secMu.Unlock()
@@ -452,14 +454,14 @@ func (in *Instance) index(cols []int) *colIndex {
 	if idx := in.lookupIndex(ck, cols); idx != nil { // raced with another builder
 		return idx
 	}
-	cols = append([]int(nil), cols...)
+	own := append([]int(nil), cols...) // a copy, so a probe's columns never escape
 	if in.inherits() {
-		idx = in.inheritIndex(cols)
+		idx = in.inheritIndex(own)
 	} else {
-		idx = &colIndex{cols: cols, buckets: make(map[uint64][]int32, in.n)}
+		idx = &colIndex{cols: own, buckets: make(map[uint64][]int32, in.n)}
 		for s, alive := range in.live {
 			if alive {
-				h := in.hashRowCols(int32(s), cols)
+				h := in.hashRowCols(int32(s), own)
 				idx.buckets[h] = append(idx.buckets[h], int32(s))
 			}
 		}
@@ -701,13 +703,15 @@ func ProjectionCols(attrs, sub attrset.Set) []int {
 	return out
 }
 
-// Project returns π_sub(in). sub must be a subset of the instance scheme.
+// Project returns π_sub(in), built by a Builder: it has no primary index
+// until its first membership probe. sub must be a subset of the instance
+// scheme.
 func (in *Instance) Project(sub attrset.Set) *Instance {
 	if !sub.SubsetOf(in.Attrs) {
 		panic("relation: projection target not a subset of the scheme")
 	}
 	cols := ProjectionCols(in.Attrs, sub)
-	out := NewInstance(sub)
+	out := NewBuilder(len(cols), in.n, sub != in.Attrs) // all of a row's columns keep it distinct
 	p := make(Tuple, len(cols))
 	for s, alive := range in.live {
 		if !alive {
@@ -716,9 +720,9 @@ func (in *Instance) Project(sub attrset.Set) *Instance {
 		for i, c := range cols {
 			p[i] = in.cols[c][s]
 		}
-		out.Add(p)
+		out.Append(p)
 	}
-	return out
+	return out.Instance(sub)
 }
 
 // agreeRows reports whether row sa of a and row sb of b carry the same

@@ -2,6 +2,7 @@ package indep
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -345,8 +346,9 @@ func finishWindow(s *Schema, st *relation.State, res *query.Result, q WindowQuer
 	size := 0
 	for i := range rendered {
 		row := make(map[string]string, len(names))
-		for j, nm := range kept.row(i) {
-			row[names[j]] = nm
+		for j, a := range names {
+			nm := st.Dict.Name(rows.At(kept.slot(i), j))
+			row[a] = nm
 			size += len(nm)
 		}
 		rendered[i] = row
@@ -356,12 +358,21 @@ func finishWindow(s *Schema, st *relation.State, res *query.Result, q WindowQuer
 	return out, nil
 }
 
-// keptRows is a window's first rows in order, each row's names fetched from
-// the dictionary once. It is a table of rows: one more than are kept, so a
-// candidate can be fetched into the spare row and swapped in.
+// keptRows is a window's first rows in order, each row keyed once. It is a
+// table of rows: one more than are kept, so a candidate can be keyed into
+// the spare row and swapped in. Only the columns whose value varies over
+// the answer can order two rows (a Where condition fixes its column), so
+// only they are keyed. A key cell is two words: the name's first 8 bytes,
+// big-endian and zero-padded, and the name's length. Two cells order as
+// their names do by those words alone unless both names are longer than 8
+// bytes and share their first 8: equal padded prefixes otherwise mean the
+// shorter name is a prefix of the longer, NUL bytes or not. Only such a tie
+// fetches the names again.
 type keptRows struct {
-	width int
-	names []string // width names per table row
+	d     *relation.Dict
+	rows  *relation.Instance
+	vary  []int    // the columns whose value is not the same in every row
+	cells []uint64 // 2*len(vary) words per table row
 	slots []int32  // each table row's slot in the answer
 	keys  [][]byte // each table row's rendered key, only when a name holds a NUL
 	order []int32  // kept table rows: a max-heap while selecting, then sorted
@@ -373,26 +384,30 @@ type keptRows struct {
 // name holds a NUL byte the key order is plain column-by-column order, so
 // rows compare without keys. A bounded max-heap keeps the k first rows so
 // far: a limit-5 query over a million-row window neither sorts nor renders a
-// million rows, and a candidate fetches a column's name only when the
-// comparison with the heap's last row reaches that column.
+// million rows, and a candidate keys a column only when the comparison with
+// the heap's last row reaches that column.
 func orderRows(d *relation.Dict, rows *relation.Instance, k int) keptRows {
 	live := rows.LiveRows()
 	if k <= 0 || k > len(live) {
 		k = len(live)
 	}
-	w := rows.Width()
 	ints := make([]int32, 2*k+1)
-	t := keptRows{
-		width: w,
-		names: make([]string, (k+1)*w),
-		slots: ints[:k+1],
-		order: ints[k+1:],
+	t := keptRows{d: d, rows: rows, slots: ints[:k+1], order: ints[k+1:]}
+	for j := 0; j < rows.Width() && len(live) > 0; j++ {
+		col := rows.Col(j)
+		for _, s := range live[1:] {
+			if col[s] != col[live[0]] {
+				t.vary = append(t.vary, j)
+				break
+			}
+		}
 	}
+	t.cells = make([]uint64, 2*(k+1)*len(t.vary))
 	if d.HasNUL() {
 		t.keys = make([][]byte, k+1)
 	}
 	for r, s := range live[:k] {
-		t.fill(d, rows, int32(r), s, 0)
+		t.fill(int32(r), s, 0)
 		t.order[r] = int32(r)
 	}
 	if k < len(live) {
@@ -401,60 +416,106 @@ func orderRows(d *relation.Dict, rows *relation.Instance, k int) keptRows {
 		}
 		spare := int32(k)
 		for _, s := range live[k:] {
-			if t.beats(d, rows, spare, s, t.order[0]) {
+			if t.beats(spare, s, t.order[0]) {
 				t.order[0], spare = spare, t.order[0]
 				t.down(0)
 			}
 		}
 	}
-	slices.SortFunc(t.order, t.compare)
+	t.sort()
 	return t
 }
 
-// row returns the names of the i-th kept row.
-func (t *keptRows) row(i int) []string { return t.at(t.order[i]) }
+// sort sorts the kept rows. Each entry carries its first varying column's
+// prefix, which decides most comparisons without reaching the table; only
+// keyed rows, whose rendered keys decide first, leave it zero.
+func (t *keptRows) sort() {
+	type entry struct {
+		lead uint64
+		r    int32
+	}
+	es := make([]entry, len(t.order))
+	for i, r := range t.order {
+		es[i].r = r
+		if t.keys == nil && len(t.vary) > 0 {
+			es[i].lead = t.row(r)[0]
+		}
+	}
+	slices.SortFunc(es, func(a, b entry) int {
+		if a.lead != b.lead {
+			return cmp.Compare(a.lead, b.lead)
+		}
+		return t.compare(a.r, b.r)
+	})
+	for i, e := range es {
+		t.order[i] = e.r
+	}
+}
 
 // slot returns the answer slot of the i-th kept row.
 func (t *keptRows) slot(i int) int32 { return t.slots[t.order[i]] }
 
-// at returns table row r's names.
-func (t *keptRows) at(r int32) []string {
-	return t.names[int(r)*t.width : int(r+1)*t.width]
+// name returns the name in column j of table row r.
+func (t *keptRows) name(r int32, j int) string { return t.d.Name(t.rows.At(t.slots[r], j)) }
+
+// row returns table row r's key cells.
+func (t *keptRows) row(r int32) []uint64 {
+	w := 2 * len(t.vary)
+	return t.cells[int(r)*w : int(r+1)*w]
 }
 
-// fill fetches slot s's names from column j on into table row r, and its key
-// when rows are keyed.
-func (t *keptRows) fill(d *relation.Dict, rows *relation.Instance, r, s int32, j int) {
+// key keys the i-th varying column of table row r.
+func (t *keptRows) key(r int32, i int) {
+	nm := t.name(r, t.vary[i])
+	c := t.row(r)
+	c[2*i], c[2*i+1] = prefix8(nm), uint64(len(nm))
+}
+
+// prefix8 is s's first 8 bytes, big-endian and zero-padded.
+func prefix8(s string) uint64 {
+	if len(s) >= 8 {
+		return uint64(s[7]) | uint64(s[6])<<8 | uint64(s[5])<<16 | uint64(s[4])<<24 |
+			uint64(s[3])<<32 | uint64(s[2])<<40 | uint64(s[1])<<48 | uint64(s[0])<<56
+	}
+	var p uint64
+	for i := 0; i < len(s); i++ {
+		p |= uint64(s[i]) << (56 - 8*i)
+	}
+	return p
+}
+
+// fill keys slot s's varying columns from the i-th on into table row r,
+// and renders its key when rows are keyed.
+func (t *keptRows) fill(r, s int32, i int) {
 	t.slots[r] = s
-	row := t.at(r)
-	for ; j < t.width; j++ {
-		row[j] = d.Name(rows.At(s, j))
+	for ; i < len(t.vary); i++ {
+		t.key(r, i)
 	}
 	if t.keys != nil {
 		k := t.keys[r][:0]
-		for _, nm := range row {
-			k = append(append(k, nm...), 0)
+		for j := 0; j < t.rows.Width(); j++ {
+			k = append(append(k, t.name(r, j)...), 0)
 		}
 		t.keys[r] = k
 	}
 }
 
-// beats fetches slot s into the spare table row and reports whether it
-// orders before table row r. Without keys it fetches names column by column
-// and stops at the first column that differs from r's, unless s wins.
-func (t *keptRows) beats(d *relation.Dict, rows *relation.Instance, spare, s, r int32) bool {
+// beats keys slot s into the spare table row and reports whether it orders
+// before table row r. Without keys it keys column by column and stops at
+// the first column that differs from r's, unless s wins.
+func (t *keptRows) beats(spare, s, r int32) bool {
 	if t.keys != nil {
-		t.fill(d, rows, spare, s, 0)
+		t.fill(spare, s, 0)
 		return t.compare(spare, r) < 0
 	}
-	row, last := t.at(spare), t.at(r)
-	for j := range row {
-		row[j] = d.Name(rows.At(s, j))
-		if c := strings.Compare(row[j], last[j]); c != 0 {
+	t.slots[spare] = s
+	for i := range t.vary {
+		t.key(spare, i)
+		if c := t.compareCol(spare, r, i); c != 0 {
 			if c > 0 {
 				return false
 			}
-			t.fill(d, rows, spare, s, j+1)
+			t.fill(spare, s, i+1)
 			return true
 		}
 	}
@@ -469,13 +530,26 @@ func (t *keptRows) compare(a, b int32) int {
 			return c
 		}
 	}
-	ra, rb := t.at(a), t.at(b)
-	for j := range ra {
-		if c := strings.Compare(ra[j], rb[j]); c != 0 {
+	for i := range t.vary {
+		if c := t.compareCol(a, b, i); c != 0 {
 			return c
 		}
 	}
 	return 0
+}
+
+// compareCol orders the i-th varying column of table rows a and b as
+// strings.Compare orders their names.
+func (t *keptRows) compareCol(a, b int32, i int) int {
+	ca, cb := t.row(a)[2*i:2*i+2], t.row(b)[2*i:2*i+2]
+	if ca[0] != cb[0] {
+		return cmp.Compare(ca[0], cb[0])
+	}
+	if ca[1] <= 8 || cb[1] <= 8 {
+		return cmp.Compare(ca[1], cb[1])
+	}
+	j := t.vary[i]
+	return strings.Compare(t.name(a, j)[8:], t.name(b, j)[8:])
 }
 
 // down sifts the heap entry at i down; the root is the last row kept.

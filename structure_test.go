@@ -138,7 +138,11 @@ func calls(n ast.Node, name, recv string) bool {
 //     snapshots;
 //   - maintenance's walk is the only loop that applies ops through a
 //     maintainer's one-tuple calls (InsertReport, Delete);
-//   - internal/wal declares one record kind, kindCommit.
+//   - internal/wal declares one record kind, kindCommit;
+//   - internal/query builds no relation instance by NewInstance,
+//     NewInstanceSize or Add: window answers come from relation.Builder
+//     alone. Its only Add calls are the evaluator's counters' and probe's
+//     attribute set's.
 //
 // A change that adds a second path fails here; one that moves a mechanism
 // on purpose updates the expectation below.
@@ -244,6 +248,24 @@ func TestStructure(t *testing.T) {
 			[]string{"internal/maintenance walk"},
 		},
 		{"internal/wal record kinds", walKinds, []string{"kindCommit"}},
+		{
+			"internal/query functions building an instance by NewInstance, NewInstanceSize or Add",
+			slices.Compact(sites(decls, func(dir string, n ast.Node) bool {
+				if dir != "internal/query" {
+					return false
+				}
+				if calls(n, "NewInstance", "") || calls(n, "NewInstanceSize", "") {
+					return true
+				}
+				for _, recv := range []string{"queries", "planHits", "fastEvals", "chaseEvals", "outer"} {
+					if calls(n, "Add", recv) {
+						return false
+					}
+				}
+				return calls(n, "Add", "")
+			})),
+			nil,
+		},
 	} {
 		if !slices.Equal(c.got, c.want) {
 			t.Errorf("%s: %q, want %q", c.what, c.got, c.want)

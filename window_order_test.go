@@ -207,14 +207,28 @@ func TestWindowOrderNULWhileInterning(t *testing.T) {
 
 // FuzzWindowOrder inserts arbitrary byte names into R(P,Q) and checks every
 // limit's answer, in rows and in IWIN1, against referenceWindow. Each name
-// is length-prefixed: a byte n, then the next n%8 bytes.
+// is length-prefixed: a byte n, then the next n%24 bytes, so names reach
+// past the 8-byte prefix the order compares first. The seeds hold names
+// that share that prefix and differ after it, names of exactly 8 bytes,
+// bytes of 0x80 and above, and the empty name beside "\x00".
 func FuzzWindowOrder(f *testing.F) {
 	f.Add([]byte("\x01a\x02a\x00\x02a\x00\x00\x01b\x00\x02ab"))
 	f.Add([]byte("\x01a\x01b\x02ab\x00\x01\x00\x03a\x01c"))
+	seed := func(ns ...string) []byte {
+		var b []byte
+		for _, n := range ns {
+			b = append(append(b, byte(len(n))), n...)
+		}
+		return b
+	}
+	f.Add(seed("abcdefghZ", "q", "abcdefghA", "q", "abcdefgh", "q", "abcdefghAA", "r", "abcdefgh\x00", "q"))
+	f.Add(seed("p", "abcdefgh", "p", "abcdefgi", "p", "abcdefg", "p", "abcdefgh\xff", "p", "abcdefghij"))
+	f.Add(seed("\x80", "x", "\xff\x01", "x", "a", "x", "\x7f", "\x80\x80\x80\x80\x80\x80\x80\x80\x80", "\x7f", "\x80\x80\x80\x80\x80\x80\x80\x80"))
+	f.Add(seed("", "\x00", "\x00", "", "", "", "\x00", "\x00\x00", "\x00\x00\x00\x00\x00\x00\x00\x00\x00", "\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var names []string
 		for len(data) > 0 && len(names) < 64 {
-			n := min(int(data[0])%8, len(data)-1)
+			n := min(int(data[0])%24, len(data)-1)
 			names = append(names, string(data[1:1+n]))
 			data = data[1+n:]
 		}
