@@ -731,8 +731,10 @@ func windowShapesStore(b *testing.B) *ConcurrentStore {
 // serves a window, over windowShapesStore's state for three window shapes:
 // a local window on the hottest key (hundreds of answer rows, one
 // contributor), the first 100 rows of all of FACT (a top-k over thousands),
-// and a DIM1 point window (one answer row, while FACT contributes every row
-// carrying the key).
+// a DIM1 point window (one answer row, read from DIM1 alone: FACT, which
+// reaches DIM1's attributes only through it, is subsumed), and a window
+// over FACT and two DIM1 dependents selected on a key (FACT's rows carrying
+// the key extended through DIM1, once per distinct extension key).
 func BenchmarkWindowShapes(b *testing.B) {
 	cs := windowShapesStore(b)
 	fact := []string{"A", "B", "C", "D"}
@@ -743,6 +745,7 @@ func BenchmarkWindowShapes(b *testing.B) {
 		{"hot-key", WindowQuery{Attrs: fact, Where: map[string]string{"A": "a0"}}},
 		{"limit100", WindowQuery{Attrs: fact, Limit: 100}},
 		{"dim-point", WindowQuery{Attrs: []string{"A", "E", "F", "G", "H", "I"}, Where: map[string]string{"A": "a3"}}},
+		{"fact-dim", WindowQuery{Attrs: []string{"A", "B", "C", "D", "E", "F"}, Where: map[string]string{"A": "a17"}}},
 	} {
 		c.q.BinaryResult = true
 		b.Run(c.name, func(b *testing.B) {

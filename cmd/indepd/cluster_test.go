@@ -396,10 +396,10 @@ func TestClusterRouterDelete(t *testing.T) {
 // TestClusterSingleOpsMatchNode sends one sequence of single-op writes to
 // a router and to a single node: insert, conflicting insert, re-insert,
 // delete, re-delete, an unknown relation and a missing attribute, then the
-// [C T] window twice, empty after the deletes. Both tiers apply the op as a
+// [S T] window twice, empty. Both tiers apply the op as a
 // one-op payload, so every status code and body must be byte-identical; of
-// the window only elapsedNs is left out. The window consults several
-// relations, so the router evaluates it over gathered rows; it must still
+// the window only elapsedNs is left out. The window consults CS and CT,
+// so the router evaluates it over gathered rows; it must still
 // report planCached false on the first window and true on the second.
 func TestClusterSingleOpsMatchNode(t *testing.T) {
 	router, _ := newClusterTestServer(t, 3)
@@ -416,8 +416,8 @@ func TestClusterSingleOpsMatchNode(t *testing.T) {
 		{http.MethodDelete, "/v1/tuple", ct("c1", "t1"), http.StatusOK},
 		{http.MethodPost, "/v1/insert", `{"relation":"XY","row":{"C":"c1"}}`, http.StatusBadRequest},
 		{http.MethodDelete, "/v1/tuple", `{"relation":"CT","row":{"C":"c1"}}`, http.StatusBadRequest},
-		{http.MethodGet, "/v1/window?attrs=C,T", "", http.StatusOK},
-		{http.MethodGet, "/v1/window?attrs=C,T", "", http.StatusOK},
+		{http.MethodGet, "/v1/window?attrs=S,T", "", http.StatusOK},
+		{http.MethodGet, "/v1/window?attrs=S,T", "", http.StatusOK},
 	}
 	send := func(base string, i int) (int, string) {
 		st := steps[i]

@@ -20,8 +20,10 @@
 // precisely which relations an evaluation consults
 // (Schema.WindowFetches): the contributing relations plus those the
 // extension tableaux of the window's attributes take valuations against,
-// and the answer is a pure function of those relations' contents. Two read
-// paths follow:
+// and the answer is a pure function of those relations' contents. A
+// relation that could only repeat rows of a contributor holding the whole
+// window is no contributor, so a star schema's dimension point window
+// consults the dimension alone. Two read paths follow:
 //   - A window consulting one relation distributes over that relation's
 //     fragments, so the router sends the query to the owners and merges
 //     their answers by name: sorted by the rendered key and cut to Limit,

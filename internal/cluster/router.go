@@ -314,8 +314,9 @@ func (r *Router) Batch(ctx context.Context, payload []byte) (*indep.BatchReport,
 // makes the relation the disjoint union of its fragments, so the window
 // over the union is the union of the owners' windows. A Where binding every
 // partition-key attribute names the one owner holding every matching row,
-// and only it is asked. Fallback mode (non-independent schema) is the same
-// routine with the designated shard as the one owner.
+// and only it is asked: a star schema's dimension point window is one such
+// forward. Fallback mode (non-independent schema) is the same routine with
+// the designated shard as the one owner.
 //
 // A window consulting two or more relations is evaluated on the router
 // (see gather): of each relation R it fetches the window over R's scheme

@@ -417,15 +417,16 @@ func TestRouterShardDown(t *testing.T) {
 			}
 		}
 
-		// A gather that needs a dead shard fails as a ShardError too...
-		if _, err := tc.rt.Window(ctx, indep.WindowQuery{Attrs: []string{"C", "T"}}); !errors.As(err, &se) {
+		// A gather that needs a dead shard fails as a ShardError too ([C S T]
+		// reads CS and CT)...
+		if _, err := tc.rt.Window(ctx, indep.WindowQuery{Attrs: []string{"C", "S", "T"}}); !errors.As(err, &se) {
 			t.Fatalf("%v down: window over a dead shard: got %v, want ShardError", dead, err)
 		}
 		// ...and the shards coming back heal everything with no intervention.
 		for _, d := range dead {
 			injectors[d].Revive()
 		}
-		if _, err := tc.rt.Window(ctx, indep.WindowQuery{Attrs: []string{"C", "T"}}); err != nil {
+		if _, err := tc.rt.Window(ctx, indep.WindowQuery{Attrs: []string{"C", "S", "T"}}); err != nil {
 			t.Fatalf("%v down: window after revive: %v", dead, err)
 		}
 		for _, h := range tc.rt.CheckHealth(ctx) {

@@ -22,6 +22,7 @@ import (
 
 	"indep"
 	"indep/internal/cluster"
+	"indep/internal/obs"
 )
 
 // readLog records the reads a router makes of its shards.
@@ -508,6 +509,93 @@ func TestRouterJoinWindowFetchIndependentOfSize(t *testing.T) {
 	}
 	if fetched[0] != fetched[1] || fetched[0] != hot+1 {
 		t.Fatalf("rows fetched at 1k and 10k fact rows: %v, want %d at both", fetched, hot+1)
+	}
+}
+
+// gathers reads the router's indep_cluster_window_gathers_total.
+func gathers(t *testing.T, rt *cluster.Router) float64 {
+	t.Helper()
+	reg := obs.NewRegistry()
+	rt.RegisterMetrics(reg)
+	fams, err := obs.ParseExposition(reg.Expose())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fams {
+		if f.Name == "indep_cluster_window_gathers_total" {
+			return f.Samples[0].Value
+		}
+	}
+	t.Fatal("no indep_cluster_window_gathers_total family")
+	return 0
+}
+
+// TestRouterDimensionPointWindowOneCall: on a star schema a dimension point
+// window consults the dimension alone (the fact relation reaches its
+// attributes only through its rows, so it adds no answer row), so the
+// router forwards it to the key's one owner: one shard call, no gather, and
+// the single node's answer. A window over the fact relation and a
+// dimension still gathers both.
+func TestRouterDimensionPointWindowOneCall(t *testing.T) {
+	sch, err := indep.Parse("FACT(A,B,C); DIM1(A,E,F); DIM2(B,G)", "A -> E F; B -> G")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc, log := newLoggingCluster(t, sch, 3)
+	oracle, err := sch.OpenConcurrentStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var ops []indep.BatchOp
+	for k := 0; k < 20; k++ {
+		ops = append(ops,
+			indep.BatchOp{Rel: "DIM1", Row: map[string]string{"A": fmt.Sprint("a", k), "E": fmt.Sprint("e", k%3), "F": fmt.Sprint("f", k%7)}},
+			indep.BatchOp{Rel: "DIM2", Row: map[string]string{"B": fmt.Sprint("b", k), "G": fmt.Sprint("g", k%5)}})
+	}
+	for i := 0; i < 200; i++ {
+		ops = append(ops, indep.BatchOp{Rel: "FACT", Row: map[string]string{
+			"A": fmt.Sprint("a", i%20), "B": fmt.Sprint("b", i%19), "C": fmt.Sprint("c", i)}})
+	}
+	payload := encodePayload(t, sch, ops, nil)
+	if _, err := oracle.ApplyBinBatchPartial(ctx, payload); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tc.rt.Batch(ctx, payload); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		q      indep.WindowQuery
+		gather bool
+	}{
+		{indep.WindowQuery{Attrs: []string{"A", "E", "F"}, Where: map[string]string{"A": "a3"}}, false},
+		{indep.WindowQuery{Attrs: []string{"A", "E"}, Where: map[string]string{"A": "a17"}}, false},
+		{indep.WindowQuery{Attrs: []string{"B", "G"}, Where: map[string]string{"B": "b4"}}, false},
+		{indep.WindowQuery{Attrs: []string{"A", "B", "E"}, Where: map[string]string{"A": "a3"}}, true},
+	} {
+		log.take()
+		before := gathers(t, tc.rt)
+		got, err := tc.rt.Window(ctx, c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := oracle.QueryCtx(ctx, c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Total == 0 || got.Total != want.Total || !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Fatalf("%v: router %v (total %d), oracle %v (total %d)", c.q, got.Rows, got.Total, want.Rows, want.Total)
+		}
+		calls, moved := log.take(), gathers(t, tc.rt)-before
+		if c.gather {
+			if moved != 1 || len(calls) < 2 {
+				t.Fatalf("%v: %d shard calls %v and %v gathers, want a gather", c.q, len(calls), calls, moved)
+			}
+			continue
+		}
+		if len(calls) != 1 || moved != 0 {
+			t.Fatalf("%v: %d shard calls %v and %v gathers, want one call and none", c.q, len(calls), calls, moved)
+		}
 	}
 }
 

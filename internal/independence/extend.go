@@ -39,6 +39,11 @@ func (ar *AcceptedRun) Scheme() int { return ar.l }
 // calculation).
 func (ar *AcceptedRun) Available() attrset.Set { return ar.available }
 
+// Tableau returns T(A), the minimal calculation of the available attribute
+// a, without copying it: callers must not modify it. It is empty for
+// an attribute of R_l and nil for one not available.
+func (ar *AcceptedRun) Tableau(a int) tableau.T { return ar.tAttr[a] }
+
 // ExtendTuple extends a tuple t of r_l to a universal tuple ī following
 // Theorem 5: for every available attribute A, if some valuation from T(A)
 // to the state agrees with t, ī[A] is the image of A's distinguished

@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"indep/internal/attrset"
@@ -226,4 +227,95 @@ func project(attrs, sub attrset.Set, row relation.Tuple) relation.Tuple {
 		out = append(out, row[c])
 	}
 	return out
+}
+
+// relevantPlan is p with every relevant contributor kept: each scheme
+// whose extensions can reach all of X, subsumed or not, as plans were
+// compiled before subsumed contributors were dropped.
+func relevantPlan(ev *Evaluator, p *Plan) *Plan {
+	full := &Plan{X: p.X, Fast: true, distinct: true}
+	for l, run := range ev.runs {
+		if p.X.SubsetOf(run.Available()) {
+			full.Schemes = append(full.Schemes, l)
+			full.runs = append(full.runs, run)
+		}
+	}
+	full.consults = planConsults(ev.s, full)
+	return full
+}
+
+// TestSubsumedContributorsAddNoRow checks that dropping subsumed
+// contributors changes no window: over random states of 200 random
+// independent schemas, every window, selected and not, equals both the
+// evaluation of every relevant contributor and the filtered chase oracle.
+// Half the windows lie inside a random scheme, where a contributor can be
+// subsumed. The test fails unless some plans dropped a contributor, and
+// unless some dropped contributor had answer rows of its own, which the
+// kept ones then gave.
+func TestSubsumedContributorsAddNoRow(t *testing.T) {
+	r := rand.New(rand.NewSource(50))
+	var windows, dropped, droppedRows int
+	for _, d := range randomIndependent(t, r, 200) {
+		s := d.s
+		ev := newEvaluator(t, s, d.fds)
+		for round := 0; round < 2; round++ {
+			st := workload.LocalState(r, s, d.fds, 6, 3, 30)
+			if st == nil {
+				continue
+			}
+			for k := 0; k < 8; k++ {
+				var x attrset.Set
+				within := s.U.All()
+				if k < 4 {
+					within = s.Attrs(r.Intn(s.Size()))
+				}
+				for x.IsEmpty() {
+					for _, a := range within.Attrs() {
+						if r.Intn(2) == 0 {
+							x.Add(a)
+						}
+					}
+				}
+				var sel []Cond
+				if k%2 == 1 {
+					for _, a := range x.Attrs() {
+						if r.Intn(3) == 0 {
+							sel = append(sel, Cond{Attr: a, Val: relation.Value(r.Intn(4))})
+						}
+					}
+				}
+				res, err := ev.Query(st, x, sel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				windows++
+				full := relevantPlan(ev, res.Plan)
+				all, _ := evalFast(full, st, sel)
+				oracle := filterWindow(oracleWindow(t, s, d.fds, st, x), sel)
+				if !sameInstance(res.Rows, all) || !sameInstance(res.Rows, oracle) {
+					t.Fatalf("%s: window [%s] where %v over\n%s\nplan %v of %v\ngot    %v\nall    %v\noracle %v",
+						s, s.U.Format(x, " "), sel, st, res.Plan.Schemes, full.Schemes,
+						res.Rows.Rows(), all.Rows(), oracle.Rows())
+				}
+				if len(full.Schemes) == len(res.Plan.Schemes) {
+					continue
+				}
+				dropped++
+				for i, l := range full.Schemes {
+					if slices.Contains(res.Plan.Schemes, l) {
+						continue
+					}
+					one := &Plan{X: x, Fast: true, Schemes: []int{l}, runs: full.runs[i : i+1]}
+					if perRowWindow(one, st, sel).Len() > 0 {
+						droppedRows++
+						break
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d windows: %d plans dropped a contributor, %d of them one with answer rows", windows, dropped, droppedRows)
+	if dropped == 0 || droppedRows == 0 {
+		t.Fatalf("no plan dropped a contributor that had answer rows: %d dropped, %d with rows", dropped, droppedRows)
+	}
 }

@@ -19,11 +19,14 @@
 // padded state, which is the honest exponential-worst-case cost the paper's
 // Theorem 1 imposes.
 //
-// Plans are cached per attribute set: deciding which relations can
-// contribute to a window, which they consult, and on which attributes a
-// contributor's tuple fixes its extension, happens once per distinct X, so
-// repeated windows skip straight to evaluation. A plan compile reads the
-// decision's runs and never runs The Loop.
+// Plans are cached per attribute set: deciding which relations contribute
+// to a window, which they consult, and on which attributes a contributor's
+// tuple fixes its extension, happens once per distinct X, so repeated
+// windows skip straight to evaluation. A relation whose extensions reach X
+// only through tuples of another contributor holding X, tuples that
+// determine the whole answer row, adds no row and is not read: a dimension
+// point window on a star schema reads the dimension alone. A plan compile
+// reads the decision's runs and cover and never runs The Loop.
 //
 // An evaluation costs its distinct keys and its answer rows, not its
 // probed rows: a contributor's probed rows that agree on its extension key
@@ -44,6 +47,7 @@ import (
 	"indep/internal/chase"
 	"indep/internal/fd"
 	"indep/internal/independence"
+	"indep/internal/infer"
 	"indep/internal/relation"
 	"indep/internal/schema"
 )
@@ -57,9 +61,11 @@ type Evaluator struct {
 	caps chase.Caps
 
 	// Fast path (independent schemas): runs[l] is scheme l's accepted Loop
-	// run, taken from the decision and immutable.
-	fast bool
-	runs []*independence.AcceptedRun
+	// run, and cover the embedded cover H, both taken from the decision and
+	// immutable.
+	fast  bool
+	runs  []*independence.AcceptedRun
+	cover infer.AssignedList
 
 	// Chase path: jd reports whether the fallback chase must apply the
 	// join-dependency rule (the decision's Result.JD).
@@ -94,6 +100,7 @@ func NewEvaluator(s *schema.Schema, fds fd.List, res *independence.Result, caps 
 		caps:  caps,
 		fast:  res.Independent,
 		runs:  res.Runs,
+		cover: res.Cover,
 		jd:    res.JD,
 		plans: make(map[attrset.Set]*Plan),
 	}
@@ -124,10 +131,10 @@ type Plan struct {
 	X attrset.Set
 	// Fast reports whether the plan evaluates relation-by-relation.
 	Fast bool
-	// Schemes lists the relations that can contribute: scheme l is relevant
-	// iff every attribute of X is available in R_l⁺ (its extensions can
-	// determine all of X). Chase plans leave it nil — the chase always
-	// consults the whole state.
+	// Schemes lists the relations that contribute: each scheme l whose
+	// extensions can determine all of X (X ⊆ R_l⁺), less those another
+	// contributor subsumes, which could add no row (Evaluator.subsumed).
+	// Chase plans leave it nil — the chase always consults the whole state.
 	Schemes []int
 
 	// runs[i] is the extension data for Schemes[i].
@@ -225,6 +232,9 @@ func (ev *Evaluator) Plan(x attrset.Set) (*Plan, bool, error) {
 			if !x.SubsetOf(run.Available()) {
 				continue // no tuple of r_l can be X-total in its extension
 			}
+			if ev.subsumed(x, run) {
+				continue // another contributor gives every row r_l could
+			}
 			p.Schemes = append(p.Schemes, l)
 			p.runs = append(p.runs, run)
 		}
@@ -239,6 +249,58 @@ func (ev *Evaluator) Plan(x attrset.Set) (*Plan, bool, error) {
 	}
 	ev.mu.Unlock()
 	return p, false, nil
+}
+
+// subsumed reports whether a contributor m with X ⊆ R_m gives every answer
+// row run's scheme l could, so that l need not be read. That holds when l
+// extends to X \ R_l through m alone: every tableau T(A), A ∈ X \ R_l, has
+// a row tagged m, and K, the intersection of those rows' DVs, determines X
+// under m's cover FDs. An X-total extension ī of a tuple of r_l maps each
+// such row to a tuple u of r_m agreeing with ī on K; the representative
+// instance satisfies K → X, so ī[X] = u[X], which m gives itself, and
+// which passes any selection ī[X] passes. The candidates m are exactly the
+// contributors whose scheme holds X, since R_m ⊆ R_m⁺.
+func (ev *Evaluator) subsumed(x attrset.Set, run *independence.AcceptedRun) bool {
+	rl := ev.s.Attrs(run.Scheme())
+	if x.SubsetOf(rl) {
+		return false
+	}
+	n := ev.s.U.Size()
+	for m := range ev.runs {
+		if m == run.Scheme() || !x.SubsetOf(ev.s.Attrs(m)) {
+			continue
+		}
+		k, reads := ev.s.Attrs(m), true
+		for a := 0; a < n && reads; a++ {
+			if !x.Has(a) || rl.Has(a) {
+				continue
+			}
+			reads = false
+			for _, row := range run.Tableau(a) {
+				if row.Tag == m {
+					k, reads = k.Intersect(row.DVs), true
+				}
+			}
+		}
+		if reads && x.SubsetOf(ev.closure(m, k)) {
+			return true
+		}
+	}
+	return false
+}
+
+// closure returns k's closure under the cover FDs assigned to scheme m, the
+// FDs the guard checks on r_m.
+func (ev *Evaluator) closure(m int, k attrset.Set) attrset.Set {
+	for grown := true; grown; {
+		grown = false
+		for _, f := range ev.cover {
+			if f.Scheme == m && f.LHS.SubsetOf(k) && !f.RHS.SubsetOf(k) {
+				k, grown = k.Union(f.RHS), true
+			}
+		}
+	}
+	return k
 }
 
 // Result is the outcome of one window evaluation.
@@ -353,8 +415,9 @@ type RelScan struct {
 // Explain describes the executed plan of one window evaluation against the
 // state it ran over: the chosen mode, whether the plan came from the cache,
 // which relations contributed (with per-relation rows scanned), and — on
-// the fast path — which relations the planner pruned because the window is
-// not a subset of their extension closure (Available()).
+// the fast path — which relations the planner pruned: those whose extension
+// closure (Available()) does not hold the window, and those a contributor
+// holding the window subsumes (see Evaluator.subsumed).
 type Explain struct {
 	Mode       string // "fast" (Theorem 5 extension joins) or "chase"
 	PlanCached bool

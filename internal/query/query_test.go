@@ -281,15 +281,18 @@ func TestQuerySelectionErrors(t *testing.T) {
 	}
 }
 
-// TestPlanConsultsOnlyWindowTableaux: on a star schema a dimension window
-// consults the fact relation and that dimension only — the tableaux of
-// the other dimensions' attributes are never valuated.
+// TestPlanConsultsOnlyWindowTableaux: on a star schema a window consults
+// only the relations whose tableaux its attributes need — the tableaux of
+// the other dimensions' attributes are never valuated — and a dimension
+// window consults that dimension alone: the fact relation reaches the
+// dimension's attributes only through its rows, so it adds no answer row.
 func TestPlanConsultsOnlyWindowTableaux(t *testing.T) {
 	s := schema.MustParse("FACT(A,B,C); DIM1(A,E,F); DIM2(B,G); DIM3(C,H)")
 	fds := fd.MustParse(s.U, "A -> E F; B -> G; C -> H")
 	ev := newEvaluator(t, s, fds)
 	for _, c := range []struct{ attrs, want string }{
-		{"A E F", "FACT DIM1"},
+		{"A E F", "DIM1"},
+		{"A B E", "FACT DIM1"},
 		{"A B C G", "FACT DIM2"},
 		{"A B C", "FACT"},
 		{"E G", "FACT DIM1 DIM2"},
@@ -454,13 +457,26 @@ func TestPlanRelevance(t *testing.T) {
 	if len(p.Schemes) != 1 || s.Name(p.Schemes[0]) != "CHR" {
 		t.Fatalf("plan schemes for [C H]: %v", p.Schemes)
 	}
-	// T is determined by C, so every scheme can contribute to [C T].
+	// T is determined by C, so every scheme's extensions reach [C T]; but CS
+	// and CHR reach T only through a CT tuple holding their whole answer
+	// row, so CT alone contributes.
 	p, _, err = ev.Plan(s.U.Set("C", "T"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Schemes) != 3 {
+	if len(p.Schemes) != 1 || s.Name(p.Schemes[0]) != "CT" {
 		t.Fatalf("plan schemes for [C T]: %v", p.Schemes)
+	}
+	// On freeColumn, U reaches C through a V tuple that agrees with it on A
+	// only, so U's answer row (a,b,c) need not be in V: both contribute to
+	// [A B C].
+	fs, ffds := freeColumn()
+	p, _, err = newEvaluator(t, fs, ffds).Plan(fs.U.Set("A", "B", "C"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Schemes) != 2 {
+		t.Fatalf("plan schemes for [A B C] on %s: %v", fs, p.Schemes)
 	}
 }
 

@@ -72,8 +72,9 @@ type WindowExplain struct {
 	// Relations lists the relations the evaluation consulted with their
 	// scanned row counts. The chase consults the whole state.
 	Relations []RelationScan `json:"relations"`
-	// Pruned lists relations the planner ruled out because the window is
-	// not a subset of their extension closure (fast path only).
+	// Pruned lists relations the planner ruled out (fast path only):
+	// those whose extension closure does not hold the window, and those
+	// subsumed by a relation holding it, which gives every row they could.
 	Pruned []string `json:"pruned,omitempty"`
 }
 
@@ -233,10 +234,12 @@ type WindowFetch struct {
 // WindowFetches reports which relations an evaluation of q may read, each
 // with the share of q.Where its tuples must satisfy to take part in an
 // answer row. On the independent fast path that is the contributing
-// relations plus every relation the extension tableaux of the window's
+// relations plus every relation their extension tableaux of the window's
 // attributes take valuations against — the exact set a cluster router must
 // gather from shards before it can evaluate the window away from the data,
-// because Theorem 5's extensions consult those relations and no others. For
+// because Theorem 5's extensions consult those relations and no others. A
+// relation a contributor holding the window subsumes is no contributor, so
+// a star schema's dimension point window fetches the dimension alone. For
 // a non-independent schema fetches is nil and fast false: the fallback
 // chase consults the whole state, so a router can only proxy the query to a
 // node holding everything. cached reports that the plan came from the

@@ -274,9 +274,14 @@ func TestSelectedWindowScansIndependentOfSize(t *testing.T) {
 		// Join window: F probed on A, each hit extended to E through D.
 		{WindowQuery{Attrs: []string{"A", "B", "E"}, Where: map[string]string{"A": "a7"}},
 			map[string]int{"F": 3}},
-		// Dimension point window: D probed directly, F probed on A.
+		// Dimension point window: D probed directly; F is pruned, since
+		// its rows reach E only through D's A -> E.
 		{WindowQuery{Attrs: []string{"A", "E"}, Where: map[string]string{"A": "a7"}},
-			map[string]int{"F": 3, "D": 1}},
+			map[string]int{"D": 1}},
+		// Selected on F's scheme, outside D's: F probed on B, its hit
+		// extended to E through D; D cannot contribute.
+		{WindowQuery{Attrs: []string{"B", "E"}, Where: map[string]string{"B": "b21"}},
+			map[string]int{"F": 1}},
 		// Selected outside F's scheme: F cannot probe, so it scans.
 		{WindowQuery{Attrs: []string{"B", "E"}, Where: map[string]string{"E": "e0"}},
 			nil},
@@ -314,6 +319,44 @@ func TestSelectedQueryAllocBudget(t *testing.T) {
 			}
 		}); n > 28 {
 			t.Fatalf("selected QueryCtx %v allocates %v/op, budget 28", where, n)
+		}
+	}
+}
+
+// TestWindowFetchesStarSchema pins the gather set of the benchmark's two
+// join window shapes on its star schema: a DIMk point window fetches DIMk
+// alone, since FACT reaches DIMk's attributes only through a DIMk tuple
+// holding the whole answer row, and a window over FACT and two DIMk
+// dependents fetches FACT and DIMk.
+func TestWindowFetchesStarSchema(t *testing.T) {
+	sch := MustParse("FACT(A,B,C,D); DIM1(A,E,F,G,H,I); DIM2(B,J,K,L,M,N); DIM3(C,O,P,Q,R,S); DIM4(D,T,U,V,W,X,Y)",
+		"A -> E F G H I; B -> J K L M N; C -> O P Q R S; D -> T U V W X Y")
+	dims := [][]string{
+		{"A", "E", "F", "G", "H", "I"},
+		{"B", "J", "K", "L", "M", "N"},
+		{"C", "O", "P", "Q", "R", "S"},
+		{"D", "T", "U", "V", "W", "X", "Y"},
+	}
+	fetched := func(q WindowQuery) string {
+		fetches, fast, _, err := sch.WindowFetches(q)
+		if err != nil || !fast {
+			t.Fatalf("%v: fast %v, err %v", q, fast, err)
+		}
+		var rels []string
+		for _, f := range fetches {
+			rels = append(rels, f.Relation)
+		}
+		return strings.Join(rels, " ")
+	}
+	for k, attrs := range dims {
+		dim := fmt.Sprintf("DIM%d", k+1)
+		where := map[string]string{attrs[0]: "k3"}
+		if got := fetched(WindowQuery{Attrs: attrs, Where: where}); got != dim {
+			t.Fatalf("%s point window fetches %s, want %s", dim, got, dim)
+		}
+		join := append([]string{"A", "B", "C", "D"}, attrs[1:3]...)
+		if got := fetched(WindowQuery{Attrs: join, Where: where}); got != "FACT "+dim {
+			t.Fatalf("window %v fetches %s, want FACT %s", join, got, dim)
 		}
 	}
 }

@@ -182,17 +182,24 @@ func TestQueryExplain(t *testing.T) {
 	if err := db.Insert("CS", map[string]string{"C": "cs101", "S": "bob"}); err != nil {
 		t.Fatal(err)
 	}
+	// CT alone answers [C T]: CS and CHR reach T only through CT's C -> T,
+	// so every row they could give CT gives too, and both are pruned.
 	for _, c := range []struct {
-		where map[string]string
-		want  string
+		attrs  []string
+		where  map[string]string
+		want   string
+		pruned string
 	}{
-		{nil, "CT:9 CS:9 CHR:0"},
-		{map[string]string{"C": "cs101"}, "CT:1 CS:1 CHR:0"},
-		{map[string]string{"C": "cs999"}, "CT:0 CS:0 CHR:0"},
-		// T is outside CS and CHR: they visit every row and extend it.
-		{map[string]string{"T": "jones"}, "CT:1 CS:9 CHR:0"},
+		{[]string{"C", "T"}, nil, "CT:9", "CS CHR"},
+		{[]string{"C", "T"}, map[string]string{"C": "cs101"}, "CT:1", "CS CHR"},
+		{[]string{"C", "T"}, map[string]string{"C": "cs999"}, "CT:0", "CS CHR"},
+		{[]string{"C", "T"}, map[string]string{"T": "jones"}, "CT:1", "CS CHR"},
+		// T is outside CS, the one contributor to [S T]: it visits every
+		// row and extends it.
+		{[]string{"S", "T"}, map[string]string{"T": "jones"}, "CS:9", "CT CHR"},
+		{[]string{"S", "T"}, map[string]string{"S": "ada"}, "CS:8", "CT CHR"},
 	} {
-		res, err := db.Query(WindowQuery{Attrs: []string{"C", "T"}, Where: c.where, Explain: true})
+		res, err := db.Query(WindowQuery{Attrs: c.attrs, Where: c.where, Explain: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,8 +207,9 @@ func TestQueryExplain(t *testing.T) {
 		for _, rs := range res.Explain.Relations {
 			got = append(got, fmt.Sprintf("%s:%d", rs.Relation, rs.Rows))
 		}
-		if strings.Join(got, " ") != c.want {
-			t.Fatalf("where %v: scanned %v, want %s", c.where, got, c.want)
+		if strings.Join(got, " ") != c.want || strings.Join(res.Explain.Pruned, " ") != c.pruned {
+			t.Fatalf("%v where %v: scanned %v, pruned %v, want %s and pruned %s",
+				c.attrs, c.where, got, res.Explain.Pruned, c.want, c.pruned)
 		}
 	}
 }
