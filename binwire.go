@@ -883,57 +883,15 @@ func mixID(v int64) uint64 {
 }
 
 // compareRows orders two rows, given as indexes into their answers' names,
-// the way a node orders a window (orderRows): by the rendered key — each
-// column's name then a NUL, compared bytewise — and equal keys by their
-// columns. Keys are compared only when a NUL in a name could shift the
-// columns against each other.
+// the way a node orders a window (orderRows): column by column, each
+// column's names compared bytewise.
 func compareRows(na []string, a []int32, nb []string, b []int32) int {
 	for j := range a {
-		x, y := na[a[j]], nb[b[j]]
-		if x == y {
-			continue
+		if c := strings.Compare(na[a[j]], nb[b[j]]); c != 0 {
+			return c
 		}
-		if strings.HasPrefix(y, x) && y[len(x)] == 0 || strings.HasPrefix(x, y) && x[len(y)] == 0 {
-			if c := compareKeys(na, a[j:], nb, b[j:]); c != 0 {
-				return c
-			}
-		}
-		return strings.Compare(x, y)
 	}
 	return 0
-}
-
-// compareKeys compares two rows' rendered keys without building them.
-func compareKeys(na []string, a []int32, nb []string, b []int32) int {
-	var ca, oa, cb, ob int // cell and offset in it of each key's next byte
-	for {
-		x, okx := keyByte(na, a, &ca, &oa)
-		y, oky := keyByte(nb, b, &cb, &ob)
-		switch {
-		case !okx && !oky:
-			return 0
-		case !okx:
-			return -1
-		case !oky:
-			return 1
-		case x != y:
-			return cmp.Compare(x, y)
-		}
-	}
-}
-
-// keyByte returns the byte of a rendered key at cell *c, offset *o — the
-// cell's name, then a NUL — and advances past it; false past the key's end.
-func keyByte(names []string, cells []int32, c, o *int) (byte, bool) {
-	if *c == len(cells) {
-		return 0, false
-	}
-	if nm := names[cells[*c]]; *o < len(nm) {
-		*o++
-		return nm[*o-1], true
-	}
-	*c, *o = *c+1, 0
-	return 0, true
 }
 
 // MergeWindowAnswers combines owners' answers to one window query into the

@@ -696,21 +696,10 @@ func FuzzDecodeShardBatch(f *testing.F) {
 }
 
 // naiveMerge is MergeWindowAnswers spelled out over rendered rows: every
-// row of both answers, sorted by the NUL-joined key and then by columns,
-// duplicates dropped unless the answers are disjoint, cut to limit.
+// row of both answers, sorted column by column, duplicates dropped unless
+// the answers are disjoint, cut to limit.
 func naiveMerge(a, b *WindowResult, limit int, disjoint bool) *WindowResult {
-	key := func(row map[string]string) string {
-		var k strings.Builder
-		for _, attr := range a.Attrs {
-			k.WriteString(row[attr])
-			k.WriteByte(0)
-		}
-		return k.String()
-	}
 	cmpRows := func(x, y map[string]string) int {
-		if c := strings.Compare(key(x), key(y)); c != 0 {
-			return c
-		}
 		for _, attr := range a.Attrs {
 			if c := strings.Compare(x[attr], y[attr]); c != 0 {
 				return c

@@ -26,7 +26,7 @@
 // consults the dimension alone. Two read paths follow:
 //   - A window consulting one relation distributes over that relation's
 //     fragments, so the router sends the query to the owners and merges
-//     their answers by name: sorted by the rendered key and cut to Limit,
+//     their answers by name: sorted column by column and cut to Limit,
 //     with duplicates dropped and counted once when the owners' answers can
 //     overlap (a partition-key attribute neither output nor bound by
 //     Where). A Where binding the whole partition key goes to the one owner

@@ -85,8 +85,8 @@ func newLoggingCluster(t testing.TB, sch *indep.Schema, n int) (*testCluster, *r
 }
 
 // windowValues is an attribute's value pool: a few plain names plus names
-// one of which is another followed by a NUL, so row order has to fall back
-// to the NUL-joined key.
+// one of which is another followed by a NUL, so router and node must agree
+// on where a name orders against its extensions.
 func windowValues(attr string) []string {
 	return []string{attr + "0", attr + "1", attr + "2", attr + "3", attr, attr + "\x00", attr + "\x001"}
 }

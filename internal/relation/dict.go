@@ -2,7 +2,6 @@ package relation
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -23,7 +22,6 @@ const dictShards = 64
 type Dict struct {
 	shards [dictShards]dictShard
 	size   atomic.Int64 // bindings across all shards
-	nul    atomic.Bool  // some bound name holds a NUL byte
 }
 
 // dictShard is one stripe. mu guards index and serializes appends; names are
@@ -64,9 +62,6 @@ func (sh *dictShard) bind(d *Dict, v Value, name string) {
 		sh.index = make(map[string]Value)
 	}
 	sh.index[name] = v
-	if strings.IndexByte(name, 0) >= 0 {
-		d.nul.Store(true) // before n: a reader that can see the name sees the flag
-	}
 	d.size.Add(1) // before n: a binding AppendNew can see is already counted
 	sh.n.Store(int64(len(names)))
 }
@@ -159,11 +154,6 @@ func (d *Dict) Name(v Value) string {
 	}
 	return fmt.Sprintf("%d", int64(v))
 }
-
-// HasNUL reports whether some bound name holds a NUL byte. It is set before
-// such a name is published, so a reader holding a value of one — through a
-// snapshot, or by resolving it with Name — sees true.
-func (d *Dict) HasNUL() bool { return d != nil && d.nul.Load() }
 
 // Len returns the number of interned names.
 func (d *Dict) Len() int { return int(d.size.Load()) }

@@ -1,7 +1,6 @@
 package indep
 
 import (
-	"bytes"
 	"cmp"
 	"context"
 	"fmt"
@@ -87,7 +86,8 @@ type WindowResult struct {
 	// need to care.
 	Attrs []string
 	// Rows holds the result as attribute-name → value-name maps, sorted
-	// lexicographically by column order for deterministic output.
+	// column by column for deterministic output: by the first column's
+	// names, compared bytewise, then the second's, and so on.
 	Rows []map[string]string
 	// Total is the number of window rows after filtering and projection,
 	// before Limit.
@@ -361,11 +361,11 @@ func finishWindow(s *Schema, st *relation.State, res *query.Result, q WindowQuer
 	return out, nil
 }
 
-// keptRows is a window's first rows in order, each row keyed once. It is a
-// table of rows: one more than are kept, so a candidate can be keyed into
-// the spare row and swapped in. Only the columns whose value varies over
-// the answer can order two rows (a Where condition fixes its column), so
-// only they are keyed. A key cell is two words: the name's first 8 bytes,
+// keptRows is a window's first rows in column-by-column order, each row
+// keyed once. It is a table of rows: one more than are kept, so a candidate
+// can be keyed into the spare row and swapped in. Only the columns whose
+// value varies over the answer can order two rows (a Where condition fixes
+// its column), so only they are keyed. A key cell is two words: the name's first 8 bytes,
 // big-endian and zero-padded, and the name's length. Two cells order as
 // their names do by those words alone unless both names are longer than 8
 // bytes and share their first 8: equal padded prefixes otherwise mean the
@@ -377,15 +377,12 @@ type keptRows struct {
 	vary  []int    // the columns whose value is not the same in every row
 	cells []uint64 // 2*len(vary) words per table row
 	slots []int32  // each table row's slot in the answer
-	keys  [][]byte // each table row's rendered key, only when a name holds a NUL
 	order []int32  // kept table rows: a max-heap while selecting, then sorted
 }
 
 // orderRows keeps the first k rows of rows — all of them when k is not
-// positive — in window order: by rendered key, each column's name then a
-// NUL byte, compared bytewise, and equal keys by their columns. When no bound
-// name holds a NUL byte the key order is plain column-by-column order, so
-// rows compare without keys. A bounded max-heap keeps the k first rows so
+// positive — in window order: column by column, each column's names compared
+// bytewise (strings.Compare). A bounded max-heap keeps the k first rows so
 // far: a limit-5 query over a million-row window neither sorts nor renders a
 // million rows, and a candidate keys a column only when the comparison with
 // the heap's last row reaches that column.
@@ -406,9 +403,6 @@ func orderRows(d *relation.Dict, rows *relation.Instance, k int) keptRows {
 		}
 	}
 	t.cells = make([]uint64, 2*(k+1)*len(t.vary))
-	if d.HasNUL() {
-		t.keys = make([][]byte, k+1)
-	}
 	for r, s := range live[:k] {
 		t.fill(int32(r), s, 0)
 		t.order[r] = int32(r)
@@ -430,8 +424,7 @@ func orderRows(d *relation.Dict, rows *relation.Instance, k int) keptRows {
 }
 
 // sort sorts the kept rows. Each entry carries its first varying column's
-// prefix, which decides most comparisons without reaching the table; only
-// keyed rows, whose rendered keys decide first, leave it zero.
+// prefix, which decides most comparisons without reaching the table.
 func (t *keptRows) sort() {
 	type entry struct {
 		lead uint64
@@ -440,7 +433,7 @@ func (t *keptRows) sort() {
 	es := make([]entry, len(t.order))
 	for i, r := range t.order {
 		es[i].r = r
-		if t.keys == nil && len(t.vary) > 0 {
+		if len(t.vary) > 0 {
 			es[i].lead = t.row(r)[0]
 		}
 	}
@@ -487,30 +480,18 @@ func prefix8(s string) uint64 {
 	return p
 }
 
-// fill keys slot s's varying columns from the i-th on into table row r,
-// and renders its key when rows are keyed.
+// fill keys slot s's varying columns from the i-th on into table row r.
 func (t *keptRows) fill(r, s int32, i int) {
 	t.slots[r] = s
 	for ; i < len(t.vary); i++ {
 		t.key(r, i)
 	}
-	if t.keys != nil {
-		k := t.keys[r][:0]
-		for j := 0; j < t.rows.Width(); j++ {
-			k = append(append(k, t.name(r, j)...), 0)
-		}
-		t.keys[r] = k
-	}
 }
 
 // beats keys slot s into the spare table row and reports whether it orders
-// before table row r. Without keys it keys column by column and stops at
-// the first column that differs from r's, unless s wins.
+// before table row r. It keys column by column and stops at the first
+// column that differs from r's, unless s wins.
 func (t *keptRows) beats(spare, s, r int32) bool {
-	if t.keys != nil {
-		t.fill(spare, s, 0)
-		return t.compare(spare, r) < 0
-	}
 	t.slots[spare] = s
 	for i := range t.vary {
 		t.key(spare, i)
@@ -525,14 +506,8 @@ func (t *keptRows) beats(spare, s, r int32) bool {
 	return false
 }
 
-// compare orders table rows a and b: by key when rows are keyed, then
-// column by column.
+// compare orders table rows a and b column by column.
 func (t *keptRows) compare(a, b int32) int {
-	if t.keys != nil {
-		if c := bytes.Compare(t.keys[a], t.keys[b]); c != 0 {
-			return c
-		}
-	}
 	for i := range t.vary {
 		if c := t.compareCol(a, b, i); c != 0 {
 			return c

@@ -5,7 +5,9 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -19,11 +21,12 @@ type moduleDecl struct {
 	decl      ast.Decl
 }
 
-// parseModule parses every non-test .go file of the module outside bench/
-// and examples/, which are programs over the library rather than part of it.
-func parseModule(t *testing.T) []moduleDecl {
+// walkModule parses each .go file of the module that keep selects, by its
+// slash-separated path, and passes it to visit with its package directory
+// relative to the module root. bench/ is a module of its own and is left
+// out, as are testdata and hidden directories.
+func walkModule(t *testing.T, keep func(path string) bool, visit func(dir string, f *ast.File)) {
 	t.Helper()
-	var decls []moduleDecl
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -31,28 +34,39 @@ func parseModule(t *testing.T) []moduleDecl {
 		}
 		name := d.Name()
 		if d.IsDir() {
-			if path != "." && (path == "bench" || path == "examples" || name == "testdata" ||
+			if path != "." && (path == "bench" || name == "testdata" ||
 				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if !strings.HasSuffix(name, ".go") || !keep(filepath.ToSlash(path)) {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		for _, decl := range f.Decls {
-			decls = append(decls, moduleDecl{dir: dir, name: declName(decl), decl: decl})
-		}
+		visit(filepath.ToSlash(filepath.Dir(path)), f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// parseModule parses every non-test .go file of the module outside bench/
+// and examples/, which are programs over the library rather than part of it.
+func parseModule(t *testing.T) []moduleDecl {
+	t.Helper()
+	var decls []moduleDecl
+	walkModule(t, func(path string) bool {
+		return !strings.HasPrefix(path, "examples/") && !strings.HasSuffix(path, "_test.go")
+	}, func(dir string, f *ast.File) {
+		for _, decl := range f.Decls {
+			decls = append(decls, moduleDecl{dir: dir, name: declName(decl), decl: decl})
+		}
+	})
 	return decls
 }
 
@@ -142,11 +156,13 @@ func calls(n ast.Node, name, recv string) bool {
 //   - internal/query builds no relation instance by NewInstance,
 //     NewInstanceSize or Add: window answers come from relation.Builder
 //     alone. Its only Add calls are the evaluator's counters' and probe's
-//     attribute set's.
+//     attribute set's;
+//   - CI's test selections name tests that exist (checkCIWorkflow).
 //
 // A change that adds a second path fails here; one that moves a mechanism
 // on purpose updates the expectation below.
 func TestStructure(t *testing.T) {
+	t.Run("ci.yml", checkCIWorkflow)
 	decls := parseModule(t)
 	var transport, routerWrites, walKinds []string
 	for _, d := range decls {
@@ -269,6 +285,94 @@ func TestStructure(t *testing.T) {
 	} {
 		if !slices.Equal(c.got, c.want) {
 			t.Errorf("%s: %q, want %q", c.what, c.got, c.want)
+		}
+	}
+}
+
+// moduleTests returns the Test, Fuzz and Benchmark functions of the
+// module's test files by package directory ("." or "./internal/wal", as
+// go test takes it).
+func moduleTests(t *testing.T) map[string][]string {
+	t.Helper()
+	tests := make(map[string][]string)
+	walkModule(t, func(path string) bool { return strings.HasSuffix(path, "_test.go") }, func(dir string, f *ast.File) {
+		if dir != "." {
+			dir = "./" + dir
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Recv != nil {
+				continue
+			}
+			for _, prefix := range []string{"Test", "Fuzz", "Benchmark"} {
+				if strings.HasPrefix(fd.Name.Name, prefix) {
+					tests[dir] = append(tests[dir], fd.Name.Name)
+				}
+			}
+		}
+	})
+	return tests
+}
+
+var (
+	// runFlag captures a go test -run pattern in ci.yml.
+	runFlag = regexp.MustCompile(`-run '([^']*)'`)
+	// fuzzList captures the Fuzz smoke step's targets, one pkg:Fuzz a line.
+	fuzzList = regexp.MustCompile(`(?s)targets='(.*?)'`)
+)
+
+// checkCIWorkflow reads .github/workflows/ci.yml and fails when a -run
+// alternative matches no Test, Fuzz or Benchmark function of the module (a
+// renamed or deleted test left in a list turns its step into a silent
+// no-op), or when the Fuzz smoke list and the module's Fuzz targets differ.
+// The empty pattern '^$', which runs no test on purpose, is exempt.
+func checkCIWorkflow(t *testing.T) {
+	ci, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tests := moduleTests(t)
+	var all []string
+	for _, names := range tests {
+		all = append(all, names...)
+	}
+	for _, m := range runFlag.FindAllStringSubmatch(string(ci), -1) {
+		top, _, _ := strings.Cut(m[1], "/")
+		for _, alt := range strings.Split(top, "|") {
+			if strings.Trim(alt, "^$") == "" {
+				continue
+			}
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				t.Errorf("-run alternative %q: %v", alt, err)
+				continue
+			}
+			if !slices.ContainsFunc(all, re.MatchString) {
+				t.Errorf("-run alternative %q matches no test of the module", alt)
+			}
+		}
+	}
+	m := fuzzList.FindStringSubmatch(string(ci))
+	if m == nil {
+		t.Fatal("ci.yml has no Fuzz smoke targets list")
+	}
+	listed := strings.Fields(m[1])
+	var fuzz []string
+	for dir, names := range tests {
+		for _, n := range names {
+			if strings.HasPrefix(n, "Fuzz") {
+				fuzz = append(fuzz, dir+":"+n)
+			}
+		}
+	}
+	for _, f := range fuzz {
+		if !slices.Contains(listed, f) {
+			t.Errorf("Fuzz target %s is missing from the Fuzz smoke list", f)
+		}
+	}
+	for _, l := range listed {
+		if !slices.Contains(fuzz, l) {
+			t.Errorf("Fuzz smoke lists %s, which is no Fuzz target of the module", l)
 		}
 	}
 }
