@@ -2,7 +2,6 @@ package indep
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -548,12 +547,12 @@ func (cs *ConcurrentStore) ApplyBinBatchPartial(ctx context.Context, payload []b
 }
 
 // RelationBinary renders the named relation's live tuples as a binary
-// window result over the relation's own attributes, unsorted and unlimited —
-// the raw fragment GET /v1/cluster/rel serves for diffing whole shard
-// states. The tuples
-// come from the store's query snapshot: a consistent cut at the current
-// version, cut at most once between writes and shared with window queries.
-// Decode with DecodeWindowBinary; the fragment's Total is its row count.
+// window result over the relation's own attributes, in slot order and
+// unlimited — the raw fragment GET /v1/cluster/rel serves for diffing whole
+// shard states. The tuples come from the store's query snapshot: a
+// consistent cut at the current version, cut at most once between writes
+// and shared with window queries. Decode with DecodeWindowBinary; the
+// fragment's Total is its row count.
 func (cs *ConcurrentStore) RelationBinary(rel string) ([]byte, error) {
 	i := cs.schema.s.IndexOf(rel)
 	if i < 0 {
@@ -561,11 +560,8 @@ func (cs *ConcurrentStore) RelationBinary(rel string) ([]byte, error) {
 	}
 	st := cs.eng.QuerySnapshot()
 	inst := st.Insts[i]
-	slots := inst.LiveRows()
-	names := cs.schema.s.U.Names(cs.schema.s.Attrs(i))
-	return encodeWindowBinary(st.Dict, names, len(slots), func(r, c int) relation.Value {
-		return inst.At(slots[r], c)
-	}, len(slots), cs.eng.Fast(), false), nil
+	t := rankInstance(st.Dict, inst, inst.LiveRows())
+	return t.encode(cs.schema.s.U.Names(cs.schema.s.Attrs(i)), t.n, cs.eng.Fast(), false), nil
 }
 
 // Binary window-result layout (everything before the trailing checksum is
@@ -579,72 +575,45 @@ func (cs *ConcurrentStore) RelationBinary(rel string) ([]byte, error) {
 //	uvarint nrows            then nrows × nattrs varint values
 //	uint32 LE                CRC32-Castagnoli of all preceding bytes
 //
-// Bindings cover exactly the values the rows reference, in first-appearance
-// order, so the result is self-contained and its size tracks the distinct
-// values, not the dictionary.
+// Bindings cover exactly the values the rows reference, so the result is
+// self-contained and its size tracks the distinct values, not the
+// dictionary. A node and a router write them in ascending bytewise name
+// order under ids 1..nbind, so a value is its name's rank plus one and the
+// bytes are canonical: they depend only on the attributes, the rows, the
+// total and the flags, and one window's answer is byte-identical whether a
+// node answered it or a router forwarded, merged or gathered it. A reader
+// accepts bindings in any order under any distinct ids (ParseWindowAnswer
+// ranks them), as nodes that bound values in first-appearance order under
+// dictionary ids sent them.
 var winMagic = []byte("IWIN1")
 
 var binCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// encodeWindowBinary renders a sorted, limited window as the binary result.
-// at addresses the i-th emitted row's j-th column value. The buffer is sized
-// exactly up front, so encoding allocates as often at any answer size.
-func encodeWindowBinary(dict *relation.Dict, names []string, nrows int,
-	at func(row, col int) relation.Value, total int, fast, cached bool) []byte {
-	cells := make([]relation.Value, 0, nrows*len(names))
-	for i := 0; i < nrows; i++ {
-		for j := range names {
-			cells = append(cells, at(i, j))
-		}
+// encode renders a ranked answer, in its row order, as the binary window
+// result: name rank r is bound as value r+1. The buffer is sized up front,
+// so encoding allocates once at any answer size.
+func (t *rankedRows) encode(attrs []string, total int, fast, cached bool) []byte {
+	size := len(winMagic) + 1 + uvarintLen(uint64(total)) + uvarintLen(uint64(len(attrs))) +
+		uvarintLen(uint64(len(t.names))) + uvarintLen(uint64(t.n)) + 4
+	for _, a := range attrs {
+		size += uvarintLen(uint64(len(a))) + len(a)
 	}
-	bound := distinctValues(cells)
-	size := len(winMagic) + 1 + uvarintLen(uint64(total)) + uvarintLen(uint64(len(names))) +
-		uvarintLen(uint64(len(bound))) + uvarintLen(uint64(nrows)) + 4
-	for _, nm := range names {
+	for _, nm := range t.names {
 		size += uvarintLen(uint64(len(nm))) + len(nm)
 	}
-	for _, v := range bound {
-		n := len(dict.Name(v))
-		size += varintLen(int64(v)) + uvarintLen(uint64(n)) + n
-	}
-	for _, v := range cells {
-		size += varintLen(int64(v))
-	}
-	buf := appendWindowHeader(make([]byte, 0, size), names, total, fast, cached)
-	buf = binary.AppendUvarint(buf, uint64(len(bound)))
-	for _, v := range bound {
-		nm := dict.Name(v)
-		buf = binary.AppendVarint(buf, int64(v))
+	size += (len(t.names) + len(t.cells)) * varintLen(int64(len(t.names))) // the widest value
+	buf := appendWindowHeader(make([]byte, 0, size), attrs, total, fast, cached)
+	buf = binary.AppendUvarint(buf, uint64(len(t.names)))
+	for r, nm := range t.names {
+		buf = binary.AppendVarint(buf, int64(r)+1)
 		buf = binary.AppendUvarint(buf, uint64(len(nm)))
 		buf = append(buf, nm...)
 	}
-	buf = binary.AppendUvarint(buf, uint64(nrows))
-	for _, v := range cells {
-		buf = binary.AppendVarint(buf, int64(v))
+	buf = binary.AppendUvarint(buf, uint64(t.n))
+	for _, r := range t.cells {
+		buf = binary.AppendVarint(buf, int64(r)+1)
 	}
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, binCRC))
-}
-
-// distinctValues returns the distinct values of vals in first-appearance
-// order. It dedups through an open-addressed table of first positions, at
-// least twice the size of vals, so it allocates twice at any length.
-func distinctValues(vals []relation.Value) []relation.Value {
-	mask := uint64(1)<<bits.Len(uint(2*len(vals))) - 1
-	first := make([]int32, mask+1) // 1 + the position of a value's first cell; 0 is empty
-	out := make([]relation.Value, 0, len(vals))
-	for p, v := range vals {
-		for i := mixID(int64(v)) & mask; ; i = (i + 1) & mask {
-			if first[i] == 0 {
-				first[i] = int32(p) + 1
-				out = append(out, v)
-				break
-			}
-			if vals[first[i]-1] == v {
-				break
-			}
-		}
-	}
-	return out
 }
 
 // appendWindowHeader appends a binary window result's magic, flags, total
@@ -678,7 +647,7 @@ func DecodeWindowBinary(data []byte) (*WindowResult, error) {
 	}
 	out := a.Result()
 	out.Bin = nil
-	out.Rows = make([]map[string]string, a.nrows)
+	out.Rows = make([]map[string]string, a.n)
 	for i := range out.Rows {
 		row := make(map[string]string, len(a.attrs))
 		for j, v := range a.row(i) {
@@ -690,51 +659,85 @@ func DecodeWindowBinary(data []byte) (*WindowResult, error) {
 }
 
 // A WindowAnswer is a binary window result parsed positionally, the shape a
-// router merges owners' answers in: the header, the bindings' names, and
-// each row as indexes into them. Every name is a substring of one copy of
-// the payload, so parsing allocates the same handful of times at any size
-// and no row is a map.
+// router merges owners' answers in: the header, and the rows coded by the
+// bound names. Every name is a substring of one copy of the payload, so
+// parsing allocates the same handful of times at any size and no row is a
+// map. Parsed by ParseWindowAnswer, the rows are coded by name rank (see
+// rankedRows); parsed for DecodeWindowBinary, each cell indexes the
+// bindings in payload order.
 type WindowAnswer struct {
 	bin    []byte
 	attrs  []string
 	total  int
 	fast   bool
 	cached bool
-	names  []string // bound names, in payload order
-	nrows  int
-	cells  []int32 // nrows × len(attrs) indexes into names, row-major
+	rankedRows
 }
 
 // ParseWindowAnswer checks that data is a well-formed binary window answer —
 // checksum, structure, every referenced value bound, no value bound twice,
-// and rows strictly ascending in the order a node sorts them (see
-// compareRows) — and returns it parsed. A router parses each owner's answer
-// before forwarding or merging it, so a corrupt reply never reaches a
-// client. Raw fragments (RelationBinary) are unsorted; decode those with
-// DecodeWindowBinary.
+// and rows strictly ascending in window order — and returns it parsed,
+// coded by name rank. A router parses each owner's answer before forwarding
+// or merging it, so a corrupt reply never reaches a client. The bindings
+// may come in any order under any distinct ids: ranking them costs one
+// pass over the names when they arrive in ascending order, as this
+// package writes them, and one sort otherwise. Raw fragments
+// (RelationBinary) are in slot order; decode those with DecodeWindowBinary.
 func ParseWindowAnswer(data []byte) (*WindowAnswer, error) {
 	a, err := parseWindow(data)
 	if err != nil {
 		return nil, err
 	}
-	for i := 1; i < a.nrows; i++ {
-		if compareRows(a.names, a.row(i-1), a.names, a.row(i)) >= 0 {
+	a.rank()
+	for i := 1; i < a.n; i++ {
+		if slices.Compare(a.row(i-1), a.row(i)) >= 0 {
 			return nil, fmt.Errorf("indep: binary window answer: row %d is not after row %d", i, i-1)
 		}
 	}
 	return a, nil
 }
 
+// rank re-codes a's cells from binding indexes to name ranks, its names
+// becoming the distinct bound names in ascending order. Bindings already in
+// ascending order are their own ranks; otherwise one sort ranks them, and a
+// name bound under two ids takes one rank.
+func (a *WindowAnswer) rank() {
+	names := a.names
+	if ascending(names) {
+		return
+	}
+	ints := make([]int32, 2*len(names))
+	byName, rank := ints[:len(names)], ints[len(names):]
+	for i := range byName {
+		byName[i] = int32(i)
+	}
+	slices.SortFunc(byName, func(x, y int32) int { return strings.Compare(names[x], names[y]) })
+	a.names = make([]string, 0, len(names))
+	for _, i := range byName {
+		if k := len(a.names); k == 0 || a.names[k-1] != names[i] {
+			a.names = append(a.names, names[i])
+		}
+		rank[i] = int32(len(a.names) - 1)
+	}
+	for p, i := range a.cells {
+		a.cells[p] = rank[i]
+	}
+}
+
+// ascending reports whether names are strictly ascending.
+func ascending(names []string) bool {
+	for i := 1; i < len(names); i++ {
+		if names[i-1] >= names[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // Result returns the answer as a WindowResult: the header fields and Bin,
 // the bytes it was parsed from; Rows is nil.
 func (a *WindowAnswer) Result() *WindowResult {
 	return &WindowResult{Attrs: a.attrs, Total: a.total, FastPath: a.fast, PlanCached: a.cached, Bin: a.bin}
-}
-
-// row returns row i's cells: indexes into a.names.
-func (a *WindowAnswer) row(i int) []int32 {
-	w := len(a.attrs)
-	return a.cells[i*w : (i+1)*w]
 }
 
 // winReader walks the body of a binary window result: b is the body, s the
@@ -818,15 +821,18 @@ func parseWindow(data []byte) (*WindowAnswer, error) {
 	nbind := r.count("bindings", 2)
 	ids := make([]int64, nbind)
 	a.names = make([]string, nbind)
+	dense := true // the ids are 1..nbind in order, as this package writes them
 	for i := range ids {
 		ids[i] = r.varint()
 		a.names[i] = r.str()
+		dense = dense && ids[i] == int64(i)+1
 	}
-	// bound is an open-addressing hash of value id → 1 + binding index, 0
-	// for an empty slot, at most half full. The hash is seeded per process,
-	// so a payload cannot pick ids that all collide.
+	// Dense ids are their own binding indexes plus one. Otherwise bound is
+	// an open-addressing hash of value id → 1 + binding index, 0 for an
+	// empty slot, at most half full. The hash is seeded per process, so a
+	// payload cannot pick ids that all collide.
+	var bound []int32
 	width := bits.Len(uint(2*nbind) | 1)
-	bound := make([]int32, 1<<width)
 	slotOf := func(v int64) int {
 		i := int(mixID(v) >> (64 - width))
 		for bound[i] != 0 && ids[bound[i]-1] != v {
@@ -834,28 +840,38 @@ func parseWindow(data []byte) (*WindowAnswer, error) {
 		}
 		return i
 	}
-	for k, v := range ids {
-		i := slotOf(v)
-		if bound[i] != 0 {
-			r.fail("value %d bound twice", v)
-			break
+	if !dense {
+		bound = make([]int32, 1<<width)
+		for k, v := range ids {
+			i := slotOf(v)
+			if bound[i] != 0 {
+				r.fail("value %d bound twice", v)
+				break
+			}
+			bound[i] = int32(k + 1)
 		}
-		bound[i] = int32(k + 1)
 	}
 	// Each row takes a byte per attribute, which bounds the row count by
 	// the payload; a window always has attributes, so rows without any are
 	// malformed rather than free.
 	per := uint64(max(len(a.attrs), 1))
-	if a.nrows = r.count("rows", per); a.nrows > 0 && len(a.attrs) == 0 {
-		r.fail("%d rows without attributes", a.nrows)
+	a.width = len(a.attrs)
+	if a.n = r.count("rows", per); a.n > 0 && a.width == 0 {
+		r.fail("%d rows without attributes", a.n)
 	}
-	a.cells = make([]int32, a.nrows*len(a.attrs))
+	a.cells = make([]int32, a.n*a.width)
 	for k := range a.cells {
 		v := r.varint()
 		if r.err != nil {
 			break
 		}
-		b := bound[slotOf(v)]
+		var b int32
+		switch {
+		case !dense:
+			b = bound[slotOf(v)]
+		case v >= 1 && v <= int64(nbind):
+			b = int32(v)
+		}
 		if b == 0 {
 			r.fail("unbound value %d", v)
 			break
@@ -882,24 +898,12 @@ func mixID(v int64) uint64 {
 	return z ^ z>>31
 }
 
-// compareRows orders two rows, given as indexes into their answers' names,
-// the way a node orders a window (orderRows): column by column, each
-// column's names compared bytewise.
-func compareRows(na []string, a []int32, nb []string, b []int32) int {
-	for j := range a {
-		if c := strings.Compare(na[a[j]], nb[b[j]]); c != 0 {
-			return c
-		}
-	}
-	return 0
-}
-
 // MergeWindowAnswers combines owners' answers to one window query into the
 // answer of one node holding all their rows, encoded as a binary window
 // result (Bin, with the header fields set; Rows is nil). Each answer is
-// already in the node order, so the merge is a k-way merge of positional
-// rows:
-//   - Rows come out in the node order and are cut to limit (when positive).
+// already in window order, so the merge is a k-way merge of positional
+// rows, compared on name ranks over the answers' names together:
+//   - Rows come out in window order and are cut to limit (when positive).
 //     Disjoint answers were limited by their owners already: each of the
 //     union's first limit rows is among the first limit rows of the answer
 //     holding it.
@@ -908,9 +912,9 @@ func compareRows(na []string, a []int32, nb []string, b []int32) int {
 //     Total counts the distinct rows, so such answers must be unlimited.
 //   - FastPath and PlanCached hold only if they hold for every answer.
 //
-// Value ids are renumbered in first-appearance order and a name bound by
-// several answers is bound once. Answers over different attributes do not
-// merge.
+// The names the merged rows use are bound once each, in ascending order
+// under ids 1..n, so the bytes are those a node holding the rows writes.
+// Answers over different attributes do not merge.
 func MergeWindowAnswers(parts []*WindowAnswer, limit int, disjoint bool) (*WindowResult, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("indep: no window answers to merge")
@@ -925,35 +929,41 @@ func MergeWindowAnswers(parts []*WindowAnswer, limit int, disjoint bool) (*Windo
 		res.Total += p.total
 		res.FastPath = res.FastPath && p.fast
 		res.PlanCached = res.PlanCached && p.cached
-		rows += p.nrows
+		rows += p.n
 	}
 	if limit > 0 {
 		rows = min(rows, limit)
 	}
+	w := len(attrs)
+	names, cells := mergeRanks(parts)
 
-	// The k-way merge: heads[i] is parts[i]'s next row.
-	order := make([]answerRow, 0, rows)
-	heads := make([]int, len(parts))
-	var last answerRow
-	distinct := 0
+	// The k-way merge over cells: heads[i] is the offset of parts[i]'s next
+	// row, ends[i] the end of its rows.
+	ints := make([]int, 2*len(parts))
+	heads, ends := ints[:len(parts)], ints[len(parts):]
+	for i, p := range parts {
+		if i > 0 {
+			heads[i] = ends[i-1]
+		}
+		ends[i] = heads[i] + len(p.cells)
+	}
+	row := func(off int) []int32 { return cells[off : off+w] }
+	order := make([]int, 0, rows) // the merged rows' offsets in cells
+	last, distinct := 0, 0
 	for {
 		best := -1
-		for i, p := range parts {
-			if heads[i] < p.nrows && (best < 0 ||
-				compareRows(p.names, p.row(heads[i]), parts[best].names, parts[best].row(heads[best])) < 0) {
+		for i := range parts {
+			if heads[i] < ends[i] && (best < 0 || slices.Compare(row(heads[i]), row(heads[best])) < 0) {
 				best = i
 			}
 		}
 		if best < 0 {
 			break
 		}
-		cur := answerRow{int32(best), int32(heads[best])}
-		heads[best]++
-		if !disjoint && distinct > 0 {
-			lp := parts[last.part]
-			if compareRows(lp.names, lp.row(int(last.row)), parts[best].names, parts[best].row(int(cur.row))) == 0 {
-				continue
-			}
+		cur := heads[best]
+		heads[best] += w
+		if !disjoint && distinct > 0 && slices.Equal(row(last), row(cur)) {
+			continue
 		}
 		last = cur
 		distinct++
@@ -966,87 +976,81 @@ func MergeWindowAnswers(parts []*WindowAnswer, limit int, disjoint bool) (*Windo
 	if !disjoint {
 		res.Total = distinct
 	}
-	res.Bin = encodeMerged(parts, order, res)
-	return res, nil
-}
 
-// answerRow addresses row row of parts[part].
-type answerRow struct{ part, row int32 }
-
-// encodeMerged writes the rows order picks from parts as a binary window
-// result with res's header, binding each distinct name once, under ids 1,
-// 2, … in first-appearance order.
-func encodeMerged(parts []*WindowAnswer, order []answerRow, res *WindowResult) []byte {
-	w := len(res.Attrs)
-	// slot[base[p]+v] is 1 + the index in used of parts[p]'s binding v, 0
-	// until a row uses it.
-	base := make([]int32, len(parts)+1)
-	for i, p := range parts {
-		base[i+1] = base[i] + int32(len(p.names))
-	}
-	slot := make([]int32, base[len(parts)])
-	used := make([]string, 0, min(len(slot), len(order)*w))
+	// Bind the names the merged rows use: id[g] is 1 + the rank of name g
+	// among them, 0 while no row uses it.
+	id := make([]int32, len(names))
+	used := 0
 	for _, o := range order {
-		p := parts[o.part]
-		for _, v := range p.row(int(o.row)) {
-			if g := base[o.part] + v; slot[g] == 0 {
-				used = append(used, p.names[v])
-				slot[g] = int32(len(used))
+		for _, g := range row(o) {
+			if id[g] == 0 {
+				id[g] = 1
+				used++
 			}
 		}
 	}
-	// A name bound by several answers is used under several slots. Sorting
-	// the used names finds them: id[i] is first the index of name i's first
-	// use, then its id.
-	byName := make([]int32, len(used))
-	for i := range byName {
-		byName[i] = int32(i)
-	}
-	slices.SortFunc(byName, func(x, y int32) int {
-		if c := strings.Compare(used[x], used[y]); c != 0 {
-			return c
+	out := rankedRows{width: w, n: len(order), names: make([]string, 0, used), cells: make([]int32, 0, len(order)*w)}
+	for g, nm := range names {
+		if id[g] != 0 {
+			out.names = append(out.names, nm)
+			id[g] = int32(len(out.names))
 		}
-		return cmp.Compare(x, y)
-	})
-	id := make([]int32, len(used))
-	nbind := 0
-	size := len(winMagic) + 1 + 4 + uvarintLen(uint64(res.Total)) + uvarintLen(uint64(w))
-	for k, i := range byName {
-		if k > 0 && used[byName[k-1]] == used[i] {
-			id[i] = id[byName[k-1]]
-			continue
-		}
-		id[i] = i
-		nbind++
-		size += 2*binary.MaxVarintLen32 + len(used[i])
 	}
-	for _, a := range res.Attrs {
-		size += binary.MaxVarintLen32 + len(a)
-	}
-	idLen := uvarintLen(uint64(nbind) << 1) // the widest id, zigzag-encoded
-	size += 2*binary.MaxVarintLen64 + len(order)*w*idLen
-
-	buf := appendWindowHeader(make([]byte, 0, size), res.Attrs, res.Total, res.FastPath, res.PlanCached)
-	buf = binary.AppendUvarint(buf, uint64(nbind))
-	next := int32(0)
-	for i, nm := range used {
-		if id[i] != int32(i) { // a later use of a name: its first use has its id
-			id[i] = id[id[i]]
-			continue
-		}
-		next++
-		id[i] = next
-		buf = binary.AppendVarint(buf, int64(next))
-		buf = binary.AppendUvarint(buf, uint64(len(nm)))
-		buf = append(buf, nm...)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(order)))
 	for _, o := range order {
-		for _, v := range parts[o.part].row(int(o.row)) {
-			buf = binary.AppendVarint(buf, int64(id[slot[base[o.part]+v]-1]))
+		for _, g := range row(o) {
+			out.cells = append(out.cells, id[g]-1)
 		}
 	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, binCRC))
+	res.Bin = out.encode(attrs, res.Total, res.FastPath, res.PlanCached)
+	return res, nil
+}
+
+// mergeRanks ranks the answers' names together: names merges their
+// ascending lists, a name several answers bind appearing once, and cells
+// holds every answer's cells, answer after answer, re-coded to ranks in
+// names.
+func mergeRanks(parts []*WindowAnswer) (names []string, cells []int32) {
+	nnames, ncells := 0, 0
+	for _, p := range parts {
+		nnames += len(p.names)
+		ncells += len(p.cells)
+	}
+	names = make([]string, 0, nnames)
+	ints := make([]int32, nnames+ncells+len(parts))
+	// rank[base+r] is the merged rank of name r of the answer whose names
+	// start at base; next[i] is parts[i]'s next name.
+	rank, next := ints[:nnames], ints[nnames+ncells:]
+	cells = ints[nnames : nnames+ncells]
+	for {
+		best := -1
+		for i, p := range parts {
+			if int(next[i]) < len(p.names) && (best < 0 || p.names[next[i]] < parts[best].names[next[best]]) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		nm := parts[best].names[next[best]]
+		base := 0
+		for i, p := range parts {
+			if k := int(next[i]); k < len(p.names) && p.names[k] == nm {
+				rank[base+k] = int32(len(names))
+				next[i]++
+			}
+			base += len(p.names)
+		}
+		names = append(names, nm)
+	}
+	base, off := 0, 0
+	for _, p := range parts {
+		for k, r := range p.cells {
+			cells[off+k] = rank[base+int(r)]
+		}
+		base += len(p.names)
+		off += len(p.cells)
+	}
+	return names, cells
 }
 
 // uvarintLen is the length of x's uvarint encoding.
@@ -1075,10 +1079,23 @@ func (res *WindowResult) SetPlanCached(cached bool) {
 
 // EncodeWindowBinary renders a result's Rows, in their order, as the binary
 // window encoding with its Attrs, Total and plan flags: the inverse of
-// DecodeWindowBinary, for a result that arrived rendered.
+// DecodeWindowBinary, for a result that arrived rendered. Its bindings are
+// the canonical ones a node writes.
 func EncodeWindowBinary(res *WindowResult) []byte {
 	var d relation.Dict
-	return encodeWindowBinary(&d, res.Attrs, len(res.Rows), func(i, j int) relation.Value {
-		return d.Value(res.Rows[i][res.Attrs[j]])
-	}, res.Total, res.FastPath, res.PlanCached)
+	n := len(res.Rows)
+	vals := make([]relation.Value, n*len(res.Attrs))
+	cols := make([][]relation.Value, len(res.Attrs))
+	for j, a := range res.Attrs {
+		cols[j] = vals[j*n : (j+1)*n]
+		for i, row := range res.Rows {
+			cols[j][i] = d.Value(row[a])
+		}
+	}
+	slots := make([]int32, n)
+	for i := range slots {
+		slots[i] = int32(i)
+	}
+	t := rankRows(&d, cols, slots)
+	return t.encode(res.Attrs, res.Total, res.FastPath, res.PlanCached)
 }

@@ -799,6 +799,88 @@ func FuzzMergeWindowAnswers(f *testing.F) {
 	})
 }
 
+// reorderedAnswer re-encodes a parsed answer with its bindings written in
+// an order drawn from perm and under distinct ids drawn from seed, the way
+// a node that bound values in first-appearance order under its dictionary
+// ids sent answers.
+func reorderedAnswer(a *WindowAnswer, perm []byte, seed uint64) []byte {
+	order := make([]int, len(a.names)) // order[k] is the binding written k-th
+	for i := range order {
+		order[i] = i
+	}
+	for i := len(order) - 1; i > 0 && len(perm) > 0; i-- {
+		j := int(perm[0]) % (i + 1)
+		order[i], order[j] = order[j], order[i]
+		perm = perm[1:]
+	}
+	id := func(i int32) int64 { // splitmix64 is a bijection, so distinct i give distinct ids
+		z := seed + uint64(i)*0x9e3779b97f4a7c15
+		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		return int64(z ^ z>>31)
+	}
+	buf := appendWindowHeader(nil, a.attrs, a.total, a.fast, a.cached)
+	buf = binary.AppendUvarint(buf, uint64(len(order)))
+	for _, i := range order {
+		buf = binary.AppendVarint(buf, id(int32(i)))
+		buf = binary.AppendUvarint(buf, uint64(len(a.names[i])))
+		buf = append(buf, a.names[i]...)
+	}
+	buf = binary.AppendUvarint(buf, uint64(a.n))
+	for _, v := range a.cells {
+		buf = binary.AppendVarint(buf, id(v))
+	}
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, binCRC))
+}
+
+// FuzzParseWindowAnswerBindingOrder: an answer whose bindings arrive in any
+// order under any distinct ids, as an older node sends them, reads as its
+// canonical encoding does. ParseWindowAnswer accepts it exactly when it
+// accepts the canonical bytes, DecodeWindowBinary gives the same rows, and
+// merging it with a second answer gives the bytes merging the canonical
+// encoding gives.
+func FuzzParseWindowAnswerBindingOrder(f *testing.F) {
+	ct, tt := mergeTestAnswers(f, 12)
+	f.Add(ct[0], ct[1], []byte{3, 1, 4, 1, 5, 9, 2, 6}, uint64(0), uint8(0), true)
+	f.Add(ct[1], ct[0], []byte{255, 0, 7}, uint64(1)<<63, uint8(5), true)
+	f.Add(tt[0], tt[1], []byte{2, 7, 1, 8, 2, 8}, uint64(42), uint8(0), false)
+	f.Add(tt[1], tt[0], []byte{}, uint64(7), uint8(2), false)
+	f.Fuzz(func(t *testing.T, data, other, perm []byte, seed uint64, limit uint8, disjoint bool) {
+		dec, err := DecodeWindowBinary(data)
+		if err != nil {
+			return
+		}
+		canon := EncodeWindowBinary(dec)
+		a, err := parseWindow(canon)
+		if err != nil {
+			t.Fatalf("canonical encoding does not parse: %v", err)
+		}
+		moved := reorderedAnswer(a, perm, seed)
+		got, err := DecodeWindowBinary(moved)
+		if err != nil {
+			t.Fatalf("reordered answer does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(got.Rows, dec.Rows) || got.Total != dec.Total {
+			t.Fatalf("reordered answer decodes to %q (total %d), want %q (total %d)", got.Rows, got.Total, dec.Rows, dec.Total)
+		}
+		pc, errC := ParseWindowAnswer(canon)
+		pm, errM := ParseWindowAnswer(moved)
+		if (errC == nil) != (errM == nil) {
+			t.Fatalf("canonical answer parses with %v, reordered with %v", errC, errM)
+		}
+		po, err := ParseWindowAnswer(other)
+		if errC != nil || err != nil {
+			return
+		}
+		mc, errC := MergeWindowAnswers([]*WindowAnswer{pc, po}, int(limit), disjoint)
+		mm, errM := MergeWindowAnswers([]*WindowAnswer{pm, po}, int(limit), disjoint)
+		if (errC == nil) != (errM == nil) || errC == nil && !slices.Equal(mc.Bin, mm.Bin) {
+			t.Fatalf("merging the canonical answer gives %v, the reordered one %v; bytes equal %v",
+				errC, errM, errC == nil && errM == nil && slices.Equal(mc.Bin, mm.Bin))
+		}
+	})
+}
+
 // TestMergeWindowAnswersNamesBoundOnce: a name both answers bind is bound
 // once in the merged answer, and only names its rows use are bound.
 func TestMergeWindowAnswersNamesBoundOnce(t *testing.T) {

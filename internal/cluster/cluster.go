@@ -26,7 +26,7 @@
 // consults the dimension alone. Two read paths follow:
 //   - A window consulting one relation distributes over that relation's
 //     fragments, so the router sends the query to the owners and merges
-//     their answers by name: sorted column by column and cut to Limit,
+//     their answers on name ranks: sorted column by column and cut to Limit,
 //     with duplicates dropped and counted once when the owners' answers can
 //     overlap (a partition-key attribute neither output nor bound by
 //     Where). A Where binding the whole partition key goes to the one owner
@@ -37,7 +37,8 @@
 //     through the owners' window endpoint, and evaluates over the assembled
 //     state.
 //
-// Either way the answer is identical to a single node's.
+// Either way the answer is identical to a single node's, in IWIN1 byte for
+// byte: the encoding binds names in ascending order under ids 1..n.
 //
 // Membership is static: a parsed -shards list placed on a consistent-hash
 // ring with virtual nodes, so adding a shard to the list moves only the

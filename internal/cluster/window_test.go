@@ -7,6 +7,7 @@ package cluster_test
 // data answers.
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -694,5 +695,54 @@ func TestRouterRejectsCorruptShardAnswer(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRouterWindowBytesMatchNode: a window answer's bytes are canonical, so
+// a three-shard router answers each window with exactly the bytes a single
+// node holding the same rows answers with — whether it forwards one
+// owner's answer (a DIM1 point window), merges disjoint answers (FACT
+// selected on A), merges overlapping unlimited answers cut to a limit ([A B]
+// and [A B C]), or gathers and evaluates (FACT with two DIM1 dependents).
+// One call per window first warms both plan caches, so the flags agree.
+func TestRouterWindowBytesMatchNode(t *testing.T) {
+	sch := starSchema(t)
+	tc := newTestCluster(t, sch, 3, cluster.Options{}, nil)
+	node, err := sch.OpenConcurrentStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, p := range starPayloads(t, sch, 40, 400) {
+		if _, err := tc.rt.Batch(ctx, p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := node.ApplyBinBatchPartial(ctx, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fact := []string{"A", "B", "C", "D"}
+	for _, q := range []indep.WindowQuery{
+		{Attrs: starDims[0], Where: map[string]string{"A": "a3"}},
+		{Attrs: fact, Where: map[string]string{"A": "a0"}},
+		{Attrs: []string{"A", "B"}},
+		{Attrs: []string{"A", "B"}, Limit: 5},
+		{Attrs: []string{"A", "B", "C"}, Limit: 7},
+		{Attrs: []string{"A", "B", "C", "D", "E", "F"}, Where: map[string]string{"A": "a3"}},
+	} {
+		q.BinaryResult = true
+		var got, want *indep.WindowResult
+		for i := 0; i < 2; i++ {
+			if got, err = tc.rt.Window(ctx, q); err != nil {
+				t.Fatal(err)
+			}
+			if want, err = node.QueryCtx(ctx, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want.Total == 0 || !bytes.Equal(got.Bin, want.Bin) {
+			t.Fatalf("window %v where %v limit %d: router answers %d bytes (total %d), node %d (total %d)",
+				q.Attrs, q.Where, q.Limit, len(got.Bin), got.Total, len(want.Bin), want.Total)
+		}
 	}
 }

@@ -83,6 +83,49 @@ func twoKeysState(r *rand.Rand, s *schema.Schema) *relation.State {
 	return st
 }
 
+// TestExtendedCountsExtensionKeys pins evalFast's grouping on extension
+// keys over a fixed state of twoKeys, whose contributors' keys {A,B} and
+// {B,C} are narrower than their schemes: each contributor extends one of
+// its probed rows per distinct key value, while every probed row counts as
+// scanned.
+func TestExtendedCountsExtensionKeys(t *testing.T) {
+	d, x := twoKeys()
+	st := relation.NewState(d.s)
+	for _, row := range []relation.Tuple{{0, 0, 0}, {0, 0, 1}, {0, 0, 2}, {1, 0, 0}, {1, 1, 0}} {
+		st.Insts[0].Add(row) // R1(A,B,Z): {A,B} is (0,0), (1,0) or (1,1)
+	}
+	for _, row := range []relation.Tuple{{0, 0, 0}, {0, 0, 1}} {
+		st.Insts[1].Add(row) // R2 as (B,C,W): {B,C} is (0,0)
+	}
+	st.Insts[2].Add(relation.Tuple{0, 5})
+	st.Insts[2].Add(relation.Tuple{1, 6})
+	st.Insts[3].Add(relation.Tuple{0, 5})
+	ev := newEvaluator(t, d.s, d.fds)
+	for _, c := range []struct {
+		sel  []Cond
+		want [2][2]int // per scheme R1, R2: scanned, extended
+		rows int
+	}{
+		{nil, [2][2]int{{5, 3}, {2, 1}}, 3},
+		{[]Cond{{Attr: d.s.U.MustIndex("B"), Val: 0}}, [2][2]int{{4, 2}, {2, 1}}, 2},
+	} {
+		res, err := ev.Query(st, x, c.sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Fast || len(res.Plan.Schemes) != 2 || res.Rows.Len() != c.rows {
+			t.Fatalf("where %v: fast %v, contributors %v, %d rows; want the fast path, R1 and R2, %d rows",
+				c.sel, res.Fast, res.Plan.Schemes, res.Rows.Len(), c.rows)
+		}
+		for i, l := range res.Plan.Schemes {
+			if got := [2]int{res.Scanned[i], res.Extended[i]}; got != c.want[l] {
+				t.Fatalf("where %v: %s scanned %d and extended %d rows, want %d and %d",
+					c.sel, d.s.Name(l), got[0], got[1], c.want[l][0], c.want[l][1])
+			}
+		}
+	}
+}
+
 // TestWindowMatchesPerRowOracleRandom evaluates windows, selected and not,
 // over random states: twoKeys's [B D], and random windows of 200 random
 // independent schemas. It checks each answer against perRowWindow: the
@@ -290,7 +333,7 @@ func TestSubsumedContributorsAddNoRow(t *testing.T) {
 				}
 				windows++
 				full := relevantPlan(ev, res.Plan)
-				all, _ := evalFast(full, st, sel)
+				all, _, _ := evalFast(full, st, sel)
 				oracle := filterWindow(oracleWindow(t, s, d.fds, st, x), sel)
 				if !sameInstance(res.Rows, all) || !sameInstance(res.Rows, oracle) {
 					t.Fatalf("%s: window [%s] where %v over\n%s\nplan %v of %v\ngot    %v\nall    %v\noracle %v",

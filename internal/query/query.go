@@ -320,6 +320,11 @@ type Result struct {
 	Plan *Plan
 	// Scanned[i] counts the rows of Plan.Schemes[i] the fast path visited.
 	Scanned []int
+	// Extended[i] counts the rows of Plan.Schemes[i] the fast path extended
+	// to the window: one per distinct extension key among the visited rows
+	// (see Plan.keys), and every visited row of a contributor holding the
+	// window, which is its own extension.
+	Extended []int
 }
 
 // Cond is one equality condition of a window selection: Attr = Val.
@@ -368,7 +373,7 @@ func (ev *Evaluator) Query(st *relation.State, x attrset.Set, sel []Cond) (*Resu
 	res := &Result{X: x, Fast: plan.Fast, PlanCached: cached, Plan: plan}
 	if plan.Fast {
 		ev.fastEvals.Add(1)
-		res.Rows, res.Scanned = evalFast(plan, st, sel)
+		res.Rows, res.Scanned, res.Extended = evalFast(plan, st, sel)
 		return res, nil
 	}
 	ev.chaseEvals.Add(1)
@@ -464,8 +469,8 @@ type probeHits struct {
 // at the first mismatch, then to the rest of X. Of the probed rows that
 // agree on their contributor's extension key only the first extends: the
 // others would give its answer row, or none, again. Every probed row still
-// counts as scanned.
-func evalFast(p *Plan, st *relation.State, sel []Cond) (*relation.Instance, []int) {
+// counts as scanned, and the rows that extend count as extended.
+func evalFast(p *Plan, st *relation.State, sel []Cond) (rows *relation.Instance, scanned, extended []int) {
 	// Probe every contributor first, and size the answer from the ones whose
 	// rows are their own extensions: each such row is at most one answer row.
 	// An extending contributor can probe many rows for few answers (a point
@@ -473,7 +478,8 @@ func evalFast(p *Plan, st *relation.State, sel []Cond) (*relation.Instance, []in
 	// its rows add no room.
 	var probeBuf [8]probeHits // a plan's contributors stay on the stack
 	probed := probeBuf[:0]
-	scanned := make([]int, len(p.Schemes))
+	counts := make([]int, 2*len(p.Schemes)) // scanned, then extended
+	scanned, extended = counts[:len(p.Schemes)], counts[len(p.Schemes):]
 	size := 0
 	for i, l := range p.Schemes {
 		inst := st.Insts[l]
@@ -496,6 +502,7 @@ func evalFast(p *Plan, st *relation.State, sel []Cond) (*relation.Instance, []in
 		inst := st.Insts[l]
 		slots, outer := probed[i].slots, probed[i].outer
 		if p.X.SubsetOf(inst.Attrs) { // the row is its own extension
+			extended[i] = len(slots)
 			pos := appendRanks(posBuf[:0], inst.Attrs, cols)
 			for _, s := range slots {
 				for j, c := range pos {
@@ -525,6 +532,7 @@ func evalFast(p *Plan, st *relation.State, sel []Cond) (*relation.Instance, []in
 					continue
 				}
 			}
+			extended[i]++
 			row = inst.AppendRow(row[:0], s)
 			for _, c := range sel {
 				if outer.Has(c.Attr) &&
@@ -541,7 +549,7 @@ func evalFast(p *Plan, st *relation.State, sel []Cond) (*relation.Instance, []in
 			out.Append(proj)
 		}
 	}
-	return out.Instance(p.X), scanned
+	return out.Instance(p.X), scanned, extended
 }
 
 // scratch returns buf's first n values, or fresh ones when buf is shorter.

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 	"time"
@@ -334,24 +335,22 @@ func finishWindow(s *Schema, st *relation.State, res *query.Result, q WindowQuer
 		FastPath:   res.Fast,
 		PlanCached: res.PlanCached,
 	}
-	kept := orderRows(st.Dict, rows, q.Limit)
-	n := len(kept.order)
+	kept := rankInstance(st.Dict, rows, firstRows(st.Dict, rows, q.Limit))
+	kept.sort()
 	sp.SetInt("rows", int64(out.Total))
-	sp.SetInt("kept", int64(n))
+	sp.SetInt("kept", int64(kept.n))
 	if q.BinaryResult {
-		out.Bin = encodeWindowBinary(st.Dict, names, n, func(i, j int) relation.Value {
-			return rows.At(kept.slot(i), j)
-		}, out.Total, out.FastPath, out.PlanCached)
+		out.Bin = kept.encode(names, out.Total, out.FastPath, out.PlanCached)
 		sp.SetInt("bytes", int64(len(out.Bin)))
 		return out, nil
 	}
-	rendered := make([]map[string]string, n)
+	rendered := make([]map[string]string, kept.n)
 	size := 0
 	for i := range rendered {
 		row := make(map[string]string, len(names))
-		for j, a := range names {
-			nm := st.Dict.Name(rows.At(kept.slot(i), j))
-			row[a] = nm
+		for j, r := range kept.row(i) {
+			nm := kept.names[r]
+			row[names[j]] = nm
 			size += len(nm)
 		}
 		rendered[i] = row
@@ -361,39 +360,220 @@ func finishWindow(s *Schema, st *relation.State, res *query.Result, q WindowQuer
 	return out, nil
 }
 
-// keptRows is a window's first rows in column-by-column order, each row
-// keyed once. It is a table of rows: one more than are kept, so a candidate
-// can be keyed into the spare row and swapped in. Only the columns whose
-// value varies over the answer can order two rows (a Where condition fixes
-// its column), so only they are keyed. A key cell is two words: the name's first 8 bytes,
-// big-endian and zero-padded, and the name's length. Two cells order as
-// their names do by those words alone unless both names are longer than 8
-// bytes and share their first 8: equal padded prefixes otherwise mean the
-// shorter name is a prefix of the longer, NUL bytes or not. Only such a tie
-// fetches the names again.
+// rankedRows is a window answer coded by name rank: names holds the
+// distinct names its rows use, ascending bytewise, and each cell is its
+// name's rank, its index in names. Two rows order column by column as their
+// rank tuples do, so ordering, checking and merging answers compare
+// integers, never names, and an answer's IWIN1 bytes (encode) depend only
+// on its attributes, rows, total and flags.
+type rankedRows struct {
+	width int
+	n     int // rows
+	names []string
+	cells []int32 // n × width ranks, row-major
+}
+
+// row returns row i's ranks.
+func (t *rankedRows) row(i int) []int32 { return t.cells[i*t.width : (i+1)*t.width] }
+
+// rankInstance codes the given slots of rows by name rank, in slot order.
+func rankInstance(d *relation.Dict, rows *relation.Instance, slots []int32) rankedRows {
+	var colBuf [16][]relation.Value // a window's columns stay on the stack
+	cols := colBuf[:0]
+	for j := 0; j < rows.Width(); j++ {
+		cols = append(cols, rows.Col(j))
+	}
+	return rankRows(d, cols, slots)
+}
+
+// rankRows codes rows by name rank, in slot order: row i holds each
+// column's value at slots[i]. Each distinct value's name is fetched once,
+// and the names are sorted once, on their 8-byte prefixes (see sortNames).
+func rankRows(d *relation.Dict, cols [][]relation.Value, slots []int32) rankedRows {
+	w, n := len(cols), len(slots)
+	// table is an open-addressed hash of value → 1 + its index in vals, at
+	// most half full; each cell first holds its value's index in vals.
+	mask := uint64(1)<<bits.Len(uint(2*n*w)) - 1
+	ints := make([]int32, int(mask)+1+n*w)
+	table, cells := ints[:mask+1], ints[mask+1:]
+	vals := make([]relation.Value, 0, n*w)
+	for j, col := range cols {
+		for i, s := range slots {
+			v := col[s]
+			h := mixID(int64(v)) & mask
+			for table[h] != 0 && vals[table[h]-1] != v {
+				h = (h + 1) & mask
+			}
+			if table[h] == 0 {
+				vals = append(vals, v)
+				table[h] = int32(len(vals))
+			}
+			cells[i*w+j] = table[h] - 1
+		}
+	}
+	nd := len(vals)
+	names := make([]string, nd)
+	keys := make([]rankKey, nd)
+	for i, v := range vals {
+		names[i] = d.Name(v)
+		keys[i] = rankKey{prefix8(names[i]), int32(i)}
+	}
+	rank := table[:nd] // the hash is done with: rank[i] is vals[i]'s rank
+	for r, k := range sortNames(keys, names) {
+		rank[k.i] = int32(r)
+	}
+	for p, i := range cells {
+		cells[p] = rank[i]
+	}
+	for i := range names { // put the names in rank order, cycle by cycle
+		for r := rank[i]; r != int32(i); r = rank[i] {
+			names[i], names[r] = names[r], names[i]
+			rank[i], rank[r] = rank[r], rank[i]
+		}
+	}
+	return rankedRows{width: w, n: n, names: names, cells: cells}
+}
+
+// rankKey is the sort key of names[i]: its first 8 bytes, big-endian and
+// zero-padded.
+type rankKey struct {
+	prefix uint64
+	i      int32
+}
+
+// sortNames sorts keys as strings.Compare orders their names and returns
+// them sorted, in keys or in a buffer of their length. Past a few dozen
+// keys a least-significant-byte radix sort orders the prefixes, skipping
+// each byte every prefix shares, so short names sort in a few linear passes
+// without a comparison. Two names with equal prefixes are both 8 bytes or
+// longer and agree on their first 8, or one is a prefix of the other; only
+// such runs compare names.
+func sortNames(keys []rankKey, names []string) []rankKey {
+	byName := func(a, b rankKey) int {
+		if a.prefix != b.prefix {
+			return cmp.Compare(a.prefix, b.prefix)
+		}
+		return strings.Compare(names[a.i], names[b.i])
+	}
+	if len(keys) <= 64 { // fewer keys than a radix pass has buckets
+		slices.SortFunc(keys, byName)
+		return keys
+	}
+	tmp := make([]rankKey, len(keys))
+	var diff uint64 // the prefix bits that are not the same in every key
+	for _, k := range keys[1:] {
+		diff |= k.prefix ^ keys[0].prefix
+	}
+	for shift := 0; shift < 64; shift += 8 {
+		if byte(diff>>shift) == 0 {
+			continue
+		}
+		var at [256]int32 // the first position of each byte value's keys
+		for _, k := range keys {
+			at[byte(k.prefix>>shift)]++
+		}
+		sum := int32(0)
+		for c, n := range at {
+			at[c], sum = sum, sum+n
+		}
+		for _, k := range keys {
+			c := byte(k.prefix >> shift)
+			tmp[at[c]] = k
+			at[c]++
+		}
+		keys, tmp = tmp, keys
+	}
+	for i := 0; i < len(keys); {
+		j := i + 1
+		for j < len(keys) && keys[j].prefix == keys[i].prefix {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(keys[i:j], byName)
+		}
+		i = j
+	}
+	return keys
+}
+
+// sort puts the rows in window order, column by column: a stable counting
+// sort on each column whose ranks vary, last column first. Each pass costs
+// the rows plus the column's span of ranks and compares nothing.
+func (t *rankedRows) sort() {
+	w, n := t.width, t.n
+	if n < 2 {
+		return
+	}
+	ints := make([]int32, 2*n+len(t.names)+1+len(t.cells))
+	perm, next := ints[:n], ints[n:2*n]
+	count, cells := ints[2*n:2*n+len(t.names)+1], ints[2*n+len(t.names)+1:]
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	for j := w - 1; j >= 0; j-- {
+		lo, hi := t.cells[j], t.cells[j] // the column's least and greatest rank
+		for i := 1; i < n; i++ {
+			c := t.cells[i*w+j]
+			lo, hi = min(lo, c), max(hi, c)
+		}
+		if lo == hi { // one name throughout: the column orders nothing
+			continue
+		}
+		for i := 0; i < n; i++ {
+			count[t.cells[i*w+j]+1]++
+		}
+		for r := lo + 1; r <= hi; r++ {
+			count[r+1] += count[r]
+		}
+		for _, i := range perm {
+			c := t.cells[int(i)*w+j]
+			next[count[c]] = i
+			count[c]++
+		}
+		clear(count[lo : hi+2])
+		perm, next = next, perm
+	}
+	for i, r := range perm {
+		copy(cells[i*w:(i+1)*w], t.row(int(r)))
+	}
+	t.cells = cells
+}
+
+// keptRows is a bounded max-heap of a window's first rows in window order,
+// each row keyed once. It is a table of rows: one more than are kept, so a
+// candidate can be keyed into the spare row and swapped in. Only the
+// columns whose value varies over the answer can order two rows (a Where
+// condition fixes its column), so only they are keyed. A key cell is two
+// words: the name's first 8 bytes, big-endian and zero-padded, and the
+// name's length. Two cells order as their names do by those words alone
+// unless both names are longer than 8 bytes and share their first 8: equal
+// padded prefixes otherwise mean the shorter name is a prefix of the
+// longer, NUL bytes or not. Only such a tie fetches the names again.
 type keptRows struct {
 	d     *relation.Dict
 	rows  *relation.Instance
 	vary  []int    // the columns whose value is not the same in every row
 	cells []uint64 // 2*len(vary) words per table row
 	slots []int32  // each table row's slot in the answer
-	order []int32  // kept table rows: a max-heap while selecting, then sorted
+	order []int32  // the heap of kept table rows; its root is the last
 }
 
-// orderRows keeps the first k rows of rows — all of them when k is not
-// positive — in window order: column by column, each column's names compared
-// bytewise (strings.Compare). A bounded max-heap keeps the k first rows so
-// far: a limit-5 query over a million-row window neither sorts nor renders a
-// million rows, and a candidate keys a column only when the comparison with
-// the heap's last row reaches that column.
-func orderRows(d *relation.Dict, rows *relation.Instance, k int) keptRows {
+// firstRows returns the slots of the first k rows of rows in window order
+// (column by column, each column's names compared bytewise), in no
+// particular order: rankRows orders the rows it keeps. When k is not
+// positive or not below the row count that is every live slot. Otherwise a
+// bounded max-heap keeps the k first rows so far, so a limit-5 query over a
+// million-row window ranks and renders 5 rows, and a candidate keys a
+// column only when the comparison with the heap's last row reaches that
+// column.
+func firstRows(d *relation.Dict, rows *relation.Instance, k int) []int32 {
 	live := rows.LiveRows()
-	if k <= 0 || k > len(live) {
-		k = len(live)
+	if k <= 0 || k >= len(live) {
+		return live
 	}
 	ints := make([]int32, 2*k+1)
 	t := keptRows{d: d, rows: rows, slots: ints[:k+1], order: ints[k+1:]}
-	for j := 0; j < rows.Width() && len(live) > 0; j++ {
+	for j := 0; j < rows.Width(); j++ {
 		col := rows.Col(j)
 		for _, s := range live[1:] {
 			if col[s] != col[live[0]] {
@@ -407,49 +587,21 @@ func orderRows(d *relation.Dict, rows *relation.Instance, k int) keptRows {
 		t.fill(int32(r), s, 0)
 		t.order[r] = int32(r)
 	}
-	if k < len(live) {
-		for i := k/2 - 1; i >= 0; i-- {
-			t.down(i)
-		}
-		spare := int32(k)
-		for _, s := range live[k:] {
-			if t.beats(spare, s, t.order[0]) {
-				t.order[0], spare = spare, t.order[0]
-				t.down(0)
-			}
+	for i := k/2 - 1; i >= 0; i-- {
+		t.down(i)
+	}
+	spare := int32(k)
+	for _, s := range live[k:] {
+		if t.beats(spare, s, t.order[0]) {
+			t.order[0], spare = spare, t.order[0]
+			t.down(0)
 		}
 	}
-	t.sort()
-	return t
-}
-
-// sort sorts the kept rows. Each entry carries its first varying column's
-// prefix, which decides most comparisons without reaching the table.
-func (t *keptRows) sort() {
-	type entry struct {
-		lead uint64
-		r    int32
-	}
-	es := make([]entry, len(t.order))
 	for i, r := range t.order {
-		es[i].r = r
-		if len(t.vary) > 0 {
-			es[i].lead = t.row(r)[0]
-		}
+		t.order[i] = t.slots[r]
 	}
-	slices.SortFunc(es, func(a, b entry) int {
-		if a.lead != b.lead {
-			return cmp.Compare(a.lead, b.lead)
-		}
-		return t.compare(a.r, b.r)
-	})
-	for i, e := range es {
-		t.order[i] = e.r
-	}
+	return t.order
 }
-
-// slot returns the answer slot of the i-th kept row.
-func (t *keptRows) slot(i int) int32 { return t.slots[t.order[i]] }
 
 // name returns the name in column j of table row r.
 func (t *keptRows) name(r int32, j int) string { return t.d.Name(t.rows.At(t.slots[r], j)) }
